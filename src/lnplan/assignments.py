@@ -91,11 +91,17 @@ class AssignmentCache:
     Buckets the state's fluents by symbol once, then builds each table on
     first use. Concurrent first uses are safe: setdefault keeps a single
     winner and the loser's table is discarded.
+
+    `static` maps the names of functions no effect writes to a cache over the
+    initial state. Their tables are the same in every reachable state, so
+    they are read from that shared cache instead of being rebuilt per state.
     """
 
-    def __init__(self, state: State, degree: int = 2):
+    def __init__(self, state: State, degree: int = 2,
+                 static: Mapping[str, "AssignmentCache"] | None = None):
         self.state = state
         self.degree = degree
+        self.static = static or {}
         self._sets: dict[str, AssignmentSet] = {}
         self._buckets: dict[str, list] | None = None
 
@@ -111,7 +117,11 @@ class AssignmentCache:
         cached = self._sets.get(function.name)
         if cached is not None:
             return cached
-        built = build_assignment_set(
-            function, self.state, self.degree, self._bucket(function.name)
-        )
+        shared = self.static.get(function.name)
+        if shared is not None:
+            built = shared.get(function)
+        else:
+            built = build_assignment_set(
+                function, self.state, self.degree, self._bucket(function.name)
+            )
         return self._sets.setdefault(function.name, built)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import metrics, satgadget, search
 from .consistency import build_graph
-from .model import Task, free_variables
+from .model import Task, free_variables, function_terms
 from .pddl import ParseError, load_task, parse_domain
 from .successors import (
     GeneratorConfig,
@@ -231,25 +231,12 @@ def exactness_violations(domain) -> list[tuple[str, str, str]]:
             arity = len(free_variables(con))
             if arity > 2:
                 out.append((schema.name, repr(con), f"constraint with {arity} variables"))
-            for fn in sorted({t.function for t in _function_terms(con)},
+            for fn in sorted({t.function for t in function_terms(con)},
                              key=lambda f: f.name):
                 if fn.arity > 2:
                     out.append((schema.name, repr(con),
                                 f"function {fn.name} of arity {fn.arity}"))
     return out
-
-
-def _function_terms(expr):
-    from .model import BinaryExpr, FunctionTerm, NumericConstraint
-
-    if isinstance(expr, NumericConstraint):
-        yield from _function_terms(expr.lhs)
-        yield from _function_terms(expr.rhs)
-    elif isinstance(expr, BinaryExpr):
-        yield from _function_terms(expr.left)
-        yield from _function_terms(expr.right)
-    elif isinstance(expr, FunctionTerm):
-        yield expr
 
 
 def cmd_check_exactness(args) -> int:

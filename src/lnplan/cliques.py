@@ -29,22 +29,26 @@ def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
 
     order = sorted(range(k), key=lambda p: (graph.alive[p].bit_count(), p))
     partition_masks = [graph.alive[p] << (p * n) for p in order]
-    adjacency = graph.adjacency
     chosen = [0] * k
-
-    def extend(depth: int, candidates: int) -> Iterator[tuple[int, ...]]:
-        pool = candidates & partition_masks[depth]
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            v = low.bit_length() - 1
-            chosen[order[depth]] = v
-            if depth + 1 == k:
-                yield tuple(chosen)
-            else:
-                narrowed = candidates & adjacency[v]
-                if narrowed:
-                    yield from extend(depth + 1, narrowed)
-
     full = (1 << (k * n)) - 1
-    yield from extend(0, full)
+    yield from _extend(0, full, order, partition_masks, graph.adjacency, chosen)
+
+
+def _extend(depth: int, candidates: int, order: list[int], partition_masks: list[int],
+            adjacency: list[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
+    # module-level rather than a closure, which would keep the graph in a
+    # reference cycle after the enumeration
+    pool = candidates & partition_masks[depth]
+    last = depth + 1 == len(order)
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
+        chosen[order[depth]] = v
+        if last:
+            yield tuple(chosen)
+        else:
+            narrowed = candidates & adjacency[v]
+            if narrowed:
+                yield from _extend(depth + 1, narrowed, order, partition_masks,
+                                   adjacency, chosen)

@@ -12,10 +12,31 @@ with no free variables short-circuit the whole graph.
 The numeric rules can be switched off to obtain the purely propositional
 graph; the final applicability filter downstream restores exactness in
 either case.
+
+Static/dynamic split. A predicate is static when no effect literal touches
+it (built-in equality always is), a function when no numeric effect targets
+it, and an element when all its symbols are static. A static element has the
+same value in every state that agrees with the task's initial state on the
+static atoms and fluents. Every reachable state does, and graphs must only
+be built for such states. Static elements are therefore evaluated once per
+task, on the first graph built for a (schema, numeric rules, table degree)
+combination, into int bitsets: a static alive mask per partition and, per
+partition pair, a static row per object plus its transpose. Per state the
+atom index covers only dynamic predicates, range tables are built only for
+written functions, and only dynamic elements are evaluated, on the vertices
+and pairs the static masks leave alive. A partition pair without dynamic
+elements costs bit operations only.
+
+With `record=True` every excluded vertex and pair is listed with the first
+rule that refutes it, in the order positive-miss, negative-hit,
+numeric-unsat; a statically excluded one gets its reason by re-evaluating
+the static elements on demand.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -28,15 +49,16 @@ from .model import (
     EQUALITY_NAME,
     Expr,
     FunctionTerm,
-    Literal,
     NumericConstraint,
     Object,
     State,
     Task,
     Variable,
     free_variables,
+    function_terms,
     ground_atom,
-    literal_holds,
+    static_function_names,
+    static_predicate_names,
 )
 
 VAR_CONFLICT = "variable-conflict"
@@ -67,11 +89,16 @@ class _Bucket:
 
 
 class AtomIndex:
-    """Per-predicate (position, object) -> atom-id bitsets for match queries."""
+    """Per-predicate (position, object) -> atom-id bitsets for match queries.
 
-    def __init__(self, state: State):
+    Predicates named in `skip` are left out; their atoms never match.
+    """
+
+    def __init__(self, state: State, skip: frozenset[str] = frozenset()):
         buckets: dict[str, _Bucket] = {}
         for atom in state.atoms:
+            if atom.predicate.name in skip:
+                continue
             bucket = buckets.get(atom.predicate.name)
             if bucket is None:
                 bucket = buckets[atom.predicate.name] = _Bucket()
@@ -110,14 +137,20 @@ class AtomIndex:
 
 
 class StateContext:
-    """Shared per-state structures: match index, range tables, type extents."""
+    """Shared per-state structures: match index and range tables of the
+    dynamic symbols, type extents.
+
+    The state must agree with the task's initial state on static atoms and
+    fluents, as every reachable state does.
+    """
 
     def __init__(self, task: Task, state: State, degree: int = 2):
         self.task = task
         self.state = state
         self.objects = task.objects
-        self.index = AtomIndex(state)
-        self.ranges = AssignmentCache(state, degree)
+        self.statics = task_statics(task)
+        self.index = AtomIndex(state, skip=self.statics.predicates)
+        self.ranges = AssignmentCache(state, degree, self.statics.ranges(degree))
         self._typed: dict[str, tuple[Object, ...]] = {}
 
     def typed_objects(self, type_name: Optional[str]) -> tuple[Object, ...]:
@@ -251,6 +284,214 @@ def _negative_violated(atom: Atom, binding: Mapping[Variable, Object], state: St
     return ground_atom(atom, binding) in state.atoms
 
 
+_NO_BINDING: Mapping[Variable, Object] = {}
+_STATIC = "static"  # group key of the static elements in a plan
+_RANK = {POSITIVE_MISS: 0, NEGATIVE_HIT: 1, NUMERIC_UNSAT: 2}
+
+
+def _earlier(a: Optional[str], b: Optional[str]) -> Optional[str]:
+    """The reason that takes precedence; None means not refuted."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if _RANK[a] <= _RANK[b] else b
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Rules:
+    """The elements that can refute one vertex or one vertex pair, by rule."""
+
+    __slots__ = ("pos", "neg", "con")
+
+    def __init__(self):
+        self.pos: list[Atom] = []
+        self.neg: list[Atom] = []
+        self.con: list[NumericConstraint] = []
+
+    def __bool__(self) -> bool:
+        return bool(self.pos or self.neg or self.con)
+
+    def refute(self, binding: Mapping[Variable, Object], index: AtomIndex, state: State,
+               ranges: AssignmentCache) -> Optional[str]:
+        """The first rule that refutes the binding, or None."""
+        for atom in self.pos:
+            if not index.match_exists(atom, binding):
+                return POSITIVE_MISS
+        for atom in self.neg:
+            if _negative_violated(atom, binding, state):
+                return NEGATIVE_HIT
+        for con in self.con:
+            if relaxed_unsat(con, binding, ranges):
+                return NUMERIC_UNSAT
+        return None
+
+
+def _ground_fails(reason: str, element, index: AtomIndex, state: State,
+                  ranges: AssignmentCache) -> bool:
+    """Does the element, with no variable bound, refute every binding?"""
+    if reason == POSITIVE_MISS:
+        return not index.match_exists(element, _NO_BINDING)
+    if reason == NEGATIVE_HIT:
+        return _negative_violated(element, _NO_BINDING, state)
+    return relaxed_unsat(element, _NO_BINDING, ranges)
+
+
+class _Plan:
+    """The static part of one schema's graph, and the dynamic rules left per state.
+
+    `ground` lists the dynamic elements checked with nothing bound, in the
+    order the checks run; `failure` is the note of a static one that fails
+    after them, which empties every graph. `alive` holds the static alive
+    mask per partition and `unary` its (static, dynamic) vertex rules.
+    `pairs` holds per partition pair (p1, p2, static rules, dynamic rules
+    holding only the first variable, only the second, both, rows, cols):
+    rows[oi] is the bitset of partition-p2 objects that the static rules
+    leave connected to object oi of partition p1, cols its transpose, both
+    None when no static rule applies. `env` is the (index, state, ranges)
+    triple static elements are evaluated against.
+    """
+
+    def __init__(self, statics: "TaskStatics", schema: ActionSchema, numeric: bool,
+                 degree: int):
+        self.schema = schema
+        objects = statics.objects
+        preds, funcs = statics.predicates, statics.functions
+        self.env = env = (statics.index, statics.init, statics.init_ranges(degree))
+
+        pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
+        neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
+               if not lit.positive]
+        cons = [(c, free_variables(c)) for c in schema.pre_constraints] if numeric else []
+
+        def is_static(element) -> bool:
+            if isinstance(element, Atom):
+                return element.predicate.name in preds
+            return all(t.function.name in funcs for t in function_terms(element))
+
+        self.ground: list[tuple[str, object]] = []
+        self.failure: Optional[str] = None
+        self.alive: list[int] = []
+        self.unary: list[tuple[_Rules, _Rules]] = []
+        self.pairs: list[tuple] = []
+
+        # elements with no variable bound, in the order the checks run
+        checks = (
+            [(POSITIVE_MISS, atom) for atom, vars_ in pos if not vars_]
+            + [(NEGATIVE_HIT, atom) for atom, vars_ in neg if not vars_]
+            + [(POSITIVE_MISS, atom) for atom, vars_ in pos if vars_]
+            + [(NUMERIC_UNSAT, con) for con, _ in cons]
+        )
+        for reason, element in checks:
+            if not is_static(element):
+                self.ground.append((reason, element))
+            elif _ground_fails(reason, element, *env):
+                self.failure = f"{reason}: {element!r}"
+                return
+
+        def split(pos_sel, neg_sel, con_sel, pair=frozenset()) -> dict:
+            # static elements under _STATIC, dynamic ones under the pair
+            # variables they hold (all of a vertex's under the empty set)
+            groups: dict = defaultdict(_Rules)
+            for elements, rule in ((pos_sel, "pos"), (neg_sel, "neg"), (con_sel, "con")):
+                for element, vars_ in elements:
+                    key = _STATIC if is_static(element) else vars_ & pair
+                    getattr(groups[key], rule).append(element)
+            return groups
+
+        # vertices: single-variable elements, evaluated per object
+        everything = (1 << len(objects)) - 1
+        for var in schema.params:
+            groups = split(*([e for e in group if e[1] == {var}] for group in (pos, neg, cons)))
+            static = groups[_STATIC]
+            self.alive.append(_survivors(static, var, everything, objects, env)[0])
+            self.unary.append((static, groups[frozenset()]))
+
+        # pairs: elements on two or more variables that touch the pair
+        params = schema.params
+        for p1, p2 in itertools.combinations(range(len(params)), 2):
+            x1, x2 = params[p1], params[p2]
+            pair = frozenset((x1, x2))
+            groups = split(
+                [e for e in pos if len(e[1]) > 1 and e[1] & pair],
+                [e for e in neg if e[1] == pair],
+                [e for e in cons if len(e[1]) > 1 and e[1] & pair],
+                pair,
+            )
+            static = groups[_STATIC]
+            rows = cols = None
+            if static:
+                rows, cols = [0] * len(objects), [0] * len(objects)
+                for oi in _bits(self.alive[p1]):
+                    for oj in _bits(self.alive[p2]):
+                        binding = {x1: objects[oi], x2: objects[oj]}
+                        if static.refute(binding, *env) is None:
+                            rows[oi] |= 1 << oj
+                            cols[oj] |= 1 << oi
+            self.pairs.append((p1, p2, static, groups[frozenset((x1,))],
+                               groups[frozenset((x2,))], groups[pair], rows, cols))
+
+
+class TaskStatics:
+    """Everything about a task's graphs that depends only on static symbols.
+
+    One instance per task (see `task_statics`); each part is built on first
+    use and kept for the task's lifetime. It holds no reference to the task,
+    so a dropped task is freed without waiting for the cycle collector.
+    """
+
+    def __init__(self, task: Task):
+        self.init = task.init
+        self.objects = task.objects
+        self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
+        self.functions = static_function_names(task)
+        self._index: Optional[AtomIndex] = None
+        self._init_ranges: dict[int, AssignmentCache] = {}
+        self._ranges: dict[int, dict[str, AssignmentCache]] = {}
+        self._plans: dict[tuple, _Plan] = {}
+
+    @property
+    def index(self) -> AtomIndex:
+        """Match index over the initial state, for the static elements."""
+        if self._index is None:
+            self._index = AtomIndex(self.init)
+        return self._index
+
+    def init_ranges(self, degree: int) -> AssignmentCache:
+        cache = self._init_ranges.get(degree)
+        if cache is None:
+            cache = self._init_ranges[degree] = AssignmentCache(self.init, degree)
+        return cache
+
+    def ranges(self, degree: int) -> dict[str, AssignmentCache]:
+        """Static function name -> the shared cache that serves its tables."""
+        shared = self._ranges.get(degree)
+        if shared is None:
+            shared = self._ranges[degree] = dict.fromkeys(
+                self.functions, self.init_ranges(degree))
+        return shared
+
+    def plan(self, schema: ActionSchema, numeric: bool, degree: int) -> _Plan:
+        key = (id(schema), numeric, degree)  # the plan keeps the schema alive
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _Plan(self, schema, numeric, degree)
+        return plan
+
+
+def task_statics(task: Task) -> TaskStatics:
+    statics = task.derived.get("statics")
+    if statics is None:
+        statics = task.derived["statics"] = TaskStatics(task)
+    return statics
+
+
 def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True,
                 record: bool = False) -> ConsistencyGraph:
     """Construct the consistency graph; `numeric` toggles the constraint rules."""
@@ -266,149 +507,81 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
         adjacency=[0] * (k * n),
         exclusions=[] if record else None,
     )
+    plan = ctx.statics.plan(schema, numeric, ctx.ranges.degree)
+    env = (ctx.index, ctx.state, ctx.ranges)
 
-    pos_atoms = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
-    neg_atoms = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if not lit.positive]
-    constraints = [(c, free_variables(c)) for c in schema.pre_constraints] if numeric else []
+    # elements with no variable bound decide the whole graph
+    for reason, element in plan.ground:
+        if _ground_fails(reason, element, *env):
+            graph.empty = True
+            graph.notes.append(f"{reason}: {element!r}")
+            return graph
+    if plan.failure is not None:
+        graph.empty = True
+        graph.notes.append(plan.failure)
+        return graph
 
-    # elements with no free variables decide the whole graph
-    for atom, vars_ in pos_atoms:
-        if not vars_ and not literal_holds(ctx.state, Literal(atom, True)):
-            graph.empty = True
-            graph.notes.append(f"{POSITIVE_MISS}: {atom!r}")
-            return graph
-    for atom, vars_ in neg_atoms:
-        if not vars_ and not literal_holds(ctx.state, Literal(atom, False)):
-            graph.empty = True
-            graph.notes.append(f"{NEGATIVE_HIT}: {atom!r}")
-            return graph
-    # a positive atom that matches nothing even unbound removes every edge
-    for atom, vars_ in pos_atoms:
-        if vars_ and not ctx.index.match_exists(atom, {}):
-            graph.empty = True
-            graph.notes.append(f"{POSITIVE_MISS}: {atom!r}")
-            return graph
-    for con, _vars in constraints:
-        if relaxed_unsat(con, {}, ctx.ranges):
-            graph.empty = True
-            graph.notes.append(f"{NUMERIC_UNSAT}: {con!r}")
-            return graph
-
-    # vertex pruning: single-variable elements specialize the edge rules
-    unary_pos: dict[Variable, list[Atom]] = {}
-    unary_neg: dict[Variable, list[Atom]] = {}
-    unary_con: dict[Variable, list[NumericConstraint]] = {}
-    for atom, vars_ in pos_atoms:
-        if len(vars_) == 1:
-            unary_pos.setdefault(next(iter(vars_)), []).append(atom)
-    for atom, vars_ in neg_atoms:
-        if len(vars_) == 1:
-            unary_neg.setdefault(next(iter(vars_)), []).append(atom)
-    for con, vars_ in constraints:
-        if len(vars_) == 1:
-            unary_con.setdefault(next(iter(vars_)), []).append(con)
-
+    exclusions = graph.exclusions
+    everything = (1 << n) - 1
     for p, var in enumerate(schema.params):
-        mask = 0
-        for oi, obj in enumerate(objects):
-            binding = {var: obj}
-            reason = None
-            for atom in unary_pos.get(var, ()):
-                if not ctx.index.match_exists(atom, binding):
-                    reason = POSITIVE_MISS
-                    break
-            if reason is None:
-                for atom in unary_neg.get(var, ()):
-                    if _negative_violated(atom, binding, ctx.state):
-                        reason = NEGATIVE_HIT
-                        break
-            if reason is None:
-                for con in unary_con.get(var, ()):
-                    if relaxed_unsat(con, binding, ctx.ranges):
-                        reason = NUMERIC_UNSAT
-                        break
-            if reason is None:
-                mask |= 1 << oi
-            elif graph.exclusions is not None:
-                graph.exclusions.append(("vertex", p, oi, reason))
+        static, dynamic = plan.unary[p]
+        mask, why = _survivors(dynamic, var, plan.alive[p], objects, env)
+        if record:
+            for oi in _bits(everything & ~plan.alive[p]):
+                binding = {var: objects[oi]}
+                why[oi] = _earlier(dynamic.refute(binding, *env) if dynamic else None,
+                                   static.refute(binding, *plan.env))
+            exclusions.extend(("vertex", p, oi, why[oi]) for oi in sorted(why))
         graph.alive[p] = mask
         if mask == 0:
             graph.empty = True
     if graph.empty or k == 1:
         return graph
 
-    # edge construction over distinct partitions
-    memo: dict[tuple, bool] = {}
+    # edges between distinct partitions; an element holding only one of the
+    # pair's variables is checked once per vertex, not once per pair
     params = schema.params
-    for p1 in range(k):
-        x1 = params[p1]
-        for p2 in range(p1 + 1, k):
-            x2 = params[p2]
-            pair = frozenset((x1, x2))
-            edge_pos = [
-                (idx, atom, _relevant(vars_, params))
-                for idx, (atom, vars_) in enumerate(pos_atoms)
-                if vars_ & pair and not (len(vars_) == 1 and vars_ <= pair)
-            ]
-            edge_neg = [
-                (idx, atom)
-                for idx, (atom, vars_) in enumerate(neg_atoms)
-                if len(vars_) == 2 and vars_ <= pair
-            ]
-            edge_con = [
-                (idx, con, _relevant(vars_, params))
-                for idx, (con, vars_) in enumerate(constraints)
-                if vars_ & pair and not (len(vars_) == 1 and vars_ <= pair)
-            ]
-            if not (edge_pos or edge_neg or edge_con):
-                # nothing refutes these pairs: connect all alive combinations
-                for oi in graph.iter_alive(p1):
-                    v = graph.vertex_id(p1, oi)
-                    for oj in graph.iter_alive(p2):
-                        w = graph.vertex_id(p2, oj)
-                        graph.adjacency[v] |= 1 << w
-                        graph.adjacency[w] |= 1 << v
-                continue
-            for oi in graph.iter_alive(p1):
-                o1 = objects[oi]
-                v = graph.vertex_id(p1, oi)
-                for oj in graph.iter_alive(p2):
-                    o2 = objects[oj]
-                    binding = {x1: o1, x2: o2}
-                    reason = None
-                    for idx, atom, relevant in edge_pos:
-                        key = ("p", idx) + tuple(binding.get(rv) for rv in relevant)
-                        hit = memo.get(key)
-                        if hit is None:
-                            hit = ctx.index.match_exists(atom, binding)
-                            memo[key] = hit
-                        if not hit:
-                            reason = POSITIVE_MISS
-                            break
-                    if reason is None:
-                        for idx, atom in edge_neg:
-                            if _negative_violated(atom, binding, ctx.state):
-                                reason = NEGATIVE_HIT
-                                break
-                    if reason is None:
-                        for idx, con, relevant in edge_con:
-                            key = ("c", idx) + tuple(binding.get(rv) for rv in relevant)
-                            hit = memo.get(key)
-                            if hit is None:
-                                hit = relaxed_unsat(con, binding, ctx.ranges)
-                                memo[key] = hit
-                            if hit:
-                                reason = NUMERIC_UNSAT
-                                break
-                    if reason is None:
-                        w = graph.vertex_id(p2, oj)
-                        graph.adjacency[v] |= 1 << w
-                        graph.adjacency[w] |= 1 << v
-                    elif graph.exclusions is not None:
-                        graph.exclusions.append(("pair", p1, oi, p2, oj, reason))
+    alive = graph.alive
+    adjacency = graph.adjacency
+    for p1, p2, static, half1, half2, dynamic, rows, cols in plan.pairs:
+        x1, x2 = params[p1], params[p2]
+        a1, why1 = _survivors(half1, x1, alive[p1], objects, env)
+        a2, why2 = _survivors(half2, x2, alive[p2], objects, env)
+        off1, off2 = p1 * n, p2 * n
+        if not (dynamic or record):
+            for oi in _bits(a1):
+                adjacency[off1 + oi] |= (a2 if rows is None else rows[oi] & a2) << off2
+            for oj in _bits(a2):
+                adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
+            continue
+        for oi in _bits(alive[p1] if record else a1):
+            v = off1 + oi
+            row = alive[p2] if rows is None else rows[oi] & alive[p2]
+            bits = 0
+            for oj in _bits(alive[p2] if record else row & a2):
+                binding = {x1: objects[oi], x2: objects[oj]}
+                reason = dynamic.refute(binding, *env) if dynamic else None
+                if record:
+                    reason = _earlier(reason, _earlier(why1.get(oi), why2.get(oj)))
+                    if not row >> oj & 1:
+                        reason = _earlier(reason, static.refute(binding, *plan.env))
+                if reason is None:
+                    bits |= 1 << oj
+                    adjacency[off2 + oj] |= 1 << v
+                elif record:
+                    exclusions.append(("pair", p1, oi, p2, oj, reason))
+            adjacency[v] |= bits << off2
     return graph
 
 
-def _relevant(vars_: frozenset, params: tuple) -> tuple:
-    # deterministic ordering of an element's variables, by parameter position
-    return tuple(v for v in params if v in vars_)
+def _survivors(rules: _Rules, var: Variable, mask: int, objects: tuple[Object, ...],
+               env: tuple) -> tuple[int, dict[int, str]]:
+    """The objects of the mask the rules leave, and the reason for each other."""
+    why: dict[int, str] = {}
+    if rules:
+        for oi in _bits(mask):
+            reason = rules.refute({var: objects[oi]}, *env)
+            if reason is not None:
+                why[oi] = reason
+                mask ^= 1 << oi
+    return mask, why

@@ -228,6 +228,18 @@ def _collect_vars(element, out: set) -> None:
         raise TypeError(f"cannot collect variables from {type(element).__name__}")
 
 
+def function_terms(element) -> Iterator[FunctionTerm]:
+    """The function terms of an expression or a numeric constraint."""
+    if isinstance(element, NumericConstraint):
+        yield from function_terms(element.lhs)
+        yield from function_terms(element.rhs)
+    elif isinstance(element, BinaryExpr):
+        yield from function_terms(element.left)
+        yield from function_terms(element.right)
+    elif isinstance(element, FunctionTerm):
+        yield element
+
+
 def substitute(element, sub: Mapping[Variable, Object]):
     """Replace every mapped variable; unmapped variables stay free."""
     if isinstance(element, Variable):
@@ -347,6 +359,9 @@ class Task:
     goal_literals: tuple[Literal, ...] = ()
     goal_constraints: tuple[NumericConstraint, ...] = ()
     metric: Optional[tuple[str, Expr]] = None  # parsed but ignored by blind search
+    # data derived from the task on first use (see consistency.task_statics);
+    # not part of the task's identity
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def predicate(self, name: str) -> PredicateSymbol:
         if name == EQUALITY_NAME:
@@ -386,6 +401,26 @@ class Task:
             and self.goal_constraints == other.goal_constraints
             and self.metric == other.metric
         )
+
+
+def static_predicate_names(task: Task) -> frozenset[str]:
+    """Predicates no effect ever touches; their truth is fixed by the initial state."""
+    touched = {
+        lit.atom.predicate.name
+        for schema in task.schemas
+        for lit in schema.eff_literals
+    }
+    return frozenset(p.name for p in task.predicates if p.name not in touched)
+
+
+def static_function_names(task: Task) -> frozenset[str]:
+    """Functions no numeric effect targets; their values are fixed by the initial state."""
+    written = {
+        eff.target.function.name
+        for schema in task.schemas
+        for eff in schema.eff_numeric
+    }
+    return frozenset(f.name for f in task.functions if f.name not in written)
 
 
 class GroundAction:

@@ -54,7 +54,7 @@ SUPPORTED_REQUIREMENTS = (
 
 ROOT_TYPE = "object"
 
-_NUMBER_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)$")
+_NUMBER_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _EFFECT_HEADS = {
     "increase": INCREASE,
@@ -140,27 +140,29 @@ def read_forms(text: str, filename: str) -> list[Node]:
     tokens = tokenize(text, filename)
     forms: list[Node] = []
     pos = 0
-
-    def read(pos: int) -> tuple[Node, int]:
-        tok = tokens[pos]
-        if tok.text == "(":
-            items = []
-            pos += 1
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError(tok.span, "unbalanced parenthesis: missing ')'")
-                if tokens[pos].text == ")":
-                    return ListNode(items, tok.span), pos + 1
-                item, pos = read(pos)
-                items.append(item)
-        if tok.text == ")":
-            raise ParseError(tok.span, "unexpected ')'")
-        return tok, pos + 1
-
     while pos < len(tokens):
-        form, pos = read(pos)
+        form, pos = _read_form(tokens, pos)
         forms.append(form)
     return forms
+
+
+def _read_form(tokens: list[TokenNode], pos: int) -> tuple[Node, int]:
+    # module-level rather than a closure, which would keep the token list in a
+    # reference cycle after the parse
+    tok = tokens[pos]
+    if tok.text == "(":
+        items = []
+        pos += 1
+        while True:
+            if pos >= len(tokens):
+                raise ParseError(tok.span, "unbalanced parenthesis: missing ')'")
+            if tokens[pos].text == ")":
+                return ListNode(items, tok.span), pos + 1
+            item, pos = _read_form(tokens, pos)
+            items.append(item)
+    if tok.text == ")":
+        raise ParseError(tok.span, "unexpected ')'")
+    return tok, pos + 1
 
 
 def _single_form(text: str, filename: str, what: str) -> ListNode:

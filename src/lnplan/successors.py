@@ -29,6 +29,8 @@ from .model import (
     constraint_holds,
     is_applicable,
     literal_holds,
+    static_function_names,  # re-exported: the one definition of "static"
+    static_predicate_names,
 )
 
 NUMERIC = "numeric"
@@ -83,16 +85,6 @@ class GroundStore:
         return self.by_schema.get(name, ())
 
 
-def static_predicate_names(task: Task) -> frozenset[str]:
-    """Predicates no effect ever touches; their truth is fixed by the initial state."""
-    touched = {
-        lit.atom.predicate.name
-        for schema in task.schemas
-        for lit in schema.eff_literals
-    }
-    return frozenset(p.name for p in task.predicates if p.name not in touched)
-
-
 def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
     """Enumerate per-schema type-consistent bindings, dropping statically false ones.
 
@@ -100,7 +92,7 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
     that blowup is exactly what the lifted strategies avoid.
     """
     ctx = StateContext(task, task.init)
-    static = static_predicate_names(task) | {"="}
+    static = ctx.statics.predicates
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
     total = 0
     enumerated = 0
@@ -189,11 +181,6 @@ class SuccessorGenerator:
                     out.append(action)
         report.applicable = len(out)
         return out, report
-
-
-def generate_candidates(config: GeneratorConfig, schema: ActionSchema, state: State,
-                        task: Task) -> Iterator[GroundAction]:
-    return SuccessorGenerator(task, config).candidates(schema, state)
 
 
 def applicable_actions(config: GeneratorConfig, state: State, task: Task

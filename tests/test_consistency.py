@@ -222,3 +222,164 @@ def test_dump_lists_vertices_edges_and_reasons():
     assert "e ?x a ?y b" in text
     assert "numeric-unsat" in text  # vertex ?x/b dies on the constraint
     assert "variable-conflict" in text
+
+
+# --- static/dynamic split against a reference that evaluates every element ---
+
+
+def _reference_graph(schema, task, state, *, numeric, record, degree):
+    """The graph as defined: every element evaluated on every vertex and pair
+    against a full index of the state and range tables rebuilt from it."""
+    from lnplan.consistency import (
+        NEGATIVE_HIT, NUMERIC_UNSAT, POSITIVE_MISS, AtomIndex, ConsistencyGraph,
+        _negative_violated,
+    )
+    from lnplan.model import free_variables
+
+    index, ranges = AtomIndex(state), AssignmentCache(state, degree)
+    k, objects, n = len(schema.params), task.objects, len(task.objects)
+    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
+                             exclusions=[] if record else None)
+    pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
+    neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
+           if not lit.positive]
+    cons = [(c, free_variables(c)) for c in schema.pre_constraints] if numeric else []
+    checks = ([(POSITIVE_MISS, a) for a, v in pos if not v]
+              + [(NEGATIVE_HIT, a) for a, v in neg if not v]
+              + [(POSITIVE_MISS, a) for a, v in pos if v]
+              + [(NUMERIC_UNSAT, c) for c, _ in cons])
+    for reason, element in checks:
+        if (not index.match_exists(element, {}) if reason == POSITIVE_MISS
+                else _negative_violated(element, {}, state) if reason == NEGATIVE_HIT
+                else relaxed_unsat(element, {}, ranges)):
+            graph.empty = True
+            graph.notes.append(f"{reason}: {element!r}")
+            return graph
+
+    def reason(binding, elements_pos, elements_neg, elements_con):
+        if not all(index.match_exists(a, binding) for a in elements_pos):
+            return POSITIVE_MISS
+        if any(_negative_violated(a, binding, state) for a in elements_neg):
+            return NEGATIVE_HIT
+        if any(relaxed_unsat(c, binding, ranges) for c in elements_con):
+            return NUMERIC_UNSAT
+        return None
+
+    for p, var in enumerate(schema.params):
+        for oi, obj in enumerate(objects):
+            why = reason({var: obj}, [a for a, v in pos if v == {var}],
+                         [a for a, v in neg if v == {var}], [c for c, v in cons if v == {var}])
+            if why is None:
+                graph.alive[p] |= 1 << oi
+            elif record:
+                graph.exclusions.append(("vertex", p, oi, why))
+        graph.empty |= graph.alive[p] == 0
+    if graph.empty or k == 1:
+        return graph
+    for p1, p2 in itertools.combinations(range(k), 2):
+        pair = {schema.params[p1], schema.params[p2]}
+        elements = ([a for a, v in pos if len(v) > 1 and v & pair],
+                    [a for a, v in neg if v == pair],
+                    [c for c, v in cons if len(v) > 1 and v & pair])
+        for oi in graph.iter_alive(p1):
+            for oj in graph.iter_alive(p2):
+                binding = {schema.params[p1]: objects[oi], schema.params[p2]: objects[oj]}
+                why = reason(binding, *elements)
+                if why is None:
+                    v, w = graph.vertex_id(p1, oi), graph.vertex_id(p2, oj)
+                    graph.adjacency[v] |= 1 << w
+                    graph.adjacency[w] |= 1 << v
+                elif record:
+                    graph.exclusions.append(("pair", p1, oi, p2, oj, why))
+    return graph
+
+
+def _same_graph(got, want):
+    return (got.alive, got.adjacency, got.empty, got.notes, got.exclusions) == (
+        want.alive, want.adjacency, want.empty, want.notes, want.exclusions)
+
+
+def test_static_split_matches_reference_on_random_walks():
+    rng = random.Random(29)
+    graphs = 0
+    for i in range(50):
+        task = random_task(rng, exact=i % 2 == 0, task_id=i)
+        for state, _ in walk_states(task, rng, extra=2):
+            for degree in (0, 1, 2):
+                ctx = StateContext(task, state, degree)
+                for schema in task.schemas:
+                    if not schema.params:
+                        continue
+                    for numeric in (True, False):
+                        for record in (True, False):
+                            got = build_graph(schema, ctx, numeric=numeric, record=record)
+                            want = _reference_graph(schema, task, state, numeric=numeric,
+                                                    record=record, degree=degree)
+                            assert _same_graph(got, want), (
+                                task.problem_name, schema.name, degree, numeric, record)
+                            graphs += 1
+    assert graphs > 500
+
+
+def test_static_split_pair_elements_on_one_pair_variable():
+    # (q ?x ?z) and (s ?y ?z) each hold both variables of one partition pair
+    # and a single variable of the other two, where they are checked per
+    # vertex; f adds a numeric element of the same shape. Every q and s over
+    # two objects, with the predicates static and dynamic.
+    Z = Variable("?z")
+    q, s_, r, f = (PredicateSymbol("q", 2), PredicateSymbol("s", 2), PredicateSymbol("r", 1),
+                   FunctionSymbol("f", 2))
+    pairs = [(u, v) for u in (A, B) for v in (A, B)]
+    positive = NumericConstraint(FunctionTerm(f, (X, Z)), ">", Constant(0.0))
+    for touched in (False, True):
+        effects = (Literal(Atom(q, (X, Y))), Literal(Atom(s_, (Y, X)))) if touched else (
+            Literal(Atom(r, (X,))),)
+        schema = ActionSchema("s", (X, Y, Z),
+                              pre_literals=(Literal(Atom(q, (X, Z))), Literal(Atom(s_, (Y, Z)))),
+                              pre_constraints=(positive,), eff_literals=effects)
+        for q_bits, s_bits in itertools.product(range(16), repeat=2):
+            atoms = [Atom(q, pq) for i, pq in enumerate(pairs) if q_bits >> i & 1]
+            atoms += [Atom(s_, ps) for i, ps in enumerate(pairs) if s_bits >> i & 1]
+            task = _task([schema], [A, B], atoms, {FunctionTerm(f, (A, B)): 1.0},
+                         predicates=[q, s_, r], functions=[f])
+            for record in (False, True):
+                got = build_graph(schema, StateContext(task, task.init), record=record)
+                want = _reference_graph(schema, task, task.init, numeric=True, record=record,
+                                        degree=2)
+                assert _same_graph(got, want), (touched, q_bits, s_bits, record)
+
+
+def test_static_tables_are_kept_per_degree():
+    # generators of different degree share one Task object; each must see the
+    # graphs a fresh copy of the task gives at its own degree
+    from lnplan.successors import GeneratorConfig, SuccessorGenerator
+
+    rng = random.Random(31)
+    for i in range(30):
+        task = random_task(rng, exact=False, task_id=i)
+        states = [s for s, _ in walk_states(task, rng, extra=2)]
+        for degree in (2, 0, 1, 2):
+            generator = SuccessorGenerator(task, GeneratorConfig(degree=degree))
+            fresh = _task(task.schemas, task.objects, task.init.atoms, task.init.fluents,
+                          task.predicates, task.functions)
+            for state in states:
+                ctx, fresh_ctx = generator.context(state), StateContext(fresh, state, degree)
+                for schema in task.schemas:
+                    if schema.params:
+                        assert _same_graph(build_graph(schema, ctx, record=True),
+                                           build_graph(schema, fresh_ctx, record=True))
+
+
+def test_effect_touched_symbols_are_never_static(bundled_tasks):
+    from lnplan.consistency import task_statics
+
+    relay = bundled_tasks["relay"]
+    statics = task_statics(relay)
+    assert "at" not in statics.predicates and "link" in statics.predicates
+    assert "=" in statics.predicates
+    assert "energy" not in statics.functions
+    for task in bundled_tasks.values():
+        statics = task_statics(task)
+        for schema in task.schemas:
+            assert not {lit.atom.predicate.name for lit in schema.eff_literals} & statics.predicates
+            assert not {eff.target.function.name for eff in schema.eff_numeric} & statics.functions

@@ -209,6 +209,34 @@ def test_roundtrip_random_tasks():
         assert again == task, i
 
 
+def test_exponent_notation_parses_and_roundtrips():
+    text = """
+    (define (domain d)
+      (:functions (f))
+      (:action a :parameters () :precondition (>= (f) 2.5E+3) :effect (increase (f) 1e-05)))
+    """
+    domain = parse_domain(text)
+    assert domain.schemas[0].pre_constraints[0].rhs == Constant(2500.0)
+    assert domain.schemas[0].eff_numeric[0].expr == Constant(0.00001)
+    problem = """
+    (define (problem p) (:domain d)
+      (:init (= (f) 0.00001))
+      (:goal (>= (f) -3.5e-7)))
+    """
+    task = parse_problem(problem, domain)
+    written = write_domain(task) + write_problem(task)
+    assert "1e-05" in written  # the writer's repr form for small values
+    assert parse_task(write_domain(task), write_problem(task)) == task
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e", "e5", "1e+"])
+def test_non_numbers_stay_rejected(value):
+    domain = parse_domain("(define (domain d) (:functions (f)))")
+    problem = f"(define (problem p) (:domain d) (:init (= (f) {value})) (:goal (and)))"
+    with pytest.raises(ParseError):
+        parse_problem(problem, domain)
+
+
 def test_unary_minus_and_nary_plus():
     text = """
     (define (domain d)
