@@ -20,7 +20,7 @@ from .model import (
 )
 from .pddl import ParseError, load_task, parse_domain, parse_problem, parse_task
 from .search import Limits, solve, validate
-from .successors import GeneratorConfig, SuccessorGenerator, applicable_actions
+from .successors import GeneratorConfig, SuccessorGenerator
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "SuccessorGenerator",
     "Task",
     "Variable",
-    "applicable_actions",
     "arith",
     "compare",
     "hull",

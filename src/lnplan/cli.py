@@ -15,10 +15,11 @@ import sys
 from pathlib import Path
 
 from . import metrics, satgadget, search
-from .consistency import build_graph
-from .model import Task, free_variables, function_terms
+from .consistency import build_graph, exactness_violations
+from .model import Task
 from .pddl import ParseError, load_task, parse_domain
 from .successors import (
+    DEFAULT_GROUND_CAP,
     GeneratorConfig,
     GroundLimitError,
     STRATEGIES,
@@ -77,8 +78,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("successors", help="list applicable actions in the initial state")
     _add_task_args(p)
     _add_generator_args(p)
-    p.add_argument("--state-from-init", action="store_true", default=True,
-                   help="evaluate in the initial state (the only supported source)")
     p.add_argument("--dump-graph", action="store_true",
                    help="print the consistency graph per schema, with exclusion reasons")
 
@@ -116,16 +115,23 @@ def _load(args) -> Task:
     return load_task(args.domain, args.problem)
 
 
-def _config(args) -> GeneratorConfig:
-    return GeneratorConfig(strategy=args.generator, degree=args.degree,
-                           ground_cap=args.ground_cap)
+def _config(strategy: str, degree: int, ground_cap: int = DEFAULT_GROUND_CAP
+            ) -> GeneratorConfig:
+    """Generator settings from the command line; a bad value is a usage error."""
+    try:
+        return GeneratorConfig(strategy, degree, ground_cap)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
+    if not args.tolerance >= 0:  # also rejects nan
+        raise _UsageError("tolerance must be non-negative")
+    config = _config(args.generator, args.degree, args.ground_cap)
     task = _load(args)
     limits = search.Limits(time_s=args.time_limit, nodes=args.node_cap,
                            memory_mb=args.mem_limit)
-    result = search.solve(task, _config(args), limits)
+    result = search.solve(task, config, limits)
     report = metrics.report_from_result(Path(args.problem).stem, args.generator, result,
                                         keep_per_expansion=False)
     if result.status == search.SOLVED:
@@ -149,8 +155,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_successors(args) -> int:
+    config = _config(args.generator, args.degree, args.ground_cap)
     task = _load(args)
-    config = _config(args)
     try:
         generator = SuccessorGenerator(task, config)
     except GroundLimitError as exc:
@@ -193,8 +199,7 @@ def cmd_ground(args) -> int:
 def cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if s not in STRATEGIES:
-            raise _UsageError(f"unknown strategy {s!r}")
+        _config(s, args.degree)
     reports = metrics.run_suite(
         args.suite,
         strategies,
@@ -212,31 +217,6 @@ def cmd_bench(args) -> int:
         print(f"{r.task} {r.strategy} status={r.status} time={r.wall_time_s:.3f}s"
               f" expansions={r.expansions} oa={oa}")
     return EXIT_OK
-
-
-def exactness_violations(domain) -> list[tuple[str, str, str]]:
-    """(schema, element, why) entries that break the exactness conditions.
-
-    Candidate generation is exact when every precondition literal and
-    constraint mentions at most two variables and every function used in a
-    precondition constraint has arity at most two.
-    """
-    out = []
-    for schema in domain.schemas:
-        for lit in schema.pre_literals:
-            arity = len(free_variables(lit))
-            if arity > 2:
-                out.append((schema.name, repr(lit), f"literal with {arity} variables"))
-        for con in schema.pre_constraints:
-            arity = len(free_variables(con))
-            if arity > 2:
-                out.append((schema.name, repr(con), f"constraint with {arity} variables"))
-            for fn in sorted({t.function for t in function_terms(con)},
-                             key=lambda f: f.name):
-                if fn.arity > 2:
-                    out.append((schema.name, repr(con),
-                                f"function {fn.name} of arity {fn.arity}"))
-    return out
 
 
 def cmd_check_exactness(args) -> int:

@@ -67,18 +67,6 @@ NEGATIVE_HIT = "negative-hit"
 NUMERIC_UNSAT = "numeric-unsat"
 
 
-def matches(pattern: Atom, ground: Atom) -> bool:
-    """Positionwise compatibility: a variable on either side, or equal objects."""
-    if pattern.predicate.name != ground.predicate.name:
-        return False
-    if len(pattern.args) != len(ground.args):
-        return False
-    for a, b in zip(pattern.args, ground.args):
-        if type(a) is Object and type(b) is Object and a != b:
-            return False
-    return True
-
-
 class _Bucket:
     __slots__ = ("full", "by_pos", "count")
 
@@ -585,3 +573,28 @@ def _survivors(rules: _Rules, var: Variable, mask: int, objects: tuple[Object, .
                 why[oi] = reason
                 mask ^= 1 << oi
     return mask, why
+
+
+def exactness_violations(domain) -> list[tuple[str, str, str]]:
+    """(schema, element, why) entries that break the exactness conditions.
+
+    Candidate generation is exact when every precondition literal and
+    constraint mentions at most two variables and every function used in a
+    precondition constraint has arity at most two.
+    """
+    out = []
+    for schema in domain.schemas:
+        for lit in schema.pre_literals:
+            arity = len(free_variables(lit))
+            if arity > 2:
+                out.append((schema.name, repr(lit), f"literal with {arity} variables"))
+        for con in schema.pre_constraints:
+            arity = len(free_variables(con))
+            if arity > 2:
+                out.append((schema.name, repr(con), f"constraint with {arity} variables"))
+            for fn in sorted({t.function for t in function_terms(con)},
+                             key=lambda f: f.name):
+                if fn.arity > 2:
+                    out.append((schema.name, repr(con),
+                                f"function {fn.name} of arity {fn.arity}"))
+    return out

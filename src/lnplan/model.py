@@ -470,6 +470,14 @@ _CMP = {
     "<=": lambda a, b: a <= b,
     ">=": lambda a, b: a >= b,
 }
+# the same comparisons loosened by a slack t > 0
+_SLACK = {
+    "=": lambda a, b, t: abs(a - b) <= t,
+    "<": lambda a, b, t: a < b + t,
+    ">": lambda a, b, t: a > b - t,
+    "<=": lambda a, b, t: a <= b + t,
+    ">=": lambda a, b, t: a >= b - t,
+}
 
 
 def _bind(term: Term, binding: Mapping[Variable, Object]) -> Object:
@@ -498,11 +506,6 @@ def literal_holds(state: State, literal: Literal, binding: Mapping[Variable, Obj
     return result if literal.positive else not result
 
 
-def holds_literal(state: State, literal: Literal) -> bool:
-    """Ground entry point; see literal_holds for evaluation under a binding."""
-    return literal_holds(state, literal)
-
-
 def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _EMPTY_BINDING) -> Optional[float]:
     """Value of the expression, or None when undefined."""
     if isinstance(expr, Constant):
@@ -529,102 +532,92 @@ def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _E
     raise ValueError(f"unknown arithmetic operator {op!r}")
 
 
-def eval_expr(state: State, expr: Expr) -> Optional[float]:
-    return expr_value(state, expr)
+def constraint_holds(state: State, constraint: NumericConstraint,
+                     binding: Mapping[Variable, Object] = _EMPTY_BINDING,
+                     tolerance: float = 0.0) -> bool:
+    """Do both sides have values that compare as the constraint says?
 
-
-def constraint_holds(state: State, constraint: NumericConstraint, binding: Mapping[Variable, Object] = _EMPTY_BINDING) -> bool:
+    A positive tolerance only loosens the comparison: it holds when it holds
+    exactly or within the slack (|l - r| <= t for =, l < r + t for <, and so
+    on). Definedness stays exact.
+    """
     left = expr_value(state, constraint.lhs, binding)
     if left is None:
         return False
     right = expr_value(state, constraint.rhs, binding)
     if right is None:
         return False
-    return _CMP[constraint.cmp](left, right)
-
-
-def holds_constraint(state: State, constraint: NumericConstraint) -> bool:
-    return constraint_holds(state, constraint)
+    cmp = constraint.cmp
+    return _CMP[cmp](left, right) or (tolerance > 0.0 and _SLACK[cmp](left, right, tolerance))
 
 
 # --- applicability and successors ---
 
 
-def is_applicable(state: State, action: GroundAction) -> bool:
-    """Fast applicability test; see applicability_failure for diagnostics.
+def _failure(state: State, action: GroundAction, tolerance: float):
+    """The first applicability condition the action fails, or None.
 
-    Checks precondition literals and constraints, effect expression
-    definedness (including the target for updating operators and a nonzero
-    divisor for /=), and per-target effect compatibility.
+    The conditions, in order: precondition literals and constraints, effect
+    expression definedness (including the target for updating operators and
+    a nonzero divisor for /=), and per-target effect compatibility. The
+    tolerance loosens precondition comparisons only. A failure is a
+    (reason, element) pair: the words that precede the element in
+    applicability_failure's text, and the failing element. No text is built
+    here, because the successor filter sees a failure for most candidates
+    under some strategies.
     """
     schema = action.schema
     binding = action.binding_map()
     for lit in schema.pre_literals:
         if not literal_holds(state, lit, binding):
-            return False
+            return "precondition literal does not hold:", lit
     for con in schema.pre_constraints:
-        if not constraint_holds(state, con, binding):
-            return False
+        if not constraint_holds(state, con, binding, tolerance):
+            return "precondition constraint does not hold:", con
     per_target: dict[FunctionTerm, list[str]] = {}
     for eff in schema.eff_numeric:
         value = expr_value(state, eff.expr, binding)
         if value is None:
-            return False
+            return "effect expression undefined:", eff
         target = ground_function_term(eff.target, binding)
         if eff.op != ASSIGN and target not in state.fluents:
-            return False
+            return "effect target undefined:", target
         if eff.op == SCALE_DOWN and value == 0.0:
-            return False
-        per_target.setdefault(target, []).append(eff.op)
-    for ops in per_target.values():
-        if len(ops) > 1:
-            group = set(ops)
-            if not (group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS):
-                return False
-    return True
-
-
-def effect_condition_failure(state: State, action: GroundAction) -> Optional[str]:
-    """The effect-side applicability conditions alone: definedness of every
-    effect expression (and target, for updating operators), a nonzero divisor
-    for /=, and per-target operator compatibility."""
-    schema = action.schema
-    binding = action.binding_map()
-    per_target: dict[FunctionTerm, list[str]] = {}
-    for eff in schema.eff_numeric:
-        value = expr_value(state, eff.expr, binding)
-        if value is None:
-            return f"effect expression undefined: {substitute(eff, binding)!r}"
-        target = ground_function_term(eff.target, binding)
-        if eff.op != ASSIGN and target not in state.fluents:
-            return f"effect target undefined: {target!r}"
-        if eff.op == SCALE_DOWN and value == 0.0:
-            return f"effect divides by zero: {substitute(eff, binding)!r}"
+            return "effect divides by zero:", eff
         per_target.setdefault(target, []).append(eff.op)
     for target, ops in per_target.items():
         if len(ops) > 1:
             group = set(ops)
             if not (group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS):
-                return f"conflicting effects on {target!r}"
+                return "conflicting effects on", target
     return None
 
 
-def applicability_failure(state: State, action: GroundAction) -> Optional[str]:
-    """None when the action is applicable, else a reason string."""
-    schema = action.schema
-    binding = action.binding_map()
-    for lit in schema.pre_literals:
-        if not literal_holds(state, lit, binding):
-            return f"precondition literal does not hold: {substitute(lit, binding)!r}"
-    for con in schema.pre_constraints:
-        if not constraint_holds(state, con, binding):
-            return f"precondition constraint does not hold: {substitute(con, binding)!r}"
-    return effect_condition_failure(state, action)
+def is_applicable(state: State, action: GroundAction) -> bool:
+    """Exact applicability test; see applicability_failure for the reason."""
+    return _failure(state, action, 0.0) is None
+
+
+def applicability_failure(state: State, action: GroundAction,
+                          tolerance: float = 0.0) -> Optional[str]:
+    """None when the action is applicable, else the first failing condition as text.
+
+    A positive tolerance loosens the precondition comparisons, as in
+    constraint_holds.
+    """
+    failure = _failure(state, action, tolerance)
+    if failure is None:
+        return None
+    reason, element = failure
+    return f"{reason} {substitute(element, action.binding_map())!r}"
 
 
 def apply(state: State, action: GroundAction) -> State:
-    """Successor state; caller must ensure applicability (debug-checked)."""
-    assert is_applicable(state, action), "apply on inapplicable action"
+    """Successor state of an action the caller has found applicable.
+
+    The search applies only actions that the successor filter has checked,
+    so nothing is checked again here.
+    """
     return apply_effects(state, action)
 
 

@@ -15,17 +15,13 @@ from typing import Optional
 
 from .model import (
     GroundAction,
-    NumericConstraint,
-    State,
     Task,
     applicability_failure,
     apply,
     apply_effects,
-    effect_condition_failure,
-    expr_value,
+    constraint_holds,
     goal_satisfied,
     literal_holds,
-    substitute,
 )
 from .successors import GeneratorConfig, GroundLimitError, SuccessorGenerator
 
@@ -160,59 +156,25 @@ class ValidationResult:
     reason: Optional[str] = None
 
 
-def _constraint_holds_with_slack(state: State, constraint: NumericConstraint,
-                                 binding, tolerance: float) -> bool:
-    left = expr_value(state, constraint.lhs, binding)
-    if left is None:
-        return False
-    right = expr_value(state, constraint.rhs, binding)
-    if right is None:
-        return False
-    cmp = constraint.cmp
-    if cmp == "=":
-        return abs(left - right) <= tolerance
-    if cmp == "<":
-        return left < right + tolerance
-    if cmp == "<=":
-        return left <= right + tolerance
-    if cmp == ">":
-        return left > right - tolerance
-    return left >= right - tolerance
-
-
-def _step_failure(state: State, action: GroundAction, tolerance: float):
-    if tolerance == 0.0:
-        return applicability_failure(state, action)
-    # the slack applies to comparison outcomes only; definedness, literal
-    # truth, and the effect conditions stay exact
-    binding = action.binding_map()
-    for lit in action.schema.pre_literals:
-        if not literal_holds(state, lit, binding):
-            return f"precondition literal does not hold: {substitute(lit, binding)!r}"
-    for con in action.schema.pre_constraints:
-        if not _constraint_holds_with_slack(state, con, binding, tolerance):
-            return f"precondition constraint does not hold: {substitute(con, binding)!r}"
-    return effect_condition_failure(state, action)
-
-
 def validate(task: Task, plan: list[GroundAction], tolerance: float = 0.0) -> ValidationResult:
     """Replay the plan from the initial state and check the goal.
 
-    The tolerance loosens numeric comparisons during this replay only; state
-    evolution and the core semantics remain exact. The default is exact.
+    The tolerance loosens numeric comparisons during this replay only: a
+    comparison holds when it holds exactly or within the slack. Definedness,
+    literal truth, the effect conditions and state evolution remain exact.
+    The default is exact.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
     state = task.init
     for index, action in enumerate(plan):
-        failure = _step_failure(state, action, tolerance)
+        failure = applicability_failure(state, action, tolerance)
         if failure is not None:
             return ValidationResult(False, failed_index=index,
                                     reason=f"step {index} {action.pddl()}: {failure}")
         state = apply_effects(state, action)
     goal_ok = all(literal_holds(state, lit) for lit in task.goal_literals) and all(
-        _constraint_holds_with_slack(state, con, {}, tolerance)
-        for con in task.goal_constraints
+        constraint_holds(state, con, tolerance=tolerance) for con in task.goal_constraints
     )
     if not goal_ok:
         return ValidationResult(False, failed_index=len(plan), reason="goal not satisfied")

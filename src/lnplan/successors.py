@@ -64,10 +64,6 @@ class CandidateReport:
     candidates: int = 0
     applicable: int = 0
 
-    def merge(self, other: "CandidateReport") -> None:
-        self.candidates += other.candidates
-        self.applicable += other.applicable
-
 
 class GroundLimitError(Exception):
     def __init__(self, cap: int, schema: str):
@@ -181,8 +177,3 @@ class SuccessorGenerator:
                     out.append(action)
         report.applicable = len(out)
         return out, report
-
-
-def applicable_actions(config: GeneratorConfig, state: State, task: Task
-                       ) -> tuple[list[GroundAction], CandidateReport]:
-    return SuccessorGenerator(task, config).applicable(state)

@@ -25,7 +25,6 @@ from lnplan.successors import (
     PROPOSITIONAL,
     GeneratorConfig,
     SuccessorGenerator,
-    applicable_actions,
 )
 
 _CACHE = {}
@@ -140,11 +139,12 @@ def test_criterion_4_overapproximation_pattern_at_desk_scale():
     # the exact filter must hide the overapproximation: applicable sets match
     # the oracle on every reachable state of the relay task
     filter_exact = True
+    relay_generator = SuccessorGenerator(relay, GeneratorConfig(strategy=NUMERIC))
     frontier, seen = [relay.init], {relay.init.key()}
     while frontier:
         state = frontier.pop()
         oracle = brute_applicable(relay, state)
-        got, _ = applicable_actions(GeneratorConfig(strategy=NUMERIC), state, relay)
+        got, _ = relay_generator.applicable(state)
         if set(got) != set(oracle):
             filter_exact = False
             break

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import domains_root
 
 from lnplan.cli import main
@@ -55,10 +57,31 @@ def test_usage_error_exit_30(capsys):
     assert main(["bench", "--suite", "x", "--out", "y", "--strategies", "bogus"]) == 30
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--degree", "-1"],
+    ["solve", "--ground-cap", "0"],
+    ["solve", "--tolerance", "-1"],
+    ["solve", "--tolerance", "nan"],
+    ["successors", "--degree", "-1"],
+    ["bench", "--degree", "-1"],
+])
+def test_bad_values_exit_30_without_traceback(argv, tmp_path, capsys):
+    domain, problem = _paths("counters")
+    if argv[0] == "bench":
+        out = tmp_path / "report.jsonl"
+        argv = argv + ["--suite", str(domains_root() / "counters"), "--out", str(out)]
+    else:
+        argv = argv + ["--domain", domain, "--problem", problem]
+    assert main(argv) == 30
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    if argv[0] == "bench":
+        assert not out.exists()
+
+
 def test_successors_lists_actions_and_counts(capsys):
     domain, problem = _paths("counters")
-    code = main(["successors", "--domain", domain, "--problem", problem,
-                 "--state-from-init"])
+    code = main(["successors", "--domain", domain, "--problem", problem])
     assert code == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert "(increment c1)" in out_lines
@@ -133,7 +156,7 @@ def test_exactness_verdict_predicts_perfect_ratio(bundled_tasks):
     # whenever the static scan reports no violations, a numeric-strategy run
     # must emit exactly as many candidates as applicable actions, per expansion
     from lnplan import search
-    from lnplan.cli import exactness_violations
+    from lnplan.consistency import exactness_violations
     from lnplan.successors import GeneratorConfig
 
     guaranteed = []

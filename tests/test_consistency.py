@@ -7,7 +7,6 @@ from lnplan.assignments import AssignmentCache
 from lnplan.consistency import (
     StateContext,
     build_graph,
-    matches,
     relaxed_eval,
     relaxed_unsat,
 )
@@ -35,14 +34,6 @@ from lnplan.model import (
 A, B, C = Object("a"), Object("b"), Object("c")
 X, Y = Variable("?x"), Variable("?y")
 P_AT = PredicateSymbol("at", 2)
-P_IN = PredicateSymbol("in", 2)
-
-
-def test_matches_examples():
-    assert matches(Atom(P_AT, (X, B)), Atom(P_AT, (A, B)))
-    assert not matches(Atom(P_AT, (A, B)), Atom(P_AT, (A, C)))
-    assert not matches(Atom(P_AT, (X, Y)), Atom(P_IN, (A, B)))
-    assert matches(Atom(P_AT, (X, X)), Atom(P_AT, (A, B)))  # repeated vars stay wildcards
 
 
 def _task(schemas, objects, atoms, fluents, predicates=(), functions=()):

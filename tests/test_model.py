@@ -27,14 +27,14 @@ from lnplan.model import (
     State,
     Task,
     Variable,
+    applicability_failure,
     apply,
-    eval_expr,
+    constraint_holds,
+    expr_value,
     free_variables,
     goal_satisfied,
-    holds_constraint,
-    holds_literal,
     is_applicable,
-    applicability_failure,
+    literal_holds,
     substitute,
 )
 
@@ -70,31 +70,47 @@ def test_substitute_composes_on_disjoint_domains(objs):
 
 def test_holds_literal():
     s = State([Atom(P_AT, (A, B))], {})
-    assert holds_literal(s, Literal(Atom(P_AT, (A, B))))
-    assert holds_literal(s, Literal(Atom(P_AT, (A, C)), positive=False))
-    assert not holds_literal(State([], {}), Literal(Atom(P_AT, (A, B))))
+    assert literal_holds(s, Literal(Atom(P_AT, (A, B))))
+    assert literal_holds(s, Literal(Atom(P_AT, (A, C)), positive=False))
+    assert not literal_holds(State([], {}), Literal(Atom(P_AT, (A, B))))
 
 
 def test_builtin_equality():
     s = State([], {})
-    assert holds_literal(s, Literal(Atom(EQUALITY, (A, A))))
-    assert not holds_literal(s, Literal(Atom(EQUALITY, (A, B))))
-    assert holds_literal(s, Literal(Atom(EQUALITY, (A, B)), positive=False))
+    assert literal_holds(s, Literal(Atom(EQUALITY, (A, A))))
+    assert not literal_holds(s, Literal(Atom(EQUALITY, (A, B))))
+    assert literal_holds(s, Literal(Atom(EQUALITY, (A, B)), positive=False))
 
 
 def test_eval_expr():
     s = State([], {term(F_VAL): 3.0})
-    assert eval_expr(s, BinaryExpr("+", term(F_VAL), Constant(2.0))) == 5.0
-    assert eval_expr(State([], {}), term(F_VAL)) is None
+    assert expr_value(s, BinaryExpr("+", term(F_VAL), Constant(2.0))) == 5.0
+    assert expr_value(State([], {}), term(F_VAL)) is None
     s2 = State([], {term(F_VAL): 1.0, term(F_UN, A): 0.0})
-    assert eval_expr(s2, BinaryExpr("/", term(F_VAL), term(F_UN, A))) is None
+    assert expr_value(s2, BinaryExpr("/", term(F_VAL), term(F_UN, A))) is None
 
 
 def test_holds_constraint():
     s = State([], {term(F_VAL): 3.0})
-    assert holds_constraint(s, NumericConstraint(term(F_VAL), ">=", Constant(2.0)))
-    assert not holds_constraint(s, NumericConstraint(term(F_VAL), "=", Constant(4.0)))
-    assert not holds_constraint(State([], {}), NumericConstraint(term(F_VAL), ">=", Constant(2.0)))
+    assert constraint_holds(s, NumericConstraint(term(F_VAL), ">=", Constant(2.0)))
+    assert not constraint_holds(s, NumericConstraint(term(F_VAL), "=", Constant(4.0)))
+    assert not constraint_holds(State([], {}), NumericConstraint(term(F_VAL), ">=", Constant(2.0)))
+    # a tolerance loosens each comparison by the slack and never tightens it
+    for cmp, near, far in (("=", 3.25, 3.75), ("<", 2.75, 2.25), ("<=", 2.75, 2.25),
+                           (">", 3.25, 3.75), (">=", 3.25, 3.75)):
+        assert constraint_holds(s, NumericConstraint(term(F_VAL), cmp, Constant(near)),
+                                tolerance=0.5), cmp
+        assert not constraint_holds(s, NumericConstraint(term(F_VAL), cmp, Constant(far)),
+                                    tolerance=0.5), cmp
+    # at exactly the slack, the non-strict comparisons hold and the strict ones do not
+    for cmp, edge, want in (("=", 3.5, True), ("<=", 2.5, True), (">=", 3.5, True),
+                            ("<", 2.5, False), (">", 3.5, False)):
+        got = constraint_holds(s, NumericConstraint(term(F_VAL), cmp, Constant(edge)),
+                               tolerance=0.5)
+        assert got == want, cmp
+    infinite = State([], {term(F_VAL): float("inf"), term(F_UN, A): float("inf")})
+    assert constraint_holds(infinite, NumericConstraint(term(F_VAL), "=", term(F_UN, A)),
+                            tolerance=0.5)
 
 
 def _schema(**kw):
@@ -130,6 +146,40 @@ def test_applicability_three_conditions():
 
     divides_by_zero = _schema(eff_numeric=(NumericEffect(term(g, X), SCALE_DOWN, Constant(0.0)),))
     assert not is_applicable(s, GroundAction(divides_by_zero, (A,)))
+
+
+_P = PredicateSymbol("p", 1)
+_G = FunctionSymbol("fl", 1)
+_H = FunctionSymbol("h", 1)
+
+
+@pytest.mark.parametrize("schema, reason", [
+    (_schema(pre_literals=(Literal(Atom(_P, (X,))),)),
+     "precondition literal does not hold: (p a)"),
+    (_schema(pre_constraints=(NumericConstraint(term(_G, X), ">", Constant(1.0)),)),
+     "precondition constraint does not hold: (> (fl a) 1)"),
+    (_schema(eff_numeric=(NumericEffect(term(_G, X), INCREASE, term(F_VAL)),)),
+     "effect expression undefined: (+= (fl a) (f))"),
+    (_schema(eff_numeric=(NumericEffect(term(_H, X), INCREASE, Constant(1.0)),)),
+     "effect target undefined: (h a)"),
+    (_schema(eff_numeric=(NumericEffect(term(_G, X), SCALE_DOWN, Constant(0.0)),)),
+     "effect divides by zero: (/= (fl a) 0)"),
+    (_schema(eff_numeric=(NumericEffect(term(_G, X), ASSIGN, Constant(1.0)),
+                          NumericEffect(term(_G, X), INCREASE, Constant(1.0)))),
+     "conflicting effects on (fl a)"),
+    # the first failing condition is the one reported
+    (_schema(pre_literals=(Literal(Atom(_P, (X,))),),
+             pre_constraints=(NumericConstraint(term(_G, X), ">", Constant(1.0)),)),
+     "precondition literal does not hold: (p a)"),
+    (_schema(pre_constraints=(NumericConstraint(term(_G, X), "=", Constant(1.0)),),
+             eff_numeric=(NumericEffect(term(_G, X), SCALE_UP, Constant(2.0)),)),
+     None),
+])
+def test_applicability_failure_reasons(schema, reason):
+    s = State([], {term(_G, A): 1.0})
+    action = GroundAction(schema, (A,))
+    assert applicability_failure(s, action) == reason
+    assert is_applicable(s, action) == (reason is None)
 
 
 def test_apply_additive_group():

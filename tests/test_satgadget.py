@@ -5,7 +5,7 @@ import pytest
 
 from lnplan.consistency import relaxed_unsat
 from lnplan.assignments import AssignmentCache
-from lnplan.model import constraint_holds, substitute, holds_constraint
+from lnplan.model import constraint_holds, substitute
 from lnplan.satgadget import (
     CnfFormula,
     assignments,
@@ -74,7 +74,7 @@ def test_literal_and_clause_gadgets_are_boolean():
     for sub in assignments(inst):
         total = 0.0
         # the constraint lhs is a sum of clause gadgets; peel them off
-        from lnplan.model import BinaryExpr, eval_expr
+        from lnplan.model import BinaryExpr, expr_value
 
         def values(expr):
             if isinstance(expr, BinaryExpr) and expr.op == "+":
@@ -85,7 +85,7 @@ def test_literal_and_clause_gadgets_are_boolean():
 
         for clause_expr in values(inst.constraint.lhs):
             ground = substitute(clause_expr, sub)
-            value = eval_expr(inst.state, ground)
+            value = expr_value(inst.state, ground)
             assert value in (0.0, 1.0)
             total += value
         assert 0.0 <= total <= inst.clause_count
@@ -98,7 +98,7 @@ def test_binding_walk_matches_substitute_then_evaluate():
         inst = encode(cnf)
         for sub in assignments(inst):
             fast = constraint_holds(inst.state, inst.constraint, sub)
-            slow = holds_constraint(inst.state, substitute(inst.constraint, sub))
+            slow = constraint_holds(inst.state, substitute(inst.constraint, sub))
             assert fast == slow
 
 

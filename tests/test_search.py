@@ -1,6 +1,22 @@
-from conftest import load_bundled
-from taskgen import bfs_optimal_cost
+import random
 
+from conftest import load_bundled
+from taskgen import bfs_optimal_cost, brute_applicable, random_task
+
+from lnplan.model import (
+    ActionSchema,
+    Atom,
+    Constant,
+    FunctionSymbol,
+    FunctionTerm,
+    GroundAction,
+    Literal,
+    NumericConstraint,
+    PredicateSymbol,
+    State,
+    Task,
+    apply,
+)
 from lnplan.search import LIMIT, SOLVED, UNSOLVABLE, Limits, format_plan, solve, validate
 from lnplan.successors import GeneratorConfig, STRATEGIES
 
@@ -98,6 +114,51 @@ def test_validate_tolerance_applies_to_replay_only(bundled_tasks):
     # the search itself is unaffected by any tolerance: the plan now costs more
     detour = solve(tight, GeneratorConfig())
     assert detour.status != "solved" or detour.cost != result.cost
+
+
+def test_validation_monotone_in_tolerance(bundled_tasks):
+    # a tolerance only loosens: a plan accepted exactly stays accepted with slack
+    plans = [(task, solve(task, GeneratorConfig()).plan) for task in bundled_tasks.values()]
+    rng = random.Random(17)
+    for i in range(20):
+        task = random_task(rng, exact=False, task_id=i)
+        aimless = Task(task.domain_name, task.problem_name, task.predicates, task.functions,
+                       task.schemas, task.objects, task.init)
+        plan, state = [], aimless.init
+        for _ in range(4):
+            options = brute_applicable(aimless, state)
+            if not options:
+                break
+            action = rng.choice(options)
+            plan.append(action)
+            state = apply(state, action)
+        plans.append((aimless, plan))
+
+    # (= (f) (g)) with f = g = inf holds exactly, though inf - inf is undefined
+    f, g, done = FunctionSymbol("f", 0), FunctionSymbol("g", 0), PredicateSymbol("done", 0)
+    same = NumericConstraint(FunctionTerm(f, ()), "=", FunctionTerm(g, ()))
+    check = ActionSchema("check", (), pre_constraints=(same,),
+                         eff_literals=(Literal(Atom(done, ())),))
+    inf = float("inf")
+    infinite = Task("d", "infinite", (done,), (f, g), (check,), (),
+                    State([], {FunctionTerm(f, ()): inf, FunctionTerm(g, ()): inf}),
+                    goal_literals=(Literal(Atom(done, ())),), goal_constraints=(same,))
+    plans.append((infinite, [GroundAction(check, ())]))
+
+    for task, plan in plans:
+        assert validate(task, plan).valid, task.problem_name
+        for tolerance in (1e-9, 0.5, 10.0):
+            assert validate(task, plan, tolerance=tolerance).valid, (task.problem_name, tolerance)
+
+
+def test_validate_tolerance_loosens_goal_comparisons():
+    f = FunctionSymbol("f", 0)
+    near = NumericConstraint(FunctionTerm(f, ()), "=", Constant(1.25))
+    task = Task("d", "near", (), (f,), (), (), State([], {FunctionTerm(f, ()): 1.0}),
+                goal_constraints=(near,))
+    exact = validate(task, [])
+    assert not exact.valid and exact.reason == "goal not satisfied"
+    assert validate(task, [], tolerance=0.5).valid
 
 
 def test_no_state_expanded_twice(bundled_tasks):

@@ -27,7 +27,6 @@ from lnplan.successors import (
     GeneratorConfig,
     GroundLimitError,
     SuccessorGenerator,
-    applicable_actions,
     ground_all,
     static_predicate_names,
 )
@@ -49,7 +48,7 @@ def test_all_strategies_agree_with_oracle_on_random_tasks():
         for state, oracle in walk_states(task, rng, extra=1):
             want = set(oracle)
             for strategy in STRATEGIES:
-                got, report = applicable_actions(GeneratorConfig(strategy=strategy), state, task)
+                got, report = SuccessorGenerator(task, GeneratorConfig(strategy=strategy)).applicable(state)
                 assert set(got) == want, (strategy, task.problem_name)
                 assert len(got) == len(set(got))
                 assert report.applicable == len(got) <= report.candidates
@@ -86,8 +85,8 @@ def test_candidate_order_deterministic():
     task = random_task(rng, exact=False, task_id=0)
     for strategy in STRATEGIES:
         config = GeneratorConfig(strategy=strategy)
-        first, _ = applicable_actions(config, task.init, task)
-        second, _ = applicable_actions(config, task.init, task)
+        first, _ = SuccessorGenerator(task, config).applicable(task.init)
+        second, _ = SuccessorGenerator(task, config).applicable(task.init)
         assert first == second
 
 
@@ -96,12 +95,13 @@ def test_zero_arity_schema_paths():
     ok = ActionSchema("go", (), pre_literals=(Literal(Atom(p, ())),))
     task = Task("d", "t", (p,), (), (ok,), (A,), State([Atom(p, ())], {}))
     for strategy in STRATEGIES:
-        got, report = applicable_actions(GeneratorConfig(strategy=strategy), task.init, task)
+        got, report = SuccessorGenerator(task, GeneratorConfig(strategy=strategy)).applicable(task.init)
         assert [a.pddl() for a in got] == ["(go)"]
 
     failing = Task("d", "t", (p,), (), (ok,), (A,), State([], {}))
     for strategy in (NUMERIC, PROPOSITIONAL):
-        got, report = applicable_actions(GeneratorConfig(strategy=strategy), failing.init, failing)
+        got, report = SuccessorGenerator(failing, GeneratorConfig(strategy=strategy)).applicable(
+            failing.init)
         assert got == [] and report.candidates == 0
 
 
@@ -114,7 +114,7 @@ def test_zero_arity_numeric_checks_constraints_but_propositional_defers():
     gen_p = SuccessorGenerator(task, GeneratorConfig(strategy=PROPOSITIONAL))
     assert list(gen_n.candidates(schema, task.init)) == []
     assert len(list(gen_p.candidates(schema, task.init))) == 1
-    got, _ = applicable_actions(GeneratorConfig(strategy=PROPOSITIONAL), task.init, task)
+    got, _ = gen_p.applicable(task.init)
     assert got == []
 
 
@@ -177,7 +177,7 @@ def test_degree_variations_stay_sound():
             counts = []
             for degree in (0, 1, 2, 3):
                 config = GeneratorConfig(strategy=NUMERIC, degree=degree)
-                got, report = applicable_actions(config, state, task)
+                got, report = SuccessorGenerator(task, config).applicable(state)
                 assert set(got) == want, degree
                 counts.append(report.candidates)
             # more degree, more pruning power: candidate counts shrink or stay
@@ -189,5 +189,5 @@ def test_exact_numeric_generation_no_overapproximation():
     for i in range(25):
         task = random_task(rng, exact=True, task_id=i)
         for state, oracle in walk_states(task, rng, extra=1):
-            _, report = applicable_actions(GeneratorConfig(strategy=NUMERIC), state, task)
+            _, report = SuccessorGenerator(task, GeneratorConfig(strategy=NUMERIC)).applicable(state)
             assert report.candidates == report.applicable == len(oracle)
