@@ -124,13 +124,21 @@ def _config(strategy: str, degree: int, ground_cap: int = DEFAULT_GROUND_CAP
         raise _UsageError(str(exc)) from None
 
 
+def _limits(args) -> search.Limits:
+    """Search limits from the command line; a bad value is a usage error."""
+    try:
+        return search.Limits(time_s=args.time_limit, nodes=args.node_cap,
+                             memory_mb=args.mem_limit)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def cmd_solve(args) -> int:
     if not args.tolerance >= 0:  # also rejects nan
         raise _UsageError("tolerance must be non-negative")
     config = _config(args.generator, args.degree, args.ground_cap)
+    limits = _limits(args)
     task = _load(args)
-    limits = search.Limits(time_s=args.time_limit, nodes=args.node_cap,
-                           memory_mb=args.mem_limit)
     result = search.solve(task, config, limits)
     report = metrics.report_from_result(Path(args.problem).stem, args.generator, result,
                                         keep_per_expansion=False)
@@ -200,6 +208,9 @@ def cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         _config(s, args.degree)
+    _limits(args)
+    if not metrics.discover_suite(args.suite):
+        raise _UsageError(f"no domain.pddl with a problem*.pddl under {args.suite}")
     reports = metrics.run_suite(
         args.suite,
         strategies,

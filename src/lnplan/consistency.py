@@ -215,11 +215,7 @@ class ConsistencyGraph:
         return partition * self.n_objects + obj_index
 
     def iter_alive(self, partition: int) -> Iterator[int]:
-        mask = self.alive[partition]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return _bits(self.alive[partition])
 
     def has_edge(self, v: int, w: int) -> bool:
         return bool(self.adjacency[v] >> w & 1)

@@ -310,38 +310,30 @@ class ActionSchema:
 class State:
     """Immutable state: true ground atoms plus defined ground fluent values."""
 
-    __slots__ = ("atoms", "fluents", "_key", "_hash")
+    __slots__ = ("atoms", "fluents", "_key")
 
     def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float]):
         self.atoms = frozenset(atoms)
         self.fluents = {t: 0.0 if v == 0 else float(v) for t, v in fluents.items()}
         self._key = None
-        self._hash = None
 
     def key(self):
-        """Canonical value identity, usable as a closed-list key."""
+        """Value identity: the atom set and the set of (term, value) pairs.
+
+        Atoms and terms compare by name and values are floats with -0.0 stored
+        as 0.0, so two states with the same true atoms and fluent values have
+        equal keys whatever their construction order. Equality and hashing of
+        states use this key; it is built once per state.
+        """
         if self._key is None:
-            atom_key = tuple(sorted(
-                (a.predicate.name,) + tuple(t.name for t in a.args) for a in self.atoms
-            ))
-            fluent_key = tuple(sorted(
-                ((f.function.name,) + tuple(t.name for t in f.args), v)
-                for f, v in self.fluents.items()
-            ))
-            self._key = (atom_key, fluent_key)
+            self._key = (self.atoms, frozenset(self.fluents.items()))
         return self._key
 
     def __eq__(self, other):
-        return (
-            type(other) is State
-            and other.atoms == self.atoms
-            and other.fluents == self.fluents
-        )
+        return type(other) is State and other.key() == self.key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return f"State({len(self.atoms)} atoms, {len(self.fluents)} fluents)"

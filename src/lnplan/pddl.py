@@ -706,43 +706,12 @@ def load_task(domain_path, problem_path) -> Task:
 # --- writing; emits the desugared form (no :typing, explicit type atoms) ---
 
 
-def _write_term(t: Term) -> str:
-    return t.name
-
-
-def _write_atom(atom: Atom) -> str:
-    parts = [atom.predicate.name] + [_write_term(a) for a in atom.args]
-    return "(" + " ".join(parts) + ")"
-
-
-def _write_literal(lit: Literal) -> str:
-    s = _write_atom(lit.atom)
-    return s if lit.positive else f"(not {s})"
-
-
-def _write_fterm(term: FunctionTerm) -> str:
-    parts = [term.function.name] + [_write_term(a) for a in term.args]
-    return "(" + " ".join(parts) + ")"
-
-
-def _write_expr(e: Expr) -> str:
-    if isinstance(e, Constant):
-        return format_number(e.value)
-    if isinstance(e, FunctionTerm):
-        return _write_fterm(e)
-    return f"({e.op} {_write_expr(e.left)} {_write_expr(e.right)})"
-
-
-def _write_constraint(c: NumericConstraint) -> str:
-    return f"({c.cmp} {_write_expr(c.lhs)} {_write_expr(c.rhs)})"
-
-
 _EFFECT_WORDS = {INCREASE: "increase", DECREASE: "decrease", ASSIGN: "assign",
                  SCALE_UP: "scale-up", SCALE_DOWN: "scale-down"}
 
 
 def _write_effect(e: NumericEffect) -> str:
-    return f"({_EFFECT_WORDS[e.op]} {_write_fterm(e.target)} {_write_expr(e.expr)})"
+    return f"({_EFFECT_WORDS[e.op]} {e.target!r} {e.expr!r})"
 
 
 def write_domain(task: Task) -> str:
@@ -767,10 +736,9 @@ def write_domain(task: Task) -> str:
     for schema in task.schemas:
         lines.append(f"  (:action {schema.name}")
         lines.append("    :parameters (" + " ".join(v.name for v in schema.params) + ")")
-        pres = [_write_literal(l) for l in schema.pre_literals]
-        pres += [_write_constraint(c) for c in schema.pre_constraints]
+        pres = [repr(e) for e in schema.pre_literals + schema.pre_constraints]
         lines.append("    :precondition (and " + " ".join(pres) + ")" if pres else "    :precondition ()")
-        effs = [_write_literal(l) for l in schema.eff_literals]
+        effs = [repr(l) for l in schema.eff_literals]
         effs += [_write_effect(e) for e in schema.eff_numeric]
         lines.append("    :effect (and " + " ".join(effs) + ")" if effs else "    :effect ()")
         lines.append("  )")
@@ -780,15 +748,14 @@ def write_domain(task: Task) -> str:
 
 def write_problem(task: Task) -> str:
     lines = [f"(define (problem {task.problem_name})", f"  (:domain {task.domain_name})"]
-    init_entries = sorted(_write_atom(a) for a in task.init.atoms)
+    init_entries = sorted(repr(a) for a in task.init.atoms)
     init_entries += sorted(
-        f"(= {_write_fterm(t)} {format_number(v)})" for t, v in task.init.fluents.items()
+        f"(= {t!r} {format_number(v)})" for t, v in task.init.fluents.items()
     )
     lines.append("  (:init " + " ".join(init_entries) + ")")
-    goals = [_write_literal(l) for l in task.goal_literals]
-    goals += [_write_constraint(c) for c in task.goal_constraints]
+    goals = [repr(e) for e in task.goal_literals + task.goal_constraints]
     lines.append("  (:goal (and " + " ".join(goals) + "))" if goals else "  (:goal (and))")
     if task.metric is not None:
-        lines.append(f"  (:metric {task.metric[0]} {_write_expr(task.metric[1])})")
+        lines.append(f"  (:metric {task.metric[0]} {task.metric[1]!r})")
     lines.append(")")
     return "\n".join(lines) + "\n"

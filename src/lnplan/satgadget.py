@@ -184,7 +184,7 @@ def to_problem_text(instance: GadgetInstance) -> str:
     lines = ["(define (problem cnf-gadget)"]
     lines.append(f"  (:objects {instance.true_object.name} {instance.false_object.name})")
     init = " ".join(
-        f"(= ({term.function.name} {term.args[0].name}) {int(value)})"
+        f"(= {term!r} {int(value)})"
         for term, value in sorted(
             instance.state.fluents.items(),
             key=lambda kv: (kv[0].function.name, kv[0].args[0].name),
@@ -192,16 +192,8 @@ def to_problem_text(instance: GadgetInstance) -> str:
     )
     lines.append(f"  (:init {init})")
     c = instance.constraint
-    lines.append(f"  (:constraint {_expr_text(c.lhs)} {c.cmp} {_expr_text(c.rhs)})")
+    lines.append(f"  (:constraint {c.lhs!r} {c.cmp} {c.rhs!r})")
     vars_ = " ".join(instance.variables[i].name for i in sorted(instance.variables))
     lines.append(f"  (:free-variables {vars_})")
     lines.append(")")
     return "\n".join(lines) + "\n"
-
-
-def _expr_text(expr: Expr) -> str:
-    if isinstance(expr, Constant):
-        return str(int(expr.value)) if expr.value.is_integer() else repr(expr.value)
-    if isinstance(expr, FunctionTerm):
-        return f"({expr.function.name} {' '.join(a.name for a in expr.args)})"
-    return f"({expr.op} {_expr_text(expr.left)} {_expr_text(expr.right)})"

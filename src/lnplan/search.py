@@ -1,15 +1,17 @@
-"""Blind forward search (uniform-cost A*) with duplicate detection.
+"""Blind forward search: breadth-first with duplicate detection.
 
-Unit action costs, goal test at expansion, FIFO tie-breaking among equal
-g-values, and exact state identity for the closed list. Resource limits are
-enforced in-process: a wall-clock deadline, an expansion cap, and a stored-
-state cap standing in for a memory bound.
+Actions cost one, so breadth-first order (FIFO among equal g-values) is
+uniform-cost order and the first plan found is a shortest one. The goal is
+tested at expansion. A state is queued only when first generated, which is
+at its least g; later copies are dropped against a seen set of state keys.
+Resource limits are enforced in-process: a wall-clock deadline, an expansion
+cap, and a stored-state cap standing in for a memory bound.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +41,12 @@ class Limits:
     nodes: Optional[int] = None
     states: Optional[int] = None
     memory_mb: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("time_s", "nodes", "states", "memory_mb"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # also rejects nan
+                raise ValueError(f"{name} must be non-negative")
 
     def state_cap(self) -> Optional[int]:
         caps = []
@@ -97,44 +105,35 @@ def solve(task: Task, config: GeneratorConfig = GeneratorConfig(),
     except GroundLimitError as exc:
         return finish(LIMIT, limit_hit=f"ground-store-cap: {exc}")
 
-    root = _Node(task.init, None, None, 0)
-    heap: list[tuple[int, int, _Node]] = [(0, 0, root)]
-    tie = 1
-    best_g = {task.init.key(): 0}
-    closed: set = set()
+    queue = deque([_Node(task.init, None, None, 0)])
+    seen = {task.init.key()}
     state_cap = limits.state_cap()
 
-    while heap:
-        g, _, node = heapq.heappop(heap)
-        key = node.state.key()
-        if key in closed:
-            continue
+    while queue:
+        node = queue.popleft()
         if goal_satisfied(node.state, task):
             return finish(SOLVED, plan=_extract_plan(node))
         if limits.time_s is not None and time.perf_counter() - start > limits.time_s:
             return finish(LIMIT, limit_hit="time")
         if limits.nodes is not None and stats.expansions >= limits.nodes:
             return finish(LIMIT, limit_hit="nodes")
-        closed.add(key)
         stats.expansions += 1
-        stats.g_trace.append(g)
+        stats.g_trace.append(node.g)
 
         actions, report = generator.applicable(node.state)
         stats.candidates += report.candidates
         stats.applicable += report.applicable
         stats.per_expansion.append((report.candidates, report.applicable))
+        child_g = node.g + 1
         for action in actions:
             successor = apply(node.state, action)
             skey = successor.key()
-            child_g = g + 1
-            known = best_g.get(skey)
-            if known is not None and known <= child_g:
+            if skey in seen:
                 continue
-            best_g[skey] = child_g
+            seen.add(skey)
             stats.generated += 1
-            heapq.heappush(heap, (child_g, tie, _Node(successor, node, action, child_g)))
-            tie += 1
-        if state_cap is not None and len(best_g) > state_cap:
+            queue.append(_Node(successor, node, action, child_g))
+        if state_cap is not None and len(seen) > state_cap:
             return finish(LIMIT, limit_hit="memory" if limits.memory_mb else "states")
     return finish(UNSOLVABLE)
 

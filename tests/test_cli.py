@@ -40,6 +40,8 @@ def test_solve_exit_codes(tmp_path):
     _, problem = _paths("counters")
     assert main(["solve", "--domain", domain, "--problem", problem,
                  "--node-cap", "1"]) == 20
+    assert main(["solve", "--domain", domain, "--problem", problem,
+                 "--node-cap", "0"]) == 20
 
 
 def test_parse_error_exit_30(tmp_path, capsys):
@@ -52,9 +54,15 @@ def test_parse_error_exit_30(tmp_path, capsys):
     assert "bad.pddl:1:" in err and "unsupported requirement" in err
 
 
-def test_usage_error_exit_30(capsys):
+def test_usage_error_exit_30(tmp_path, capsys):
     assert main(["solve", "--domain", "x"]) == 30
     assert main(["bench", "--suite", "x", "--out", "y", "--strategies", "bogus"]) == 30
+    # a suite without a domain.pddl and problem*.pddl pair is not an empty run
+    out = tmp_path / "report.jsonl"
+    for suite in (tmp_path / "missing", tmp_path):
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 30
+        assert not out.exists()
+    assert "usage error: no domain.pddl" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,6 +72,13 @@ def test_usage_error_exit_30(capsys):
     ["solve", "--tolerance", "nan"],
     ["successors", "--degree", "-1"],
     ["bench", "--degree", "-1"],
+    ["solve", "--node-cap", "-1"],
+    ["solve", "--time-limit", "-1"],
+    ["solve", "--time-limit", "nan"],
+    ["solve", "--mem-limit", "-1"],
+    ["bench", "--node-cap", "-1"],
+    ["bench", "--time-limit", "nan"],
+    ["bench", "--mem-limit", "-1"],
 ])
 def test_bad_values_exit_30_without_traceback(argv, tmp_path, capsys):
     domain, problem = _paths("counters")

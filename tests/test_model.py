@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_bundled
+
 from lnplan.model import (
     ASSIGN,
     DECREASE,
@@ -301,3 +303,23 @@ def test_state_identity_is_exact():
     s3 = State([], {term(g): 1.0 + 1e-12})
     assert s1 == s2 and hash(s1) == hash(s2)
     assert s1 != s3
+
+    def same(a, b):
+        return a.key() == b.key() and hash(a) == hash(b) and a == b
+
+    assert same(State([], {term(g): -0.0}), State([], {term(g): 0.0}))
+    # the order in which fluents were inserted is not part of the identity
+    forward = {term(F_UN, o): float(i) for i, o in enumerate((A, B, C))}
+    backward = dict(reversed(list(forward.items())))
+    assert list(forward) != list(backward)
+    atoms = [Atom(P_AT, (A, B)), Atom(P_AT, (B, C))]
+    assert same(State(atoms, forward), State(reversed(atoms), backward))
+    # the init states of two separate parses of one task
+    first, second = load_bundled("delivery").init, load_bundled("delivery").init
+    assert first.atoms and first.fluents
+    assert same(first, second)
+    dropped = State(list(first.atoms)[1:], first.fluents)
+    some_term = next(iter(first.fluents))
+    bumped = State(first.atoms, {**first.fluents, some_term: first.fluents[some_term] + 1})
+    for changed in (dropped, bumped):
+        assert changed.key() != first.key() and changed != first

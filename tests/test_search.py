@@ -1,4 +1,7 @@
+import heapq
 import random
+
+import pytest
 
 from conftest import load_bundled
 from taskgen import bfs_optimal_cost, brute_applicable, random_task
@@ -16,9 +19,10 @@ from lnplan.model import (
     State,
     Task,
     apply,
+    goal_satisfied,
 )
 from lnplan.search import LIMIT, SOLVED, UNSOLVABLE, Limits, format_plan, solve, validate
-from lnplan.successors import GeneratorConfig, STRATEGIES
+from lnplan.successors import GeneratorConfig, STRATEGIES, SuccessorGenerator
 
 
 def test_plan_cost_matches_breadth_first_oracle(bundled_tasks):
@@ -28,6 +32,61 @@ def test_plan_cost_matches_breadth_first_oracle(bundled_tasks):
         result = solve(task, GeneratorConfig())
         assert result.status == SOLVED, name
         assert result.cost == want, name
+
+
+def _reference_solve(task, config, node_cap):
+    """Uniform-cost search on a heap of (g, tie, node), with a best-g map and a
+    closed list: the search that the breadth-first queue replaced."""
+    generator = SuccessorGenerator(task, config)
+    heap, tie = [(0, 0, (task.init, None, None))], 1
+    best_g, closed = {task.init.key(): 0}, set()
+    expansions = generated = 0
+    g_trace = []
+    while heap:
+        g, _, node = heapq.heappop(heap)
+        state = node[0]
+        if state.key() in closed:
+            continue
+        if goal_satisfied(state, task):
+            plan = []
+            while node[1] is not None:
+                plan.append(node[2])
+                node = node[1]
+            return SOLVED, plan[::-1], expansions, generated, g_trace
+        if expansions >= node_cap:
+            return LIMIT, None, expansions, generated, g_trace
+        closed.add(state.key())
+        expansions += 1
+        g_trace.append(g)
+        for action in generator.applicable(state)[0]:
+            successor = apply(state, action)
+            known = best_g.get(successor.key())
+            if known is None or known > g + 1:
+                best_g[successor.key()] = g + 1
+                generated += 1
+                heapq.heappush(heap, (g + 1, tie, (successor, node, action)))
+                tie += 1
+    return UNSOLVABLE, None, expansions, generated, g_trace
+
+
+def test_solve_matches_reference_heap_search(bundled_tasks):
+    tasks = list(bundled_tasks.values()) + [load_bundled("counters", "problem-unsat.pddl")]
+    # random tasks as generated, and with a goal that never holds, so that the
+    # search runs until the reachable space or the node cap is exhausted
+    never = NumericConstraint(Constant(0.0), "=", Constant(1.0))
+    rng = random.Random(29)
+    for i in range(16):
+        task = random_task(rng, exact=bool(i % 2), task_id=i)
+        tasks += [task, Task(task.domain_name, task.problem_name, task.predicates,
+                             task.functions, task.schemas, task.objects, task.init,
+                             goal_constraints=(never,))]
+    for task in tasks:
+        for strategy in STRATEGIES:
+            config = GeneratorConfig(strategy=strategy)
+            result = solve(task, config, Limits(nodes=40))
+            stats = result.stats
+            got = (result.status, result.plan, stats.expansions, stats.generated, stats.g_trace)
+            assert got == _reference_solve(task, config, 40), (task.problem_name, strategy)
 
 
 def test_plan_cost_identical_across_strategies(bundled_tasks):
@@ -73,6 +132,9 @@ def test_limits_reported():
     assert result.status == LIMIT and result.limit_hit == "time"
     result = solve(task, GeneratorConfig(), Limits(states=1))
     assert result.status == LIMIT and result.limit_hit == "states"
+    for bad in ({"nodes": -1}, {"time_s": float("nan")}, {"states": -1}, {"memory_mb": -0.5}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Limits(**bad)
 
 
 def test_validate_flags_broken_plans(bundled_tasks):
