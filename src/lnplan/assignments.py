@@ -21,6 +21,10 @@ from .model import FunctionSymbol, Object, State
 
 PosBinding = Mapping[int, Object]  # argument position -> object
 
+# Fixed positions per table entry. Edge rules bind two variables, and the
+# exactness conditions bound functions at arity two, so two suffice.
+DEGREE = 2
+
 
 class AssignmentSet:
     """Per-symbol map from partial position bindings to value intervals."""
@@ -88,19 +92,17 @@ def build_assignment_set(
 class AssignmentCache:
     """Lazy per-state cache of assignment sets, one per function symbol.
 
-    Buckets the state's fluents by symbol once, then builds each table on
-    first use. Concurrent first uses are safe: setdefault keeps a single
-    winner and the loser's table is discarded.
+    Buckets the state's fluents by symbol once, then builds each table, of
+    degree DEGREE, on first use. Concurrent first uses are safe: setdefault
+    keeps a single winner and the loser's table is discarded.
 
     `static` maps the names of functions no effect writes to a cache over the
     initial state. Their tables are the same in every reachable state, so
     they are read from that shared cache instead of being rebuilt per state.
     """
 
-    def __init__(self, state: State, degree: int = 2,
-                 static: Mapping[str, "AssignmentCache"] | None = None):
+    def __init__(self, state: State, static: Mapping[str, "AssignmentCache"] | None = None):
         self.state = state
-        self.degree = degree
         self.static = static or {}
         self._sets: dict[str, AssignmentSet] = {}
         self._buckets: dict[str, list] | None = None
@@ -122,6 +124,6 @@ class AssignmentCache:
             built = shared.get(function)
         else:
             built = build_assignment_set(
-                function, self.state, self.degree, self._bucket(function.name)
+                function, self.state, DEGREE, self._bucket(function.name)
             )
         return self._sets.setdefault(function.name, built)

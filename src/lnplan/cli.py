@@ -52,8 +52,6 @@ def _add_task_args(p):
 def _add_generator_args(p):
     p.add_argument("--generator", default="numeric", choices=STRATEGIES,
                    help="candidate generation strategy (default: numeric)")
-    p.add_argument("--degree", type=int, default=2,
-                   help="max fixed positions per range-table entry (default: 2)")
     p.add_argument("--ground-cap", type=int, default=1_000_000,
                    help="abort grounding beyond this many actions")
 
@@ -94,7 +92,6 @@ def build_parser() -> _Parser:
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--mem-limit", type=float, default=None)
     p.add_argument("--node-cap", type=int, default=None)
-    p.add_argument("--degree", type=int, default=2)
     p.add_argument("--out", required=True, help="JSONL output path")
     p.add_argument("--csv", default=None, help="optional CSV summary path")
     p.add_argument("--per-expansion", action="store_true",
@@ -115,11 +112,10 @@ def _load(args) -> Task:
     return load_task(args.domain, args.problem)
 
 
-def _config(strategy: str, degree: int, ground_cap: int = DEFAULT_GROUND_CAP
-            ) -> GeneratorConfig:
+def _config(strategy: str, ground_cap: int = DEFAULT_GROUND_CAP) -> GeneratorConfig:
     """Generator settings from the command line; a bad value is a usage error."""
     try:
-        return GeneratorConfig(strategy, degree, ground_cap)
+        return GeneratorConfig(strategy, ground_cap)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -136,7 +132,7 @@ def _limits(args) -> search.Limits:
 def cmd_solve(args) -> int:
     if not args.tolerance >= 0:  # also rejects nan
         raise _UsageError("tolerance must be non-negative")
-    config = _config(args.generator, args.degree, args.ground_cap)
+    config = _config(args.generator, args.ground_cap)
     limits = _limits(args)
     task = _load(args)
     result = search.solve(task, config, limits)
@@ -163,7 +159,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_successors(args) -> int:
-    config = _config(args.generator, args.degree, args.ground_cap)
+    config = _config(args.generator, args.ground_cap)
     task = _load(args)
     try:
         generator = SuccessorGenerator(task, config)
@@ -207,14 +203,13 @@ def cmd_ground(args) -> int:
 def cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        _config(s, args.degree)
+        _config(s)
     _limits(args)
     if not metrics.discover_suite(args.suite):
         raise _UsageError(f"no domain.pddl with a problem*.pddl under {args.suite}")
     reports = metrics.run_suite(
         args.suite,
         strategies,
-        degree=args.degree,
         time_limit_s=args.time_limit,
         memory_mb=args.mem_limit,
         node_cap=args.node_cap,

@@ -19,9 +19,9 @@ it, and an element when all its symbols are static. A static element has the
 same value in every state that agrees with the task's initial state on the
 static atoms and fluents. Every reachable state does, and graphs must only
 be built for such states. Static elements are therefore evaluated once per
-task, on the first graph built for a (schema, numeric rules, table degree)
-combination, into int bitsets: a static alive mask per partition and, per
-partition pair, a static row per object plus its transpose. Per state the
+task into a plan, built on the first graph for a (schema, numeric rules,
+record) combination: int bitsets of a static alive mask per partition and,
+per partition pair, a static row per object plus its transpose. Per state the
 atom index covers only dynamic predicates, range tables are built only for
 written functions, and only dynamic elements are evaluated, on the vertices
 and pairs the static masks leave alive. A partition pair without dynamic
@@ -29,8 +29,8 @@ elements costs bit operations only.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
-numeric-unsat; a statically excluded one gets its reason by re-evaluating
-the static elements on demand.
+numeric-unsat. Record mode runs the same loop on a plan that treats every
+element as dynamic, against an index of all the state's atoms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
-from .assignments import AssignmentCache
+from .assignments import DEGREE, AssignmentCache
 from .intervals import Interval, arith, compare, point
 from .model import (
     Atom,
@@ -132,13 +132,13 @@ class StateContext:
     fluents, as every reachable state does.
     """
 
-    def __init__(self, task: Task, state: State, degree: int = 2):
+    def __init__(self, task: Task, state: State):
         self.task = task
         self.state = state
         self.objects = task.objects
         self.statics = task_statics(task)
         self.index = AtomIndex(state, skip=self.statics.predicates)
-        self.ranges = AssignmentCache(state, degree, self.statics.ranges(degree))
+        self.ranges = AssignmentCache(state, self.statics.ranges)
         self._typed: dict[str, tuple[Object, ...]] = {}
 
     def typed_objects(self, type_name: Optional[str]) -> tuple[Object, ...]:
@@ -160,8 +160,8 @@ def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: Assignm
 
     Leaves read the range table with every argument position fixed by the
     binding or by a constant; repeated variables fix all their positions.
-    Should the fixed positions ever exceed the table degree, the lowest ones
-    are kept, which only widens the result and stays sound.
+    Tables fix at most DEGREE positions. Should a leaf fix more, the lowest
+    DEGREE of them are kept, which only widens the result and stays sound.
     """
     if isinstance(expr, Constant):
         return point(expr.value)
@@ -171,8 +171,8 @@ def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: Assignm
             obj = arg if type(arg) is Object else binding.get(arg)
             if obj is not None:
                 positions[i] = obj
-        if len(positions) > ranges.degree:
-            keep = sorted(positions)[: ranges.degree]
+        if len(positions) > DEGREE:
+            keep = sorted(positions)[:DEGREE]
             positions = {i: positions[i] for i in keep}
         return ranges.get(expr.function).lookup(positions)
     left = relaxed_eval(expr.left, binding, ranges)
@@ -270,16 +270,6 @@ def _negative_violated(atom: Atom, binding: Mapping[Variable, Object], state: St
 
 _NO_BINDING: Mapping[Variable, Object] = {}
 _STATIC = "static"  # group key of the static elements in a plan
-_RANK = {POSITIVE_MISS: 0, NEGATIVE_HIT: 1, NUMERIC_UNSAT: 2}
-
-
-def _earlier(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    """The reason that takes precedence; None means not refuted."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if _RANK[a] <= _RANK[b] else b
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -333,21 +323,24 @@ class _Plan:
     `ground` lists the dynamic elements checked with nothing bound, in the
     order the checks run; `failure` is the note of a static one that fails
     after them, which empties every graph. `alive` holds the static alive
-    mask per partition and `unary` its (static, dynamic) vertex rules.
-    `pairs` holds per partition pair (p1, p2, static rules, dynamic rules
-    holding only the first variable, only the second, both, rows, cols):
-    rows[oi] is the bitset of partition-p2 objects that the static rules
-    leave connected to object oi of partition p1, cols its transpose, both
-    None when no static rule applies. `env` is the (index, state, ranges)
-    triple static elements are evaluated against.
+    mask per partition and `unary` its dynamic vertex rules. `pairs` holds
+    per partition pair (p1, p2, dynamic rules holding only the first
+    variable, only the second, both, rows, cols): rows[oi] is the bitset of
+    partition-p2 objects that the static rules leave connected to object oi
+    of partition p1, cols its transpose, both None when no static rule
+    applies.
+
+    A `record` plan treats every element as dynamic and keeps all of a
+    pair's elements in its own group, so each refuted vertex and pair meets
+    its first rule in the per-state loop.
     """
 
     def __init__(self, statics: "TaskStatics", schema: ActionSchema, numeric: bool,
-                 degree: int):
+                 record: bool):
         self.schema = schema
         objects = statics.objects
         preds, funcs = statics.predicates, statics.functions
-        self.env = env = (statics.index, statics.init, statics.init_ranges(degree))
+        env = (statics.index, statics.init, statics.init_ranges)
 
         pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
         neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
@@ -355,6 +348,8 @@ class _Plan:
         cons = [(c, free_variables(c)) for c in schema.pre_constraints] if numeric else []
 
         def is_static(element) -> bool:
+            if record:
+                return False
             if isinstance(element, Atom):
                 return element.predicate.name in preds
             return all(t.function.name in funcs for t in function_terms(element))
@@ -362,7 +357,7 @@ class _Plan:
         self.ground: list[tuple[str, object]] = []
         self.failure: Optional[str] = None
         self.alive: list[int] = []
-        self.unary: list[tuple[_Rules, _Rules]] = []
+        self.unary: list[_Rules] = []
         self.pairs: list[tuple] = []
 
         # elements with no variable bound, in the order the checks run
@@ -385,7 +380,7 @@ class _Plan:
             groups: dict = defaultdict(_Rules)
             for elements, rule in ((pos_sel, "pos"), (neg_sel, "neg"), (con_sel, "con")):
                 for element, vars_ in elements:
-                    key = _STATIC if is_static(element) else vars_ & pair
+                    key = _STATIC if is_static(element) else pair if record else vars_ & pair
                     getattr(groups[key], rule).append(element)
             return groups
 
@@ -393,9 +388,8 @@ class _Plan:
         everything = (1 << len(objects)) - 1
         for var in schema.params:
             groups = split(*([e for e in group if e[1] == {var}] for group in (pos, neg, cons)))
-            static = groups[_STATIC]
-            self.alive.append(_survivors(static, var, everything, objects, env)[0])
-            self.unary.append((static, groups[frozenset()]))
+            self.alive.append(_survivors(groups[_STATIC], var, everything, objects, env))
+            self.unary.append(groups[frozenset()])
 
         # pairs: elements on two or more variables that touch the pair
         params = schema.params
@@ -418,8 +412,8 @@ class _Plan:
                         if static.refute(binding, *env) is None:
                             rows[oi] |= 1 << oj
                             cols[oj] |= 1 << oi
-            self.pairs.append((p1, p2, static, groups[frozenset((x1,))],
-                               groups[frozenset((x2,))], groups[pair], rows, cols))
+            self.pairs.append((p1, p2, groups[frozenset((x1,))], groups[frozenset((x2,))],
+                               groups[pair], rows, cols))
 
 
 class TaskStatics:
@@ -436,8 +430,9 @@ class TaskStatics:
         self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
         self.functions = static_function_names(task)
         self._index: Optional[AtomIndex] = None
-        self._init_ranges: dict[int, AssignmentCache] = {}
-        self._ranges: dict[int, dict[str, AssignmentCache]] = {}
+        self.init_ranges = AssignmentCache(self.init)
+        # static function name -> the shared cache that serves its tables
+        self.ranges = dict.fromkeys(self.functions, self.init_ranges)
         self._plans: dict[tuple, _Plan] = {}
 
     @property
@@ -447,25 +442,11 @@ class TaskStatics:
             self._index = AtomIndex(self.init)
         return self._index
 
-    def init_ranges(self, degree: int) -> AssignmentCache:
-        cache = self._init_ranges.get(degree)
-        if cache is None:
-            cache = self._init_ranges[degree] = AssignmentCache(self.init, degree)
-        return cache
-
-    def ranges(self, degree: int) -> dict[str, AssignmentCache]:
-        """Static function name -> the shared cache that serves its tables."""
-        shared = self._ranges.get(degree)
-        if shared is None:
-            shared = self._ranges[degree] = dict.fromkeys(
-                self.functions, self.init_ranges(degree))
-        return shared
-
-    def plan(self, schema: ActionSchema, numeric: bool, degree: int) -> _Plan:
-        key = (id(schema), numeric, degree)  # the plan keeps the schema alive
+    def plan(self, schema: ActionSchema, numeric: bool, record: bool) -> _Plan:
+        key = (id(schema), numeric, record)  # the plan keeps the schema alive
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _Plan(self, schema, numeric, degree)
+            plan = self._plans[key] = _Plan(self, schema, numeric, record)
         return plan
 
 
@@ -491,8 +472,9 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
         adjacency=[0] * (k * n),
         exclusions=[] if record else None,
     )
-    plan = ctx.statics.plan(schema, numeric, ctx.ranges.degree)
-    env = (ctx.index, ctx.state, ctx.ranges)
+    plan = ctx.statics.plan(schema, numeric, record)
+    # a record plan has no static part, so it needs every predicate indexed
+    env = (AtomIndex(ctx.state) if record else ctx.index, ctx.state, ctx.ranges)
 
     # elements with no variable bound decide the whole graph
     for reason, element in plan.ground:
@@ -506,16 +488,8 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
         return graph
 
     exclusions = graph.exclusions
-    everything = (1 << n) - 1
     for p, var in enumerate(schema.params):
-        static, dynamic = plan.unary[p]
-        mask, why = _survivors(dynamic, var, plan.alive[p], objects, env)
-        if record:
-            for oi in _bits(everything & ~plan.alive[p]):
-                binding = {var: objects[oi]}
-                why[oi] = _earlier(dynamic.refute(binding, *env) if dynamic else None,
-                                   static.refute(binding, *plan.env))
-            exclusions.extend(("vertex", p, oi, why[oi]) for oi in sorted(why))
+        mask = _survivors(plan.unary[p], var, plan.alive[p], objects, env, exclusions, p)
         graph.alive[p] = mask
         if mask == 0:
             graph.empty = True
@@ -527,48 +501,43 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     params = schema.params
     alive = graph.alive
     adjacency = graph.adjacency
-    for p1, p2, static, half1, half2, dynamic, rows, cols in plan.pairs:
+    for p1, p2, half1, half2, dynamic, rows, cols in plan.pairs:
         x1, x2 = params[p1], params[p2]
-        a1, why1 = _survivors(half1, x1, alive[p1], objects, env)
-        a2, why2 = _survivors(half2, x2, alive[p2], objects, env)
+        a1 = _survivors(half1, x1, alive[p1], objects, env)
+        a2 = _survivors(half2, x2, alive[p2], objects, env)
         off1, off2 = p1 * n, p2 * n
-        if not (dynamic or record):
+        if not dynamic:
             for oi in _bits(a1):
                 adjacency[off1 + oi] |= (a2 if rows is None else rows[oi] & a2) << off2
             for oj in _bits(a2):
                 adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
             continue
-        for oi in _bits(alive[p1] if record else a1):
+        for oi in _bits(a1):
             v = off1 + oi
-            row = alive[p2] if rows is None else rows[oi] & alive[p2]
             bits = 0
-            for oj in _bits(alive[p2] if record else row & a2):
-                binding = {x1: objects[oi], x2: objects[oj]}
-                reason = dynamic.refute(binding, *env) if dynamic else None
-                if record:
-                    reason = _earlier(reason, _earlier(why1.get(oi), why2.get(oj)))
-                    if not row >> oj & 1:
-                        reason = _earlier(reason, static.refute(binding, *plan.env))
+            for oj in _bits(a2 if rows is None else rows[oi] & a2):
+                reason = dynamic.refute({x1: objects[oi], x2: objects[oj]}, *env)
                 if reason is None:
                     bits |= 1 << oj
                     adjacency[off2 + oj] |= 1 << v
-                elif record:
+                elif exclusions is not None:
                     exclusions.append(("pair", p1, oi, p2, oj, reason))
             adjacency[v] |= bits << off2
     return graph
 
 
 def _survivors(rules: _Rules, var: Variable, mask: int, objects: tuple[Object, ...],
-               env: tuple) -> tuple[int, dict[int, str]]:
-    """The objects of the mask the rules leave, and the reason for each other."""
-    why: dict[int, str] = {}
+               env: tuple, exclusions: Optional[list] = None, p: int = 0) -> int:
+    """The objects of the mask the rules leave; each other one is listed in
+    `exclusions`, if given, as a vertex of partition p with its reason."""
     if rules:
         for oi in _bits(mask):
             reason = rules.refute({var: objects[oi]}, *env)
             if reason is not None:
-                why[oi] = reason
                 mask ^= 1 << oi
-    return mask, why
+                if exclusions is not None:
+                    exclusions.append(("vertex", p, oi, reason))
+    return mask
 
 
 def exactness_violations(domain) -> list[tuple[str, str, str]]:

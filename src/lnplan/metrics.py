@@ -58,42 +58,23 @@ def overapproximation(candidates: int, applicable: int) -> Optional[float]:
     return round(candidates / applicable, 2)
 
 
-def aggregate(per_expansion: Sequence[tuple[int, int]], *, task: str = "",
-              strategy: str = "", solved: bool = False, status: str = "",
-              wall_time_s: float = 0.0, cost: Optional[int] = None,
-              limit_hit: Optional[str] = None,
-              keep_per_expansion: bool = True) -> RunReport:
-    """Fold per-expansion (candidates, applicable) pairs into one report."""
-    candidates = sum(c for c, _ in per_expansion)
-    applicable = sum(a for _, a in per_expansion)
-    return RunReport(
-        task=task,
-        strategy=strategy,
-        solved=solved,
-        status=status,
-        wall_time_s=wall_time_s,
-        expansions=len(per_expansion),
-        candidates=candidates,
-        applicable=applicable,
-        oa=overapproximation(candidates, applicable),
-        cost=cost,
-        limit_hit=limit_hit,
-        per_expansion=list(per_expansion) if keep_per_expansion else None,
-    )
-
-
 def report_from_result(task_id: str, strategy: str, result: search.SolveResult,
                        keep_per_expansion: bool = True) -> RunReport:
-    return aggregate(
-        result.stats.per_expansion,
+    """The report of one solve, from its run totals."""
+    stats = result.stats
+    return RunReport(
         task=task_id,
         strategy=strategy,
         solved=result.status == search.SOLVED,
         status=result.status,
-        wall_time_s=result.stats.wall_time_s,
+        wall_time_s=stats.wall_time_s,
+        expansions=stats.expansions,
+        candidates=stats.candidates,
+        applicable=stats.applicable,
+        oa=overapproximation(stats.candidates, stats.applicable),
         cost=result.cost,
         limit_hit=result.limit_hit,
-        keep_per_expansion=keep_per_expansion,
+        per_expansion=list(stats.per_expansion) if keep_per_expansion else None,
     )
 
 
@@ -136,7 +117,7 @@ def discover_suite(suite_dir) -> list[tuple[str, Path, Path]]:
     return tasks
 
 
-def run_suite(suite_dir, strategies: Sequence[str], *, degree: int = 2,
+def run_suite(suite_dir, strategies: Sequence[str], *,
               time_limit_s: Optional[float] = None, memory_mb: Optional[float] = None,
               node_cap: Optional[int] = None, ground_cap: int = 1_000_000,
               keep_per_expansion: bool = False) -> list[RunReport]:
@@ -146,7 +127,7 @@ def run_suite(suite_dir, strategies: Sequence[str], *, degree: int = 2,
     for task_id, domain_path, problem_path in discover_suite(suite_dir):
         task = load_task(domain_path, problem_path)
         for strategy in strategies:
-            config = GeneratorConfig(strategy=strategy, degree=degree, ground_cap=ground_cap)
+            config = GeneratorConfig(strategy=strategy, ground_cap=ground_cap)
             result = search.solve(task, config, limits)
             reports.append(report_from_result(task_id, strategy, result, keep_per_expansion))
     return reports

@@ -13,6 +13,7 @@ All errors carry a SourceSpan and format as file:line:col: message.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -747,6 +748,11 @@ def write_domain(task: Task) -> str:
 
 
 def write_problem(task: Task) -> str:
+    """Problem text of the task; a non-finite initial fluent has no PDDL
+    number and raises ValueError."""
+    for term, value in task.init.fluents.items():
+        if not math.isfinite(value):
+            raise ValueError(f"initial fluent {term!r} = {value} is not a finite number")
     lines = [f"(define (problem {task.problem_name})", f"  (:domain {task.domain_name})"]
     init_entries = sorted(repr(a) for a in task.init.atoms)
     init_entries += sorted(

@@ -45,14 +45,11 @@ DEFAULT_GROUND_CAP = 1_000_000
 @dataclass(frozen=True)
 class GeneratorConfig:
     strategy: str = NUMERIC
-    degree: int = 2  # fixed positions per range-table entry; edges need 2
     ground_cap: int = DEFAULT_GROUND_CAP
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
         if self.ground_cap <= 0:
             raise ValueError("ground_cap must be positive")
 
@@ -130,7 +127,7 @@ class SuccessorGenerator:
         )
 
     def context(self, state: State) -> StateContext:
-        return StateContext(self.task, state, self.config.degree)
+        return StateContext(self.task, state)
 
     def candidates(self, schema: ActionSchema, state: State,
                    ctx: Optional[StateContext] = None) -> Iterator[GroundAction]:

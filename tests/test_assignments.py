@@ -108,7 +108,7 @@ def test_monotone_under_refinement():
 def test_cache_single_winner_and_reuse():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 3.0})
-    cache = AssignmentCache(state, degree=2)
+    cache = AssignmentCache(state)
     first = cache.get(f)
     assert cache.get(f) is first
     assert first.lookup({0: A}) == Interval(3.0, 3.0)

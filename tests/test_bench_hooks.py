@@ -1,9 +1,11 @@
-"""Guard for the benchmark's layer tracer, which patches lnplan from outside.
+"""Guards for the benchmark's traced mode, which reaches into lnplan from outside.
 
 `perfbench/tracing.py` replaces functions at the attributes their callers
 look up (for example `successors.build_graph`, `consistency.relaxed_unsat`,
-`AtomIndex.match_exists`). A rename on the lnplan side would break the traced
-benchmark; this test makes it fail here instead.
+`AtomIndex.match_exists`), and `perfbench/run.py` builds record-mode graphs
+for its exclusion histograms. A rename or a change of record mode on the
+lnplan side would break the traced benchmark; these tests make it fail here
+instead.
 """
 
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_bundled
+from conftest import BUNDLED, load_bundled
 from lnplan import consistency, search, successors
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -24,6 +26,16 @@ def tracing(monkeypatch):
 
     yield module
     sys.modules.pop("tracing", None)
+
+
+@pytest.fixture
+def run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run as module
+
+    yield module
+    for name in ("run", "families", "spec", "speed"):
+        sys.modules.pop(name, None)
 
 
 def _current(owner, attr):
@@ -54,3 +66,25 @@ def test_tracer_hooks_exist_fire_and_are_restored(tracing):
         assert counts[hook] > 0, f"{hook} never fired"
     assert counts["successors.candidates"] == result.stats.candidates
     assert counts["successors.applicable"] == result.stats.applicable
+
+
+# (schema, reason) -> count in the initial state of each bundled task
+EXCLUSIONS = {
+    "counters": {("decrement", "numeric-unsat"): 1},
+    "relay": {("move", "positive-miss"): 30, ("move", "numeric-unsat"): 4},
+    "switches": {("flip-off", "positive-miss"): 1},
+    "farmland": {("move-unit", "negative-hit"): 1, ("move-unit", "numeric-unsat"): 1},
+    "delivery": {("drive", "positive-miss"): 16},
+    "ratecounters": {},
+    "watering": {},
+    "doubling": {},
+    "tokens": {("slide", "positive-miss"): 3, ("slide", "negative-hit"): 1},
+    "dials": {("fine-tune", "numeric-unsat"): 1},
+}
+
+
+def test_exclusion_histograms_of_bundled_initial_states(run):
+    assert set(EXCLUSIONS) == set(BUNDLED)
+    for name, want in EXCLUSIONS.items():
+        task = load_bundled(name)
+        assert dict(run.exclusion_histogram(task, [task.init])) == want, name

@@ -66,12 +66,9 @@ def test_usage_error_exit_30(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", "--degree", "-1"],
     ["solve", "--ground-cap", "0"],
     ["solve", "--tolerance", "-1"],
     ["solve", "--tolerance", "nan"],
-    ["successors", "--degree", "-1"],
-    ["bench", "--degree", "-1"],
     ["solve", "--node-cap", "-1"],
     ["solve", "--time-limit", "-1"],
     ["solve", "--time-limit", "nan"],

@@ -44,7 +44,7 @@ def _task(schemas, objects, atoms, fluents, predicates=(), functions=()):
 def test_relaxed_eval_examples():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 2.0, FunctionTerm(f, (B,)): 4.0})
-    cache = AssignmentCache(state, degree=2)
+    cache = AssignmentCache(state)
     expr = BinaryExpr("+", FunctionTerm(f, (X,)), Constant(1.0))
     assert relaxed_eval(expr, {}, cache) == Interval(3.0, 5.0)
     assert relaxed_eval(expr, {X: A}, cache) == Interval(3.0, 3.0)
@@ -55,7 +55,7 @@ def test_relaxed_eval_examples():
 def test_relaxed_unsat_examples():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 2.0, FunctionTerm(f, (B,)): 4.0})
-    cache = AssignmentCache(state, degree=2)
+    cache = AssignmentCache(state)
     too_high = NumericConstraint(FunctionTerm(f, (X,)), ">=", Constant(10.0))
     reachable = NumericConstraint(FunctionTerm(f, (X,)), ">=", Constant(3.0))
     assert relaxed_unsat(too_high, {}, cache)
@@ -218,7 +218,7 @@ def test_dump_lists_vertices_edges_and_reasons():
 # --- static/dynamic split against a reference that evaluates every element ---
 
 
-def _reference_graph(schema, task, state, *, numeric, record, degree):
+def _reference_graph(schema, task, state, *, numeric, record):
     """The graph as defined: every element evaluated on every vertex and pair
     against a full index of the state and range tables rebuilt from it."""
     from lnplan.consistency import (
@@ -227,7 +227,7 @@ def _reference_graph(schema, task, state, *, numeric, record, degree):
     )
     from lnplan.model import free_variables
 
-    index, ranges = AtomIndex(state), AssignmentCache(state, degree)
+    index, ranges = AtomIndex(state), AssignmentCache(state)
     k, objects, n = len(schema.params), task.objects, len(task.objects)
     graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
                              exclusions=[] if record else None)
@@ -296,19 +296,18 @@ def test_static_split_matches_reference_on_random_walks():
     for i in range(50):
         task = random_task(rng, exact=i % 2 == 0, task_id=i)
         for state, _ in walk_states(task, rng, extra=2):
-            for degree in (0, 1, 2):
-                ctx = StateContext(task, state, degree)
-                for schema in task.schemas:
-                    if not schema.params:
-                        continue
-                    for numeric in (True, False):
-                        for record in (True, False):
-                            got = build_graph(schema, ctx, numeric=numeric, record=record)
-                            want = _reference_graph(schema, task, state, numeric=numeric,
-                                                    record=record, degree=degree)
-                            assert _same_graph(got, want), (
-                                task.problem_name, schema.name, degree, numeric, record)
-                            graphs += 1
+            ctx = StateContext(task, state)
+            for schema in task.schemas:
+                if not schema.params:
+                    continue
+                for numeric in (True, False):
+                    for record in (True, False):
+                        got = build_graph(schema, ctx, numeric=numeric, record=record)
+                        want = _reference_graph(schema, task, state, numeric=numeric,
+                                                record=record)
+                        assert _same_graph(got, want), (
+                            task.problem_name, schema.name, numeric, record)
+                        graphs += 1
     assert graphs > 500
 
 
@@ -335,30 +334,8 @@ def test_static_split_pair_elements_on_one_pair_variable():
                          predicates=[q, s_, r], functions=[f])
             for record in (False, True):
                 got = build_graph(schema, StateContext(task, task.init), record=record)
-                want = _reference_graph(schema, task, task.init, numeric=True, record=record,
-                                        degree=2)
+                want = _reference_graph(schema, task, task.init, numeric=True, record=record)
                 assert _same_graph(got, want), (touched, q_bits, s_bits, record)
-
-
-def test_static_tables_are_kept_per_degree():
-    # generators of different degree share one Task object; each must see the
-    # graphs a fresh copy of the task gives at its own degree
-    from lnplan.successors import GeneratorConfig, SuccessorGenerator
-
-    rng = random.Random(31)
-    for i in range(30):
-        task = random_task(rng, exact=False, task_id=i)
-        states = [s for s, _ in walk_states(task, rng, extra=2)]
-        for degree in (2, 0, 1, 2):
-            generator = SuccessorGenerator(task, GeneratorConfig(degree=degree))
-            fresh = _task(task.schemas, task.objects, task.init.atoms, task.init.fluents,
-                          task.predicates, task.functions)
-            for state in states:
-                ctx, fresh_ctx = generator.context(state), StateContext(fresh, state, degree)
-                for schema in task.schemas:
-                    if schema.params:
-                        assert _same_graph(build_graph(schema, ctx, record=True),
-                                           build_graph(schema, fresh_ctx, record=True))
 
 
 def test_effect_touched_symbols_are_never_static(bundled_tasks):

@@ -12,18 +12,35 @@ def test_overapproximation_rounding():
     assert metrics.overapproximation(7, 0) is None
 
 
+def _result(per_expansion, status=search.SOLVED, cost=None, wall_time_s=0.0):
+    """A solve result with the totals search.solve keeps for these expansions."""
+    stats = search.SolveStats(expansions=len(per_expansion),
+                              candidates=sum(c for c, _ in per_expansion),
+                              applicable=sum(a for _, a in per_expansion),
+                              wall_time_s=wall_time_s, per_expansion=list(per_expansion))
+    plan = None if cost is None else [None] * cost  # only its length is read
+    return search.SolveResult(status, plan, None, stats)
+
+
 def test_aggregate_sums_and_ratio():
-    report = metrics.aggregate([(10, 8), (6, 6), (100, 86)], task="t", strategy="numeric",
-                               solved=True, status="solved", wall_time_s=0.5, cost=3)
+    result = _result([(10, 8), (6, 6), (100, 86)], cost=3, wall_time_s=0.5)
+    report = metrics.report_from_result("t", "numeric", result)
+    assert (report.solved, report.status, report.cost, report.wall_time_s) == (
+        True, "solved", 3, 0.5)
     assert report.expansions == 3
     assert report.candidates == 116
     assert report.applicable == 100
     assert report.oa == 1.16
     assert report.per_expansion == [(10, 8), (6, 6), (100, 86)]
+    report = metrics.report_from_result("t", "numeric", result, keep_per_expansion=False)
+    assert report.per_expansion is None and report.candidates == 116
+    assert "per_expansion" not in report.to_json()
 
 
 def test_aggregate_oa_null_without_applicable():
-    report = metrics.aggregate([(0, 0)], task="t", strategy="numeric")
+    result = _result([(0, 0)], status=search.UNSOLVABLE)
+    report = metrics.report_from_result("t", "numeric", result)
+    assert not report.solved and report.cost is None
     assert report.oa is None
     assert report.to_json()["oa"] is None
 
@@ -39,10 +56,9 @@ def test_report_from_result(bundled_tasks):
 
 def test_jsonl_and_csv_roundtrip(tmp_path):
     reports = [
-        metrics.aggregate([(4, 2)], task="a", strategy="numeric", solved=True,
-                          status="solved", wall_time_s=0.01, cost=2),
-        metrics.aggregate([(0, 0)], task="b", strategy="exhaustive", solved=False,
-                          status="unsolvable", wall_time_s=0.02),
+        metrics.report_from_result("a", "numeric", _result([(4, 2)], cost=2, wall_time_s=0.01)),
+        metrics.report_from_result("b", "exhaustive",
+                                   _result([(0, 0)], status=search.UNSOLVABLE, wall_time_s=0.02)),
     ]
     out = tmp_path / "r.jsonl"
     metrics.write_jsonl(reports, out)

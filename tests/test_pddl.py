@@ -237,6 +237,30 @@ def test_non_numbers_stay_rejected(value):
         parse_problem(problem, domain)
 
 
+@pytest.mark.parametrize("expr, written", [("(* (f) 1e300)", "inf"),
+                                           ("(- (* (f) 1e300) (* (f) 1e300))", "nan")],
+                         ids=["inf", "nan"])
+def test_non_finite_init_is_not_written(expr, written):
+    # one step from f = 1e300 overflows; the writer refuses the state as init
+    # instead of printing a number the parser rejects
+    import dataclasses
+
+    from lnplan.model import GroundAction, apply
+
+    domain = parse_domain(f"""
+    (define (domain d)
+      (:functions (f))
+      (:action grow :parameters () :precondition () :effect (assign (f) {expr})))
+    """)
+    task = parse_problem("(define (problem p) (:domain d) (:init (= (f) 1e300)) (:goal (and)))",
+                         domain)
+    state = apply(task.init, GroundAction(task.schemas[0], ()))
+    overflowed = dataclasses.replace(task, init=state)
+    with pytest.raises(ValueError, match=rf"\(f\) = {written}"):
+        write_problem(overflowed)
+    write_problem(task)  # finite values are still written
+
+
 def test_unary_minus_and_nary_plus():
     text = """
     (define (domain d)

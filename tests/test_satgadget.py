@@ -111,7 +111,7 @@ def test_relaxation_never_flags_satisfiable_gadget():
         inst = encode(cnf)
         sat, _ = satisfiable(inst)
         if sat:
-            ranges = AssignmentCache(inst.state, degree=2)
+            ranges = AssignmentCache(inst.state)
             assert not relaxed_unsat(inst.constraint, {}, ranges)
 
 

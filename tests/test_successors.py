@@ -167,23 +167,6 @@ def test_typed_pools_restrict_exhaustive(bundled_tasks):
     assert names == {"c1", "c2"}
 
 
-def test_degree_variations_stay_sound():
-    # lower table degrees weaken pruning but never break the final sets
-    rng = random.Random(606)
-    for i in range(10):
-        task = random_task(rng, exact=rng.random() < 0.5, task_id=i)
-        for state, oracle in walk_states(task, rng, extra=1):
-            want = set(oracle)
-            counts = []
-            for degree in (0, 1, 2, 3):
-                config = GeneratorConfig(strategy=NUMERIC, degree=degree)
-                got, report = SuccessorGenerator(task, config).applicable(state)
-                assert set(got) == want, degree
-                counts.append(report.candidates)
-            # more degree, more pruning power: candidate counts shrink or stay
-            assert counts[0] >= counts[1] >= counts[2] >= counts[3]
-
-
 def test_exact_numeric_generation_no_overapproximation():
     rng = random.Random(505)
     for i in range(25):
