@@ -8,7 +8,9 @@ EMPTY when no such ground term exists).
 
 Only bindings witnessed by some ground term are stored; a missing key reads
 as EMPTY, which is equivalent to initializing every binding to the empty
-interval up front.
+interval up front. A NaN value is left out: it satisfies no comparison, so
+no binding that reads it can satisfy a constraint, and a fully bound term
+whose value is NaN reads EMPTY, as exact evaluation agrees.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def build_assignment_set(
     bounds: dict[tuple, list[float]] = {}
     top = min(degree, function.arity)
     for term, value in fluent_items:
+        if value != value:
+            continue  # NaN satisfies no comparison, and would pin the hull
         args = term.args
         for size in range(top + 1):
             for positions in itertools.combinations(range(function.arity), size):

@@ -20,11 +20,13 @@ from .model import Task
 from .pddl import ParseError, load_task, parse_domain
 from .successors import (
     DEFAULT_GROUND_CAP,
+    NUMERIC,
     GeneratorConfig,
     GroundLimitError,
     STRATEGIES,
     SuccessorGenerator,
     ground_all,
+    residual_check,
 )
 
 EXIT_OK = 0
@@ -225,6 +227,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# what can fail, per flag of a model.EffectCheck
+_EFFECT_FAILURES = ("expression may be undefined", "divisor may be 0",
+                    "target may be undefined", "may conflict with another effect")
+
+
 def cmd_check_exactness(args) -> int:
     with open(args.domain) as fh:
         domain = parse_domain(fh.read(), args.domain)
@@ -234,6 +241,11 @@ def cmd_check_exactness(args) -> int:
     else:
         for schema, element, why in violations:
             print(f"exactness NOT guaranteed: {schema}/{element} ({why})")
+    # with no problem, no fluent is known to be defined
+    for schema in domain.schemas:
+        for check in residual_check(schema, NUMERIC).effects:
+            what = "; ".join(text for flag, text in zip(check[1:], _EFFECT_FAILURES) if flag)
+            print(f"effect condition checked: {schema.name}/{check.effect!r} ({what})")
     return EXIT_OK
 
 

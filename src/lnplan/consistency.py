@@ -540,6 +540,27 @@ def _survivors(rules: _Rules, var: Variable, mask: int, objects: tuple[Object, .
     return mask
 
 
+def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:
+    """(element, why) for each precondition element that breaks the
+    exactness conditions.
+
+    The graph decides a precondition element exactly when it mentions at
+    most two variables and, for a constraint, every function it uses has
+    arity at most two.
+    """
+    for lit in schema.pre_literals:
+        arity = len(free_variables(lit))
+        if arity > 2:
+            yield lit, f"literal with {arity} variables"
+    for con in schema.pre_constraints:
+        arity = len(free_variables(con))
+        if arity > 2:
+            yield con, f"constraint with {arity} variables"
+        for fn in sorted({t.function for t in function_terms(con)}, key=lambda f: f.name):
+            if fn.arity > 2:
+                yield con, f"function {fn.name} of arity {fn.arity}"
+
+
 def exactness_violations(domain) -> list[tuple[str, str, str]]:
     """(schema, element, why) entries that break the exactness conditions.
 
@@ -547,19 +568,6 @@ def exactness_violations(domain) -> list[tuple[str, str, str]]:
     constraint mentions at most two variables and every function used in a
     precondition constraint has arity at most two.
     """
-    out = []
-    for schema in domain.schemas:
-        for lit in schema.pre_literals:
-            arity = len(free_variables(lit))
-            if arity > 2:
-                out.append((schema.name, repr(lit), f"literal with {arity} variables"))
-        for con in schema.pre_constraints:
-            arity = len(free_variables(con))
-            if arity > 2:
-                out.append((schema.name, repr(con), f"constraint with {arity} variables"))
-            for fn in sorted({t.function for t in function_terms(con)},
-                             key=lambda f: f.name):
-                if fn.arity > 2:
-                    out.append((schema.name, repr(con),
-                                f"function {fn.name} of arity {fn.arity}"))
-    return out
+    return [(schema.name, repr(element), why)
+            for schema in domain.schemas
+            for element, why in schema_violations(schema)]

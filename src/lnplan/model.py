@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 EQUALITY_NAME = "="
 
@@ -306,6 +307,43 @@ class ActionSchema:
     def arity(self) -> int:
         return len(self.params)
 
+    @cached_property
+    def conditions(self) -> Check:
+        """Every applicability condition of the schema, as `_failure` walks them."""
+        return Check(
+            self.pre_literals,
+            self.pre_constraints,
+            tuple(EffectCheck(eff, True, eff.op == SCALE_DOWN, eff.op != ASSIGN, True)
+                  for eff in self.eff_numeric),
+        )
+
+
+class EffectCheck(NamedTuple):
+    """The conditions `_failure` checks for one numeric effect, one flag each."""
+
+    effect: NumericEffect
+    defined: bool  # the expression has a value
+    nonzero: bool  # the value is not 0 (a /= divisor)
+    target: bool  # the target has a value (updating operators)
+    conflict: bool  # no other effect writes the target with an incompatible operator
+
+
+@dataclass(frozen=True)
+class Check:
+    """What `_failure` checks of an action: a subset of its schema's conditions.
+
+    `ActionSchema.conditions` is the full set. A successor generator passes a
+    smaller one, which leaves out what its candidates are known to satisfy.
+    An empty check is false.
+    """
+
+    literals: tuple[Literal, ...] = ()
+    constraints: tuple[NumericConstraint, ...] = ()
+    effects: tuple[EffectCheck, ...] = ()
+
+    def __bool__(self) -> bool:
+        return bool(self.literals or self.constraints or self.effects)
+
 
 class State:
     """Immutable state: true ground atoms plus defined ground fluent values."""
@@ -546,37 +584,43 @@ def constraint_holds(state: State, constraint: NumericConstraint,
 # --- applicability and successors ---
 
 
-def _failure(state: State, action: GroundAction, tolerance: float):
+def _failure(state: State, action: GroundAction, tolerance: float,
+             check: Optional[Check] = None):
     """The first applicability condition the action fails, or None.
 
     The conditions, in order: precondition literals and constraints, effect
     expression definedness (including the target for updating operators and
-    a nonzero divisor for /=), and per-target effect compatibility. The
-    tolerance loosens precondition comparisons only. A failure is a
-    (reason, element) pair: the words that precede the element in
-    applicability_failure's text, and the failing element. No text is built
-    here, because the successor filter sees a failure for most candidates
-    under some strategies.
+    a nonzero divisor for /=), and per-target effect compatibility. `check`
+    selects which of them to walk, all of them by default. The tolerance
+    loosens precondition comparisons only. A failure is a (reason, element)
+    pair: the words that precede the element in applicability_failure's
+    text, and the failing element. No text is built here, because the
+    successor filter sees a failure for most candidates under some
+    strategies.
     """
-    schema = action.schema
+    if check is None:
+        check = action.schema.conditions
     binding = action.binding_map()
-    for lit in schema.pre_literals:
+    for lit in check.literals:
         if not literal_holds(state, lit, binding):
             return "precondition literal does not hold:", lit
-    for con in schema.pre_constraints:
+    for con in check.constraints:
         if not constraint_holds(state, con, binding, tolerance):
             return "precondition constraint does not hold:", con
     per_target: dict[FunctionTerm, list[str]] = {}
-    for eff in schema.eff_numeric:
-        value = expr_value(state, eff.expr, binding)
-        if value is None:
-            return "effect expression undefined:", eff
-        target = ground_function_term(eff.target, binding)
-        if eff.op != ASSIGN and target not in state.fluents:
-            return "effect target undefined:", target
-        if eff.op == SCALE_DOWN and value == 0.0:
+    for eff, defined, nonzero, target_defined, conflict in check.effects:
+        if defined or nonzero:
+            value = expr_value(state, eff.expr, binding)
+            if value is None:
+                return "effect expression undefined:", eff
+        if target_defined or conflict:
+            target = ground_function_term(eff.target, binding)
+            if target_defined and target not in state.fluents:
+                return "effect target undefined:", target
+        if nonzero and value == 0.0:
             return "effect divides by zero:", eff
-        per_target.setdefault(target, []).append(eff.op)
+        if conflict:
+            per_target.setdefault(target, []).append(eff.op)
     for target, ops in per_target.items():
         if len(ops) > 1:
             group = set(ops)
@@ -585,9 +629,12 @@ def _failure(state: State, action: GroundAction, tolerance: float):
     return None
 
 
-def is_applicable(state: State, action: GroundAction) -> bool:
-    """Exact applicability test; see applicability_failure for the reason."""
-    return _failure(state, action, 0.0) is None
+def is_applicable(state: State, action: GroundAction, check: Optional[Check] = None) -> bool:
+    """Exact applicability test; see applicability_failure for the reason.
+
+    With a `check`, only the conditions it holds are tested (see `_failure`).
+    """
+    return _failure(state, action, 0.0, check) is None
 
 
 def applicability_failure(state: State, action: GroundAction,

@@ -8,25 +8,53 @@ Strategies:
                  per state
 
 Every strategy streams candidate ground actions that are then passed through
-the exact applicability check, so all four agree on the final set; they
-differ only in how many candidates they touch, which the CandidateReport
-records per expansion.
+an exact filter, so all four agree on the final set; they differ only in how
+many candidates they touch, which the CandidateReport records per expansion.
+
+The filter checks only what a strategy leaves undecided. Per schema and
+strategy, `residual_check` compiles the applicability conditions that one of
+its candidates can still fail, once per generator (on first use): the
+precondition elements the strategy does not decide (for `numeric`, those
+outside the paper's exactness conditions) and the effect conditions that no
+static argument rules out. A schema whose residual is empty costs no filter
+call. The residual relies on the graph's contract: a state agrees with the
+task's initial state on static atoms and fluents, and defines every fluent
+the initial state defines. Every reachable state does, since no effect
+removes a static atom or undefines a fluent.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .cliques import iter_cliques
-from .consistency import StateContext, build_graph
+from .consistency import StateContext, TaskStatics, build_graph, schema_violations, task_statics
 from .model import (
+    ADDITIVE_OPS,
+    ASSIGN,
+    MULTIPLICATIVE_OPS,
+    SCALE_DOWN,
     ActionSchema,
+    Check,
+    Constant,
+    EffectCheck,
+    Expr,
+    FunctionTerm,
     GroundAction,
+    Literal,
+    NumericConstraint,
+    Object,
     State,
     Task,
+    Variable,
     constraint_holds,
+    expr_value,
+    function_terms,
     is_applicable,
     literal_holds,
     static_function_names,  # re-exported: the one definition of "static"
@@ -116,6 +144,137 @@ def _param_types(schema: ActionSchema) -> tuple[Optional[str], ...]:
     return (None,) * len(schema.params)
 
 
+def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str]
+                            ) -> tuple[tuple[Literal, ...], tuple[NumericConstraint, ...]]:
+    """The precondition literals and constraints that a candidate of the
+    strategy can still fail; `static` names the static predicates.
+
+    - numeric: the elements outside the exactness conditions
+      (`consistency.schema_violations`), which the graph only
+      overapproximates. A schema without parameters has none, because
+      `candidates` evaluates its preconditions.
+    - propositional: those elements plus every constraint.
+    - grounded: the literals on dynamic predicates plus every constraint;
+      `ground_all` keeps only bindings whose static literals hold.
+    - exhaustive: every element.
+    """
+    literals, constraints = schema.pre_literals, schema.pre_constraints
+    if strategy == EXHAUSTIVE:
+        return literals, constraints
+    if strategy == GROUNDED:
+        return tuple(lit for lit in literals if lit.atom.predicate.name not in static), constraints
+    undecided = {element for element, _ in schema_violations(schema)} if schema.params else set()
+    if strategy == PROPOSITIONAL:
+        undecided.update(constraints)
+    return (tuple(lit for lit in literals if lit in undecided),
+            tuple(con for con in constraints if con in undecided))
+
+
+def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None
+                     ) -> tuple[EffectCheck, ...]:
+    """The effect conditions that an action of the schema whose preconditions
+    hold can still fail, in any state reachable from the initial state.
+
+    A condition is left out only when a static argument rules its failure
+    out:
+    - a /= by a constant expression with a nonzero value cannot divide by 0;
+    - an expression of constants and always-defined terms, in which every
+      divisor is such a constant expression, is defined;
+    - a term is always defined when the initial state defines its function
+      for every object tuple that the schema's static unary preconditions
+      (its parameter types, among them) allow, because no effect undefines a
+      fluent;
+    - effects on one function that are all additive or all multiplicative,
+      or that are the only effect on it, cannot conflict.
+    Without `statics` (a domain with no problem) no term counts as defined.
+    """
+    defined = _always_defined_terms(schema, statics)
+    ops: dict[str, list[str]] = {}
+    for eff in schema.eff_numeric:
+        ops.setdefault(eff.target.function.name, []).append(eff.op)
+    out = []
+    for eff in schema.eff_numeric:
+        group = set(ops[eff.target.function.name])
+        check = EffectCheck(
+            eff,
+            defined=not _always_defined(eff.expr, defined),
+            nonzero=eff.op == SCALE_DOWN and not _nonzero_constant(eff.expr),
+            target=eff.op != ASSIGN and not defined(eff.target),
+            conflict=len(ops[eff.target.function.name]) > 1
+            and not (group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS),
+        )
+        if any(check[1:]):
+            out.append(check)
+    return tuple(out)
+
+
+def residual_check(schema: ActionSchema, strategy: str,
+                   statics: Optional[TaskStatics] = None) -> Check:
+    """What the exact filter must still check of the strategy's candidates
+    for the schema (see `undecided_preconditions` and `fallible_effects`).
+
+    Without `statics` (a domain with no problem) every predicate counts as
+    dynamic and no term as defined.
+    """
+    static = statics.predicates if statics is not None else frozenset()
+    return Check(*undecided_preconditions(schema, strategy, static),
+                 fallible_effects(schema, statics))
+
+
+_NO_STATE = State((), {})
+
+
+def _nonzero_constant(expr: Expr) -> bool:
+    """Is the expression free of function terms, with a value other than 0?"""
+    if next(function_terms(expr), None) is not None:
+        return False
+    value = expr_value(_NO_STATE, expr)
+    return value is not None and value != 0.0
+
+
+def _always_defined(expr: Expr, defined) -> bool:
+    if isinstance(expr, Constant):
+        return True
+    if isinstance(expr, FunctionTerm):
+        return defined(expr)
+    if expr.op == "/" and not _nonzero_constant(expr.right):
+        return False
+    return _always_defined(expr.left, defined) and _always_defined(expr.right, defined)
+
+
+def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics]):
+    """A test of whether a function term of the schema is defined under every
+    binding that satisfies the schema's preconditions, in every state
+    reachable from the initial state."""
+    if statics is None:
+        return lambda term: False
+    init = statics.init
+    counts = Counter(term.function.name for term in init.fluents)
+    extents: dict[str, set[Object]] = {}  # unary predicate -> objects, in init
+
+    def pool(var: Variable) -> set[Object]:
+        # the objects the variable's static unary preconditions allow
+        types = {lit.atom.predicate.name for lit in schema.pre_literals
+                 if lit.positive and lit.atom.args == (var,)
+                 and lit.atom.predicate.name in statics.predicates}
+        if types and not extents:
+            for atom in init.atoms:
+                if len(atom.args) == 1:
+                    extents.setdefault(atom.predicate.name, set()).add(atom.args[0])
+        return set(statics.objects).intersection(*(extents.get(name, ()) for name in types))
+
+    def defined(term: FunctionTerm) -> bool:
+        # positions are filled independently, which asks for more tuples than
+        # a repeated variable needs and so stays sound
+        pools = [(arg,) if type(arg) is Object else pool(arg) for arg in term.args]
+        if counts[term.function.name] < math.prod(map(len, pools)):
+            return False
+        return all(FunctionTerm(term.function, args) in init.fluents
+                   for args in itertools.product(*pools))
+
+    return defined
+
+
 class SuccessorGenerator:
     """Per-task generator; builds the grounded store once when needed."""
 
@@ -125,6 +284,14 @@ class SuccessorGenerator:
         self.store: Optional[GroundStore] = (
             ground_all(task, config.ground_cap) if config.strategy == GROUNDED else None
         )
+
+    @cached_property
+    def checks(self) -> tuple[tuple[ActionSchema, Optional[Check]], ...]:
+        """Each schema with its residual check, or None when the residual is
+        empty; compiled on first use, like the graph plans."""
+        statics = task_statics(self.task)
+        return tuple((schema, residual_check(schema, self.config.strategy, statics) or None)
+                     for schema in self.task.schemas)
 
     def context(self, state: State) -> StateContext:
         return StateContext(self.task, state)
@@ -162,15 +329,20 @@ class SuccessorGenerator:
 
     def applicable(self, state: State, ctx: Optional[StateContext] = None
                    ) -> tuple[list[GroundAction], CandidateReport]:
-        """Exactly the applicable ground actions, plus candidate accounting."""
+        """Exactly the applicable ground actions, plus candidate accounting.
+
+        Each candidate is filtered by its schema's residual check only, so the
+        state must be one the residual is compiled for (see the module
+        docstring): any state reachable from the task's initial state.
+        """
         if ctx is None and self.config.strategy in (NUMERIC, PROPOSITIONAL, EXHAUSTIVE):
             ctx = self.context(state)
         report = CandidateReport()
         out: list[GroundAction] = []
-        for schema in self.task.schemas:
+        for schema, check in self.checks:
             for action in self.candidates(schema, state, ctx):
                 report.candidates += 1
-                if is_applicable(state, action):
+                if check is None or is_applicable(state, action, check):
                     out.append(action)
         report.applicable = len(out)
         return out, report

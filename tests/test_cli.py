@@ -164,6 +164,27 @@ def test_check_exactness_flags_high_arity(capsys):
     assert "3 variables" in out
 
 
+def test_check_exactness_lists_effect_conditions(tmp_path, capsys):
+    domain = tmp_path / "domain.pddl"
+    domain.write_text(
+        "(define (domain d) (:requirements :numeric-fluents)"
+        " (:functions (v ?x) (w ?x))"
+        " (:action shrink :parameters (?x) :effect (scale-down (v ?x) (w ?x)))"
+        " (:action set :parameters (?x) :effect (assign (w ?x) 2))"
+        " (:action reset :parameters (?x ?y)"
+        "  :effect (and (assign (v ?x) 0) (increase (v ?y) 1))))"
+    )
+    assert main(["check-exactness", "--domain", str(domain)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "exactness guaranteed: all precondition elements have arity <= 2",
+        "effect condition checked: shrink/(/= (v ?x) (w ?x)) (expression may be"
+        " undefined; divisor may be 0; target may be undefined)",
+        "effect condition checked: reset/(:= (v ?x) 0) (may conflict with another effect)",
+        "effect condition checked: reset/(+= (v ?y) 1) (target may be undefined;"
+        " may conflict with another effect)",
+    ]
+
+
 def test_exactness_verdict_predicts_perfect_ratio(bundled_tasks):
     # whenever the static scan reports no violations, a numeric-strategy run
     # must emit exactly as many candidates as applicable actions, per expansion

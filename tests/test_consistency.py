@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 from taskgen import random_task, walk_states
@@ -63,6 +64,29 @@ def test_relaxed_unsat_examples():
     g = FunctionSymbol("g", 1)
     empty_side = NumericConstraint(FunctionTerm(g, (X,)), "=", Constant(0.0))
     assert relaxed_unsat(empty_side, {}, cache)
+
+
+def test_point_relaxation_agrees_with_exact_evaluation_on_non_finite_values():
+    # the residual filter trusts the graph on exact schemas, so a fully bound
+    # element must be refuted exactly when exact evaluation says it fails,
+    # including inf - inf, 0 * inf, inf / inf and x / 0
+    f = FunctionSymbol("f", 1)
+    values = (-math.inf, -1.0, 0.0, 2.5, math.inf, math.nan)
+    objects = [Object(f"o{i}") for i in range(len(values))]
+    state = State([], {FunctionTerm(f, (o,)): v for o, v in zip(objects, values)})
+    ranges = AssignmentCache(state)
+    fx, fy = FunctionTerm(f, (X,)), FunctionTerm(f, (Y,))
+    sides = [fx] + [BinaryExpr(op, fx, fy) for op in "+-*/"]
+    others = [fy, Constant(0.0), Constant(1.0), BinaryExpr("/", fy, Constant(0.0))]
+    checked = 0
+    for ox, oy in itertools.product(objects, repeat=2):
+        binding = {X: ox, Y: oy}
+        for lhs, rhs, cmp in itertools.product(sides, others, ("=", "<", ">", "<=", ">=")):
+            con = NumericConstraint(lhs, cmp, rhs)
+            holds = constraint_holds(state, con, binding)
+            assert relaxed_unsat(con, binding, ranges) == (not holds), (con, ox, oy)
+            checked += holds
+    assert checked > 0
 
 
 def test_build_graph_positive_edges():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from lnplan.model import (
     Constant,
     FunctionSymbol,
     FunctionTerm,
+    GroundAction,
     Literal,
     NumericConstraint,
     Object,
@@ -17,7 +19,9 @@ from lnplan.model import (
     State,
     Task,
     Variable,
+    apply,
 )
+from lnplan.pddl import parse_task
 from lnplan.successors import (
     EXHAUSTIVE,
     GROUNDED,
@@ -174,3 +178,36 @@ def test_exact_numeric_generation_no_overapproximation():
         for state, oracle in walk_states(task, rng, extra=1):
             _, report = SuccessorGenerator(task, GeneratorConfig(strategy=NUMERIC)).applicable(state)
             assert report.candidates == report.applicable == len(oracle)
+
+
+NAN_DOMAIN = """(define (domain nan)
+  (:requirements :strips :numeric-fluents)
+  (:predicates (p ?x))
+  (:functions (h ?x))
+  (:action blow :parameters (?x) :precondition (p ?x) :effect (scale-up (h ?x) 1e300))
+  (:action zap :parameters (?x) :precondition (p ?x)
+    :effect (assign (h ?x) (- (h ?x) (h ?x))))
+  (:action use :parameters (?x ?y ?z)
+    :precondition (and (p ?x) (p ?y) (p ?z) (>= (+ (h ?x) (h ?y)) 1))))"""
+
+NAN_PROBLEM = """(define (problem nan-1) (:domain nan)
+  (:objects a b c)
+  (:init (p a) (p b) (p c) (= (h a) 1e300) (= (h b) 5) (= (h c) 5))
+  (:goal (and (p a))))"""
+
+
+def test_nan_fluent_keeps_numeric_candidates():
+    # h a overflows to inf and then becomes inf - inf = NaN; a NaN seen first
+    # used to pin the range table's hull of h at [nan, nan], which refuted
+    # every pair edge of `use` that left ?y unbound
+    task = parse_task(NAN_DOMAIN, NAN_PROBLEM)
+    state = task.init
+    for name in ("blow", "zap"):
+        state = apply(state, GroundAction(task.schema(name), (A,)))
+    assert math.isnan(state.fluents[FunctionTerm(task.function("h"), (A,))])
+    got = {}
+    for strategy in STRATEGIES:
+        generator = SuccessorGenerator(task, GeneratorConfig(strategy=strategy))
+        got[strategy] = {a for a in generator.applicable(state)[0] if a.schema.name == "use"}
+    assert len(got[NUMERIC]) == 12  # ?x, ?y in {b, c}, any ?z
+    assert all(actions == got[NUMERIC] for actions in got.values())
