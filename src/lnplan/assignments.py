@@ -1,7 +1,7 @@
 """Range tables for fluent values under partial argument bindings.
 
 For a function symbol F and a state, the table maps each partial binding of
-up to `degree` argument positions to the hull of the values of all ground
+up to DEGREE argument positions to the hull of the values of all ground
 terms of F that agree with the binding. Fixing more positions never widens
 the interval, and at full arity the entry collapses to the exact value (or to
 EMPTY when no such ground term exists).
@@ -31,22 +31,21 @@ DEGREE = 2
 class AssignmentSet:
     """Per-symbol map from partial position bindings to value intervals."""
 
-    __slots__ = ("function", "degree", "table")
+    __slots__ = ("function", "table")
 
-    def __init__(self, function: FunctionSymbol, degree: int, table: dict):
+    def __init__(self, function: FunctionSymbol, table: dict):
         self.function = function
-        self.degree = degree
         self.table = table
 
     def lookup(self, binding: PosBinding) -> Interval:
         """Interval for the binding; EMPTY when no ground term matches.
 
-        Querying more than `degree` fixed positions violates the table's
+        Querying more than DEGREE fixed positions violates the table's
         construction contract and raises.
         """
-        if len(binding) > self.degree:
+        if len(binding) > DEGREE:
             raise ValueError(
-                f"lookup with {len(binding)} fixed positions exceeds degree {self.degree}"
+                f"lookup with {len(binding)} fixed positions exceeds degree {DEGREE}"
             )
         key = tuple(sorted(binding.items()))
         return self.table.get(key, EMPTY)
@@ -55,17 +54,14 @@ class AssignmentSet:
 def build_assignment_set(
     function: FunctionSymbol,
     state: State,
-    degree: int,
     fluent_items=None,
 ) -> AssignmentSet:
     """Scan the state's ground terms of `function` and fold values per binding.
 
     One pass over the n ground terms; each contributes to every subset of at
-    most `degree` of its positions, so construction is O(n * k^degree) with
+    most DEGREE of its positions, so construction is O(n * k^DEGREE) with
     k = ar(function).
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
     if fluent_items is None:
         fluent_items = [
             (term, value)
@@ -73,7 +69,7 @@ def build_assignment_set(
             if term.function.name == function.name
         ]
     bounds: dict[tuple, list[float]] = {}
-    top = min(degree, function.arity)
+    top = min(DEGREE, function.arity)
     for term, value in fluent_items:
         if value != value:
             continue  # NaN satisfies no comparison, and would pin the hull
@@ -90,15 +86,15 @@ def build_assignment_set(
                     if value > cur[1]:
                         cur[1] = value
     table = {key: Interval(lo, hi) for key, (lo, hi) in bounds.items()}
-    return AssignmentSet(function, degree, table)
+    return AssignmentSet(function, table)
 
 
 class AssignmentCache:
     """Lazy per-state cache of assignment sets, one per function symbol.
 
-    Buckets the state's fluents by symbol once, then builds each table, of
-    degree DEGREE, on first use. Concurrent first uses are safe: setdefault
-    keeps a single winner and the loser's table is discarded.
+    Buckets the state's fluents by symbol once, then builds each table on
+    first use. Concurrent first uses are safe: setdefault keeps a single
+    winner and the loser's table is discarded.
 
     `static` maps the names of functions no effect writes to a cache over the
     initial state. Their tables are the same in every reachable state, so
@@ -127,7 +123,5 @@ class AssignmentCache:
         if shared is not None:
             built = shared.get(function)
         else:
-            built = build_assignment_set(
-                function, self.state, DEGREE, self._bucket(function.name)
-            )
+            built = build_assignment_set(function, self.state, self._bucket(function.name))
         return self._sets.setdefault(function.name, built)

@@ -52,9 +52,9 @@ def _add_task_args(p):
 
 
 def _add_generator_args(p):
-    p.add_argument("--generator", default="numeric", choices=STRATEGIES,
-                   help="candidate generation strategy (default: numeric)")
-    p.add_argument("--ground-cap", type=int, default=1_000_000,
+    p.add_argument("--generator", default=NUMERIC, choices=STRATEGIES,
+                   help=f"candidate generation strategy (default: {NUMERIC})")
+    p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP,
                    help="abort grounding beyond this many actions")
 
 
@@ -83,13 +83,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ground", help="precompute the ground-action store")
     _add_task_args(p)
-    p.add_argument("--ground-cap", type=int, default=1_000_000)
+    p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP)
     p.add_argument("--list", action="store_true", help="print every stored action")
 
     p = sub.add_parser("bench", help="run a task suite under several strategies")
     p.add_argument("--suite", required=True,
                    help="directory scanned for domain.pddl plus problem*.pddl pairs")
-    p.add_argument("--strategies", default="numeric,propositional,exhaustive,grounded",
+    p.add_argument("--strategies", default=",".join(STRATEGIES),
                    help="comma-separated strategy list")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--mem-limit", type=float, default=None)
@@ -171,13 +171,8 @@ def cmd_successors(args) -> int:
     ctx = generator.context(task.init)
     if args.dump_graph:
         for schema in task.schemas:
-            if schema.params:
-                graph = build_graph(schema, ctx,
-                                    numeric=config.strategy == "numeric", record=True)
-                print(graph.dump())
-            else:
-                print(f"graph {schema.name} k=0 objects={len(task.objects)}"
-                      " (decided by direct ground evaluation)")
+            print(build_graph(schema, ctx, numeric=config.strategy == NUMERIC,
+                              record=True).dump())
     actions, report = generator.applicable(task.init, ctx)
     for action in actions:
         print(action.pddl())

@@ -17,9 +17,10 @@ from .consistency import ConsistencyGraph
 def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
     """All k-cliques of the graph, each exactly once."""
     k = graph.k
-    if graph.empty or k == 0:
+    if graph.empty or any(mask == 0 for mask in graph.alive):
         return
-    if any(mask == 0 for mask in graph.alive):
+    if k == 0:
+        yield ()
         return
     n = graph.n_objects
     if k == 1:

@@ -3,11 +3,14 @@
 Vertices are variable/object pairs, one partition per schema parameter.
 A pair of vertices from distinct partitions is connected unless some
 precondition element refutes it: a positive atom that matches no state atom
-under the pair's binding, a negative atom that becomes a state atom, or a
-numeric constraint that the interval relaxation proves unsatisfiable under
-every extension of the pair. Elements with a single free variable prune
-vertices instead (the unary specialization of the same rules), and elements
-with no free variables short-circuit the whole graph.
+under the pair's binding (`AtomIndex.match_exists`), a negative atom, bound
+in full, that matches one, or a numeric constraint that the interval
+relaxation proves unsatisfiable under every extension of the pair
+(`relaxed_unsat`). Elements with a single free variable prune vertices
+instead (the unary specialization of the same rules), and elements with no
+free variables short-circuit the whole graph; a schema without parameters
+gets a graph that is empty or holds just the empty clique, exact on
+functions of arity at most two.
 
 The numeric rules can be switched off to obtain the purely propositional
 graph; the final applicability filter downstream restores exactness in
@@ -56,7 +59,6 @@ from .model import (
     Variable,
     free_variables,
     function_terms,
-    ground_atom,
     static_function_names,
     static_predicate_names,
 )
@@ -259,15 +261,6 @@ class ConsistencyGraph:
         return "\n".join(lines)
 
 
-def _negative_violated(atom: Atom, binding: Mapping[Variable, Object], state: State) -> bool:
-    # the fully ground negative atom contradicts the state
-    if atom.predicate.name == EQUALITY_NAME:
-        left = atom.args[0] if type(atom.args[0]) is Object else binding[atom.args[0]]
-        right = atom.args[1] if type(atom.args[1]) is Object else binding[atom.args[1]]
-        return left == right
-    return ground_atom(atom, binding) in state.atoms
-
-
 _NO_BINDING: Mapping[Variable, Object] = {}
 _STATIC = "static"  # group key of the static elements in a plan
 
@@ -292,14 +285,14 @@ class _Rules:
     def __bool__(self) -> bool:
         return bool(self.pos or self.neg or self.con)
 
-    def refute(self, binding: Mapping[Variable, Object], index: AtomIndex, state: State,
+    def refute(self, binding: Mapping[Variable, Object], index: AtomIndex,
                ranges: AssignmentCache) -> Optional[str]:
         """The first rule that refutes the binding, or None."""
         for atom in self.pos:
             if not index.match_exists(atom, binding):
                 return POSITIVE_MISS
         for atom in self.neg:
-            if _negative_violated(atom, binding, state):
+            if index.match_exists(atom, binding):
                 return NEGATIVE_HIT
         for con in self.con:
             if relaxed_unsat(con, binding, ranges):
@@ -307,14 +300,11 @@ class _Rules:
         return None
 
 
-def _ground_fails(reason: str, element, index: AtomIndex, state: State,
-                  ranges: AssignmentCache) -> bool:
+def _ground_fails(reason: str, element, index: AtomIndex, ranges: AssignmentCache) -> bool:
     """Does the element, with no variable bound, refute every binding?"""
-    if reason == POSITIVE_MISS:
-        return not index.match_exists(element, _NO_BINDING)
-    if reason == NEGATIVE_HIT:
-        return _negative_violated(element, _NO_BINDING, state)
-    return relaxed_unsat(element, _NO_BINDING, ranges)
+    if reason == NUMERIC_UNSAT:
+        return relaxed_unsat(element, _NO_BINDING, ranges)
+    return index.match_exists(element, _NO_BINDING) == (reason == NEGATIVE_HIT)
 
 
 class _Plan:
@@ -340,7 +330,7 @@ class _Plan:
         self.schema = schema
         objects = statics.objects
         preds, funcs = statics.predicates, statics.functions
-        env = (statics.index, statics.init, statics.init_ranges)
+        env = (statics.index, statics.init_ranges)
 
         pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
         neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
@@ -461,8 +451,6 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
                 record: bool = False) -> ConsistencyGraph:
     """Construct the consistency graph; `numeric` toggles the constraint rules."""
     k = len(schema.params)
-    if k < 1:
-        raise ValueError("consistency graphs require at least one parameter")
     objects = ctx.objects
     n = len(objects)
     graph = ConsistencyGraph(
@@ -474,7 +462,7 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     )
     plan = ctx.statics.plan(schema, numeric, record)
     # a record plan has no static part, so it needs every predicate indexed
-    env = (AtomIndex(ctx.state) if record else ctx.index, ctx.state, ctx.ranges)
+    env = (AtomIndex(ctx.state) if record else ctx.index, ctx.ranges)
 
     # elements with no variable bound decide the whole graph
     for reason, element in plan.ground:

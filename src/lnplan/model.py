@@ -391,7 +391,7 @@ class Task:
     metric: Optional[tuple[str, Expr]] = None  # parsed but ignored by blind search
     # data derived from the task on first use (see consistency.task_statics);
     # not part of the task's identity
-    derived: dict = field(default_factory=dict, init=False, repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def predicate(self, name: str) -> PredicateSymbol:
         if name == EQUALITY_NAME:
@@ -415,22 +415,6 @@ class Task:
         ):
             if len(index) != len(group):
                 raise ValueError(f"duplicate {label} names in task")
-
-    def __eq__(self, other):
-        if type(other) is not Task:
-            return NotImplemented
-        return (
-            self.domain_name == other.domain_name
-            and self.problem_name == other.problem_name
-            and self.predicates == other.predicates
-            and self.functions == other.functions
-            and self.schemas == other.schemas
-            and self.objects == other.objects
-            and self.init == other.init
-            and self.goal_literals == other.goal_literals
-            and self.goal_constraints == other.goal_constraints
-            and self.metric == other.metric
-        )
 
 
 def static_predicate_names(task: Task) -> frozenset[str]:
@@ -622,11 +606,16 @@ def _failure(state: State, action: GroundAction, tolerance: float,
         if conflict:
             per_target.setdefault(target, []).append(eff.op)
     for target, ops in per_target.items():
-        if len(ops) > 1:
-            group = set(ops)
-            if not (group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS):
-                return "conflicting effects on", target
+        if not effects_compatible(ops):
+            return "conflicting effects on", target
     return None
+
+
+def effects_compatible(ops: list[str]) -> bool:
+    """Can effects with these operators share one target? Only a single
+    effect, or effects that are all additive or all multiplicative."""
+    group = set(ops)
+    return len(ops) < 2 or group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS
 
 
 def is_applicable(state: State, action: GroundAction, check: Optional[Check] = None) -> bool:
@@ -699,9 +688,11 @@ def apply_effects(state: State, action: GroundAction) -> State:
     return State(atoms, fluents)
 
 
-def goal_satisfied(state: State, task: Task) -> bool:
+def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:
+    """Does the state satisfy the goal? The tolerance loosens the goal's
+    comparisons as in constraint_holds."""
     return all(literal_holds(state, lit) for lit in task.goal_literals) and all(
-        constraint_holds(state, con) for con in task.goal_constraints
+        constraint_holds(state, con, tolerance=tolerance) for con in task.goal_constraints
     )
 
 

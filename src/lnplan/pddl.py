@@ -393,6 +393,8 @@ class _Scope:
 
 
 def _parse_atom(node: ListNode, scope: _Scope, predicates: dict) -> Atom:
+    if not node:
+        raise ParseError(node.span, "expected an atom")
     name_tok = _require_token(node[0], "predicate name")
     args = tuple(scope.term(_require_token(t, "term")) for t in node[1:])
     if name_tok.text == EQUALITY_NAME:
@@ -411,6 +413,8 @@ def _parse_atom(node: ListNode, scope: _Scope, predicates: dict) -> Atom:
 
 
 def _parse_function_term(node: ListNode, scope: _Scope, functions: dict) -> FunctionTerm:
+    if not node:
+        raise ParseError(node.span, "expected a function term")
     name_tok = _require_token(node[0], "function name")
     sym = functions.get(name_tok.text)
     if sym is None:
@@ -475,9 +479,9 @@ def _parse_condition(node: Node, scope: _Scope, predicates: dict, functions: dic
         if len(node) != 2 or not isinstance(node[1], ListNode):
             raise ParseError(head.span, "'not' takes a single atom")
         inner = node[1]
-        inner_head = _require_token(inner[0], "atom head")
-        if inner_head.text in _COMPARISONS and not (inner_head.text == EQUALITY_NAME and _is_object_equality(inner)):
-            raise ParseError(inner_head.span, "negated numeric constraints are not supported")
+        inner_head = _head_text(inner)
+        if inner_head in _COMPARISONS and not (inner_head == EQUALITY_NAME and _is_object_equality(inner)):
+            raise ParseError(inner[0].span, "negated numeric constraints are not supported")
         literals.append(Literal(_parse_atom(inner, scope, predicates), positive=False))
         return
     if head.text in _COMPARISONS and not (head.text == EQUALITY_NAME and _is_object_equality(node)):
@@ -607,10 +611,12 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     metric: Optional[tuple[str, Expr]] = None
     domain_named = False
 
-    sections = {(_head_text(s) or ""): s for s in form[2:]}
+    sections: dict[str, ListNode] = {}
     for section in form[2:]:
         head = _head_text(section)
         if head == ":domain":
+            if len(section) != 2:
+                raise ParseError(_span_of(section), "expected (:domain NAME)")
             name_tok = _require_token(section[1], "domain name")
             if name_tok.text != domain.name:
                 raise ParseError(name_tok.span, f"problem requires domain {name_tok.text}, parsed domain is {domain.name}")
@@ -618,7 +624,9 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         elif head == ":objects":
             _parse_object_decls(section, domain.types, objects, object_types, filename)
         elif head in (":init", ":goal", ":metric"):
-            pass  # handled below, after objects are known
+            if head in sections:
+                raise ParseError(_span_of(section), f"duplicate {head} section")
+            sections[head] = section  # parsed below, once objects are known
         elif head is None:
             raise ParseError(_span_of(section), "expected a problem section")
         else:

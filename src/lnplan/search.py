@@ -21,9 +21,7 @@ from .model import (
     applicability_failure,
     apply,
     apply_effects,
-    constraint_holds,
     goal_satisfied,
-    literal_holds,
 )
 from .successors import GeneratorConfig, GroundLimitError, SuccessorGenerator
 
@@ -172,10 +170,7 @@ def validate(task: Task, plan: list[GroundAction], tolerance: float = 0.0) -> Va
             return ValidationResult(False, failed_index=index,
                                     reason=f"step {index} {action.pddl()}: {failure}")
         state = apply_effects(state, action)
-    goal_ok = all(literal_holds(state, lit) for lit in task.goal_literals) and all(
-        constraint_holds(state, con, tolerance=tolerance) for con in task.goal_constraints
-    )
-    if not goal_ok:
+    if not goal_satisfied(state, task, tolerance):
         return ValidationResult(False, failed_index=len(plan), reason="goal not satisfied")
     return ValidationResult(True, cost=len(plan))
 

@@ -1,7 +1,8 @@
 """Applicable-action generation: four strategies behind one exact filter.
 
 Strategies:
-  numeric        consistency graph with the numeric-constraint rules
+  numeric        consistency graph with the numeric-constraint rules, built
+                 for every schema, parameter-free ones included
   propositional  the same graph without them
   exhaustive     every type-consistent total binding
   grounded       a precomputed per-schema store, statically pruned, scanned
@@ -35,9 +36,7 @@ from typing import Iterator, Optional
 from .cliques import iter_cliques
 from .consistency import StateContext, TaskStatics, build_graph, schema_violations, task_statics
 from .model import (
-    ADDITIVE_OPS,
     ASSIGN,
-    MULTIPLICATIVE_OPS,
     SCALE_DOWN,
     ActionSchema,
     Check,
@@ -52,7 +51,7 @@ from .model import (
     State,
     Task,
     Variable,
-    constraint_holds,
+    effects_compatible,
     expr_value,
     function_terms,
     is_applicable,
@@ -151,8 +150,7 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
 
     - numeric: the elements outside the exactness conditions
       (`consistency.schema_violations`), which the graph only
-      overapproximates. A schema without parameters has none, because
-      `candidates` evaluates its preconditions.
+      overapproximates.
     - propositional: those elements plus every constraint.
     - grounded: the literals on dynamic predicates plus every constraint;
       `ground_all` keeps only bindings whose static literals hold.
@@ -163,7 +161,7 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
         return literals, constraints
     if strategy == GROUNDED:
         return tuple(lit for lit in literals if lit.atom.predicate.name not in static), constraints
-    undecided = {element for element, _ in schema_violations(schema)} if schema.params else set()
+    undecided = {element for element, _ in schema_violations(schema)}
     if strategy == PROPOSITIONAL:
         undecided.update(constraints)
     return (tuple(lit for lit in literals if lit in undecided),
@@ -194,14 +192,12 @@ def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None
         ops.setdefault(eff.target.function.name, []).append(eff.op)
     out = []
     for eff in schema.eff_numeric:
-        group = set(ops[eff.target.function.name])
         check = EffectCheck(
             eff,
             defined=not _always_defined(eff.expr, defined),
             nonzero=eff.op == SCALE_DOWN and not _nonzero_constant(eff.expr),
             target=eff.op != ASSIGN and not defined(eff.target),
-            conflict=len(ops[eff.target.function.name]) > 1
-            and not (group <= ADDITIVE_OPS or group <= MULTIPLICATIVE_OPS),
+            conflict=not effects_compatible(ops[eff.target.function.name]),
         )
         if any(check[1:]):
             out.append(check)
@@ -310,16 +306,7 @@ class SuccessorGenerator:
             for combo in itertools.product(*pools):
                 yield GroundAction(schema, combo)
             return
-        numeric = strategy == NUMERIC
-        if not schema.params:
-            # no graph for arity 0; decide by direct ground evaluation
-            ok = all(literal_holds(state, lit) for lit in schema.pre_literals)
-            if ok and numeric:
-                ok = all(constraint_holds(state, c) for c in schema.pre_constraints)
-            if ok:
-                yield GroundAction(schema, ())
-            return
-        graph = build_graph(schema, ctx, numeric=numeric)
+        graph = build_graph(schema, ctx, numeric=strategy == NUMERIC)
         objects = ctx.objects
         n = len(objects)
         for clique in iter_cliques(graph):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,21 @@ def test_parse_error_exit_30(tmp_path, capsys):
     assert code == 30
     err = capsys.readouterr().err
     assert "bad.pddl:1:" in err and "unsupported requirement" in err
+
+
+@pytest.mark.parametrize("domain_text, problem_text", [
+    ("(:action a :parameters (?x) :precondition (not ()) :effect (p ?x))", "(:domain d)"),
+    ("(:action a :parameters (?x) :precondition (p ?x) :effect (not ()))", "(:domain d)"),
+    ("", "(:domain)"),
+    ("", "(:domain d) (:init (p a))\n(:init (p b))"),
+])
+def test_malformed_pddl_exit_30_without_traceback(domain_text, problem_text, tmp_path, capsys):
+    domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
+    domain.write_text(f"(define (domain d) (:predicates (p ?x)) {domain_text})")
+    problem.write_text(f"(define (problem q) {problem_text} (:objects a b) (:goal (p a)))")
+    assert main(["solve", "--domain", str(domain), "--problem", str(problem)]) == 30
+    err = capsys.readouterr().err
+    assert re.match(r"\S+\.pddl:\d+:\d+: ", err) and "Traceback" not in err
 
 
 def test_usage_error_exit_30(tmp_path, capsys):
@@ -111,6 +127,25 @@ def test_successors_dump_graph(capsys):
     assert "\nv ?r r1" in out
     assert "numeric-unsat" in out  # r2 has no energy for a step
     assert "(move r1 w1 w2)" in out
+
+
+def test_successors_dump_graph_of_parameter_free_schemas(tmp_path, capsys):
+    domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
+    domain.write_text("""(define (domain sw)
+      (:predicates (on) (p ?x))
+      (:action flip :parameters () :precondition (not (on)) :effect (on))
+      (:action wait :parameters () :precondition (on) :effect ())
+      (:action mark :parameters (?x) :precondition (on) :effect (p ?x)))""")
+    problem.write_text("(define (problem q) (:domain sw) (:objects a) (:init (on)) (:goal (p a)))")
+    code = main(["successors", "--domain", str(domain), "--problem", str(problem),
+                 "--dump-graph"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    flip = lines.index("graph flip k=0 objects=1 EMPTY")
+    assert lines[flip + 1] == "# negative-hit: (on)"
+    assert "graph wait k=0 objects=1" in lines
+    assert "(wait)" in lines and "(mark a)" in lines and "(flip)" not in lines
+    assert json.loads(lines[-1]) == {"candidates": 2, "applicable": 2}
 
 
 def test_ground_counts_and_cap(capsys):

@@ -138,8 +138,6 @@ def test_numeric_edges_subset_of_propositional():
         for state, _ in walk_states(task, rng, extra=1):
             ctx = StateContext(task, state)
             for schema in task.schemas:
-                if not schema.params:
-                    continue
                 num = build_graph(schema, ctx)
                 prop = build_graph(schema, ctx, numeric=False)
                 if num.empty:
@@ -173,8 +171,6 @@ def test_completeness_every_satisfying_binding_forms_a_clique():
         for state, _ in walk_states(task, rng, extra=1):
             ctx = StateContext(task, state)
             for schema in task.schemas:
-                if not schema.params:
-                    continue
                 graph = build_graph(schema, ctx)
                 found = set(_clique_bindings(task, schema, graph))
                 for combo in itertools.product(task.objects, repeat=len(schema.params)):
@@ -191,8 +187,6 @@ def test_soundness_under_arity_two_conditions():
         for state, _ in walk_states(task, rng, extra=1):
             ctx = StateContext(task, state)
             for schema in task.schemas:
-                if not schema.params:
-                    continue
                 graph = build_graph(schema, ctx)
                 for binding in _clique_bindings(task, schema, graph):
                     assert _preconditions_hold(task, state, schema, binding), (
@@ -206,8 +200,6 @@ def test_numeric_rules_never_remove_applicable_bindings():
         state = task.init
         ctx = StateContext(task, state)
         for schema in task.schemas:
-            if not schema.params:
-                continue
             for combo in itertools.product(task.objects, repeat=len(schema.params)):
                 action = GroundAction(schema, combo)
                 if not is_applicable(state, action):
@@ -247,7 +239,6 @@ def _reference_graph(schema, task, state, *, numeric, record):
     against a full index of the state and range tables rebuilt from it."""
     from lnplan.consistency import (
         NEGATIVE_HIT, NUMERIC_UNSAT, POSITIVE_MISS, AtomIndex, ConsistencyGraph,
-        _negative_violated,
     )
     from lnplan.model import free_variables
 
@@ -263,9 +254,13 @@ def _reference_graph(schema, task, state, *, numeric, record):
               + [(NEGATIVE_HIT, a) for a, v in neg if not v]
               + [(POSITIVE_MISS, a) for a, v in pos if v]
               + [(NUMERIC_UNSAT, c) for c, _ in cons])
+
+    def negative_hit(atom, binding):
+        return not literal_holds(state, Literal(atom, positive=False), binding)
+
     for reason, element in checks:
         if (not index.match_exists(element, {}) if reason == POSITIVE_MISS
-                else _negative_violated(element, {}, state) if reason == NEGATIVE_HIT
+                else negative_hit(element, {}) if reason == NEGATIVE_HIT
                 else relaxed_unsat(element, {}, ranges)):
             graph.empty = True
             graph.notes.append(f"{reason}: {element!r}")
@@ -274,7 +269,7 @@ def _reference_graph(schema, task, state, *, numeric, record):
     def reason(binding, elements_pos, elements_neg, elements_con):
         if not all(index.match_exists(a, binding) for a in elements_pos):
             return POSITIVE_MISS
-        if any(_negative_violated(a, binding, state) for a in elements_neg):
+        if any(negative_hit(a, binding) for a in elements_neg):
             return NEGATIVE_HIT
         if any(relaxed_unsat(c, binding, ranges) for c in elements_con):
             return NUMERIC_UNSAT
@@ -316,14 +311,12 @@ def _same_graph(got, want):
 
 def test_static_split_matches_reference_on_random_walks():
     rng = random.Random(29)
-    graphs = 0
+    graphs = parameter_free = 0
     for i in range(50):
         task = random_task(rng, exact=i % 2 == 0, task_id=i)
         for state, _ in walk_states(task, rng, extra=2):
             ctx = StateContext(task, state)
             for schema in task.schemas:
-                if not schema.params:
-                    continue
                 for numeric in (True, False):
                     for record in (True, False):
                         got = build_graph(schema, ctx, numeric=numeric, record=record)
@@ -332,7 +325,8 @@ def test_static_split_matches_reference_on_random_walks():
                         assert _same_graph(got, want), (
                             task.problem_name, schema.name, numeric, record)
                         graphs += 1
-    assert graphs > 500
+                        parameter_free += not schema.params
+    assert graphs > 500 and parameter_free > 0
 
 
 def test_static_split_pair_elements_on_one_pair_variable():

@@ -340,3 +340,42 @@ def test_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_domain(text, "dom.pddl")
     assert str(err.value).startswith("dom.pddl:4:")
+
+
+EMPTY_FORM_DOMAIN = """
+(define (domain d)
+  (:predicates (p ?x))
+  (:functions (f ?x))
+  (:action a :parameters (?x) :precondition PRE :effect EFF))
+"""
+
+
+@pytest.mark.parametrize("pre, eff, what", [
+    ("(not ())", "(p ?x)", "an atom"),
+    ("(p ?x)", "(not ())", "an atom"),
+    ("(p ?x)", "(increase () 1)", "a function term"),
+])
+def test_empty_form_in_action_is_a_parse_error(pre, eff, what):
+    text = EMPTY_FORM_DOMAIN.replace("PRE", pre).replace("EFF", eff)
+    before = text[:text.index("()")].split("\n")
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, "d.pddl")
+    assert str(err.value) == f"d.pddl:{len(before)}:{len(before[-1]) + 1}: expected {what}"
+
+
+def test_domain_section_without_name_is_a_parse_error():
+    domain = parse_domain(COUNTERS_DOMAIN)
+    with pytest.raises(ParseError) as err:
+        parse_problem("(define (problem q)\n  (:domain) (:init) (:goal (and)))", domain, "q.pddl")
+    assert str(err.value) == "q.pddl:2:3: expected (:domain NAME)"
+
+
+@pytest.mark.parametrize("section", ["(:init (= (max_int) 3))", "(:goal (and))",
+                                     "(:metric minimize (total-time))"])
+def test_repeated_problem_section_is_a_parse_error(section):
+    domain = parse_domain(COUNTERS_DOMAIN)
+    head = section.split()[0][1:]
+    text = COUNTERS_PROBLEM.replace("\n)", f"\n  (:metric minimize (max_int))\n  {section})")
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, domain, "q.pddl")
+    assert str(err.value) == f"q.pddl:8:3: duplicate {head} section"

@@ -113,7 +113,7 @@ DOMAIN = """(define (domain d)
   (:types c other)
   (:constants k - other)
   (:predicates (p ?x) (q ?x))
-  (:functions (v ?x) (w ?x) (u ?x) (m ?x ?y) (total))
+  (:functions (v ?x) (w ?x) (u ?x) (m ?x ?y) (h ?x ?y ?z) (total))
   {actions})"""
 
 PROBLEM = """(define (problem t) (:domain d)
@@ -210,6 +210,18 @@ def test_conflict_check_kept_for_mixed_operators_on_one_function():
     }
     assert applicable == ["(reset a b)", "(reset b a)", "(shift a a)", "(shift a b)",
                           "(shift b a)", "(shift b b)"]
+
+
+def test_constraint_on_a_ternary_function_kept_for_a_parameter_free_schema():
+    # the range table fixes two of (h k k k)'s positions, so the graph reads
+    # the hull [0, 5] of (h k k ?) and passes both constraints
+    residuals, applicable = _case(
+        "(:action high :parameters () :precondition (>= (h k k k) 1) :effect (q k))"
+        " (:action low :parameters () :precondition (<= (h k k k) 1) :effect (q k))",
+        "(= (h k k k) 0) (= (h k k a) 5)",
+    )
+    assert residuals == {"high": ("(>= (h k k k) 1)",), "low": ("(<= (h k k k) 1)",)}
+    assert applicable == ["(low)"]
 
 
 def _fails_an_effect(state, action) -> bool:
