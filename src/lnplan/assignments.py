@@ -16,10 +16,10 @@ whose value is NaN reads EMPTY, as exact evaluation agrees.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .intervals import EMPTY, Interval
-from .model import FunctionSymbol, Object, State
+from .model import FunctionSymbol, FunctionTerm, Object, State
 
 PosBinding = Mapping[int, Object]  # argument position -> object
 
@@ -51,23 +51,15 @@ class AssignmentSet:
         return self.table.get(key, EMPTY)
 
 
-def build_assignment_set(
-    function: FunctionSymbol,
-    state: State,
-    fluent_items=None,
-) -> AssignmentSet:
-    """Scan the state's ground terms of `function` and fold values per binding.
+def build_assignment_set(function: FunctionSymbol,
+                         fluent_items: Iterable[tuple[FunctionTerm, float]]) -> AssignmentSet:
+    """Fold the values of `function`'s ground terms in one state, given as
+    (term, value) pairs, per binding.
 
     One pass over the n ground terms; each contributes to every subset of at
     most DEGREE of its positions, so construction is O(n * k^DEGREE) with
     k = ar(function).
     """
-    if fluent_items is None:
-        fluent_items = [
-            (term, value)
-            for term, value in state.fluents.items()
-            if term.function.name == function.name
-        ]
     bounds: dict[tuple, list[float]] = {}
     top = min(DEGREE, function.arity)
     for term, value in fluent_items:
@@ -123,5 +115,5 @@ class AssignmentCache:
         if shared is not None:
             built = shared.get(function)
         else:
-            built = build_assignment_set(function, self.state, self._bucket(function.name))
+            built = build_assignment_set(function, self._bucket(function.name))
         return self._sets.setdefault(function.name, built)

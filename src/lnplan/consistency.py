@@ -25,15 +25,21 @@ be built for such states. Static elements are therefore evaluated once per
 task into a plan, built on the first graph for a (schema, numeric rules,
 record) combination: int bitsets of a static alive mask per partition and,
 per partition pair, a static row per object plus its transpose. Per state the
-atom index covers only dynamic predicates, range tables are built only for
-written functions, and only dynamic elements are evaluated, on the vertices
-and pairs the static masks leave alive. A partition pair without dynamic
-elements costs bit operations only.
+atom index takes the static predicates' buckets from the initial state's and
+indexes only the other atoms, range tables are built only for written
+functions, and only dynamic elements are evaluated, on the vertices and pairs
+the static masks leave alive. A partition pair without dynamic elements costs
+bit operations only.
+
+Every check goes through one routine: rules are `(reason, element)` lists in
+check order (positive atoms, negative atoms, constraints), `_refuted` finds
+the first rule that refutes a binding, and `_survivors` applies a rule list
+to one row of objects, whether a vertex mask or the partners of a vertex.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
 numeric-unsat. Record mode runs the same loop on a plan that treats every
-element as dynamic, against an index of all the state's atoms.
+element as dynamic, against the state's own index.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from .assignments import DEGREE, AssignmentCache
@@ -81,24 +88,27 @@ class _Bucket:
 class AtomIndex:
     """Per-predicate (position, object) -> atom-id bitsets for match queries.
 
-    Predicates named in `skip` are left out; their atoms never match.
+    Buckets in `shared` (predicate name -> bucket of another index) are
+    taken as they are, and the state's atoms of those predicates skipped: a
+    state shares the static ones of the initial state's `TaskStatics.index`.
     """
 
-    def __init__(self, state: State, skip: frozenset[str] = frozenset()):
-        buckets: dict[str, _Bucket] = {}
+    def __init__(self, state: State, shared: Mapping[str, _Bucket] = {}):
+        buckets = dict(shared)
         for atom in state.atoms:
-            if atom.predicate.name in skip:
+            name = atom.predicate.name
+            if name in shared:
                 continue
-            bucket = buckets.get(atom.predicate.name)
+            bucket = buckets.get(name)
             if bucket is None:
-                bucket = buckets[atom.predicate.name] = _Bucket()
+                bucket = buckets[name] = _Bucket()
             bit = 1 << bucket.count
             bucket.count += 1
             bucket.full |= bit
             for i, obj in enumerate(atom.args):
                 key = (i, obj)
                 bucket.by_pos[key] = bucket.by_pos.get(key, 0) | bit
-        self._buckets = buckets
+        self.buckets = buckets
 
     def match_exists(self, atom: Atom, binding: Mapping[Variable, Object]) -> bool:
         """Is there a state atom the partially bound atom matches?
@@ -112,7 +122,7 @@ class AtomIndex:
             if left is not None and right is not None:
                 return left == right
             return True
-        bucket = self._buckets.get(atom.predicate.name)
+        bucket = self.buckets.get(atom.predicate.name)
         if bucket is None:
             return False
         mask = bucket.full
@@ -127,7 +137,7 @@ class AtomIndex:
 
 
 class StateContext:
-    """Shared per-state structures: match index and range tables of the
+    """Shared per-state structures: the match index, range tables of the
     dynamic symbols, type extents.
 
     The state must agree with the task's initial state on static atoms and
@@ -139,7 +149,7 @@ class StateContext:
         self.state = state
         self.objects = task.objects
         self.statics = task_statics(task)
-        self.index = AtomIndex(state, skip=self.statics.predicates)
+        self.index = AtomIndex(state, self.statics.index.buckets)
         self.ranges = AssignmentCache(state, self.statics.ranges)
         self._typed: dict[str, tuple[Object, ...]] = {}
 
@@ -272,50 +282,31 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _Rules:
-    """The elements that can refute one vertex or one vertex pair, by rule."""
-
-    __slots__ = ("pos", "neg", "con")
-
-    def __init__(self):
-        self.pos: list[Atom] = []
-        self.neg: list[Atom] = []
-        self.con: list[NumericConstraint] = []
-
-    def __bool__(self) -> bool:
-        return bool(self.pos or self.neg or self.con)
-
-    def refute(self, binding: Mapping[Variable, Object], index: AtomIndex,
-               ranges: AssignmentCache) -> Optional[str]:
-        """The first rule that refutes the binding, or None."""
-        for atom in self.pos:
-            if not index.match_exists(atom, binding):
-                return POSITIVE_MISS
-        for atom in self.neg:
-            if index.match_exists(atom, binding):
-                return NEGATIVE_HIT
-        for con in self.con:
-            if relaxed_unsat(con, binding, ranges):
-                return NUMERIC_UNSAT
-        return None
+_Rule = tuple[str, object]  # (reason, element): the element refutes with the reason
 
 
-def _ground_fails(reason: str, element, index: AtomIndex, ranges: AssignmentCache) -> bool:
-    """Does the element, with no variable bound, refute every binding?"""
-    if reason == NUMERIC_UNSAT:
-        return relaxed_unsat(element, _NO_BINDING, ranges)
-    return index.match_exists(element, _NO_BINDING) == (reason == NEGATIVE_HIT)
+def _refuted(rules: list[_Rule], binding: Mapping[Variable, Object], index: AtomIndex,
+             ranges: AssignmentCache) -> Optional[_Rule]:
+    """The first of the rules that refutes the binding, or None."""
+    for rule in rules:
+        reason, element = rule
+        if reason == NUMERIC_UNSAT:
+            if relaxed_unsat(element, binding, ranges):
+                return rule
+        elif index.match_exists(element, binding) == (reason == NEGATIVE_HIT):
+            return rule
+    return None
 
 
 class _Plan:
     """The static part of one schema's graph, and the dynamic rules left per state.
 
-    `ground` lists the dynamic elements checked with nothing bound, in the
-    order the checks run; `failure` is the note of a static one that fails
-    after them, which empties every graph. `alive` holds the static alive
-    mask per partition and `unary` its dynamic vertex rules. `pairs` holds
-    per partition pair (p1, p2, dynamic rules holding only the first
-    variable, only the second, both, rows, cols): rows[oi] is the bitset of
+    `ground` lists the dynamic rules checked with nothing bound, in the
+    order the checks run; `failure` is a static one that fails after them,
+    which empties every graph. `alive` holds the static alive mask per
+    partition and `unary` its dynamic vertex rules. `pairs` holds per
+    partition pair (p1, p2, dynamic rules holding only the first variable,
+    only the second, both, rows, cols): rows[oi] is the `_survivors` row of
     partition-p2 objects that the static rules leave connected to object oi
     of partition p1, cols its transpose, both None when no static rule
     applies.
@@ -332,10 +323,12 @@ class _Plan:
         preds, funcs = statics.predicates, statics.functions
         env = (statics.index, statics.init_ranges)
 
-        pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
-        neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
-               if not lit.positive]
-        cons = [(c, free_variables(c)) for c in schema.pre_constraints] if numeric else []
+        lits = schema.pre_literals
+        rules = ([(POSITIVE_MISS, lit.atom) for lit in lits if lit.positive]
+                 + [(NEGATIVE_HIT, lit.atom) for lit in lits if not lit.positive]
+                 + [(NUMERIC_UNSAT, con) for con in schema.pre_constraints if numeric])
+        # each rule with the variables it holds, in check order
+        rules = [(reason, element, free_variables(element)) for reason, element in rules]
 
         def is_static(element) -> bool:
             if record:
@@ -344,41 +337,37 @@ class _Plan:
                 return element.predicate.name in preds
             return all(t.function.name in funcs for t in function_terms(element))
 
-        self.ground: list[tuple[str, object]] = []
-        self.failure: Optional[str] = None
+        self.ground: list[_Rule] = []
+        self.failure: Optional[_Rule] = None
         self.alive: list[int] = []
-        self.unary: list[_Rules] = []
+        self.unary: list[list[_Rule]] = []
         self.pairs: list[tuple] = []
 
         # elements with no variable bound, in the order the checks run
-        checks = (
-            [(POSITIVE_MISS, atom) for atom, vars_ in pos if not vars_]
-            + [(NEGATIVE_HIT, atom) for atom, vars_ in neg if not vars_]
-            + [(POSITIVE_MISS, atom) for atom, vars_ in pos if vars_]
-            + [(NUMERIC_UNSAT, con) for con, _ in cons]
-        )
-        for reason, element in checks:
+        checks = ([r for r in rules if not r[2] and r[0] != NUMERIC_UNSAT]
+                  + [r for r in rules if r[2] and r[0] == POSITIVE_MISS]
+                  + [r for r in rules if r[0] == NUMERIC_UNSAT])
+        for reason, element, _ in checks:
             if not is_static(element):
                 self.ground.append((reason, element))
-            elif _ground_fails(reason, element, *env):
-                self.failure = f"{reason}: {element!r}"
+            elif _refuted([(reason, element)], _NO_BINDING, *env):
+                self.failure = (reason, element)
                 return
 
-        def split(pos_sel, neg_sel, con_sel, pair=frozenset()) -> dict:
-            # static elements under _STATIC, dynamic ones under the pair
+        def split(selected, pair=frozenset()) -> dict:
+            # static rules under _STATIC, dynamic ones under the pair
             # variables they hold (all of a vertex's under the empty set)
-            groups: dict = defaultdict(_Rules)
-            for elements, rule in ((pos_sel, "pos"), (neg_sel, "neg"), (con_sel, "con")):
-                for element, vars_ in elements:
-                    key = _STATIC if is_static(element) else pair if record else vars_ & pair
-                    getattr(groups[key], rule).append(element)
+            groups: dict = defaultdict(list)
+            for reason, element, vars_ in selected:
+                key = _STATIC if is_static(element) else pair if record else vars_ & pair
+                groups[key].append((reason, element))
             return groups
 
         # vertices: single-variable elements, evaluated per object
         everything = (1 << len(objects)) - 1
         for var in schema.params:
-            groups = split(*([e for e in group if e[1] == {var}] for group in (pos, neg, cons)))
-            self.alive.append(_survivors(groups[_STATIC], var, everything, objects, env))
+            groups = split(r for r in rules if r[2] == {var})
+            self.alive.append(_survivors(groups[_STATIC], {}, var, everything, objects, env))
             self.unary.append(groups[frozenset()])
 
         # pairs: elements on two or more variables that touch the pair
@@ -386,22 +375,18 @@ class _Plan:
         for p1, p2 in itertools.combinations(range(len(params)), 2):
             x1, x2 = params[p1], params[p2]
             pair = frozenset((x1, x2))
-            groups = split(
-                [e for e in pos if len(e[1]) > 1 and e[1] & pair],
-                [e for e in neg if e[1] == pair],
-                [e for e in cons if len(e[1]) > 1 and e[1] & pair],
-                pair,
-            )
+            # a negative atom refutes only when bound in full
+            groups = split((r for r in rules if (r[2] == pair if r[0] == NEGATIVE_HIT
+                                                 else len(r[2]) > 1 and r[2] & pair)), pair)
             static = groups[_STATIC]
             rows = cols = None
             if static:
-                rows, cols = [0] * len(objects), [0] * len(objects)
+                rows, cols, binding = [0] * len(objects), [0] * len(objects), {}
                 for oi in _bits(self.alive[p1]):
-                    for oj in _bits(self.alive[p2]):
-                        binding = {x1: objects[oi], x2: objects[oj]}
-                        if static.refute(binding, *env) is None:
-                            rows[oi] |= 1 << oj
-                            cols[oj] |= 1 << oi
+                    binding[x1] = objects[oi]
+                    rows[oi] = _survivors(static, binding, x2, self.alive[p2], objects, env)
+                    for oj in _bits(rows[oi]):
+                        cols[oj] |= 1 << oi
             self.pairs.append((p1, p2, groups[frozenset((x1,))], groups[frozenset((x2,))],
                                groups[pair], rows, cols))
 
@@ -419,18 +404,17 @@ class TaskStatics:
         self.objects = task.objects
         self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
         self.functions = static_function_names(task)
-        self._index: Optional[AtomIndex] = None
         self.init_ranges = AssignmentCache(self.init)
         # static function name -> the shared cache that serves its tables
         self.ranges = dict.fromkeys(self.functions, self.init_ranges)
         self._plans: dict[tuple, _Plan] = {}
 
-    @property
+    @cached_property
     def index(self) -> AtomIndex:
-        """Match index over the initial state, for the static elements."""
-        if self._index is None:
-            self._index = AtomIndex(self.init)
-        return self._index
+        """Match index over the initial state's static atoms, for the static
+        elements; every state's index shares its buckets."""
+        static = [atom for atom in self.init.atoms if atom.predicate.name in self.predicates]
+        return AtomIndex(State(static, {}))
 
     def plan(self, schema: ActionSchema, numeric: bool, record: bool) -> _Plan:
         key = (id(schema), numeric, record)  # the plan keeps the schema alive
@@ -453,46 +437,34 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     k = len(schema.params)
     objects = ctx.objects
     n = len(objects)
-    graph = ConsistencyGraph(
-        schema=schema,
-        objects=objects,
-        alive=[0] * k,
-        adjacency=[0] * (k * n),
-        exclusions=[] if record else None,
-    )
+    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
+                             exclusions=[] if record else None)
     plan = ctx.statics.plan(schema, numeric, record)
-    # a record plan has no static part, so it needs every predicate indexed
-    env = (AtomIndex(ctx.state) if record else ctx.index, ctx.ranges)
+    env = (ctx.index, ctx.ranges)
 
     # elements with no variable bound decide the whole graph
-    for reason, element in plan.ground:
-        if _ground_fails(reason, element, *env):
-            graph.empty = True
-            graph.notes.append(f"{reason}: {element!r}")
-            return graph
-    if plan.failure is not None:
+    rule = _refuted(plan.ground, _NO_BINDING, *env) or plan.failure
+    if rule is not None:
         graph.empty = True
-        graph.notes.append(plan.failure)
+        graph.notes.append(f"{rule[0]}: {rule[1]!r}")
         return graph
 
     exclusions = graph.exclusions
+    alive = graph.alive
     for p, var in enumerate(schema.params):
-        mask = _survivors(plan.unary[p], var, plan.alive[p], objects, env, exclusions, p)
-        graph.alive[p] = mask
-        if mask == 0:
-            graph.empty = True
+        alive[p] = _survivors(plan.unary[p], {}, var, plan.alive[p], objects, env, exclusions,
+                              ("vertex", p))
+    graph.empty = 0 in alive
     if graph.empty or k == 1:
         return graph
 
     # edges between distinct partitions; an element holding only one of the
     # pair's variables is checked once per vertex, not once per pair
-    params = schema.params
-    alive = graph.alive
-    adjacency = graph.adjacency
+    params, adjacency = schema.params, graph.adjacency
     for p1, p2, half1, half2, dynamic, rows, cols in plan.pairs:
         x1, x2 = params[p1], params[p2]
-        a1 = _survivors(half1, x1, alive[p1], objects, env)
-        a2 = _survivors(half2, x2, alive[p2], objects, env)
+        a1 = _survivors(half1, {}, x1, alive[p1], objects, env)
+        a2 = _survivors(half2, {}, x2, alive[p2], objects, env)
         off1, off2 = p1 * n, p2 * n
         if not dynamic:
             for oi in _bits(a1):
@@ -500,31 +472,34 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
             for oj in _bits(a2):
                 adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
             continue
+        binding: dict[Variable, Object] = {}
         for oi in _bits(a1):
-            v = off1 + oi
-            bits = 0
-            for oj in _bits(a2 if rows is None else rows[oi] & a2):
-                reason = dynamic.refute({x1: objects[oi], x2: objects[oj]}, *env)
-                if reason is None:
-                    bits |= 1 << oj
-                    adjacency[off2 + oj] |= 1 << v
-                elif exclusions is not None:
-                    exclusions.append(("pair", p1, oi, p2, oj, reason))
-            adjacency[v] |= bits << off2
+            binding[x1] = objects[oi]
+            bits = _survivors(dynamic, binding, x2, a2 if rows is None else rows[oi] & a2,
+                              objects, env, exclusions, ("pair", p1, oi, p2))
+            adjacency[off1 + oi] |= bits << off2
+            v = 1 << off1 + oi
+            for oj in _bits(bits):
+                adjacency[off2 + oj] |= v
     return graph
 
 
-def _survivors(rules: _Rules, var: Variable, mask: int, objects: tuple[Object, ...],
-               env: tuple, exclusions: Optional[list] = None, p: int = 0) -> int:
-    """The objects of the mask the rules leave; each other one is listed in
-    `exclusions`, if given, as a vertex of partition p with its reason."""
+def _survivors(rules: list[_Rule], binding: dict[Variable, Object], var: Variable, mask: int,
+               objects: tuple[Object, ...], env: tuple, exclusions: Optional[list] = None,
+               tag: tuple = ()) -> int:
+    """The objects of `mask` that the rules leave for `var`, with the rest
+    of the binding fixed: the one row routine, for a vertex mask, a pair's
+    halves and its static or dynamic row. `var` is bound in place. Each
+    excluded object is listed in `exclusions`, if given, as
+    `tag + (oi, reason)`."""
     if rules:
         for oi in _bits(mask):
-            reason = rules.refute({var: objects[oi]}, *env)
-            if reason is not None:
+            binding[var] = objects[oi]
+            rule = _refuted(rules, binding, *env)
+            if rule is not None:
                 mask ^= 1 << oi
                 if exclusions is not None:
-                    exclusions.append(("vertex", p, oi, reason))
+                    exclusions.append(tag + (oi, rule[0]))
     return mask
 
 

@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 INF = math.inf
 
 ARITH_OPS = ("+", "-", "*", "/")
-COMPARISON_OPS = ("=", "<", ">", "<=", ">=")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ implicit extension {(o, o)} in every state and never appears in effect sets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
@@ -23,9 +24,11 @@ INCREASE = "+="
 DECREASE = "-="
 SCALE_UP = "*="
 SCALE_DOWN = "/="
-EFFECT_OPS = (ASSIGN, INCREASE, DECREASE, SCALE_UP, SCALE_DOWN)
 ADDITIVE_OPS = frozenset((INCREASE, DECREASE))
 MULTIPLICATIVE_OPS = frozenset((SCALE_UP, SCALE_DOWN))
+# updating effect operator -> the arithmetic that folds its value into the target
+_UPDATES = {INCREASE: operator.add, DECREASE: operator.sub,
+            SCALE_UP: operator.mul, SCALE_DOWN: operator.truediv}
 
 
 class Variable:
@@ -653,8 +656,8 @@ def apply_effects(state: State, action: GroundAction) -> State:
     """Raw successor computation; requires the effect conditions to hold.
 
     All effect expressions are evaluated in the original state. Atoms are
-    updated as (atoms - deletes) + adds; additive and multiplicative effect
-    groups fold into a single update per target.
+    updated as (atoms - deletes) + adds; the effects on one target fold into
+    it in order.
     """
     schema = action.schema
     binding = action.binding_map()
@@ -666,25 +669,10 @@ def apply_effects(state: State, action: GroundAction) -> State:
     atoms = state.atoms.difference(dels).union(adds)
 
     fluents = dict(state.fluents)
-    grouped: dict[FunctionTerm, list[tuple[str, float]]] = {}
     for eff in schema.eff_numeric:
         value = expr_value(state, eff.expr, binding)
         target = ground_function_term(eff.target, binding)
-        grouped.setdefault(target, []).append((eff.op, value))
-    for target, updates in grouped.items():
-        ops = {op for op, _ in updates}
-        if ops == {ASSIGN}:
-            fluents[target] = updates[0][1]
-        elif ops <= ADDITIVE_OPS:
-            total = state.fluents[target]
-            for op, value in updates:
-                total = total + value if op == INCREASE else total - value
-            fluents[target] = total
-        else:
-            total = state.fluents[target]
-            for op, value in updates:
-                total = total * value if op == SCALE_UP else total / value
-            fluents[target] = total
+        fluents[target] = value if eff.op == ASSIGN else _UPDATES[eff.op](fluents[target], value)
     return State(atoms, fluents)
 
 

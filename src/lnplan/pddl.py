@@ -102,10 +102,6 @@ class ListNode(list):
 Node = Union[TokenNode, ListNode]
 
 
-def _span_of(node: Node) -> SourceSpan:
-    return node.span
-
-
 def tokenize(text: str, filename: str) -> list[TokenNode]:
     tokens: list[TokenNode] = []
     line, col = 1, 1
@@ -171,10 +167,10 @@ def _single_form(text: str, filename: str, what: str) -> ListNode:
     if not forms:
         raise ParseError(SourceSpan(filename, 1, 1), f"empty {what} file")
     if len(forms) > 1:
-        raise ParseError(_span_of(forms[1]), f"expected a single {what} definition")
+        raise ParseError(forms[1].span, f"expected a single {what} definition")
     form = forms[0]
     if not isinstance(form, ListNode):
-        raise ParseError(_span_of(form), f"expected a {what} definition list")
+        raise ParseError(form.span, f"expected a {what} definition list")
     return form
 
 
@@ -186,12 +182,20 @@ def _head_text(node: Node) -> Optional[str]:
 
 def _require_token(node: Node, what: str) -> TokenNode:
     if not isinstance(node, TokenNode):
-        raise ParseError(_span_of(node), f"expected {what}")
+        raise ParseError(node.span, f"expected {what}")
     return node
 
 
 def _is_number(text: str) -> bool:
     return bool(_NUMBER_RE.match(text))
+
+
+def _number(tok: TokenNode) -> float:
+    """The numeral's value; one that overflows to +-inf is out of range."""
+    value = float(tok.text)
+    if math.isinf(value):
+        raise ParseError(tok.span, "number out of range")
+    return value
 
 
 def _parse_typed_names(items: list[Node], what: str) -> list[tuple[TokenNode, str]]:
@@ -249,7 +253,6 @@ class _DomainBuilder:
         self.constants: list[Object] = []
         self.constant_types: dict[Object, str] = {}
         self.schemas: list[ActionSchema] = []
-        self._predicate_order: list[PredicateSymbol] = []
 
     def declare_predicate(self, name: str, arity: int, span: SourceSpan) -> PredicateSymbol:
         if name == EQUALITY_NAME:
@@ -261,13 +264,12 @@ class _DomainBuilder:
             return existing
         sym = PredicateSymbol(name, arity)
         self.predicates[name] = sym
-        self._predicate_order.append(sym)
         return sym
 
     def build(self) -> Domain:
         return Domain(
             name=self.name,
-            predicates=tuple(self._predicate_order),
+            predicates=tuple(self.predicates.values()),
             functions=tuple(self.functions.values()),
             schemas=tuple(self.schemas),
             constants=tuple(self.constants),
@@ -279,9 +281,9 @@ class _DomainBuilder:
 def parse_domain(text: str, filename: str = "<domain>") -> Domain:
     form = _single_form(text, filename, "domain")
     if _head_text(form) != "define":
-        raise ParseError(_span_of(form), "expected (define (domain ...) ...)")
+        raise ParseError(form.span, "expected (define (domain ...) ...)")
     if len(form) < 2 or _head_text(form[1]) != "domain" or len(form[1]) != 2:
-        raise ParseError(_span_of(form), "expected (domain NAME) after define")
+        raise ParseError(form.span, "expected (domain NAME) after define")
     b = _DomainBuilder(filename)
     b.name = _require_token(form[1][1], "domain name").text
 
@@ -299,13 +301,13 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
                     b.types[parent] = None
             # every declared type doubles as a unary predicate
             for type_name in b.types:
-                b.declare_predicate(type_name, 1, _span_of(section))
+                b.declare_predicate(type_name, 1, section.span)
         elif head == ":constants":
             _parse_object_decls(section, b.types, b.constants, b.constant_types, b.filename)
         elif head == ":predicates":
             for decl in section[1:]:
                 if not isinstance(decl, ListNode) or not decl:
-                    raise ParseError(_span_of(decl), "expected a predicate declaration")
+                    raise ParseError(decl.span, "expected a predicate declaration")
                 name_tok = _require_token(decl[0], "predicate name")
                 args = _parse_typed_names(list(decl[1:]), "parameter")
                 for arg_tok, _ in args:
@@ -317,12 +319,12 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
         elif head == ":action":
             schema = _parse_action(section, b)
             if any(s.name == schema.name for s in b.schemas):
-                raise ParseError(_span_of(section), f"duplicate action name {schema.name}")
+                raise ParseError(section.span, f"duplicate action name {schema.name}")
             b.schemas.append(schema)
         elif head is None:
-            raise ParseError(_span_of(section), "expected a domain section")
+            raise ParseError(section.span, "expected a domain section")
         else:
-            raise ParseError(_span_of(section), f"unsupported domain section {head}")
+            raise ParseError(section.span, f"unsupported domain section {head}")
 
     return b.build()
 
@@ -355,7 +357,7 @@ def _parse_function_decls(section: ListNode, b: _DomainBuilder) -> None:
             i += 2
             continue
         if not isinstance(decl, ListNode) or not decl:
-            raise ParseError(_span_of(decl), "expected a function declaration")
+            raise ParseError(decl.span, "expected a function declaration")
         name_tok = _require_token(decl[0], "function name")
         args = _parse_typed_names(list(decl[1:]), "parameter")
         for arg_tok, _ in args:
@@ -372,8 +374,7 @@ def _parse_function_decls(section: ListNode, b: _DomainBuilder) -> None:
 class _Scope:
     """Resolution context for terms inside one action or problem section."""
 
-    def __init__(self, domain_like, variables: dict[str, Variable], objects: dict[str, Object], allow_vars: bool):
-        self.domain = domain_like
+    def __init__(self, variables: dict[str, Variable], objects: dict[str, Object], allow_vars: bool):
         self.variables = variables
         self.objects = objects
         self.allow_vars = allow_vars
@@ -431,7 +432,7 @@ def _parse_function_term(node: ListNode, scope: _Scope, functions: dict) -> Func
 def _parse_expr(node: Node, scope: _Scope, functions: dict) -> Expr:
     if isinstance(node, TokenNode):
         if _is_number(node.text):
-            return Constant(float(node.text))
+            return Constant(_number(node))
         raise ParseError(node.span, f"expected a number or function term, got {node.text!r}")
     if not node:
         raise ParseError(node.span, "empty expression")
@@ -469,7 +470,7 @@ def _is_object_equality(node: ListNode) -> bool:
 def _parse_condition(node: Node, scope: _Scope, predicates: dict, functions: dict,
                      literals: list, constraints: list) -> None:
     if not isinstance(node, ListNode) or not node:
-        raise ParseError(_span_of(node), "expected a condition")
+        raise ParseError(node.span, "expected a condition")
     head = _require_token(node[0], "condition head")
     if head.text == "and":
         for sub in node[1:]:
@@ -501,7 +502,7 @@ def _parse_condition(node: Node, scope: _Scope, predicates: dict, functions: dic
 def _parse_effects(node: Node, scope: _Scope, predicates: dict, functions: dict,
                    literals: list, numeric: list) -> None:
     if not isinstance(node, ListNode) or not node:
-        raise ParseError(_span_of(node), "expected an effect")
+        raise ParseError(node.span, "expected an effect")
     head = _require_token(node[0], "effect head")
     if head.text == "and":
         for sub in node[1:]:
@@ -529,7 +530,7 @@ def _parse_effects(node: Node, scope: _Scope, predicates: dict, functions: dict,
 
 def _parse_action(section: ListNode, b: _DomainBuilder) -> ActionSchema:
     if len(section) < 2:
-        raise ParseError(_span_of(section), "action needs a name")
+        raise ParseError(section.span, "action needs a name")
     name_tok = _require_token(section[1], "action name")
     fields: dict[str, Node] = {}
     i = 2
@@ -561,7 +562,7 @@ def _parse_action(section: ListNode, b: _DomainBuilder) -> ActionSchema:
         param_types.append(type_name if type_name != ROOT_TYPE else None)
 
     objects = {o.name: o for o in b.constants}
-    scope = _Scope(b, variables, objects, allow_vars=True)
+    scope = _Scope(variables, objects, allow_vars=True)
 
     pre_literals: list[Literal] = []
     pre_constraints: list[NumericConstraint] = []
@@ -597,9 +598,9 @@ def _parse_action(section: ListNode, b: _DomainBuilder) -> ActionSchema:
 def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Task:
     form = _single_form(text, filename, "problem")
     if _head_text(form) != "define":
-        raise ParseError(_span_of(form), "expected (define (problem ...) ...)")
+        raise ParseError(form.span, "expected (define (problem ...) ...)")
     if len(form) < 2 or _head_text(form[1]) != "problem" or len(form[1]) != 2:
-        raise ParseError(_span_of(form), "expected (problem NAME) after define")
+        raise ParseError(form.span, "expected (problem NAME) after define")
     problem_name = _require_token(form[1][1], "problem name").text
 
     objects: list[Object] = list(domain.constants)
@@ -616,7 +617,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         head = _head_text(section)
         if head == ":domain":
             if len(section) != 2:
-                raise ParseError(_span_of(section), "expected (:domain NAME)")
+                raise ParseError(section.span, "expected (:domain NAME)")
             name_tok = _require_token(section[1], "domain name")
             if name_tok.text != domain.name:
                 raise ParseError(name_tok.span, f"problem requires domain {name_tok.text}, parsed domain is {domain.name}")
@@ -625,24 +626,24 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
             _parse_object_decls(section, domain.types, objects, object_types, filename)
         elif head in (":init", ":goal", ":metric"):
             if head in sections:
-                raise ParseError(_span_of(section), f"duplicate {head} section")
+                raise ParseError(section.span, f"duplicate {head} section")
             sections[head] = section  # parsed below, once objects are known
         elif head is None:
-            raise ParseError(_span_of(section), "expected a problem section")
+            raise ParseError(section.span, "expected a problem section")
         else:
-            raise ParseError(_span_of(section), f"unsupported problem section {head}")
+            raise ParseError(section.span, f"unsupported problem section {head}")
     if not domain_named:
-        raise ParseError(_span_of(form), "problem is missing a (:domain ...) section")
+        raise ParseError(form.span, "problem is missing a (:domain ...) section")
 
     object_map = {o.name: o for o in objects}
-    scope = _Scope(domain, {}, object_map, allow_vars=False)
+    scope = _Scope({}, object_map, allow_vars=False)
     predicates = {p.name: p for p in domain.predicates}
     functions = {f.name: f for f in domain.functions}
 
     if ":init" in sections:
         for entry in sections[":init"][1:]:
             if not isinstance(entry, ListNode) or not entry:
-                raise ParseError(_span_of(entry), "expected an init entry")
+                raise ParseError(entry.span, "expected an init entry")
             head_tok = _require_token(entry[0], "init entry head")
             if head_tok.text == EQUALITY_NAME and len(entry) == 3 and isinstance(entry[1], ListNode):
                 term = _parse_function_term(entry[1], scope, functions)
@@ -651,7 +652,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
                     raise ParseError(value_tok.span, "initial fluent values must be numeric constants")
                 if term in init_fluents:
                     raise ParseError(head_tok.span, f"duplicate initial value for {term!r}")
-                init_fluents[term] = float(value_tok.text)
+                init_fluents[term] = _number(value_tok)
             else:
                 atom = _parse_atom(entry, scope, predicates)
                 if atom.predicate.name == EQUALITY_NAME:
@@ -666,16 +667,16 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     if ":goal" in sections:
         goal_section = sections[":goal"]
         if len(goal_section) != 2:
-            raise ParseError(_span_of(goal_section), "goal takes a single condition")
+            raise ParseError(goal_section.span, "goal takes a single condition")
         _parse_condition(goal_section[1], scope, predicates, functions, goal_literals, goal_constraints)
 
     if ":metric" in sections:
         m = sections[":metric"]
         if len(m) != 3:
-            raise ParseError(_span_of(m), "metric takes a direction and an expression")
+            raise ParseError(m.span, "metric takes a direction and an expression")
         direction = _require_token(m[1], "metric direction").text
         if direction not in ("minimize", "maximize"):
-            raise ParseError(_span_of(m), f"unknown metric direction {direction}")
+            raise ParseError(m.span, f"unknown metric direction {direction}")
         metric = (direction, _parse_metric_expr(m[2], scope, functions))
 
     return Task(

@@ -10,6 +10,7 @@ cap, and a stored-state cap standing in for a memory bound.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,10 +48,11 @@ class Limits:
                 raise ValueError(f"{name} must be non-negative")
 
     def state_cap(self) -> Optional[int]:
+        """The stored-state cap; an infinite memory limit sets none."""
         caps = []
         if self.states is not None:
             caps.append(self.states)
-        if self.memory_mb is not None:
+        if self.memory_mb is not None and self.memory_mb != math.inf:
             caps.append(max(1, int(self.memory_mb * 1024 * 1024 / _STATE_BYTES_ESTIMATE)))
         return min(caps) if caps else None
 
@@ -132,7 +134,7 @@ def solve(task: Task, config: GeneratorConfig = GeneratorConfig(),
             stats.generated += 1
             queue.append(_Node(successor, node, action, child_g))
         if state_cap is not None and len(seen) > state_cap:
-            return finish(LIMIT, limit_hit="memory" if limits.memory_mb else "states")
+            return finish(LIMIT, limit_hit="states" if state_cap == limits.states else "memory")
     return finish(UNSOLVABLE)
 
 

@@ -199,7 +199,7 @@ def test_criterion_5_range_tables_sound_and_exact(seed):
             if rng.random() < 0.6:
                 fluents[FunctionTerm(fn, combo)] = float(rng.randint(-9, 9))
         state = State([], fluents)
-        table = build_assignment_set(fn, state)
+        table = build_assignment_set(fn, state.fluents.items())
         size = rng.randint(0, min(2, arity))
         binding = {
             i: rng.choice(objects)

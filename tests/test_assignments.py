@@ -31,7 +31,7 @@ def brute_hull(function, state, objects, binding):
 def test_unary_example():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 1.0, FunctionTerm(f, (B,)): 5.0})
-    table = build_assignment_set(f, state)
+    table = build_assignment_set(f, state.fluents.items())
     assert table.lookup({}) == Interval(1.0, 5.0)
     assert table.lookup({0: A}) == Interval(1.0, 1.0)
     assert table.lookup({0: B}) == Interval(5.0, 5.0)
@@ -40,14 +40,14 @@ def test_unary_example():
 
 def test_no_ground_terms_means_empty():
     f = FunctionSymbol("f", 1)
-    table = build_assignment_set(f, State([], {}))
+    table = build_assignment_set(f, [])
     assert table.lookup({}).is_empty
 
 
 def test_binary_example():
     g = FunctionSymbol("g", 2)
     state = State([], {FunctionTerm(g, (A, B)): 2.0, FunctionTerm(g, (A, C)): 7.0})
-    table = build_assignment_set(g, state)
+    table = build_assignment_set(g, state.fluents.items())
     assert table.lookup({0: A}) == Interval(2.0, 7.0)
     assert table.lookup({0: A, 1: B}) == Interval(2.0, 2.0)
     assert table.lookup({1: C}) == Interval(7.0, 7.0)
@@ -56,7 +56,7 @@ def test_binary_example():
 
 def test_lookup_beyond_degree_is_a_contract_violation():
     h = FunctionSymbol("h", 3)
-    table = build_assignment_set(h, State([], {}))
+    table = build_assignment_set(h, [])
     with pytest.raises(ValueError):
         table.lookup({0: A, 1: B, 2: C})
 
@@ -72,7 +72,7 @@ def test_soundness_and_exactness_randomized():
             if rng.random() < 0.6:
                 fluents[FunctionTerm(fn, combo)] = float(rng.randint(-9, 9))
         state = State([], fluents)
-        table = build_assignment_set(fn, state)
+        table = build_assignment_set(fn, state.fluents.items())
         size = rng.randint(0, min(DEGREE, arity))
         positions = rng.sample(range(arity), size) if arity else []
         binding = {i: rng.choice(objects) for i in positions}
@@ -95,7 +95,7 @@ def test_monotone_under_refinement():
     for combo in itertools.product(objects, repeat=2):
         if rng.random() < 0.7:
             fluents[FunctionTerm(g, combo)] = float(rng.randint(-5, 5))
-    table = build_assignment_set(g, State([], fluents))
+    table = build_assignment_set(g, fluents.items())
     for o1 in objects:
         outer = table.lookup({0: o1})
         for o2 in objects:

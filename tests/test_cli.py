@@ -60,6 +60,7 @@ def test_parse_error_exit_30(tmp_path, capsys):
     ("(:action a :parameters (?x) :precondition (p ?x) :effect (not ()))", "(:domain d)"),
     ("", "(:domain)"),
     ("", "(:domain d) (:init (p a))\n(:init (p b))"),
+    ("(:functions (f))", "(:domain d) (:init (= (f) 1e999))"),
 ])
 def test_malformed_pddl_exit_30_without_traceback(domain_text, problem_text, tmp_path, capsys):
     domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
@@ -105,6 +106,23 @@ def test_bad_values_exit_30_without_traceback(argv, tmp_path, capsys):
     assert err.startswith("usage error: ") and "Traceback" not in err
     if argv[0] == "bench":
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_infinite_limits_set_no_cap(command, tmp_path, capsys):
+    domain, problem = _paths("counters")
+    limits = ["--mem-limit", "inf", "--time-limit", "inf"]
+    if command == "bench":
+        out = tmp_path / "report.jsonl"
+        argv = ["bench", "--suite", str(domains_root() / "counters"), "--out", str(out),
+                "--strategies", "numeric"] + limits
+    else:
+        argv = ["solve", "--domain", domain, "--problem", problem] + limits
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "bench":
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows and all(r["status"] in ("solved", "unsolvable") for r in rows)
 
 
 def test_successors_lists_actions_and_counts(capsys):

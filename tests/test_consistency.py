@@ -369,3 +369,26 @@ def test_effect_touched_symbols_are_never_static(bundled_tasks):
         for schema in task.schemas:
             assert not {lit.atom.predicate.name for lit in schema.eff_literals} & statics.predicates
             assert not {eff.target.function.name for eff in schema.eff_numeric} & statics.functions
+
+
+def test_state_index_shares_the_static_atoms_of_the_initial_state(bundled_tasks):
+    from lnplan.model import apply
+    from lnplan.successors import SuccessorGenerator
+
+    task = bundled_tasks["delivery"]
+    action = SuccessorGenerator(task).applicable(task.init)[0][0]
+    state = apply(task.init, action)
+    index = StateContext(task, state).index
+    road = next(atom for atom in task.init.atoms if atom.predicate.name == "road")
+    absent = Atom(road.predicate, (road.args[0], road.args[0]))
+    assert absent not in task.init.atoms
+    assert index.match_exists(road, {}) and not index.match_exists(absent, {})
+    # shared as built from the initial state, not extended by the state's atoms
+    roads = sum(atom.predicate.name == "road" for atom in task.init.atoms)
+    assert index.buckets["road"].count == roads
+    # the dynamic atoms are the state's own
+    moved = [atom for atom in state.atoms if atom.predicate.name == "at"]
+    left = [atom for atom in task.init.atoms - state.atoms if atom.predicate.name == "at"]
+    assert moved and left
+    assert all(index.match_exists(atom, {}) for atom in moved)
+    assert not any(index.match_exists(atom, {}) for atom in left)

@@ -379,3 +379,15 @@ def test_repeated_problem_section_is_a_parse_error(section):
     with pytest.raises(ParseError) as err:
         parse_problem(text, domain, "q.pddl")
     assert str(err.value) == f"q.pddl:8:3: duplicate {head} section"
+
+
+@pytest.mark.parametrize("init, goal, col", [
+    ("(= (f) 1e999)", "(and)", 47),
+    ("(= (f) 1)", "(< (f) -1e999)", 65),
+], ids=["init", "expression"])
+def test_numeral_overflowing_to_inf_is_a_parse_error(init, goal, col):
+    domain = parse_domain("(define (domain d) (:functions (f)))")
+    problem = f"(define (problem p) (:domain d) (:init {init}) (:goal {goal}))"
+    with pytest.raises(ParseError) as err:
+        parse_problem(problem, domain, "p.pddl")
+    assert str(err.value) == f"p.pddl:1:{col}: number out of range"

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import pytest
@@ -135,6 +136,23 @@ def test_limits_reported():
     for bad in ({"nodes": -1}, {"time_s": float("nan")}, {"states": -1}, {"memory_mb": -0.5}):
         with pytest.raises(ValueError, match="must be non-negative"):
             Limits(**bad)
+
+
+def test_infinite_limits_set_no_cap():
+    task = load_bundled("counters")
+    limits = Limits(time_s=math.inf, memory_mb=math.inf)
+    assert limits.state_cap() is None
+    assert Limits(states=3, memory_mb=math.inf).state_cap() == 3
+    assert solve(task, GeneratorConfig(), limits).status == SOLVED
+    result = solve(task, GeneratorConfig(), Limits(states=1, memory_mb=math.inf))
+    assert result.status == LIMIT and result.limit_hit == "states"
+
+
+def test_memory_cap_reported_as_memory():
+    # a zero memory limit still caps the search, at one state
+    task = load_bundled("counters")
+    result = solve(task, GeneratorConfig(), Limits(memory_mb=0.0))
+    assert result.status == LIMIT and result.limit_hit == "memory"
 
 
 def test_validate_flags_broken_plans(bundled_tasks):
