@@ -51,11 +51,21 @@ def _add_task_args(p):
     p.add_argument("--problem", required=True, help="problem PDDL file")
 
 
+def _add_ground_cap_arg(p):
+    p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP,
+                   help="abort grounding beyond this many actions")
+
+
 def _add_generator_args(p):
     p.add_argument("--generator", default=NUMERIC, choices=STRATEGIES,
                    help=f"candidate generation strategy (default: {NUMERIC})")
-    p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP,
-                   help="abort grounding beyond this many actions")
+    _add_ground_cap_arg(p)
+
+
+def _add_limit_args(p):
+    p.add_argument("--time-limit", type=float, default=None, help="seconds of wall clock")
+    p.add_argument("--node-cap", type=int, default=None, help="max expansions")
+    p.add_argument("--mem-limit", type=float, default=None, help="approximate MB cap")
 
 
 def build_parser() -> _Parser:
@@ -66,9 +76,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="find a minimum-length plan with blind search")
     _add_task_args(p)
     _add_generator_args(p)
-    p.add_argument("--time-limit", type=float, default=None, help="seconds of wall clock")
-    p.add_argument("--node-cap", type=int, default=None, help="max expansions")
-    p.add_argument("--mem-limit", type=float, default=None, help="approximate MB cap")
+    _add_limit_args(p)
     p.add_argument("--plan-out", default=None, help="write the plan to this file")
     p.add_argument("--report-out", default=None, help="write a JSON run report to this file")
     p.add_argument("--tolerance", type=float, default=0.0,
@@ -83,7 +91,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ground", help="precompute the ground-action store")
     _add_task_args(p)
-    p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP)
+    _add_ground_cap_arg(p)
     p.add_argument("--list", action="store_true", help="print every stored action")
 
     p = sub.add_parser("bench", help="run a task suite under several strategies")
@@ -91,9 +99,7 @@ def build_parser() -> _Parser:
                    help="directory scanned for domain.pddl plus problem*.pddl pairs")
     p.add_argument("--strategies", default=",".join(STRATEGIES),
                    help="comma-separated strategy list")
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--mem-limit", type=float, default=None)
-    p.add_argument("--node-cap", type=int, default=None)
+    _add_limit_args(p)
     p.add_argument("--out", required=True, help="JSONL output path")
     p.add_argument("--csv", default=None, help="optional CSV summary path")
     p.add_argument("--per-expansion", action="store_true",

@@ -8,7 +8,17 @@ typed objects contribute initial atoms for the type and all its ancestors.
 Object equality (= over two bare names) is mapped to the built-in "="
 predicate. The :metric section is parsed and recorded but ignored by search.
 
-All errors carry a SourceSpan and format as file:line:col: message.
+The text is split into tokens by one regular expression: parentheses, words
+(runs of anything but whitespace, parentheses and ';'), ';' comments to the
+end of the line, and line ends. A column counts characters, so a tab or a \\r
+is one column. Each construct has one routine: the (define (WHAT NAME) ...)
+header, (name ?x - t ...) declarations of predicates and functions, and
+(name term ...) applications of both.
+
+A :types entry that would make a type its own ancestor, a repeated
+:parameters, :precondition or :effect in an action, and a repeated object
+name are errors. All errors carry a SourceSpan and format as
+file:line:col: message.
 """
 
 from __future__ import annotations
@@ -57,6 +67,8 @@ ROOT_TYPE = "object"
 
 _NUMBER_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+_TOKEN_RE = re.compile(r"([()]|[^ \t\r\n();]+)|(\n)|;[^\n]*")
+
 _EFFECT_HEADS = {
     "increase": INCREASE,
     "decrease": DECREASE,
@@ -104,32 +116,14 @@ Node = Union[TokenNode, ListNode]
 
 def tokenize(text: str, filename: str) -> list[TokenNode]:
     tokens: list[TokenNode] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 1:
+            col = m.start() - line_start + 1
+            tokens.append(TokenNode(m.group(1).lower(), SourceSpan(filename, line, col)))
+        elif m.lastindex == 2:
             line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(TokenNode(c, SourceSpan(filename, line, col)))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            word = text[start:i].lower()
-            tokens.append(TokenNode(word, SourceSpan(filename, line, start_col)))
+            line_start = m.end()
     return tokens
 
 
@@ -162,7 +156,8 @@ def _read_form(tokens: list[TokenNode], pos: int) -> tuple[Node, int]:
     return tok, pos + 1
 
 
-def _single_form(text: str, filename: str, what: str) -> ListNode:
+def _define(text: str, filename: str, what: str) -> tuple[ListNode, str]:
+    """The file's single (define (WHAT NAME) ...) form and its NAME."""
     forms = read_forms(text, filename)
     if not forms:
         raise ParseError(SourceSpan(filename, 1, 1), f"empty {what} file")
@@ -171,7 +166,11 @@ def _single_form(text: str, filename: str, what: str) -> ListNode:
     form = forms[0]
     if not isinstance(form, ListNode):
         raise ParseError(form.span, f"expected a {what} definition list")
-    return form
+    if _head_text(form) != "define":
+        raise ParseError(form.span, f"expected (define ({what} ...) ...)")
+    if len(form) < 2 or _head_text(form[1]) != what or len(form[1]) != 2:
+        raise ParseError(form.span, f"expected ({what} NAME) after define")
+    return form, _require_token(form[1][1], f"{what} name").text
 
 
 def _head_text(node: Node) -> Optional[str]:
@@ -221,6 +220,15 @@ def _parse_typed_names(items: list[Node], what: str) -> list[tuple[TokenNode, st
     return out
 
 
+def _type_closure(types: dict, type_name: str) -> list[str]:
+    chain = []
+    cur: Optional[str] = type_name
+    while cur is not None and cur != ROOT_TYPE:
+        chain.append(cur)
+        cur = types.get(cur)
+    return chain
+
+
 @dataclass
 class Domain:
     """The domain part of a task: symbols and schemas, types compiled away."""
@@ -235,57 +243,25 @@ class Domain:
 
     def type_closure(self, type_name: str) -> list[str]:
         """The type and its ancestors, root 'object' excluded."""
-        chain = []
-        cur: Optional[str] = type_name
-        while cur is not None and cur != ROOT_TYPE:
-            chain.append(cur)
-            cur = self.types.get(cur)
-        return chain
+        return _type_closure(self.types, type_name)
 
 
-class _DomainBuilder:
-    def __init__(self, filename: str):
-        self.filename = filename
-        self.name = ""
-        self.types: dict[str, Optional[str]] = {}
-        self.predicates: dict[str, PredicateSymbol] = {}
-        self.functions: dict[str, FunctionSymbol] = {}
-        self.constants: list[Object] = []
-        self.constant_types: dict[Object, str] = {}
-        self.schemas: list[ActionSchema] = []
-
-    def declare_predicate(self, name: str, arity: int, span: SourceSpan) -> PredicateSymbol:
-        if name == EQUALITY_NAME:
-            raise ParseError(span, "predicate name '=' is reserved for built-in equality")
-        existing = self.predicates.get(name)
-        if existing is not None:
-            if existing.arity != arity:
-                raise ParseError(span, f"predicate {name} redeclared with arity {arity}, was {existing.arity}")
-            return existing
-        sym = PredicateSymbol(name, arity)
-        self.predicates[name] = sym
-        return sym
-
-    def build(self) -> Domain:
-        return Domain(
-            name=self.name,
-            predicates=tuple(self.predicates.values()),
-            functions=tuple(self.functions.values()),
-            schemas=tuple(self.schemas),
-            constants=tuple(self.constants),
-            constant_types=self.constant_types,
-            types=self.types,
-        )
+def _declare_predicate(predicates: dict, name: str, arity: int, span: SourceSpan) -> None:
+    if name == EQUALITY_NAME:
+        raise ParseError(span, "predicate name '=' is reserved for built-in equality")
+    sym = predicates.setdefault(name, PredicateSymbol(name, arity))
+    if sym.arity != arity:
+        raise ParseError(span, f"predicate {name} redeclared with arity {arity}, was {sym.arity}")
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> Domain:
-    form = _single_form(text, filename, "domain")
-    if _head_text(form) != "define":
-        raise ParseError(form.span, "expected (define (domain ...) ...)")
-    if len(form) < 2 or _head_text(form[1]) != "domain" or len(form[1]) != 2:
-        raise ParseError(form.span, "expected (domain NAME) after define")
-    b = _DomainBuilder(filename)
-    b.name = _require_token(form[1][1], "domain name").text
+    form, name = _define(text, filename, "domain")
+    types: dict[str, Optional[str]] = {}
+    predicates: dict[str, PredicateSymbol] = {}
+    functions: dict[str, FunctionSymbol] = {}
+    constants: dict[str, Object] = {}
+    constant_types: dict[Object, str] = {}
+    schemas: dict[str, ActionSchema] = {}
 
     for section in form[2:]:
         head = _head_text(section)
@@ -295,55 +271,68 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
                 if tok.text not in SUPPORTED_REQUIREMENTS:
                     raise ParseError(tok.span, f"unsupported requirement {tok.text}")
         elif head == ":types":
-            for name_tok, parent in _parse_typed_names(list(section[1:]), "type"):
-                b.types[name_tok.text] = parent if parent != ROOT_TYPE else None
-                if parent != ROOT_TYPE and parent not in b.types:
-                    b.types[parent] = None
+            for name_tok, parent in _parse_typed_names(section[1:], "type"):
+                # the hierarchy is acyclic before this entry, so a cycle
+                # through it would pass through its own name
+                if name_tok.text in _type_closure(types, parent):
+                    raise ParseError(name_tok.span, f"type {name_tok.text} is its own ancestor")
+                types[name_tok.text] = parent if parent != ROOT_TYPE else None
+                if parent != ROOT_TYPE and parent not in types:
+                    types[parent] = None
             # every declared type doubles as a unary predicate
-            for type_name in b.types:
-                b.declare_predicate(type_name, 1, section.span)
+            for type_name in types:
+                _declare_predicate(predicates, type_name, 1, section.span)
         elif head == ":constants":
-            _parse_object_decls(section, b.types, b.constants, b.constant_types, b.filename)
+            _parse_object_decls(section, types, constants, constant_types)
         elif head == ":predicates":
             for decl in section[1:]:
-                if not isinstance(decl, ListNode) or not decl:
-                    raise ParseError(decl.span, "expected a predicate declaration")
-                name_tok = _require_token(decl[0], "predicate name")
-                args = _parse_typed_names(list(decl[1:]), "parameter")
-                for arg_tok, _ in args:
-                    if not arg_tok.text.startswith("?"):
-                        raise ParseError(arg_tok.span, "predicate parameters must be variables")
-                b.declare_predicate(name_tok.text, len(args), name_tok.span)
+                name_tok, arity = _declaration(decl, "predicate")
+                _declare_predicate(predicates, name_tok.text, arity, name_tok.span)
         elif head == ":functions":
-            _parse_function_decls(section, b)
+            _parse_function_decls(section, functions)
         elif head == ":action":
-            schema = _parse_action(section, b)
-            if any(s.name == schema.name for s in b.schemas):
+            schema = _parse_action(section, types, predicates, functions, constants)
+            if schema.name in schemas:
                 raise ParseError(section.span, f"duplicate action name {schema.name}")
-            b.schemas.append(schema)
+            schemas[schema.name] = schema
         elif head is None:
             raise ParseError(section.span, "expected a domain section")
         else:
             raise ParseError(section.span, f"unsupported domain section {head}")
 
-    return b.build()
+    return Domain(name, tuple(predicates.values()), tuple(functions.values()),
+                  tuple(schemas.values()), tuple(constants.values()), constant_types, types)
 
 
-def _parse_object_decls(section: ListNode, types: dict, out_objects: list, out_types: dict, filename: str) -> None:
-    for name_tok, type_name in _parse_typed_names(list(section[1:]), "object"):
+def _parse_object_decls(section: ListNode, types: dict, objects: dict, object_types: dict) -> None:
+    """Adds the section's objects to `objects` (name -> Object) and the typed
+    ones to `object_types`."""
+    for name_tok, type_name in _parse_typed_names(section[1:], "object"):
         if name_tok.text.startswith("?"):
             raise ParseError(name_tok.span, "object names must not start with '?'")
         if type_name != ROOT_TYPE and type_name not in types:
             raise ParseError(name_tok.span, f"unknown type {type_name}")
-        obj = Object(name_tok.text)
-        if obj in out_types or any(o == obj for o in out_objects):
+        if name_tok.text in objects:
             raise ParseError(name_tok.span, f"duplicate object {name_tok.text}")
-        out_objects.append(obj)
+        obj = objects[name_tok.text] = Object(name_tok.text)
         if type_name != ROOT_TYPE:
-            out_types[obj] = type_name
+            object_types[obj] = type_name
 
 
-def _parse_function_decls(section: ListNode, b: _DomainBuilder) -> None:
+def _declaration(decl: Node, kind: str) -> tuple[TokenNode, int]:
+    """A (name ?x - t ...) declaration of a predicate or function: its name
+    token and its arity."""
+    if not isinstance(decl, ListNode) or not decl:
+        raise ParseError(decl.span, f"expected a {kind} declaration")
+    name_tok = _require_token(decl[0], f"{kind} name")
+    args = _parse_typed_names(decl[1:], "parameter")
+    for arg_tok, _ in args:
+        if not arg_tok.text.startswith("?"):
+            raise ParseError(arg_tok.span, f"{kind} parameters must be variables")
+    return name_tok, len(args)
+
+
+def _parse_function_decls(section: ListNode, functions: dict) -> None:
     i = 1
     while i < len(section):
         decl = section[i]
@@ -356,32 +345,27 @@ def _parse_function_decls(section: ListNode, b: _DomainBuilder) -> None:
                 raise ParseError(type_tok.span, "functions must map to type 'number'")
             i += 2
             continue
-        if not isinstance(decl, ListNode) or not decl:
-            raise ParseError(decl.span, "expected a function declaration")
-        name_tok = _require_token(decl[0], "function name")
-        args = _parse_typed_names(list(decl[1:]), "parameter")
-        for arg_tok, _ in args:
-            if not arg_tok.text.startswith("?"):
-                raise ParseError(arg_tok.span, "function parameters must be variables")
-        name = name_tok.text
-        existing = b.functions.get(name)
-        if existing is not None and existing.arity != len(args):
-            raise ParseError(name_tok.span, f"function {name} redeclared with different arity")
-        b.functions.setdefault(name, FunctionSymbol(name, len(args)))
+        name_tok, arity = _declaration(decl, "function")
+        sym = functions.setdefault(name_tok.text, FunctionSymbol(name_tok.text, arity))
+        if sym.arity != arity:
+            raise ParseError(name_tok.span, f"function {sym.name} redeclared with different arity")
         i += 1
 
 
 class _Scope:
-    """Resolution context for terms inside one action or problem section."""
+    """Resolution context for names inside one action or problem section;
+    `variables` is None where elements must be ground."""
 
-    def __init__(self, variables: dict[str, Variable], objects: dict[str, Object], allow_vars: bool):
-        self.variables = variables
+    def __init__(self, predicates: dict, functions: dict, objects: dict[str, Object],
+                 variables: Optional[dict[str, Variable]] = None):
+        self.predicates = predicates
+        self.functions = functions
         self.objects = objects
-        self.allow_vars = allow_vars
+        self.variables = variables
 
     def term(self, tok: TokenNode) -> Term:
         if tok.text.startswith("?"):
-            if not self.allow_vars:
+            if self.variables is None:
                 raise ParseError(tok.span, f"variable {tok.text} not allowed here; element must be ground")
             var = self.variables.get(tok.text)
             if var is None:
@@ -392,44 +376,41 @@ class _Scope:
             raise ParseError(tok.span, f"unknown object {tok.text}")
         return obj
 
+    def terms(self, nodes: list[Node]) -> tuple[Term, ...]:
+        return tuple(self.term(_require_token(t, "term")) for t in nodes)
 
-def _parse_atom(node: ListNode, scope: _Scope, predicates: dict) -> Atom:
+
+def _application(node: ListNode, scope: _Scope, symbols: dict, kind: str) -> tuple:
+    """A (name term ...) application of a predicate or function: the symbol
+    and the resolved terms."""
+    name_tok = _require_token(node[0], f"{kind} name")
+    sym = symbols.get(name_tok.text)
+    if sym is None:
+        raise ParseError(name_tok.span, f"unknown {kind} {name_tok.text}")
+    args = scope.terms(node[1:])
+    if sym.arity != len(args):
+        raise ParseError(name_tok.span, f"{kind} {sym.name} expects {sym.arity} arguments, got {len(args)}")
+    return sym, args
+
+
+def _parse_atom(node: ListNode, scope: _Scope) -> Atom:
     if not node:
         raise ParseError(node.span, "expected an atom")
-    name_tok = _require_token(node[0], "predicate name")
-    args = tuple(scope.term(_require_token(t, "term")) for t in node[1:])
-    if name_tok.text == EQUALITY_NAME:
+    if _head_text(node) == EQUALITY_NAME:
+        args = scope.terms(node[1:])
         if len(args) != 2:
-            raise ParseError(name_tok.span, "equality takes exactly 2 arguments")
+            raise ParseError(node[0].span, "equality takes exactly 2 arguments")
         return Atom(EQUALITY, args)
-    sym = predicates.get(name_tok.text)
-    if sym is None:
-        raise ParseError(name_tok.span, f"unknown predicate {name_tok.text}")
-    if sym.arity != len(args):
-        raise ParseError(
-            name_tok.span,
-            f"predicate {sym.name} expects {sym.arity} arguments, got {len(args)}",
-        )
-    return Atom(sym, args)
+    return Atom(*_application(node, scope, scope.predicates, "predicate"))
 
 
-def _parse_function_term(node: ListNode, scope: _Scope, functions: dict) -> FunctionTerm:
+def _parse_function_term(node: ListNode, scope: _Scope) -> FunctionTerm:
     if not node:
         raise ParseError(node.span, "expected a function term")
-    name_tok = _require_token(node[0], "function name")
-    sym = functions.get(name_tok.text)
-    if sym is None:
-        raise ParseError(name_tok.span, f"unknown function {name_tok.text}")
-    args = tuple(scope.term(_require_token(t, "term")) for t in node[1:])
-    if sym.arity != len(args):
-        raise ParseError(
-            name_tok.span,
-            f"function {sym.name} expects {sym.arity} arguments, got {len(args)}",
-        )
-    return FunctionTerm(sym, args)
+    return FunctionTerm(*_application(node, scope, scope.functions, "function"))
 
 
-def _parse_expr(node: Node, scope: _Scope, functions: dict) -> Expr:
+def _parse_expr(node: Node, scope: _Scope) -> Expr:
     if isinstance(node, TokenNode):
         if _is_number(node.text):
             return Constant(_number(node))
@@ -440,146 +421,127 @@ def _parse_expr(node: Node, scope: _Scope, functions: dict) -> Expr:
     if head.text in ("+", "*"):
         if len(node) < 3:
             raise ParseError(head.span, f"operator {head.text} needs at least 2 operands")
-        expr = _parse_expr(node[1], scope, functions)
+        expr = _parse_expr(node[1], scope)
         for operand in node[2:]:
-            expr = BinaryExpr(head.text, expr, _parse_expr(operand, scope, functions))
+            expr = BinaryExpr(head.text, expr, _parse_expr(operand, scope))
         return expr
     if head.text == "-":
         if len(node) == 2:  # unary minus
-            return BinaryExpr("-", Constant(0.0), _parse_expr(node[1], scope, functions))
+            return BinaryExpr("-", Constant(0.0), _parse_expr(node[1], scope))
         if len(node) != 3:
             raise ParseError(head.span, "operator - takes 1 or 2 operands")
-        return BinaryExpr("-", _parse_expr(node[1], scope, functions), _parse_expr(node[2], scope, functions))
+        return BinaryExpr("-", _parse_expr(node[1], scope), _parse_expr(node[2], scope))
     if head.text == "/":
         if len(node) != 3:
             raise ParseError(head.span, "operator / takes exactly 2 operands")
-        return BinaryExpr("/", _parse_expr(node[1], scope, functions), _parse_expr(node[2], scope, functions))
-    return _parse_function_term(node, scope, functions)
+        return BinaryExpr("/", _parse_expr(node[1], scope), _parse_expr(node[2], scope))
+    return _parse_function_term(node, scope)
 
 
-def _is_object_equality(node: ListNode) -> bool:
-    # (= a b) over two bare non-numeric names is object equality; any list or
-    # number operand makes it a numeric comparison
-    return (
-        len(node) == 3
-        and all(isinstance(t, TokenNode) for t in node[1:])
-        and not any(_is_number(t.text) for t in node[1:])
-    )
+def _is_constraint(node: ListNode) -> bool:
+    """A numeric comparison. (= a b) over two bare non-numeric names is object
+    equality instead; any list or number operand makes it a comparison."""
+    head = _head_text(node)
+    return head in _COMPARISONS and not (
+        head == EQUALITY_NAME and len(node) == 3
+        and all(isinstance(t, TokenNode) and not _is_number(t.text) for t in node[1:]))
 
 
-def _parse_condition(node: Node, scope: _Scope, predicates: dict, functions: dict,
-                     literals: list, constraints: list) -> None:
+def _parse_condition(node: Node, scope: _Scope, literals: list, constraints: list) -> None:
     if not isinstance(node, ListNode) or not node:
         raise ParseError(node.span, "expected a condition")
     head = _require_token(node[0], "condition head")
     if head.text == "and":
         for sub in node[1:]:
-            _parse_condition(sub, scope, predicates, functions, literals, constraints)
+            _parse_condition(sub, scope, literals, constraints)
         return
     if head.text == "not":
         if len(node) != 2 or not isinstance(node[1], ListNode):
             raise ParseError(head.span, "'not' takes a single atom")
-        inner = node[1]
-        inner_head = _head_text(inner)
-        if inner_head in _COMPARISONS and not (inner_head == EQUALITY_NAME and _is_object_equality(inner)):
-            raise ParseError(inner[0].span, "negated numeric constraints are not supported")
-        literals.append(Literal(_parse_atom(inner, scope, predicates), positive=False))
+        if _is_constraint(node[1]):
+            raise ParseError(node[1][0].span, "negated numeric constraints are not supported")
+        literals.append(Literal(_parse_atom(node[1], scope), positive=False))
         return
-    if head.text in _COMPARISONS and not (head.text == EQUALITY_NAME and _is_object_equality(node)):
+    if _is_constraint(node):
         if len(node) != 3:
             raise ParseError(head.span, f"comparison {head.text} takes exactly 2 operands")
-        constraints.append(
-            NumericConstraint(
-                _parse_expr(node[1], scope, functions),
-                head.text,
-                _parse_expr(node[2], scope, functions),
-            )
-        )
+        constraints.append(NumericConstraint(_parse_expr(node[1], scope), head.text,
+                                             _parse_expr(node[2], scope)))
         return
-    literals.append(Literal(_parse_atom(node, scope, predicates), positive=True))
+    literals.append(Literal(_parse_atom(node, scope), positive=True))
 
 
-def _parse_effects(node: Node, scope: _Scope, predicates: dict, functions: dict,
-                   literals: list, numeric: list) -> None:
+def _parse_effects(node: Node, scope: _Scope, literals: list, numeric: list) -> None:
     if not isinstance(node, ListNode) or not node:
         raise ParseError(node.span, "expected an effect")
     head = _require_token(node[0], "effect head")
     if head.text == "and":
         for sub in node[1:]:
-            _parse_effects(sub, scope, predicates, functions, literals, numeric)
-        return
-    if head.text == "not":
-        if len(node) != 2 or not isinstance(node[1], ListNode):
-            raise ParseError(head.span, "'not' takes a single atom")
-        atom = _parse_atom(node[1], scope, predicates)
-        if atom.predicate.name == EQUALITY_NAME:
-            raise ParseError(head.span, "built-in equality cannot appear in effects")
-        literals.append(Literal(atom, positive=False))
+            _parse_effects(sub, scope, literals, numeric)
         return
     if head.text in _EFFECT_HEADS:
         if len(node) != 3 or not isinstance(node[1], ListNode):
             raise ParseError(head.span, f"{head.text} takes a function term and an expression")
-        target = _parse_function_term(node[1], scope, functions)
-        numeric.append(NumericEffect(target, _EFFECT_HEADS[head.text], _parse_expr(node[2], scope, functions)))
+        target = _parse_function_term(node[1], scope)
+        numeric.append(NumericEffect(target, _EFFECT_HEADS[head.text], _parse_expr(node[2], scope)))
         return
-    atom = _parse_atom(node, scope, predicates)
+    positive = head.text != "not"
+    if not positive:
+        if len(node) != 2 or not isinstance(node[1], ListNode):
+            raise ParseError(head.span, "'not' takes a single atom")
+        node = node[1]
+    atom = _parse_atom(node, scope)
     if atom.predicate.name == EQUALITY_NAME:
         raise ParseError(head.span, "built-in equality cannot appear in effects")
-    literals.append(Literal(atom, positive=True))
+    literals.append(Literal(atom, positive))
 
 
-def _parse_action(section: ListNode, b: _DomainBuilder) -> ActionSchema:
+def _parse_action(section: ListNode, types: dict, predicates: dict, functions: dict,
+                  constants: dict) -> ActionSchema:
     if len(section) < 2:
         raise ParseError(section.span, "action needs a name")
     name_tok = _require_token(section[1], "action name")
     fields: dict[str, Node] = {}
-    i = 2
-    while i < len(section):
+    for i in range(2, len(section), 2):
         key = _require_token(section[i], "action keyword")
         if key.text not in (":parameters", ":precondition", ":effect"):
             raise ParseError(key.span, f"unsupported action keyword {key.text}")
         if i + 1 >= len(section):
             raise ParseError(key.span, f"missing value for {key.text}")
+        if key.text in fields:
+            raise ParseError(key.span, f"duplicate {key.text}")
         fields[key.text] = section[i + 1]
-        i += 2
 
     params_node = fields.get(":parameters")
-    if params_node is None or not isinstance(params_node, ListNode):
+    if not isinstance(params_node, ListNode):
         raise ParseError(name_tok.span, "action requires a :parameters list")
     params: list[Variable] = []
     param_types: list[Optional[str]] = []
     variables: dict[str, Variable] = {}
-    for var_tok, type_name in _parse_typed_names(list(params_node), "parameter"):
+    for var_tok, type_name in _parse_typed_names(params_node, "parameter"):
         if not var_tok.text.startswith("?"):
             raise ParseError(var_tok.span, "parameters must be variables starting with '?'")
         if var_tok.text in variables:
             raise ParseError(var_tok.span, f"duplicate parameter {var_tok.text}")
-        if type_name != ROOT_TYPE and type_name not in b.types:
+        if type_name != ROOT_TYPE and type_name not in types:
             raise ParseError(var_tok.span, f"unknown type {type_name}")
         var = Variable(var_tok.text)
         variables[var_tok.text] = var
         params.append(var)
         param_types.append(type_name if type_name != ROOT_TYPE else None)
 
-    objects = {o.name: o for o in b.constants}
-    scope = _Scope(variables, objects, allow_vars=True)
-
-    pre_literals: list[Literal] = []
+    scope = _Scope(predicates, functions, constants, variables)
+    pre_literals = [Literal(Atom(predicates[t], (var,)), positive=True)
+                    for var, t in zip(params, param_types) if t is not None]
     pre_constraints: list[NumericConstraint] = []
-    for var, type_name in zip(params, param_types):
-        if type_name is not None:
-            pre_literals.append(Literal(Atom(b.predicates[type_name], (var,)), positive=True))
-    if ":precondition" in fields:
-        node = fields[":precondition"]
-        if not (isinstance(node, ListNode) and not node):  # () means an empty precondition
-            _parse_condition(node, scope, b.predicates, b.functions, pre_literals, pre_constraints)
-
     eff_literals: list[Literal] = []
     eff_numeric: list[NumericEffect] = []
-    if ":effect" in fields:
-        node = fields[":effect"]
-        if not (isinstance(node, ListNode) and not node):
-            _parse_effects(node, scope, b.predicates, b.functions, eff_literals, eff_numeric)
+    # an empty list () means an empty precondition or effect
+    pre, eff = fields.get(":precondition"), fields.get(":effect")
+    if pre is not None and not (isinstance(pre, ListNode) and not pre):
+        _parse_condition(pre, scope, pre_literals, pre_constraints)
+    if eff is not None and not (isinstance(eff, ListNode) and not eff):
+        _parse_effects(eff, scope, eff_literals, eff_numeric)
 
     try:
         return ActionSchema(
@@ -596,14 +558,8 @@ def _parse_action(section: ListNode, b: _DomainBuilder) -> ActionSchema:
 
 
 def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Task:
-    form = _single_form(text, filename, "problem")
-    if _head_text(form) != "define":
-        raise ParseError(form.span, "expected (define (problem ...) ...)")
-    if len(form) < 2 or _head_text(form[1]) != "problem" or len(form[1]) != 2:
-        raise ParseError(form.span, "expected (problem NAME) after define")
-    problem_name = _require_token(form[1][1], "problem name").text
-
-    objects: list[Object] = list(domain.constants)
+    form, problem_name = _define(text, filename, "problem")
+    objects = {o.name: o for o in domain.constants}
     object_types: dict[Object, str] = dict(domain.constant_types)
     init_atoms: set[Atom] = set()
     init_fluents: dict[FunctionTerm, float] = {}
@@ -623,7 +579,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
                 raise ParseError(name_tok.span, f"problem requires domain {name_tok.text}, parsed domain is {domain.name}")
             domain_named = True
         elif head == ":objects":
-            _parse_object_decls(section, domain.types, objects, object_types, filename)
+            _parse_object_decls(section, domain.types, objects, object_types)
         elif head in (":init", ":goal", ":metric"):
             if head in sections:
                 raise ParseError(section.span, f"duplicate {head} section")
@@ -635,10 +591,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     if not domain_named:
         raise ParseError(form.span, "problem is missing a (:domain ...) section")
 
-    object_map = {o.name: o for o in objects}
-    scope = _Scope({}, object_map, allow_vars=False)
-    predicates = {p.name: p for p in domain.predicates}
-    functions = {f.name: f for f in domain.functions}
+    scope = _Scope({p.name: p for p in domain.predicates}, {f.name: f for f in domain.functions}, objects)
 
     if ":init" in sections:
         for entry in sections[":init"][1:]:
@@ -646,7 +599,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
                 raise ParseError(entry.span, "expected an init entry")
             head_tok = _require_token(entry[0], "init entry head")
             if head_tok.text == EQUALITY_NAME and len(entry) == 3 and isinstance(entry[1], ListNode):
-                term = _parse_function_term(entry[1], scope, functions)
+                term = _parse_function_term(entry[1], scope)
                 value_tok = _require_token(entry[2], "fluent value")
                 if not _is_number(value_tok.text):
                     raise ParseError(value_tok.span, "initial fluent values must be numeric constants")
@@ -654,7 +607,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
                     raise ParseError(head_tok.span, f"duplicate initial value for {term!r}")
                 init_fluents[term] = _number(value_tok)
             else:
-                atom = _parse_atom(entry, scope, predicates)
+                atom = _parse_atom(entry, scope)
                 if atom.predicate.name == EQUALITY_NAME:
                     raise ParseError(head_tok.span, "built-in equality cannot be asserted in :init")
                 init_atoms.add(atom)
@@ -662,13 +615,13 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     # typed objects contribute their type-closure atoms
     for obj, type_name in object_types.items():
         for t in domain.type_closure(type_name):
-            init_atoms.add(Atom(predicates[t], (obj,)))
+            init_atoms.add(Atom(scope.predicates[t], (obj,)))
 
     if ":goal" in sections:
         goal_section = sections[":goal"]
         if len(goal_section) != 2:
             raise ParseError(goal_section.span, "goal takes a single condition")
-        _parse_condition(goal_section[1], scope, predicates, functions, goal_literals, goal_constraints)
+        _parse_condition(goal_section[1], scope, goal_literals, goal_constraints)
 
     if ":metric" in sections:
         m = sections[":metric"]
@@ -677,7 +630,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         direction = _require_token(m[1], "metric direction").text
         if direction not in ("minimize", "maximize"):
             raise ParseError(m.span, f"unknown metric direction {direction}")
-        metric = (direction, _parse_metric_expr(m[2], scope, functions))
+        metric = (direction, _parse_metric_expr(m[2], scope))
 
     return Task(
         domain_name=domain.name,
@@ -685,7 +638,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         predicates=domain.predicates,
         functions=domain.functions,
         schemas=domain.schemas,
-        objects=tuple(objects),
+        objects=tuple(objects.values()),
         init=State(init_atoms, init_fluents),
         goal_literals=tuple(goal_literals),
         goal_constraints=tuple(goal_constraints),
@@ -693,11 +646,11 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     )
 
 
-def _parse_metric_expr(node: Node, scope: _Scope, functions: dict) -> Expr:
+def _parse_metric_expr(node: Node, scope: _Scope) -> Expr:
     # total-time is accepted as a conventional zero-cost placeholder
     if isinstance(node, ListNode) and _head_text(node) == "total-time" and len(node) == 1:
         return Constant(0.0)
-    return _parse_expr(node, scope, functions)
+    return _parse_expr(node, scope)
 
 
 def parse_task(domain_text: str, problem_text: str,
@@ -731,18 +684,11 @@ def write_domain(task: Task) -> str:
     lines.append("  (:requirements :strips :negative-preconditions :equality :numeric-fluents)")
     if task.objects:
         lines.append("  (:constants " + " ".join(o.name for o in task.objects) + ")")
-    if task.predicates:
-        decls = " ".join(
-            "(" + " ".join([p.name] + [f"?x{i}" for i in range(p.arity)]) + ")"
-            for p in task.predicates
-        )
-        lines.append(f"  (:predicates {decls})")
-    if task.functions:
-        decls = " ".join(
-            "(" + " ".join([f.name] + [f"?x{i}" for i in range(f.arity)]) + ")"
-            for f in task.functions
-        )
-        lines.append(f"  (:functions {decls})")
+    for keyword, symbols in ((":predicates", task.predicates), (":functions", task.functions)):
+        if symbols:
+            decls = " ".join("(" + " ".join([s.name] + [f"?x{i}" for i in range(s.arity)]) + ")"
+                             for s in symbols)
+            lines.append(f"  ({keyword} {decls})")
     for schema in task.schemas:
         lines.append(f"  (:action {schema.name}")
         lines.append("    :parameters (" + " ".join(v.name for v in schema.params) + ")")

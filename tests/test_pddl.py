@@ -391,3 +391,52 @@ def test_numeral_overflowing_to_inf_is_a_parse_error(init, goal, col):
     with pytest.raises(ParseError) as err:
         parse_problem(problem, domain, "p.pddl")
     assert str(err.value) == f"p.pddl:1:{col}: number out of range"
+
+
+@pytest.mark.parametrize("types, line, col, name", [
+    ("(:types a - b b - a)", 2, 17, "b"),
+    ("(:types a - a)", 2, 11, "a"),
+    ("(:types a - b c)\n  (:types c - a b - c)", 3, 17, "b"),
+], ids=["one-section", "self", "two-sections"])
+def test_cyclic_type_hierarchy_is_a_parse_error(types, line, col, name):
+    with pytest.raises(ParseError) as err:
+        parse_domain(f"(define (domain d)\n  {types})", "d.pddl")
+    assert str(err.value) == f"d.pddl:{line}:{col}: type {name} is its own ancestor"
+
+
+@pytest.mark.parametrize("keyword, value", [(":parameters", "(?y)"), (":precondition", "(q ?x)"),
+                                            (":effect", "(p ?x)")])
+def test_repeated_action_keyword_is_a_parse_error(keyword, value):
+    text = ("(define (domain d)\n  (:predicates (p ?x) (q ?x))\n"
+            "  (:action a :parameters (?x) :precondition (p ?x) :effect (q ?x)\n"
+            f"    {keyword} {value}))")
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, "d.pddl")
+    assert str(err.value) == f"d.pddl:4:5: duplicate {keyword}"
+
+
+@pytest.mark.parametrize("domain_text, objects, col", [
+    (COUNTERS_DOMAIN, "c1 c2 c1 - counter", 19),
+    (CONSTANTS_DOMAIN, "away home - place", 18),
+], ids=["objects", "constant"])
+def test_repeated_object_is_a_parse_error(domain_text, objects, col):
+    domain = parse_domain(domain_text)
+    name = objects.split()[-3]
+    problem = f"(define (problem p) (:domain {domain.name})\n  (:objects {objects})\n  (:goal (and)))"
+    with pytest.raises(ParseError) as err:
+        parse_problem(problem, domain, "p.pddl")
+    assert str(err.value) == f"p.pddl:2:{col}: duplicate object {name}"
+
+
+@pytest.mark.parametrize("lead, col", [("\t \t(", 5), ("(", 2)], ids=["tabs", "after-comment"])
+def test_error_position_after_tabs_crlf_and_comments(lead, col):
+    # a tab and a \r count as one column each, and a comment ends at the line end
+    text = ("(define (domain d)\r\n"
+            ";; a whole-line comment\r\n"
+            "\t(:predicates\t(p ?x)) ; trailing comment\r\n"
+            "\t(:action a :parameters (?x)\r\n"
+            "\t\t:precondition (and (p ?x) ;; ends right before the next token\n"
+            f"{lead}q ?x)) :effect ()))")
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, "d.pddl")
+    assert str(err.value) == f"d.pddl:6:{col}: unknown predicate q"
