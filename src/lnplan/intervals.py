@@ -1,26 +1,31 @@
 """Closed-interval arithmetic over the extended reals.
 
-Endpoints are floats, with ``math.inf`` standing in for the infinite bounds.
-The empty interval is a first-class member of the domain, so every operation
-is total. Arithmetic is the pointwise image restricted to defined pairs:
-division by a zero divisor and the indeterminate forms (inf - inf, 0 * inf,
-inf / inf) contribute nothing to the result instead of poisoning it. When no
-operand pair is defined, the image is empty.
+Endpoints are floats, with ``math.inf`` standing in for the infinite bounds;
+they are never NaN. The empty interval is a first-class member of the domain,
+so every operation is total. Arithmetic is the pointwise image restricted to
+defined pairs, and one rule decides definedness: x op y is undefined when the
+divisor is zero or IEEE arithmetic returns NaN. On non-NaN operands NaN comes
+exactly from the indeterminate forms inf - inf, 0 * inf and inf / inf.
+Undefined pairs contribute nothing to the result instead of poisoning it;
+when no operand pair is defined, the image is empty. Overflow to +-inf stays
+defined.
 
 Growth at excluded points is kept: [1, 2] / [0, 1] is [1, +inf] because the
 quotients are unbounded as the divisor approaches zero from above, even
-though division at zero itself is skipped.
+though division at zero itself is skipped. That divergence is the only
+limit at an undefined point that no defined point reaches.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 INF = math.inf
 
-ARITH_OPS = ("+", "-", "*", "/")
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -64,54 +69,58 @@ def point(value: float) -> Interval:
 
 
 def hull(values: Iterable[float]) -> Interval:
-    """Smallest interval containing all values; EMPTY for no values."""
-    vs = [float(v) for v in values]
+    """Smallest interval containing all values; NaN values are skipped, and
+    EMPTY results when none are left."""
+    vs = [v for v in map(float, values) if not math.isnan(v)]
     if not vs:
         return EMPTY
     return Interval(_clean(min(vs)), _clean(max(vs)))
 
 
-# --- scalar operations on extended reals; None marks an undefined pair ---
+def _function(op: str):
+    try:
+        return ARITH[op]
+    except KeyError:
+        raise ValueError(f"unknown arithmetic operator {op!r}") from None
 
 
 def scalar_op(x: float, op: str, y: float) -> Optional[float]:
-    if op == "+":
-        if (x == INF and y == -INF) or (x == -INF and y == INF):
-            return None
-        return x + y
-    if op == "-":
-        if (x == INF and y == INF) or (x == -INF and y == -INF):
-            return None
-        return x - y
-    if op == "*":
-        if (x == 0.0 and math.isinf(y)) or (math.isinf(x) and y == 0.0):
-            return None
-        return x * y
-    if op == "/":
-        if y == 0.0:
-            return None
-        if math.isinf(x) and math.isinf(y):
-            return None
-        return x / y
-    raise ValueError(f"unknown arithmetic operator {op!r}")
+    """x op y on extended reals; None for a zero divisor or a NaN result."""
+    fn = _function(op)
+    if fn is operator.truediv and y == 0.0:
+        return None
+    value = fn(x, y)
+    return None if math.isnan(value) else value
 
 
 def arith(a: Interval, op: str, b: Interval) -> Interval:
     """Hull of {x op y : x in a, y in b, x op y defined}.
 
-    Exact for closed extended-real intervals: operands are split at zero for
-    the sign-sensitive operators so the scalar operation is monotone on each
-    sub-box, and undefined corners contribute their one-sided edge limits.
+    Exact for closed extended-real intervals. For * and / the operands are
+    split at zero, so the operation is monotone on each piece and its
+    extremes lie at the defined corners, plus +-inf where a non-degenerate
+    divisor piece ends at zero and the dividend there is nonzero. Every other
+    limit along an edge into an undefined corner equals the value at the
+    edge's other, defined corner: an infinite sum or difference stays
+    infinite, a product of one-signed pieces tends to +-inf or 0, and inf/inf
+    or 0/0 tends to 0 or +-inf.
     """
-    if op not in ARITH_OPS:
-        raise ValueError(f"unknown arithmetic operator {op!r}")
+    fn = _function(op)
     if a.is_empty or b.is_empty:
         return EMPTY
     split = op in ("*", "/")
     out: list[float] = []
     for pa in _split_at_zero(a) if split else (a,):
         for pb in _split_at_zero(b) if split else (b,):
-            _box_extremes(pa, op, pb, out)
+            for x in (pa.lo, pa.hi):
+                for y in (pb.lo, pb.hi):
+                    v = scalar_op(x, op, y)
+                    if v is not None:
+                        out.append(v)
+                    elif fn is operator.truediv and y == 0.0 and x != 0.0 and pb.lo < pb.hi:
+                        # the quotient diverges as the divisor leaves zero into the piece
+                        side = 1.0 if pb.hi > 0.0 else -1.0
+                        out.append(math.copysign(INF, x) * side)
     if not out:
         return EMPTY
     return Interval(_clean(min(out)), _clean(max(out)))
@@ -138,64 +147,3 @@ def _split_at_zero(j: Interval) -> tuple[Interval, ...]:
     if j.lo < 0.0 < j.hi:
         return (Interval(j.lo, 0.0), Interval(0.0, j.hi))
     return (j,)
-
-
-def _box_extremes(a: Interval, op: str, b: Interval, out: list[float]) -> None:
-    corners = {(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)}
-    for x, y in corners:
-        v = scalar_op(x, op, y)
-        if v is not None:
-            out.append(v)
-        else:
-            out.extend(_corner_limits(a, op, b, x, y))
-
-
-def _corner_limits(a: Interval, op: str, b: Interval, x: float, y: float) -> list[float]:
-    """One-sided limits of the operation along the box edges at an undefined corner.
-
-    An edge contributes only when the corresponding operand interval is
-    non-degenerate, i.e. there are defined points approaching the corner.
-    After splitting at zero, every piece keeps a single sign, so the sign of
-    the approach is read off the piece's other endpoint.
-    """
-    limits: list[float] = []
-    if op == "+":
-        # undefined corner: {x, y} = {+inf, -inf}
-        if a.lo < a.hi:  # finite x' plus infinite y
-            limits.append(y)
-        if b.lo < b.hi:
-            limits.append(x)
-    elif op == "-":
-        # undefined corner: x = y = +inf or x = y = -inf
-        if a.lo < a.hi:
-            limits.append(-y)
-        if b.lo < b.hi:
-            limits.append(x)
-    elif op == "*":
-        # undefined corner: one coordinate 0, the other infinite
-        if x == 0.0:
-            if a.lo < a.hi:  # x' -> 0 keeping the sign of the piece
-                limits.append(y if a.hi > 0.0 else -y)
-            if b.lo < b.hi:  # y' finite: products along this edge are 0
-                limits.append(0.0)
-        else:
-            if b.lo < b.hi:
-                limits.append(x if b.hi > 0.0 else -x)
-            if a.lo < a.hi:
-                limits.append(0.0)
-    else:  # "/"
-        if y == 0.0:
-            # the y = 0 edge has no defined points; only y' -> 0 contributes
-            if b.lo < b.hi:
-                side = 1.0 if b.hi > 0.0 else -1.0
-                if x == 0.0:
-                    limits.append(0.0)
-                else:
-                    limits.append(INF * side * (1.0 if x > 0.0 else -1.0))
-        else:
-            # undefined corner: x and y both infinite
-            if a.lo < a.hi:  # finite x' over an infinite divisor
-                limits.append(0.0)
-            if b.lo < b.hi:  # infinite x over finite y' of y's sign
-                limits.append(x if y > 0.0 else -x)
-    return limits

@@ -11,11 +11,11 @@ implicit extension {(o, o)} in every state and never appears in effect sets.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+
+from .intervals import ARITH
 
 EQUALITY_NAME = "="
 
@@ -27,8 +27,8 @@ SCALE_DOWN = "/="
 ADDITIVE_OPS = frozenset((INCREASE, DECREASE))
 MULTIPLICATIVE_OPS = frozenset((SCALE_UP, SCALE_DOWN))
 # updating effect operator -> the arithmetic that folds its value into the target
-_UPDATES = {INCREASE: operator.add, DECREASE: operator.sub,
-            SCALE_UP: operator.mul, SCALE_DOWN: operator.truediv}
+_UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
+            SCALE_UP: ARITH["*"], SCALE_DOWN: ARITH["/"]}
 
 
 class Variable:
@@ -535,18 +535,12 @@ def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _E
     right = expr_value(state, expr.right, binding)
     if right is None:
         return None
-    op = expr.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0.0:
-            return None
-        return left / right
-    raise ValueError(f"unknown arithmetic operator {op!r}")
+    fn = ARITH.get(expr.op)
+    if fn is None:
+        raise ValueError(f"unknown arithmetic operator {expr.op!r}")
+    if right == 0.0 and expr.op == "/":
+        return None
+    return fn(left, right)
 
 
 def constraint_holds(state: State, constraint: NumericConstraint,
@@ -682,10 +676,3 @@ def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:
     return all(literal_holds(state, lit) for lit in task.goal_literals) and all(
         constraint_holds(state, con, tolerance=tolerance) for con in task.goal_constraints
     )
-
-
-def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[GroundAction]:
-    """Every total binding of the schema over the given objects."""
-    objects = tuple(objects)
-    for combo in itertools.product(objects, repeat=len(schema.params)):
-        yield GroundAction(schema, combo)

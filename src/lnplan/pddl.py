@@ -15,9 +15,10 @@ is one column. Each construct has one routine: the (define (WHAT NAME) ...)
 header, (name ?x - t ...) declarations of predicates and functions, and
 (name term ...) applications of both.
 
-A :types entry that would make a type its own ancestor, a repeated
-:parameters, :precondition or :effect in an action, and a repeated object
-name are errors. All errors carry a SourceSpan and format as
+A type must be declared in :types before a declaration, parameter or
+object uses it. A :types entry that would make a type its own ancestor, a
+repeated :parameters, :precondition or :effect in an action, and a repeated
+object name are errors. All errors carry a SourceSpan and format as
 file:line:col: message.
 """
 
@@ -220,6 +221,11 @@ def _parse_typed_names(items: list[Node], what: str) -> list[tuple[TokenNode, st
     return out
 
 
+def _require_type(types: dict, type_name: str, tok: TokenNode) -> None:
+    if type_name != ROOT_TYPE and type_name not in types:
+        raise ParseError(tok.span, f"unknown type {type_name}")
+
+
 def _type_closure(types: dict, type_name: str) -> list[str]:
     chain = []
     cur: Optional[str] = type_name
@@ -286,10 +292,10 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
             _parse_object_decls(section, types, constants, constant_types)
         elif head == ":predicates":
             for decl in section[1:]:
-                name_tok, arity = _declaration(decl, "predicate")
+                name_tok, arity = _declaration(decl, "predicate", types)
                 _declare_predicate(predicates, name_tok.text, arity, name_tok.span)
         elif head == ":functions":
-            _parse_function_decls(section, functions)
+            _parse_function_decls(section, types, functions)
         elif head == ":action":
             schema = _parse_action(section, types, predicates, functions, constants)
             if schema.name in schemas:
@@ -310,8 +316,7 @@ def _parse_object_decls(section: ListNode, types: dict, objects: dict, object_ty
     for name_tok, type_name in _parse_typed_names(section[1:], "object"):
         if name_tok.text.startswith("?"):
             raise ParseError(name_tok.span, "object names must not start with '?'")
-        if type_name != ROOT_TYPE and type_name not in types:
-            raise ParseError(name_tok.span, f"unknown type {type_name}")
+        _require_type(types, type_name, name_tok)
         if name_tok.text in objects:
             raise ParseError(name_tok.span, f"duplicate object {name_tok.text}")
         obj = objects[name_tok.text] = Object(name_tok.text)
@@ -319,20 +324,21 @@ def _parse_object_decls(section: ListNode, types: dict, objects: dict, object_ty
             object_types[obj] = type_name
 
 
-def _declaration(decl: Node, kind: str) -> tuple[TokenNode, int]:
+def _declaration(decl: Node, kind: str, types: dict) -> tuple[TokenNode, int]:
     """A (name ?x - t ...) declaration of a predicate or function: its name
     token and its arity."""
     if not isinstance(decl, ListNode) or not decl:
         raise ParseError(decl.span, f"expected a {kind} declaration")
     name_tok = _require_token(decl[0], f"{kind} name")
     args = _parse_typed_names(decl[1:], "parameter")
-    for arg_tok, _ in args:
+    for arg_tok, type_name in args:
         if not arg_tok.text.startswith("?"):
             raise ParseError(arg_tok.span, f"{kind} parameters must be variables")
+        _require_type(types, type_name, arg_tok)
     return name_tok, len(args)
 
 
-def _parse_function_decls(section: ListNode, functions: dict) -> None:
+def _parse_function_decls(section: ListNode, types: dict, functions: dict) -> None:
     i = 1
     while i < len(section):
         decl = section[i]
@@ -345,7 +351,7 @@ def _parse_function_decls(section: ListNode, functions: dict) -> None:
                 raise ParseError(type_tok.span, "functions must map to type 'number'")
             i += 2
             continue
-        name_tok, arity = _declaration(decl, "function")
+        name_tok, arity = _declaration(decl, "function", types)
         sym = functions.setdefault(name_tok.text, FunctionSymbol(name_tok.text, arity))
         if sym.arity != arity:
             raise ParseError(name_tok.span, f"function {sym.name} redeclared with different arity")
@@ -523,8 +529,7 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
             raise ParseError(var_tok.span, "parameters must be variables starting with '?'")
         if var_tok.text in variables:
             raise ParseError(var_tok.span, f"duplicate parameter {var_tok.text}")
-        if type_name != ROOT_TYPE and type_name not in types:
-            raise ParseError(var_tok.span, f"unknown type {type_name}")
+        _require_type(types, type_name, var_tok)
         var = Variable(var_tok.text)
         variables[var_tok.text] = var
         params.append(var)

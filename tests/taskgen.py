@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from lnplan.model import (
     ASSIGN,
@@ -45,11 +45,17 @@ from lnplan.model import (
     State,
     Task,
     Variable,
-    all_bindings,
     apply,
     goal_satisfied,
     is_applicable,
 )
+
+
+def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[GroundAction]:
+    """Every total binding of the schema over the given objects."""
+    objects = tuple(objects)
+    for combo in itertools.product(objects, repeat=len(schema.params)):
+        yield GroundAction(schema, combo)
 
 
 def brute_applicable(task: Task, state: State) -> list[GroundAction]:

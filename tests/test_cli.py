@@ -63,6 +63,7 @@ def test_parse_error_exit_30(tmp_path, capsys):
     ("(:functions (f))", "(:domain d) (:init (= (f) 1e999))"),
     ("(:types t - u u - t)", "(:domain d) (:objects o - t)"),
     ("(:action a :parameters (?x) :effect (p ?x) :effect (not (p ?x)))", "(:domain d)"),
+    ("(:functions (f ?x - nosuchtype))", "(:domain d)"),
 ])
 def test_malformed_pddl_exit_30_without_traceback(domain_text, problem_text, tmp_path, capsys):
     domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"

@@ -36,6 +36,32 @@ def test_hull_basics():
     assert hull([1, 5, -2]) == interval(-2, 5)
 
 
+@pytest.mark.parametrize("values, want", [
+    ([math.nan, 1.0], point(1.0)),
+    ([1.0, math.nan], point(1.0)),
+    ([math.nan, -2.0, math.nan, 3.0], interval(-2.0, 3.0)),
+    ([math.nan, math.nan], EMPTY),
+], ids=["nan-first", "nan-last", "interleaved", "all-nan"])
+def test_hull_skips_nan_in_any_order(values, want):
+    assert hull(values) == want
+
+
+@pytest.mark.parametrize("x, op, y, want", [
+    (INF, "-", INF, None),
+    (-INF, "+", INF, None),
+    (0.0, "*", INF, None),
+    (INF, "/", -INF, None),
+    (1.0, "/", 0.0, None),
+    (1.0, "/", -0.0, None),
+    (1e308, "*", 10.0, INF),
+    (-INF, "*", -2.0, INF),
+    (0.0, "/", INF, 0.0),
+])
+def test_scalar_op_definedness(x, op, y, want):
+    got = scalar_op(x, op, y)
+    assert got is None if want is None else got == want
+
+
 def test_hull_idempotent_on_endpoints():
     j = interval(-2.5, 7.0)
     assert hull([j.lo, j.hi]) == j
@@ -180,3 +206,31 @@ def test_empty_result_only_when_no_defined_pair(a, b, op):
         for x in (a.lo, a.hi):
             for y in (b.lo, b.hi):
                 assert scalar_op(x, op, y) is None
+
+
+def _oracle_samples(j: Interval) -> list[float]:
+    return [v for v in (j.lo, j.hi, 0.0, 1e-300, -1e-300, 1e300, -1e300) if v in j]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_exact_on_infinite_and_zero_straddling_boxes(op):
+    # independent of arith's corner analysis: sample each operand at its
+    # endpoints and at the points near 0 and near +-inf it contains; the
+    # result must hold every defined sample, its finite endpoints must be
+    # samples, and its infinite endpoints must be approached by huge samples
+    boxes = [Interval(lo, hi) for lo in ENDPOINTS for hi in ENDPOINTS if lo <= hi]
+    for ja in boxes:
+        for jb in boxes:
+            result = arith(ja, op, jb)
+            values = [v for x in _oracle_samples(ja) for y in _oracle_samples(jb)
+                      if (v := scalar_op(x, op, y)) is not None]
+            case = (ja, op, jb, result)
+            if result.is_empty:
+                assert not values, case
+                continue
+            assert all(v in result for v in values), case
+            for end in (result.lo, result.hi):
+                if math.isinf(end):
+                    assert any(v >= 1e299 if end > 0 else v <= -1e299 for v in values), case
+                else:
+                    assert end in values, case

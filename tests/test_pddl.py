@@ -404,6 +404,16 @@ def test_cyclic_type_hierarchy_is_a_parse_error(types, line, col, name):
     assert str(err.value) == f"d.pddl:{line}:{col}: type {name} is its own ancestor"
 
 
+@pytest.mark.parametrize("section, col", [
+    ("(:predicates (at ?x - t ?y - nosuchtype))", 27),
+    ("(:functions (f ?x - nosuchtype))", 18),
+], ids=["predicate", "function"])
+def test_unknown_type_in_declaration_is_a_parse_error(section, col):
+    with pytest.raises(ParseError) as err:
+        parse_domain(f"(define (domain d) (:types t)\n  {section})", "d.pddl")
+    assert str(err.value) == f"d.pddl:2:{col}: unknown type nosuchtype"
+
+
 @pytest.mark.parametrize("keyword, value", [(":parameters", "(?y)"), (":precondition", "(q ?x)"),
                                             (":effect", "(p ?x)")])
 def test_repeated_action_keyword_is_a_parse_error(keyword, value):
