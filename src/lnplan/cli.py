@@ -53,7 +53,7 @@ def _add_task_args(p):
 
 def _add_ground_cap_arg(p):
     p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP,
-                   help="abort grounding beyond this many actions")
+                   help="abort grounding beyond this many join candidates or stored actions")
 
 
 def _add_generator_args(p):

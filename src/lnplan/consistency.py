@@ -29,7 +29,8 @@ atom index takes the static predicates' buckets from the initial state's and
 indexes only the other atoms, range tables are built only for written
 functions, and only dynamic elements are evaluated, on the vertices and pairs
 the static masks leave alive. A partition pair without dynamic elements costs
-bit operations only.
+bit operations only. `static_graph` builds a schema's graph from its plan
+alone, with no state, for the grounded store to join.
 
 Every check goes through one routine: rules are `(reason, element)` lists in
 check order (positive atoms, negative atoms, constraints), `_refuted` finds
@@ -467,10 +468,7 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
         a2 = _survivors(half2, {}, x2, alive[p2], objects, env)
         off1, off2 = p1 * n, p2 * n
         if not dynamic:
-            for oi in _bits(a1):
-                adjacency[off1 + oi] |= (a2 if rows is None else rows[oi] & a2) << off2
-            for oj in _bits(a2):
-                adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
+            _connect(adjacency, off1, a1, off2, a2, rows, cols)
             continue
         binding: dict[Variable, Object] = {}
         for oi in _bits(a1):
@@ -482,6 +480,42 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
             for oj in _bits(bits):
                 adjacency[off2 + oj] |= v
     return graph
+
+
+def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph:
+    """The graph of the schema's static precondition literals alone.
+
+    It is exact on the static literals of at most two variables and holds
+    the pair projections of wider positive ones, so its cliques are the
+    bindings whose static literals hold, up to those wider literals. Built
+    from the propositional plan with no state; `ground_all` joins its
+    cliques.
+    """
+    k, objects = len(schema.params), statics.objects
+    n = len(objects)
+    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n))
+    plan = statics.plan(schema, numeric=False, record=False)
+    if plan.failure is not None:
+        graph.empty = True
+        graph.notes.append(f"{plan.failure[0]}: {plan.failure[1]!r}")
+        return graph
+    graph.alive = alive = list(plan.alive)
+    graph.empty = 0 in alive
+    if not graph.empty:
+        for p1, p2, *_, rows, cols in plan.pairs:
+            _connect(graph.adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
+    return graph
+
+
+def _connect(adjacency: list[int], off1: int, a1: int, off2: int, a2: int,
+             rows: Optional[list[int]], cols: Optional[list[int]]) -> None:
+    """Add the edges between the objects of `a1` (partition at vertex offset
+    `off1`) and those of `a2` that the static rows and cols leave, all of
+    them when `rows` is None."""
+    for oi in _bits(a1):
+        adjacency[off1 + oi] |= (a2 if rows is None else rows[oi] & a2) << off2
+    for oj in _bits(a2):
+        adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
 
 
 def _survivors(rules: list[_Rule], binding: dict[Variable, Object], var: Variable, mask: int,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     ASSIGN,
@@ -81,8 +81,7 @@ _EFFECT_HEADS = {
 _COMPARISONS = ("=", "<", ">", "<=", ">=")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     col: int
@@ -98,8 +97,7 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class TokenNode:
+class TokenNode(NamedTuple):  # one per token, so a plain tuple: cheap to build
     text: str
     span: SourceSpan
 

@@ -5,8 +5,8 @@ Strategies:
                  for every schema, parameter-free ones included
   propositional  the same graph without them
   exhaustive     every type-consistent total binding
-  grounded       a precomputed per-schema store, statically pruned, scanned
-                 per state
+  grounded       a join-grounded store, built once from the cliques of each
+                 schema's static graph, scanned per state
 
 Every strategy streams candidate ground actions that are then passed through
 an exact filter, so all four agree on the final set; they differ only in how
@@ -34,11 +34,13 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .cliques import iter_cliques
-from .consistency import StateContext, TaskStatics, build_graph, schema_violations, task_statics
+from .consistency import (StateContext, TaskStatics, build_graph, schema_violations,
+                          static_graph, task_statics)
 from .model import (
     ASSIGN,
     SCALE_DOWN,
     ActionSchema,
+    Atom,
     Check,
     Constant,
     EffectCheck,
@@ -53,6 +55,7 @@ from .model import (
     Variable,
     effects_compatible,
     expr_value,
+    free_variables,
     function_terms,
     is_applicable,
     literal_holds,
@@ -106,34 +109,50 @@ class GroundStore:
 
 
 def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
-    """Enumerate per-schema type-consistent bindings, dropping statically false ones.
+    """Every type-consistent binding whose static precondition literals hold,
+    per schema in the product order of its parameter pools.
 
-    Raises GroundLimitError once the enumeration or the store passes `cap`;
-    that blowup is exactly what the lifted strategies avoid.
+    The bindings are joined, not enumerated: they are the cliques of the
+    schema's static graph (`consistency.static_graph`), which decides the
+    static literals of at most two variables, and each clique is checked
+    against the wider static literals in the initial state.
+
+    Raises GroundLimitError once the streamed cliques or the store pass
+    `cap`; that blowup is exactly what the lifted strategies avoid.
     """
-    ctx = StateContext(task, task.init)
-    static = ctx.statics.predicates
+    statics = task_statics(task)
+    objects = statics.objects
+    n = len(objects)
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
     total = 0
     enumerated = 0
     for schema in task.schemas:
-        static_pre = [
-            lit for lit in schema.pre_literals if lit.atom.predicate.name in static
-        ]
-        pools = [ctx.typed_objects(t) for t in _param_types(schema)]
-        kept: list[GroundAction] = []
-        for combo in itertools.product(*pools):
+        graph = static_graph(schema, statics)
+        # a parameter type is a pool even where no static literal states it
+        for p, type_name in enumerate(_param_types(schema)):
+            if type_name is not None:
+                pred = task.predicate(type_name)
+                graph.alive[p] &= sum(1 << oi for oi, obj in enumerate(objects)
+                                      if Atom(pred, (obj,)) in task.init.atoms)
+        wide = [lit for lit in schema.pre_literals
+                if lit.atom.predicate.name in statics.predicates and len(free_variables(lit)) > 2]
+        kept: list[tuple[int, ...]] = []
+        for clique in iter_cliques(graph):
             enumerated += 1
             if enumerated > cap:
                 raise GroundLimitError(cap, schema.name)
-            action = GroundAction(schema, combo)
-            binding = action.binding_map()
-            if all(literal_holds(task.init, lit, binding) for lit in static_pre):
-                kept.append(action)
-                total += 1
-                if total > cap:
-                    raise GroundLimitError(cap, schema.name)
-        by_schema[schema.name] = tuple(kept)
+            combo = tuple(v - p * n for p, v in enumerate(clique))
+            if wide:
+                binding = {var: objects[oi] for var, oi in zip(schema.params, combo)}
+                if not all(literal_holds(task.init, lit, binding) for lit in wide):
+                    continue
+            kept.append(combo)
+            total += 1
+            if total > cap:
+                raise GroundLimitError(cap, schema.name)
+        kept.sort()  # object-index order is the product order of the pools
+        by_schema[schema.name] = tuple(
+            GroundAction(schema, tuple(objects[oi] for oi in combo)) for combo in kept)
     return GroundStore(by_schema, total)
 
 

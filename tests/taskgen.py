@@ -27,6 +27,7 @@ from lnplan.model import (
     ASSIGN,
     DECREASE,
     EQUALITY,
+    EQUALITY_NAME,
     INCREASE,
     SCALE_DOWN,
     SCALE_UP,
@@ -48,6 +49,8 @@ from lnplan.model import (
     apply,
     goal_satisfied,
     is_applicable,
+    literal_holds,
+    static_predicate_names,
 )
 
 
@@ -56,6 +59,28 @@ def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[Gr
     objects = tuple(objects)
     for combo in itertools.product(objects, repeat=len(schema.params)):
         yield GroundAction(schema, combo)
+
+
+def product_store(task: Task) -> dict[str, list[GroundAction]]:
+    """Per schema, every binding over the parameter pools whose static
+    precondition literals hold in the initial state, in product order: the
+    grounded store by enumeration. A typed parameter's pool is its type's
+    objects in the initial state, an untyped one's every object."""
+    static = static_predicate_names(task) | {EQUALITY_NAME}
+    out = {}
+    for schema in task.schemas:
+        types = schema.param_types or (None,) * len(schema.params)
+        pools = [task.objects if t is None else
+                 [o for o in task.objects if Atom(task.predicate(t), (o,)) in task.init.atoms]
+                 for t in types]
+        static_pre = [lit for lit in schema.pre_literals if lit.atom.predicate.name in static]
+        kept = out[schema.name] = []
+        for combo in itertools.product(*pools):
+            action = GroundAction(schema, combo)
+            binding = action.binding_map()
+            if all(literal_holds(task.init, lit, binding) for lit in static_pre):
+                kept.append(action)
+    return out
 
 
 def brute_applicable(task: Task, state: State) -> list[GroundAction]:

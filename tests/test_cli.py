@@ -175,7 +175,7 @@ def test_ground_counts_and_cap(capsys):
     out = capsys.readouterr().out
     assert "; drive:" in out and "; total:" in out
     assert main(["ground", "--domain", domain, "--problem", problem,
-                 "--ground-cap", "2"]) == 20
+                 "--ground-cap", "1"]) == 20
 
 
 def test_bench_writes_jsonl_and_csv(tmp_path, capsys):

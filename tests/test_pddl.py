@@ -15,6 +15,7 @@ from lnplan.pddl import (
     parse_domain,
     parse_problem,
     parse_task,
+    tokenize,
     write_domain,
     write_problem,
 )
@@ -450,3 +451,15 @@ def test_error_position_after_tabs_crlf_and_comments(lead, col):
     with pytest.raises(ParseError) as err:
         parse_domain(text, "d.pddl")
     assert str(err.value) == f"d.pddl:6:{col}: unknown predicate q"
+
+
+def test_tokenize_texts_and_spans():
+    # lower-cased texts; a comment runs to the line end, a \r is one column
+    text = "(Define ;; (not a token)\r\n  (P ?X)); tail\r\n\t42 -1.5e3\n"
+    got = [(tok.text, str(tok.span)) for tok in tokenize(text, "t.pddl")]
+    assert got == [("(", "t.pddl:1:1"), ("define", "t.pddl:1:2"),
+                   ("(", "t.pddl:2:3"), ("p", "t.pddl:2:4"), ("?x", "t.pddl:2:6"),
+                   (")", "t.pddl:2:8"), (")", "t.pddl:2:9"),
+                   ("42", "t.pddl:3:2"), ("-1.5e3", "t.pddl:3:5")]
+    span = tokenize(text, "t.pddl")[1].span
+    assert (span.file, span.line, span.col) == ("t.pddl", 1, 2)

@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from taskgen import random_task, walk_states
+from taskgen import product_store, random_task, walk_states
 
 from lnplan.model import (
+    EQUALITY,
     ActionSchema,
     Atom,
     Constant,
@@ -146,9 +148,75 @@ def test_ground_cap_enforced():
     task = Task("d", "t", (p,), (), (schema,), objects,
                 State([Atom(p, (objects[0],))], {}))
     with pytest.raises(GroundLimitError):
-        ground_all(task, cap=100)
+        ground_all(task, cap=99)
     store = ground_all(task, cap=10_000)
     assert store.total == 100  # 1 * 10 * 10 statically surviving
+
+
+def test_ground_cap_counts_join_candidates():
+    # every pair projection of t is full, so the static graph streams all
+    # 64 bindings, of which the exact check of t keeps the 32 with an even sum
+    t = PredicateSymbol("t", 3)
+    a, b, c = Variable("?a"), Variable("?b"), Variable("?c")
+    schema = ActionSchema("even", (a, b, c), pre_literals=(Literal(Atom(t, (a, b, c))),))
+    objects = tuple(Object(f"o{i}") for i in range(4))
+    atoms = [Atom(t, combo) for combo in itertools.product(objects, repeat=3)
+             if sum(objects.index(o) for o in combo) % 2 == 0]
+    task = Task("d", "t", (t,), (), (schema,), objects, State(atoms, {}))
+    assert ground_all(task, cap=64).total == 32
+    with pytest.raises(GroundLimitError):
+        ground_all(task, cap=40)
+
+
+def _assert_store_matches_product(task):
+    store, want = ground_all(task), product_store(task)
+    assert {name: list(actions) for name, actions in store.by_schema.items()} == want, \
+        task.problem_name
+    assert store.total == sum(map(len, want.values()))
+
+
+def test_ground_store_matches_product_loop(bundled_tasks):
+    for task in bundled_tasks.values():
+        _assert_store_matches_product(task)
+    rng = random.Random(606)
+    for i in range(60):
+        _assert_store_matches_product(random_task(rng, exact=rng.random() < 0.3, task_id=i))
+
+
+def test_ground_store_matches_product_loop_on_static_shapes():
+    kind, dyn = PredicateSymbol("kind", 1), PredicateSymbol("dyn", 1)
+    r, t = PredicateSymbol("r", 2), PredicateSymbol("t", 3)
+    a, b, c = Variable("?a"), Variable("?b"), Variable("?c")
+    objects = tuple(Object(f"o{i}") for i in range(5))
+    o1, o2 = objects[1], objects[2]
+
+    def lit(pred, *args, positive=True):
+        return Literal(Atom(pred, args), positive)
+
+    schemas = (
+        ActionSchema("ternary", (a, b, c), pre_literals=(lit(t, a, b, c), lit(t, c, b, a, positive=False))),
+        ActionSchema("repeated", (a, b), pre_literals=(lit(t, a, a, b), lit(t, b, a, b, positive=False))),
+        ActionSchema("constants", (a, b), pre_literals=(lit(t, a, o1, b), lit(r, o2, a, positive=False))),
+        ActionSchema("equality", (a, b, c), pre_literals=(
+            lit(EQUALITY, a, b), lit(EQUALITY, b, c, positive=False), lit(r, a, c))),
+        # b's type is a pool with no literal stating it; c's type is written by an effect
+        ActionSchema("typed", (a, b, c), pre_literals=(lit(kind, a), lit(r, a, b)),
+                     eff_literals=(lit(dyn, c, positive=False),), param_types=("kind", "kind", "dyn")),
+        ActionSchema("free", (), pre_literals=(lit(r, o1, o1, positive=False), lit(dyn, o1))),
+        ActionSchema("false", (a,), pre_literals=(lit(kind, a), lit(r, o2, o2))),
+    )
+    for seed in range(10):
+        rng = random.Random(seed)
+        atoms = [Atom(pred, combo) for pred in (kind, dyn, r, t)
+                 for combo in itertools.product(objects, repeat=pred.arity) if rng.random() < 0.5]
+        atoms = [atom for atom in atoms if atom not in (Atom(r, (o2, o2)), Atom(r, (o1, o1)))]
+        task = Task("d", f"shapes-{seed}", (kind, dyn, r, t), (), schemas, objects,
+                    State(atoms, {}))
+        assert static_predicate_names(task) == frozenset({"kind", "r", "t"})
+        _assert_store_matches_product(task)
+        store = ground_all(task)
+        assert store.for_schema("free") and not store.for_schema("false")
+        assert 0 < len(store.for_schema("ternary")) < 5 ** 3
 
 
 def test_grounded_strategy_reproduces_exhaustive_applicable_sets():
