@@ -23,11 +23,6 @@ def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     n = graph.n_objects
-    if k == 1:
-        for oi in graph.iter_alive(0):
-            yield (oi,)
-        return
-
     order = sorted(range(k), key=lambda p: (graph.alive[p].bit_count(), p))
     partition_masks = [graph.alive[p] << (p * n) for p in order]
     chosen = [0] * k

@@ -138,33 +138,18 @@ class AtomIndex:
 
 
 class StateContext:
-    """Shared per-state structures: the match index, range tables of the
-    dynamic symbols, type extents.
+    """Shared per-state structures: the match index and the range tables of
+    the dynamic symbols.
 
     The state must agree with the task's initial state on static atoms and
     fluents, as every reachable state does.
     """
 
     def __init__(self, task: Task, state: State):
-        self.task = task
-        self.state = state
         self.objects = task.objects
         self.statics = task_statics(task)
         self.index = AtomIndex(state, self.statics.index.buckets)
         self.ranges = AssignmentCache(state, self.statics.ranges)
-        self._typed: dict[str, tuple[Object, ...]] = {}
-
-    def typed_objects(self, type_name: Optional[str]) -> tuple[Object, ...]:
-        if type_name is None:
-            return self.objects
-        cached = self._typed.get(type_name)
-        if cached is None:
-            pred = self.task.predicate(type_name)
-            cached = tuple(
-                o for o in self.objects if Atom(pred, (o,)) in self.state.atoms
-            )
-            self._typed[type_name] = cached
-        return cached
 
 
 def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: AssignmentCache) -> Interval:
@@ -423,6 +408,17 @@ class TaskStatics:
         if plan is None:
             plan = self._plans[key] = _Plan(self, schema, numeric, record)
         return plan
+
+    def pools(self, schema: ActionSchema, numeric: bool) -> list[tuple[Object, ...]]:
+        """Per parameter, the objects that the schema's static
+        single-variable elements allow (its type literals among them), from
+        the plan's alive masks; every pool is empty when a static element
+        without variables fails. The one place a parameter's pool is worked
+        out."""
+        plan = self.plan(schema, numeric, record=False)
+        if plan.failure is not None:
+            return [()] * len(schema.params)
+        return [tuple(self.objects[oi] for oi in _bits(mask)) for mask in plan.alive]
 
 
 def task_statics(task: Task) -> TaskStatics:

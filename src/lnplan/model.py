@@ -286,8 +286,6 @@ class ActionSchema:
     pre_constraints: tuple[NumericConstraint, ...] = ()
     eff_literals: tuple[Literal, ...] = ()
     eff_numeric: tuple[NumericEffect, ...] = ()
-    # optional per-parameter type names; generation hint only, not identity
-    param_types: tuple[Optional[str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         # preconditions and effects are sets in the semantics: a repeated
@@ -296,8 +294,6 @@ class ActionSchema:
             object.__setattr__(self, name, _dedupe(getattr(self, name)))
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"action {self.name}: duplicate parameters")
-        if self.param_types and len(self.param_types) != len(self.params):
-            raise ValueError(f"action {self.name}: param_types length mismatch")
         scope = set(self.params)
         for group in (self.pre_literals, self.pre_constraints, self.eff_literals, self.eff_numeric):
             for element in group:
@@ -395,11 +391,6 @@ class Task:
     # data derived from the task on first use (see consistency.task_statics);
     # not part of the task's identity
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def predicate(self, name: str) -> PredicateSymbol:
-        if name == EQUALITY_NAME:
-            return EQUALITY
-        return self._pred_index[name]
 
     def function(self, name: str) -> FunctionSymbol:
         return self._fn_index[name]

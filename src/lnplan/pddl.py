@@ -520,7 +520,7 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
     if not isinstance(params_node, ListNode):
         raise ParseError(name_tok.span, "action requires a :parameters list")
     params: list[Variable] = []
-    param_types: list[Optional[str]] = []
+    pre_literals: list[Literal] = []  # each typed parameter's type literal first
     variables: dict[str, Variable] = {}
     for var_tok, type_name in _parse_typed_names(params_node, "parameter"):
         if not var_tok.text.startswith("?"):
@@ -531,11 +531,10 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
         var = Variable(var_tok.text)
         variables[var_tok.text] = var
         params.append(var)
-        param_types.append(type_name if type_name != ROOT_TYPE else None)
+        if type_name != ROOT_TYPE:
+            pre_literals.append(Literal(Atom(predicates[type_name], (var,)), positive=True))
 
     scope = _Scope(predicates, functions, constants, variables)
-    pre_literals = [Literal(Atom(predicates[t], (var,)), positive=True)
-                    for var, t in zip(params, param_types) if t is not None]
     pre_constraints: list[NumericConstraint] = []
     eff_literals: list[Literal] = []
     eff_numeric: list[NumericEffect] = []
@@ -554,7 +553,6 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
             pre_constraints=tuple(pre_constraints),
             eff_literals=tuple(eff_literals),
             eff_numeric=tuple(eff_numeric),
-            param_types=tuple(param_types),
         )
     except ValueError as exc:
         raise ParseError(name_tok.span, str(exc)) from exc

@@ -4,7 +4,7 @@ Strategies:
   numeric        consistency graph with the numeric-constraint rules, built
                  for every schema, parameter-free ones included
   propositional  the same graph without them
-  exhaustive     every type-consistent total binding
+  exhaustive     every binding over the parameters' static pools
   grounded       a join-grounded store, built once from the cliques of each
                  schema's static graph, scanned per state
 
@@ -40,7 +40,6 @@ from .model import (
     ASSIGN,
     SCALE_DOWN,
     ActionSchema,
-    Atom,
     Check,
     Constant,
     EffectCheck,
@@ -52,7 +51,6 @@ from .model import (
     Object,
     State,
     Task,
-    Variable,
     effects_compatible,
     expr_value,
     free_variables,
@@ -109,8 +107,8 @@ class GroundStore:
 
 
 def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
-    """Every type-consistent binding whose static precondition literals hold,
-    per schema in the product order of its parameter pools.
+    """Every binding whose static precondition literals hold, per schema in
+    object-index order.
 
     The bindings are joined, not enumerated: they are the cliques of the
     schema's static graph (`consistency.static_graph`), which decides the
@@ -128,12 +126,6 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
     enumerated = 0
     for schema in task.schemas:
         graph = static_graph(schema, statics)
-        # a parameter type is a pool even where no static literal states it
-        for p, type_name in enumerate(_param_types(schema)):
-            if type_name is not None:
-                pred = task.predicate(type_name)
-                graph.alive[p] &= sum(1 << oi for oi, obj in enumerate(objects)
-                                      if Atom(pred, (obj,)) in task.init.atoms)
         wide = [lit for lit in schema.pre_literals
                 if lit.atom.predicate.name in statics.predicates and len(free_variables(lit)) > 2]
         kept: list[tuple[int, ...]] = []
@@ -150,16 +142,10 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
             total += 1
             if total > cap:
                 raise GroundLimitError(cap, schema.name)
-        kept.sort()  # object-index order is the product order of the pools
+        kept.sort()
         by_schema[schema.name] = tuple(
             GroundAction(schema, tuple(objects[oi] for oi in combo)) for combo in kept)
     return GroundStore(by_schema, total)
-
-
-def _param_types(schema: ActionSchema) -> tuple[Optional[str], ...]:
-    if schema.param_types:
-        return schema.param_types
-    return (None,) * len(schema.params)
 
 
 def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str]
@@ -187,8 +173,8 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
             tuple(con for con in constraints if con in undecided))
 
 
-def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None
-                     ) -> tuple[EffectCheck, ...]:
+def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None,
+                     numeric: bool = False) -> tuple[EffectCheck, ...]:
     """The effect conditions that an action of the schema whose preconditions
     hold can still fail, in any state reachable from the initial state.
 
@@ -198,14 +184,14 @@ def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None
     - an expression of constants and always-defined terms, in which every
       divisor is such a constant expression, is defined;
     - a term is always defined when the initial state defines its function
-      for every object tuple that the schema's static unary preconditions
-      (its parameter types, among them) allow, because no effect undefines a
-      fluent;
+      for every object tuple over the parameters' static pools
+      (`TaskStatics.pools` of the plan with or without the `numeric` rules),
+      because no effect undefines a fluent;
     - effects on one function that are all additive or all multiplicative,
       or that are the only effect on it, cannot conflict.
     Without `statics` (a domain with no problem) no term counts as defined.
     """
-    defined = _always_defined_terms(schema, statics)
+    defined = _always_defined_terms(schema, statics, numeric)
     ops: dict[str, list[str]] = {}
     for eff in schema.eff_numeric:
         ops.setdefault(eff.target.function.name, []).append(eff.op)
@@ -233,7 +219,7 @@ def residual_check(schema: ActionSchema, strategy: str,
     """
     static = statics.predicates if statics is not None else frozenset()
     return Check(*undecided_preconditions(schema, strategy, static),
-                 fallible_effects(schema, statics))
+                 fallible_effects(schema, statics, numeric=strategy == NUMERIC))
 
 
 _NO_STATE = State((), {})
@@ -257,7 +243,7 @@ def _always_defined(expr: Expr, defined) -> bool:
     return _always_defined(expr.left, defined) and _always_defined(expr.right, defined)
 
 
-def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics]):
+def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], numeric: bool):
     """A test of whether a function term of the schema is defined under every
     binding that satisfies the schema's preconditions, in every state
     reachable from the initial state."""
@@ -265,23 +251,12 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics]):
         return lambda term: False
     init = statics.init
     counts = Counter(term.function.name for term in init.fluents)
-    extents: dict[str, set[Object]] = {}  # unary predicate -> objects, in init
-
-    def pool(var: Variable) -> set[Object]:
-        # the objects the variable's static unary preconditions allow
-        types = {lit.atom.predicate.name for lit in schema.pre_literals
-                 if lit.positive and lit.atom.args == (var,)
-                 and lit.atom.predicate.name in statics.predicates}
-        if types and not extents:
-            for atom in init.atoms:
-                if len(atom.args) == 1:
-                    extents.setdefault(atom.predicate.name, set()).add(atom.args[0])
-        return set(statics.objects).intersection(*(extents.get(name, ()) for name in types))
+    pool = dict(zip(schema.params, statics.pools(schema, numeric)))
 
     def defined(term: FunctionTerm) -> bool:
         # positions are filled independently, which asks for more tuples than
         # a repeated variable needs and so stays sound
-        pools = [(arg,) if type(arg) is Object else pool(arg) for arg in term.args]
+        pools = [(arg,) if type(arg) is Object else pool[arg] for arg in term.args]
         if counts[term.function.name] < math.prod(map(len, pools)):
             return False
         return all(FunctionTerm(term.function, args) in init.fluents
@@ -318,13 +293,13 @@ class SuccessorGenerator:
         if strategy == GROUNDED:
             yield from self.store.for_schema(schema.name)
             return
-        if ctx is None:
-            ctx = self.context(state)
         if strategy == EXHAUSTIVE:
-            pools = [ctx.typed_objects(t) for t in _param_types(schema)]
+            pools = task_statics(self.task).pools(schema, numeric=False)
             for combo in itertools.product(*pools):
                 yield GroundAction(schema, combo)
             return
+        if ctx is None:
+            ctx = self.context(state)
         graph = build_graph(schema, ctx, numeric=strategy == NUMERIC)
         objects = ctx.objects
         n = len(objects)
@@ -341,7 +316,7 @@ class SuccessorGenerator:
         state must be one the residual is compiled for (see the module
         docstring): any state reachable from the task's initial state.
         """
-        if ctx is None and self.config.strategy in (NUMERIC, PROPOSITIONAL, EXHAUSTIVE):
+        if ctx is None and self.config.strategy in (NUMERIC, PROPOSITIONAL):
             ctx = self.context(state)
         report = CandidateReport()
         out: list[GroundAction] = []

@@ -62,21 +62,15 @@ def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[Gr
 
 
 def product_store(task: Task) -> dict[str, list[GroundAction]]:
-    """Per schema, every binding over the parameter pools whose static
-    precondition literals hold in the initial state, in product order: the
-    grounded store by enumeration. A typed parameter's pool is its type's
-    objects in the initial state, an untyped one's every object."""
+    """Per schema, every binding whose static precondition literals (type
+    literals among them) hold in the initial state, in product order: the
+    grounded store by enumeration."""
     static = static_predicate_names(task) | {EQUALITY_NAME}
     out = {}
     for schema in task.schemas:
-        types = schema.param_types or (None,) * len(schema.params)
-        pools = [task.objects if t is None else
-                 [o for o in task.objects if Atom(task.predicate(t), (o,)) in task.init.atoms]
-                 for t in types]
         static_pre = [lit for lit in schema.pre_literals if lit.atom.predicate.name in static]
         kept = out[schema.name] = []
-        for combo in itertools.product(*pools):
-            action = GroundAction(schema, combo)
+        for action in all_bindings(schema, task.objects):
             binding = action.binding_map()
             if all(literal_holds(task.init, lit, binding) for lit in static_pre):
                 kept.append(action)

@@ -60,7 +60,7 @@ def test_single_partition_yields_vertices():
 def test_random_graphs_match_brute_force():
     rng = random.Random(31)
     for _ in range(200):
-        k = rng.randint(2, 4)
+        k = rng.randint(1, 4)
         n = rng.randint(1, 5)
         edges = []
         for p1 in range(k):

@@ -19,6 +19,7 @@ from lnplan.pddl import (
     write_domain,
     write_problem,
 )
+from lnplan.successors import STRATEGIES, GeneratorConfig, SuccessorGenerator
 
 COUNTERS_DOMAIN = """
 (define (domain counters)
@@ -196,6 +197,12 @@ def test_roundtrip_counters(bundled_tasks):
         problem_text = write_problem(task)
         again = parse_task(domain_text, problem_text)
         assert again == task, name
+        # the written domain keeps everything generation reads, so every
+        # strategy streams as many candidates from the round-tripped task
+        for strategy in STRATEGIES:
+            reports = [SuccessorGenerator(t, GeneratorConfig(strategy=strategy))
+                       .applicable(t.init)[1] for t in (task, again)]
+            assert reports[0] == reports[1], (name, strategy)
 
 
 def test_roundtrip_random_tasks():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from taskgen import product_store, random_task, walk_states
+from taskgen import brute_applicable, product_store, random_task, walk_states
 
 from lnplan.model import (
     EQUALITY,
@@ -24,6 +24,7 @@ from lnplan.model import (
     apply,
 )
 from lnplan.pddl import parse_task
+from lnplan.search import solve
 from lnplan.successors import (
     EXHAUSTIVE,
     GROUNDED,
@@ -199,9 +200,10 @@ def test_ground_store_matches_product_loop_on_static_shapes():
         ActionSchema("constants", (a, b), pre_literals=(lit(t, a, o1, b), lit(r, o2, a, positive=False))),
         ActionSchema("equality", (a, b, c), pre_literals=(
             lit(EQUALITY, a, b), lit(EQUALITY, b, c, positive=False), lit(r, a, c))),
-        # b's type is a pool with no literal stating it; c's type is written by an effect
-        ActionSchema("typed", (a, b, c), pre_literals=(lit(kind, a), lit(r, a, b)),
-                     eff_literals=(lit(dyn, c, positive=False),), param_types=("kind", "kind", "dyn")),
+        # type literals: a static one on a and b, one that an effect writes on c
+        ActionSchema("typed", (a, b, c), pre_literals=(lit(kind, a), lit(kind, b), lit(r, a, b),
+                                                       lit(dyn, c)),
+                     eff_literals=(lit(dyn, c, positive=False),)),
         ActionSchema("free", (), pre_literals=(lit(r, o1, o1, positive=False), lit(dyn, o1))),
         ActionSchema("false", (a,), pre_literals=(lit(kind, a), lit(r, o2, o2))),
     )
@@ -279,3 +281,32 @@ def test_nan_fluent_keeps_numeric_candidates():
         got[strategy] = {a for a in generator.applicable(state)[0] if a.schema.name == "use"}
     assert len(got[NUMERIC]) == 12  # ?x, ?y in {b, c}, any ?z
     assert all(actions == got[NUMERIC] for actions in got.values())
+
+
+PROMOTE_DOMAIN = """(define (domain promote)
+  (:requirements :strips :typing)
+  (:types thing)
+  (:predicates (used ?y))
+  (:action promote :parameters (?x) :effect (thing ?x))
+  (:action use :parameters (?y - thing) :effect (used ?y)))"""
+
+PROMOTE_PROBLEM = """(define (problem promote-1) (:domain promote)
+  (:objects o1 - thing o2)
+  (:init)
+  (:goal (used o2)))"""
+
+
+def test_type_written_by_an_effect_is_a_dynamic_literal():
+    # `thing` is a type and an effect writes it, so `use o2` becomes
+    # applicable after `promote o2`; a pool for ?y read from the initial
+    # extent of `thing` misses it
+    task = parse_task(PROMOTE_DOMAIN, PROMOTE_PROBLEM)
+    o2 = Object("o2")
+    state = apply(task.init, GroundAction(task.schema("promote"), (o2,)))
+    want = set(brute_applicable(task, state))
+    assert GroundAction(task.schema("use"), (o2,)) in want
+    for strategy in STRATEGIES:
+        config = GeneratorConfig(strategy=strategy)
+        assert set(SuccessorGenerator(task, config).applicable(state)[0]) == want, strategy
+        result = solve(task, config)
+        assert (result.status, result.cost) == ("solved", 2), strategy
