@@ -3,14 +3,13 @@
 Vertices are variable/object pairs, one partition per schema parameter.
 A pair of vertices from distinct partitions is connected unless some
 precondition element refutes it: a positive atom that matches no state atom
-under the pair's binding (`AtomIndex.match_exists`), a negative atom, bound
-in full, that matches one, or a numeric constraint that the interval
-relaxation proves unsatisfiable under every extension of the pair
-(`relaxed_unsat`). Elements with a single free variable prune vertices
-instead (the unary specialization of the same rules), and elements with no
-free variables short-circuit the whole graph; a schema without parameters
-gets a graph that is empty or holds just the empty clique, exact on
-functions of arity at most two.
+under the pair's binding, a negative atom, bound in full, that matches one,
+or a numeric constraint that the interval relaxation proves unsatisfiable
+under every extension of the pair (`relaxed_unsat`). Elements with a single
+free variable prune vertices instead (the unary specialization of the same
+rules), and elements with no free variables short-circuit the whole graph;
+a schema without parameters gets a graph that is empty or holds just the
+empty clique, exact on functions of arity at most two.
 
 The numeric rules can be switched off to obtain the purely propositional
 graph; the final applicability filter downstream restores exactness in
@@ -32,15 +31,22 @@ the static masks leave alive. A partition pair without dynamic elements costs
 bit operations only. `static_graph` builds a schema's graph from its plan
 alone, with no state, for the grounded store to join.
 
-Every check goes through one routine: rules are `(reason, element)` lists in
-check order (positive atoms, negative atoms, constraints), `_refuted` finds
-the first rule that refutes a binding, and `_survivors` applies a rule list
-to one row of objects, whether a vertex mask or the partners of a vertex.
+Rules are `(reason, element)` lists in check order (positive atoms,
+negative atoms, constraints). Elements with no variable bound are decided by
+`_refuted`, through `AtomIndex.match_exists` and `relaxed_unsat`. Every other
+rule list is compiled once per plan for the variable whose row it decides
+(`_compile`), and `_survivors` applies it to one row of objects, whether a
+vertex mask or the partners of a vertex: an atom costs one projection row
+(`AtomIndex.project`, the objects its target positions admit once the bound
+positions are fixed) and one AND, and a constraint one `relaxed_unsat` call
+per object the atom rows leave.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
-numeric-unsat. Record mode runs the same loop on a plan that treats every
-element as dynamic, against the state's own index.
+numeric-unsat, and in ascending object order. Record mode runs the same
+`_survivors` on a plan that treats every element as dynamic, against the
+state's own index: rows apply in check order, and an object takes the
+reason of the first row that removes it.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
 from .intervals import Interval, arith, compare, point
@@ -78,16 +84,20 @@ NUMERIC_UNSAT = "numeric-unsat"
 
 
 class _Bucket:
-    __slots__ = ("full", "by_pos", "count")
+    __slots__ = ("full", "by_pos", "atoms")
 
     def __init__(self):
         self.full = 0
         self.by_pos: dict[tuple[int, Object], int] = {}
-        self.count = 0
+        self.atoms: list[Atom] = []  # atom id -> atom
 
 
 class AtomIndex:
-    """Per-predicate (position, object) -> atom-id bitsets for match queries.
+    """Per-predicate atom lists and (position, object) -> atom-id bitsets.
+
+    `project` reads them: the row of objects that some positions admit once
+    others are fixed, or with no such positions whether any atom matches
+    (`match_exists`, which the graph asks only with nothing bound).
 
     Buckets in `shared` (predicate name -> bucket of another index) are
     taken as they are, and the state's atoms of those predicates skipped: a
@@ -103,8 +113,8 @@ class AtomIndex:
             bucket = buckets.get(name)
             if bucket is None:
                 bucket = buckets[name] = _Bucket()
-            bit = 1 << bucket.count
-            bucket.count += 1
+            bit = 1 << len(bucket.atoms)
+            bucket.atoms.append(atom)
             bucket.full |= bit
             for i, obj in enumerate(atom.args):
                 key = (i, obj)
@@ -117,24 +127,51 @@ class AtomIndex:
         Built-in equality matches whenever both sides can be made equal:
         always, unless both are bound to distinct objects.
         """
-        if atom.predicate.name == EQUALITY_NAME:
-            left = atom.args[0] if type(atom.args[0]) is Object else binding.get(atom.args[0])
-            right = atom.args[1] if type(atom.args[1]) is Object else binding.get(atom.args[1])
-            if left is not None and right is not None:
-                return left == right
-            return True
-        bucket = self.buckets.get(atom.predicate.name)
+        fixed = tuple((i, arg) for i, arg in enumerate(atom.args)
+                      if type(arg) is Object or arg in binding)
+        return self.project(atom.predicate.name, fixed, (), binding, {}) != 0
+
+    def project(self, name: str, fixed: tuple, targets: tuple[int, ...],
+                binding: Mapping[Variable, Object], index_of: Mapping[Object, int]) -> int:
+        """The objects found at the `targets` positions in the atoms of
+        predicate `name` that hold the `fixed` ones, as a bitset over
+        `index_of`.
+
+        `fixed` lists (position, constant or variable of the binding) pairs;
+        the other positions are existential, and an atom counts only when
+        all its target positions hold one object. With no targets the row is
+        -1, every object, if an atom matches and 0 otherwise. Equality, which
+        has no atoms, holds on the fixed object or, without one, everywhere.
+        """
+        if name == EQUALITY_NAME:
+            objs = {arg if type(arg) is Object else binding[arg] for _, arg in fixed}
+            if len(objs) > 1:
+                return 0
+            if not (targets and objs):
+                return -1
+            oi = index_of.get(objs.pop())
+            return 0 if oi is None else 1 << oi
+        bucket = self.buckets.get(name)
         if bucket is None:
-            return False
+            return 0
         mask = bucket.full
-        for i, arg in enumerate(atom.args):
-            obj = arg if type(arg) is Object else binding.get(arg)
-            if obj is None:
-                continue
-            mask &= bucket.by_pos.get((i, obj), 0)
+        for i, arg in fixed:
+            mask &= bucket.by_pos.get((i, arg if type(arg) is Object else binding[arg]), 0)
             if not mask:
-                return False
-        return True
+                return 0
+        if not targets:
+            return -1
+        atoms = bucket.atoms
+        j, rest = targets[0], targets[1:]
+        row = 0
+        for atom in map(atoms.__getitem__, _bits(mask)) if fixed else atoms:
+            obj = atom.args[j]
+            if rest and any(atom.args[t] != obj for t in rest):
+                continue
+            oi = index_of.get(obj)
+            if oi is not None:
+                row |= 1 << oi
+        return row
 
 
 class StateContext:
@@ -271,17 +308,44 @@ def _bits(mask: int) -> Iterator[int]:
 _Rule = tuple[str, object]  # (reason, element): the element refutes with the reason
 
 
-def _refuted(rules: list[_Rule], binding: Mapping[Variable, Object], index: AtomIndex,
-             ranges: AssignmentCache) -> Optional[_Rule]:
-    """The first of the rules that refutes the binding, or None."""
+def _refuted(rules: list[_Rule], index: AtomIndex, ranges: AssignmentCache) -> Optional[_Rule]:
+    """The first of the rules that refutes with nothing bound, or None."""
     for rule in rules:
         reason, element = rule
         if reason == NUMERIC_UNSAT:
-            if relaxed_unsat(element, binding, ranges):
+            if relaxed_unsat(element, _NO_BINDING, ranges):
                 return rule
-        elif index.match_exists(element, binding) == (reason == NEGATIVE_HIT):
+        elif index.match_exists(element, _NO_BINDING) == (reason == NEGATIVE_HIT):
             return rule
     return None
+
+
+class _Rules(NamedTuple):
+    """A rule list compiled for the rows of one variable (see `_survivors`)."""
+
+    var: Variable
+    atoms: list[tuple]  # (reason, predicate name, fixed, targets), see AtomIndex.project
+    numeric: list[NumericConstraint]
+
+
+def _compile(rules: list[_Rule], var: Variable, bound: Optional[Variable] = None
+             ) -> Optional[_Rules]:
+    """The rules, in check order, for rows of `var` with `bound` (if any)
+    fixed by the binding; None when there are none. An atom's constants and
+    `bound` are its fixed positions and `var` its targets."""
+    if not rules:
+        return None
+    atoms, numeric = [], []
+    for reason, element in rules:
+        if reason == NUMERIC_UNSAT:
+            numeric.append(element)
+            continue
+        args = element.args
+        fixed = tuple((i, arg) for i, arg in enumerate(args)
+                      if type(arg) is Object or arg == bound)
+        targets = tuple(i for i, arg in enumerate(args) if arg == var)
+        atoms.append((reason, element.predicate.name, fixed, targets))
+    return _Rules(var, atoms, numeric)
 
 
 class _Plan:
@@ -295,7 +359,7 @@ class _Plan:
     only the second, both, rows, cols): rows[oi] is the `_survivors` row of
     partition-p2 objects that the static rules leave connected to object oi
     of partition p1, cols its transpose, both None when no static rule
-    applies.
+    applies. Rule lists are compiled (`_compile`), None when empty.
 
     A `record` plan treats every element as dynamic and keeps all of a
     pair's elements in its own group, so each refuted vertex and pair meets
@@ -307,7 +371,7 @@ class _Plan:
         self.schema = schema
         objects = statics.objects
         preds, funcs = statics.predicates, statics.functions
-        env = (statics.index, statics.init_ranges)
+        env = (statics.index, statics.init_ranges, statics)
 
         lits = schema.pre_literals
         rules = ([(POSITIVE_MISS, lit.atom) for lit in lits if lit.positive]
@@ -336,7 +400,7 @@ class _Plan:
         for reason, element, _ in checks:
             if not is_static(element):
                 self.ground.append((reason, element))
-            elif _refuted([(reason, element)], _NO_BINDING, *env):
+            elif _refuted([(reason, element)], statics.index, statics.init_ranges):
                 self.failure = (reason, element)
                 return
 
@@ -353,8 +417,8 @@ class _Plan:
         everything = (1 << len(objects)) - 1
         for var in schema.params:
             groups = split(r for r in rules if r[2] == {var})
-            self.alive.append(_survivors(groups[_STATIC], {}, var, everything, objects, env))
-            self.unary.append(groups[frozenset()])
+            self.alive.append(_survivors(_compile(groups[_STATIC], var), {}, everything, env))
+            self.unary.append(_compile(groups[frozenset()], var))
 
         # pairs: elements on two or more variables that touch the pair
         params = schema.params
@@ -364,17 +428,18 @@ class _Plan:
             # a negative atom refutes only when bound in full
             groups = split((r for r in rules if (r[2] == pair if r[0] == NEGATIVE_HIT
                                                  else len(r[2]) > 1 and r[2] & pair)), pair)
-            static = groups[_STATIC]
+            static = _compile(groups[_STATIC], x2, x1)
             rows = cols = None
-            if static:
+            if static is not None:
                 rows, cols, binding = [0] * len(objects), [0] * len(objects), {}
                 for oi in _bits(self.alive[p1]):
                     binding[x1] = objects[oi]
-                    rows[oi] = _survivors(static, binding, x2, self.alive[p2], objects, env)
+                    rows[oi] = _survivors(static, binding, self.alive[p2], env)
                     for oj in _bits(rows[oi]):
                         cols[oj] |= 1 << oi
-            self.pairs.append((p1, p2, groups[frozenset((x1,))], groups[frozenset((x2,))],
-                               groups[pair], rows, cols))
+            self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], x1),
+                               _compile(groups[frozenset((x2,))], x2),
+                               _compile(groups[pair], x2, x1), rows, cols))
 
 
 class TaskStatics:
@@ -388,6 +453,7 @@ class TaskStatics:
     def __init__(self, task: Task):
         self.init = task.init
         self.objects = task.objects
+        self.index_of = {obj: oi for oi, obj in enumerate(task.objects)}
         self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
         self.functions = static_function_names(task)
         self.init_ranges = AssignmentCache(self.init)
@@ -437,10 +503,10 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
                              exclusions=[] if record else None)
     plan = ctx.statics.plan(schema, numeric, record)
-    env = (ctx.index, ctx.ranges)
+    env = (ctx.index, ctx.ranges, ctx.statics)
 
     # elements with no variable bound decide the whole graph
-    rule = _refuted(plan.ground, _NO_BINDING, *env) or plan.failure
+    rule = _refuted(plan.ground, ctx.index, ctx.ranges) or plan.failure
     if rule is not None:
         graph.empty = True
         graph.notes.append(f"{rule[0]}: {rule[1]!r}")
@@ -448,9 +514,8 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
 
     exclusions = graph.exclusions
     alive = graph.alive
-    for p, var in enumerate(schema.params):
-        alive[p] = _survivors(plan.unary[p], {}, var, plan.alive[p], objects, env, exclusions,
-                              ("vertex", p))
+    for p in range(k):
+        alive[p] = _survivors(plan.unary[p], {}, plan.alive[p], env, exclusions, ("vertex", p))
     graph.empty = 0 in alive
     if graph.empty or k == 1:
         return graph
@@ -459,18 +524,17 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     # pair's variables is checked once per vertex, not once per pair
     params, adjacency = schema.params, graph.adjacency
     for p1, p2, half1, half2, dynamic, rows, cols in plan.pairs:
-        x1, x2 = params[p1], params[p2]
-        a1 = _survivors(half1, {}, x1, alive[p1], objects, env)
-        a2 = _survivors(half2, {}, x2, alive[p2], objects, env)
+        a1 = _survivors(half1, {}, alive[p1], env)
+        a2 = _survivors(half2, {}, alive[p2], env)
         off1, off2 = p1 * n, p2 * n
-        if not dynamic:
+        if dynamic is None:
             _connect(adjacency, off1, a1, off2, a2, rows, cols)
             continue
-        binding: dict[Variable, Object] = {}
+        x1, binding = params[p1], {}
         for oi in _bits(a1):
             binding[x1] = objects[oi]
-            bits = _survivors(dynamic, binding, x2, a2 if rows is None else rows[oi] & a2,
-                              objects, env, exclusions, ("pair", p1, oi, p2))
+            bits = _survivors(dynamic, binding, a2 if rows is None else rows[oi] & a2, env,
+                              exclusions, ("pair", p1, oi, p2))
             adjacency[off1 + oi] |= bits << off2
             v = 1 << off1 + oi
             for oj in _bits(bits):
@@ -514,22 +578,43 @@ def _connect(adjacency: list[int], off1: int, a1: int, off2: int, a2: int,
         adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
 
 
-def _survivors(rules: list[_Rule], binding: dict[Variable, Object], var: Variable, mask: int,
-               objects: tuple[Object, ...], env: tuple, exclusions: Optional[list] = None,
-               tag: tuple = ()) -> int:
-    """The objects of `mask` that the rules leave for `var`, with the rest
-    of the binding fixed: the one row routine, for a vertex mask, a pair's
-    halves and its static or dynamic row. `var` is bound in place. Each
-    excluded object is listed in `exclusions`, if given, as
-    `tag + (oi, reason)`."""
-    if rules:
+def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: int, env: tuple,
+               exclusions: Optional[list] = None, tag: tuple = ()) -> int:
+    """The objects of `mask` that the rules leave for their variable, with
+    the rest of the binding fixed: the one row routine, for a vertex mask, a
+    pair's halves and its static or dynamic row.
+
+    Each atom rule costs one projection row (`AtomIndex.project`): a
+    positive literal keeps the row's objects and a negative one, bound in
+    full by the variable, drops them. The constraints are then checked on
+    each object left, with the variable bound in place. Each excluded object
+    is listed in `exclusions`, if given, as `tag + (oi, reason)`, in
+    ascending oi and with the first rule in check order that excludes it.
+    `env` is (atom index, range tables, `TaskStatics`)."""
+    if rules is None:
+        return mask
+    index, ranges, statics = env
+    removed = []
+    for reason, name, fixed, targets in rules.atoms:
+        row = index.project(name, fixed, targets, binding, statics.index_of)
+        if reason == NEGATIVE_HIT:
+            row = ~row
+        if exclusions is not None:
+            removed += [(oi, reason) for oi in _bits(mask & ~row)]
+        mask &= row
+        if not mask:
+            break
+    if rules.numeric:
+        var, objects = rules.var, statics.objects
         for oi in _bits(mask):
             binding[var] = objects[oi]
-            rule = _refuted(rules, binding, *env)
-            if rule is not None:
-                mask ^= 1 << oi
-                if exclusions is not None:
-                    exclusions.append(tag + (oi, rule[0]))
+            for constraint in rules.numeric:
+                if relaxed_unsat(constraint, binding, ranges):
+                    mask ^= 1 << oi
+                    removed.append((oi, NUMERIC_UNSAT))
+                    break
+    if exclusions is not None:
+        exclusions.extend(tag + record for record in sorted(removed))
     return mask
 
 

@@ -17,6 +17,7 @@ from lnplan.model import (
     Atom,
     BinaryExpr,
     Constant,
+    EQUALITY,
     FunctionSymbol,
     FunctionTerm,
     GroundAction,
@@ -28,6 +29,7 @@ from lnplan.model import (
     Task,
     Variable,
     constraint_holds,
+    free_variables,
     is_applicable,
     literal_holds,
 )
@@ -385,10 +387,116 @@ def test_state_index_shares_the_static_atoms_of_the_initial_state(bundled_tasks)
     assert index.match_exists(road, {}) and not index.match_exists(absent, {})
     # shared as built from the initial state, not extended by the state's atoms
     roads = sum(atom.predicate.name == "road" for atom in task.init.atoms)
-    assert index.buckets["road"].count == roads
+    assert len(index.buckets["road"].atoms) == roads
     # the dynamic atoms are the state's own
     moved = [atom for atom in state.atoms if atom.predicate.name == "at"]
     left = [atom for atom in task.init.atoms - state.atoms if atom.predicate.name == "at"]
     assert moved and left
     assert all(index.match_exists(atom, {}) for atom in moved)
     assert not any(index.match_exists(atom, {}) for atom in left)
+
+
+# --- atom shapes that random tasks rarely produce ---
+
+
+def test_atom_shapes_match_reference():
+    # Each shape is one schema over ?x ?y ?z, checked on random states of
+    # p/3, q/2 and the atomless e/2 over three objects, with the predicates
+    # static (only d is written) and dynamic (an effect writes each).
+    Z = Variable("?z")
+    p, q, e, d = (PredicateSymbol("p", 3), PredicateSymbol("q", 2), PredicateSymbol("e", 2),
+                  PredicateSymbol("d", 1))
+    f = FunctionSymbol("f", 2)
+
+    def lit(pred, *args, positive=True):
+        return Literal(Atom(pred, args), positive)
+
+    def eq(left, right, positive=True):
+        return lit(EQUALITY, left, right, positive=positive)
+
+    shapes = {
+        "constant": [lit(q, X, B), lit(p, X, A, Y)],
+        "repeated variable": [lit(p, X, X, Y)],
+        "one pair variable and a free third": [lit(q, Y, Z)],
+        "static on x1 and x3, not x2": [lit(q, X, Z)],
+        "negative on the pair": [lit(q, X, Y, positive=False)],
+        "equality": [eq(X, Y)],
+        "inequality": [eq(X, Y, positive=False)],
+        "equality of a variable with itself": [eq(X, X)],
+        "equality with a constant": [eq(Y, C), eq(A, X, positive=False)],
+        "ternary": [lit(p, X, Y, Z)],
+        "no atoms": [lit(e, X, Y)],
+        "no atoms, negative": [lit(e, Y, Z, positive=False)],
+        "negatives and a constraint": [lit(q, Y, X, positive=False), lit(p, Y, Y, Y, positive=False),
+                                       lit(q, X, Z)],
+    }
+    constraint = NumericConstraint(FunctionTerm(f, (X, Y)), ">", Constant(0.0))
+    objects = (A, B, C)
+    universe = ([Atom(p, args) for args in itertools.product(objects, repeat=3)]
+                + [Atom(q, args) for args in itertools.product(objects, repeat=2)])
+    rng = random.Random(41)
+    states = [([atom for atom in universe if rng.random() < 0.4],
+               {FunctionTerm(f, (u, v)): float(rng.randint(-1, 1)) for u in objects
+                for v in objects}) for _ in range(12)]
+    for name, literals in shapes.items():
+        for touched in (False, True):
+            effects = (lit(p, X, Y, Z), lit(q, X, Y), lit(e, X, Y)) if touched else (lit(d, X),)
+            schema = ActionSchema("s", (X, Y, Z), pre_literals=tuple(literals),
+                                  pre_constraints=(constraint,), eff_literals=effects)
+            for atoms, fluents in states:
+                task = _task([schema], objects, atoms, fluents, predicates=[p, q, e, d],
+                             functions=[f])
+                ctx = StateContext(task, task.init)
+                for numeric in (False, True):
+                    for record in (False, True):
+                        got = build_graph(schema, ctx, numeric=numeric, record=record)
+                        want = _reference_graph(schema, task, task.init, numeric=numeric,
+                                                record=record)
+                        assert _same_graph(got, want), (name, touched, numeric, record)
+
+
+def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch):
+    # 3 robots on 400 waypoints, two links per robot and waypoint. The static
+    # rows come from projections of the link atoms; a match query is left
+    # only for each static literal the plan checks with nothing bound.
+    from conftest import load_bundled
+    from lnplan.consistency import AtomIndex, static_graph, task_statics
+
+    relay = load_bundled("relay")
+    at, link = (next(s for s in relay.predicates if s.name == name) for name in ("at", "link"))
+    energy, step_cost = relay.function("energy"), relay.function("step-cost")
+    rng = random.Random(400)
+    robots = [Object(f"r{i}") for i in range(3)]
+    waypoints = [Object(f"w{i}") for i in range(400)]
+    links = {(r, a, b) for r in robots for a in waypoints
+             for b in rng.sample([w for w in waypoints if w != a], 2)}
+    atoms = [Atom(at, (r, waypoints[0])) for r in robots] + [Atom(link, args) for args in links]
+    fluents = {FunctionTerm(energy, (r,)): 6.0 for r in robots}
+    fluents[FunctionTerm(step_cost, ())] = 1.0
+    task = _task(relay.schemas, robots + waypoints, atoms, fluents, relay.predicates,
+                 relay.functions)
+
+    calls = []
+    match_exists = AtomIndex.match_exists
+    monkeypatch.setattr(AtomIndex, "match_exists",
+                        lambda self, atom, binding: calls.append(atom) or match_exists(
+                            self, atom, binding))
+    statics = task_statics(task)
+    checked = 0
+    for schema in task.schemas:
+        for numeric in (False, True):
+            statics.plan(schema, numeric, record=False)
+            checked += sum(lit.atom.predicate.name in statics.predicates
+                           and (lit.positive or not free_variables(lit))
+                           for lit in schema.pre_literals)
+        graph = static_graph(schema, statics)
+    assert 0 < len(calls) <= checked
+
+    # the (?a ?b) rows are the link projections
+    (move,) = task.schemas
+    params = list(move.params)
+    pa, pb = params.index(Variable("?a")), params.index(Variable("?b"))
+    index_of = {obj: oi for oi, obj in enumerate(task.objects)}
+    got = {(oi, oj) for oi in graph.iter_alive(pa) for oj in graph.iter_alive(pb)
+           if graph.has_edge(graph.vertex_id(pa, oi), graph.vertex_id(pb, oj))}
+    assert got == {(index_of[a], index_of[b]) for _, a, b in links}
