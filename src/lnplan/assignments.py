@@ -31,10 +31,9 @@ DEGREE = 2
 class AssignmentSet:
     """Per-symbol map from partial position bindings to value intervals."""
 
-    __slots__ = ("function", "table")
+    __slots__ = ("table",)
 
-    def __init__(self, function: FunctionSymbol, table: dict):
-        self.function = function
+    def __init__(self, table: dict):
         self.table = table
 
     def lookup(self, binding: PosBinding) -> Interval:
@@ -78,15 +77,14 @@ def build_assignment_set(function: FunctionSymbol,
                     if value > cur[1]:
                         cur[1] = value
     table = {key: Interval(lo, hi) for key, (lo, hi) in bounds.items()}
-    return AssignmentSet(function, table)
+    return AssignmentSet(table)
 
 
 class AssignmentCache:
     """Lazy per-state cache of assignment sets, one per function symbol.
 
     Buckets the state's fluents by symbol once, then builds each table on
-    first use. Concurrent first uses are safe: setdefault keeps a single
-    winner and the loser's table is discarded.
+    first use.
 
     `static` maps the names of functions no effect writes to a cache over the
     initial state. Their tables are the same in every reachable state, so

@@ -53,7 +53,8 @@ def _add_task_args(p):
 
 def _add_ground_cap_arg(p):
     p.add_argument("--ground-cap", type=int, default=DEFAULT_GROUND_CAP,
-                   help="abort grounding beyond this many join candidates or stored actions")
+                   help="abort grounding once its join streams more than this many"
+                        " candidate bindings, counted over all schemas")
 
 
 def _add_generator_args(p):
@@ -169,11 +170,7 @@ def cmd_solve(args) -> int:
 def cmd_successors(args) -> int:
     config = _config(args.generator, args.ground_cap)
     task = _load(args)
-    try:
-        generator = SuccessorGenerator(task, config)
-    except GroundLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    generator = SuccessorGenerator(task, config)
     ctx = generator.context(task.init)
     if args.dump_graph:
         for schema in task.schemas:
@@ -188,11 +185,7 @@ def cmd_successors(args) -> int:
 
 def cmd_ground(args) -> int:
     task = _load(args)
-    try:
-        store = ground_all(task, cap=args.ground_cap)
-    except GroundLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    store = ground_all(task, cap=args.ground_cap)
     for schema in task.schemas:
         actions = store.for_schema(schema.name)
         print(f"; {schema.name}: {len(actions)} ground actions")
@@ -204,20 +197,12 @@ def cmd_ground(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
-        _config(s)
-    _limits(args)
+    configs = [_config(s.strip()) for s in args.strategies.split(",") if s.strip()]
+    limits = _limits(args)
     if not metrics.discover_suite(args.suite):
         raise _UsageError(f"no domain.pddl with a problem*.pddl under {args.suite}")
-    reports = metrics.run_suite(
-        args.suite,
-        strategies,
-        time_limit_s=args.time_limit,
-        memory_mb=args.mem_limit,
-        node_cap=args.node_cap,
-        keep_per_expansion=args.per_expansion,
-    )
+    reports = metrics.run_suite(args.suite, configs, limits,
+                                keep_per_expansion=args.per_expansion)
     metrics.write_jsonl(reports, args.out)
     if args.csv:
         Path(args.csv).write_text(metrics.summarize_csv(reports))
@@ -299,6 +284,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except GroundLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

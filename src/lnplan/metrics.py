@@ -117,16 +117,15 @@ def discover_suite(suite_dir) -> list[tuple[str, Path, Path]]:
     return tasks
 
 
-def run_suite(suite_dir, strategies: Sequence[str], *,
-              time_limit_s: Optional[float] = None, memory_mb: Optional[float] = None,
-              node_cap: Optional[int] = None, keep_per_expansion: bool = False) -> list[RunReport]:
-    """Solve every task in the suite under every strategy and report."""
-    limits = search.Limits(time_s=time_limit_s, nodes=node_cap, memory_mb=memory_mb)
+def run_suite(suite_dir, configs: Sequence[GeneratorConfig],
+              limits: search.Limits = search.Limits(), *,
+              keep_per_expansion: bool = False) -> list[RunReport]:
+    """Solve every task in the suite under every generator config and report."""
     reports = []
     for task_id, domain_path, problem_path in discover_suite(suite_dir):
         task = load_task(domain_path, problem_path)
-        for strategy in strategies:
-            config = GeneratorConfig(strategy=strategy)
+        for config in configs:
             result = search.solve(task, config, limits)
-            reports.append(report_from_result(task_id, strategy, result, keep_per_expansion))
+            reports.append(report_from_result(task_id, config.strategy, result,
+                                              keep_per_expansion))
     return reports

@@ -203,45 +203,31 @@ def format_number(v: float) -> str:
 
 
 def free_variables(element) -> frozenset[Variable]:
-    out: set[Variable] = set()
-    _collect_vars(element, out)
-    return frozenset(out)
-
-
-def _collect_vars(element, out: set) -> None:
-    if isinstance(element, Variable):
-        out.add(element)
-    elif isinstance(element, Object) or isinstance(element, Constant):
-        pass
-    elif isinstance(element, (Atom, FunctionTerm)):
-        for a in element.args:
-            if type(a) is Variable:
-                out.add(a)
-    elif isinstance(element, Literal):
-        _collect_vars(element.atom, out)
-    elif isinstance(element, BinaryExpr):
-        _collect_vars(element.left, out)
-        _collect_vars(element.right, out)
-    elif isinstance(element, NumericConstraint):
-        _collect_vars(element.lhs, out)
-        _collect_vars(element.rhs, out)
-    elif isinstance(element, NumericEffect):
-        _collect_vars(element.target, out)
-        _collect_vars(element.expr, out)
-    else:
-        raise TypeError(f"cannot collect variables from {type(element).__name__}")
+    return frozenset(a for part in _parts(element) for a in part.args if type(a) is Variable)
 
 
 def function_terms(element) -> Iterator[FunctionTerm]:
-    """The function terms of an expression or a numeric constraint."""
-    if isinstance(element, NumericConstraint):
-        yield from function_terms(element.lhs)
-        yield from function_terms(element.rhs)
-    elif isinstance(element, BinaryExpr):
-        yield from function_terms(element.left)
-        yield from function_terms(element.right)
-    elif isinstance(element, FunctionTerm):
+    """The function terms of an element, left to right."""
+    return (part for part in _parts(element) if isinstance(part, FunctionTerm))
+
+
+def _parts(element) -> Iterator[Union[Atom, FunctionTerm]]:
+    """The atoms and function terms of an element, left to right."""
+    if isinstance(element, (Atom, FunctionTerm)):
         yield element
+    elif isinstance(element, Literal):
+        yield element.atom
+    elif isinstance(element, BinaryExpr):
+        yield from _parts(element.left)
+        yield from _parts(element.right)
+    elif isinstance(element, NumericConstraint):
+        yield from _parts(element.lhs)
+        yield from _parts(element.rhs)
+    elif isinstance(element, NumericEffect):
+        yield element.target
+        yield from _parts(element.expr)
+    elif not isinstance(element, Constant):
+        raise TypeError(f"cannot walk {type(element).__name__}")
 
 
 def substitute(element, sub: Mapping[Variable, Object]):
@@ -301,10 +287,6 @@ class ActionSchema:
                 if loose:
                     names = ", ".join(sorted(v.name for v in loose))
                     raise ValueError(f"action {self.name}: free variables not in parameters: {names}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.params)
 
     @cached_property
     def conditions(self) -> Check:

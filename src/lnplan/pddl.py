@@ -545,17 +545,15 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
     if eff is not None and not (isinstance(eff, ListNode) and not eff):
         _parse_effects(eff, scope, eff_literals, eff_numeric)
 
-    try:
-        return ActionSchema(
-            name=name_tok.text,
-            params=tuple(params),
-            pre_literals=tuple(pre_literals),
-            pre_constraints=tuple(pre_constraints),
-            eff_literals=tuple(eff_literals),
-            eff_numeric=tuple(eff_numeric),
-        )
-    except ValueError as exc:
-        raise ParseError(name_tok.span, str(exc)) from exc
+    # the checks above cover ActionSchema's own (repeated and loose variables)
+    return ActionSchema(
+        name=name_tok.text,
+        params=tuple(params),
+        pre_literals=tuple(pre_literals),
+        pre_constraints=tuple(pre_constraints),
+        eff_literals=tuple(eff_literals),
+        eff_numeric=tuple(eff_numeric),
+    )
 
 
 def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Task:

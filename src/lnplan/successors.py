@@ -57,8 +57,6 @@ from .model import (
     function_terms,
     is_applicable,
     literal_holds,
-    static_function_names,  # re-exported: the one definition of "static"
-    static_predicate_names,
 )
 
 NUMERIC = "numeric"
@@ -92,7 +90,7 @@ class CandidateReport:
 
 class GroundLimitError(Exception):
     def __init__(self, cap: int, schema: str):
-        super().__init__(f"ground-action store exceeds cap {cap} at schema {schema}")
+        super().__init__(f"grounding join streams more than {cap} candidates at schema {schema}")
         self.cap = cap
         self.schema = schema
 
@@ -115,23 +113,24 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
     static literals of at most two variables, and each clique is checked
     against the wider static literals in the initial state.
 
-    Raises GroundLimitError once the streamed cliques or the store pass
-    `cap`; that blowup is exactly what the lifted strategies avoid.
+    Raises GroundLimitError once the join has streamed more than `cap`
+    cliques over all schemas, kept or not; that blowup is exactly what the
+    lifted strategies avoid. The store never holds more than the join
+    streams, so it needs no cap of its own.
     """
     statics = task_statics(task)
     objects = statics.objects
     n = len(objects)
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
-    total = 0
-    enumerated = 0
+    streamed = 0
     for schema in task.schemas:
         graph = static_graph(schema, statics)
         wide = [lit for lit in schema.pre_literals
                 if lit.atom.predicate.name in statics.predicates and len(free_variables(lit)) > 2]
         kept: list[tuple[int, ...]] = []
         for clique in iter_cliques(graph):
-            enumerated += 1
-            if enumerated > cap:
+            streamed += 1
+            if streamed > cap:
                 raise GroundLimitError(cap, schema.name)
             combo = tuple(v - p * n for p, v in enumerate(clique))
             if wide:
@@ -139,13 +138,10 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
                 if not all(literal_holds(task.init, lit, binding) for lit in wide):
                     continue
             kept.append(combo)
-            total += 1
-            if total > cap:
-                raise GroundLimitError(cap, schema.name)
         kept.sort()
         by_schema[schema.name] = tuple(
             GroundAction(schema, tuple(objects[oi] for oi in combo)) for combo in kept)
-    return GroundStore(by_schema, total)
+    return GroundStore(by_schema, sum(map(len, by_schema.values())))
 
 
 def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str]

@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from conftest import domains_root
+from conftest import BUNDLED, domains_root, load_bundled
 
 from lnplan.cli import main
+from lnplan.successors import ground_all
 
 
 def _paths(name):
@@ -176,6 +177,41 @@ def test_ground_counts_and_cap(capsys):
     assert "; drive:" in out and "; total:" in out
     assert main(["ground", "--domain", domain, "--problem", problem,
                  "--ground-cap", "1"]) == 20
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ground_list_prints_the_store(name, capsys):
+    domain, problem = _paths(name)
+    assert main(["ground", "--domain", domain, "--problem", problem, "--list"]) == 0
+    task = load_bundled(name)
+    store = ground_all(task)
+    want = []
+    for schema in task.schemas:
+        actions = store.for_schema(schema.name)
+        want.append(f"; {schema.name}: {len(actions)} ground actions")
+        want.extend(action.pddl() for action in actions)
+    want.append(f"; total: {store.total}")
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_successors_ground_cap_exit_20(capsys):
+    domain, problem = _paths("relay")
+    assert main(["successors", "--domain", domain, "--problem", problem,
+                 "--generator", "grounded", "--ground-cap", "1"]) == 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grounding join streams more than 1 candidates at schema move\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "successors", "ground"])
+def test_missing_domain_file_exit_30(command, tmp_path, capsys):
+    _, problem = _paths("counters")
+    missing = tmp_path / "missing.pddl"
+    assert main([command, "--domain", str(missing), "--problem", problem]) == 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_bench_writes_jsonl_and_csv(tmp_path, capsys):

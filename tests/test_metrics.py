@@ -90,9 +90,9 @@ def test_discover_and_run_suite(tmp_path):
     assert "counters" in ids and "counters:problem-unsat" in ids
     assert len(found) == 11
 
-    reports = metrics.run_suite(
-        domains_root() / "counters", ["numeric", "propositional"], node_cap=2000
-    )
+    configs = [GeneratorConfig("numeric"), GeneratorConfig("propositional")]
+    reports = metrics.run_suite(domains_root() / "counters", configs,
+                                search.Limits(nodes=2000))
     by_key = {(r.task, r.strategy): r for r in reports}
     assert by_key[("counters", "numeric")].oa == 1.00
     assert by_key[("counters", "propositional")].oa > 1.00

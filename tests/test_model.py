@@ -34,6 +34,7 @@ from lnplan.model import (
     constraint_holds,
     expr_value,
     free_variables,
+    function_terms,
     goal_satisfied,
     is_applicable,
     literal_holds,
@@ -68,6 +69,38 @@ def test_substitute_composes_on_disjoint_domains(objs):
     o1, o2, _ = objs
     atom = Atom(P_AT, (X, Y))
     assert substitute(substitute(atom, {X: o1}), {Y: o2}) == substitute(atom, {X: o1, Y: o2})
+
+
+F_BIN = FunctionSymbol("h", 2)
+
+
+@pytest.mark.parametrize("element, variables, terms", [
+    (Atom(P_AT, (X, A)), {X}, []),
+    (Literal(Atom(P_AT, (A, Y)), positive=False), {Y}, []),
+    (term(F_BIN, Y, X), {X, Y}, [term(F_BIN, Y, X)]),
+    (BinaryExpr("*", term(F_UN, X), BinaryExpr("-", Constant(1.0), term(F_VAL))),
+     {X}, [term(F_UN, X), term(F_VAL)]),
+    (NumericConstraint(term(F_UN, Y), "<", BinaryExpr("+", term(F_UN, X), term(F_UN, Y))),
+     {X, Y}, [term(F_UN, Y), term(F_UN, X), term(F_UN, Y)]),
+    (NumericEffect(term(F_UN, X), ASSIGN, BinaryExpr("/", term(F_BIN, Y, A), Constant(2.0))),
+     {X, Y}, [term(F_UN, X), term(F_BIN, Y, A)]),
+    (Atom(P_AT, (X, X)), {X}, []),
+    (NumericConstraint(term(F_BIN, A, B), ">=", Constant(0.0)), set(), [term(F_BIN, A, B)]),
+    (Constant(3.0), set(), []),
+], ids=["atom", "literal", "term", "nested-expression", "constraint", "effect",
+        "repeated-variable", "constants-only", "number"])
+def test_free_variables_and_function_terms(element, variables, terms):
+    assert free_variables(element) == variables
+    assert list(function_terms(element)) == terms
+
+
+@pytest.mark.parametrize("element", [X, A, "(p ?x)", GroundAction(ActionSchema("s", ()), ())],
+                         ids=["variable", "object", "text", "ground-action"])
+def test_walk_rejects_other_elements(element):
+    with pytest.raises(TypeError):
+        free_variables(element)
+    with pytest.raises(TypeError):
+        list(function_terms(element))
 
 
 def test_holds_literal():

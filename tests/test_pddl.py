@@ -470,3 +470,124 @@ def test_tokenize_texts_and_spans():
                    ("42", "t.pddl:3:2"), ("-1.5e3", "t.pddl:3:5")]
     span = tokenize(text, "t.pddl")[1].span
     assert (span.file, span.line, span.col) == ("t.pddl", 1, 2)
+
+
+def _action(tail: str) -> str:
+    return ("(define (domain d) (:predicates (p ?x) (q)) (:functions (f ?x) (g))\n"
+            f"  (:action a :parameters (?x) {tail}))")
+
+
+def _problem(body: str) -> str:
+    return f"(define (problem p) (:domain d)\n  {body})"
+
+
+# (parser, text, message): one malformed text per error the parser can raise,
+# with '@' where the error's span must point (the '@' is removed before parsing)
+PARSE_ERRORS = [
+    pytest.param("domain", "(define (domain d)\n  @(:predicates (p)", "unbalanced parenthesis: missing ')'",
+                 id="unbalanced"),
+    pytest.param("domain", "(define (domain d))\n@)", "unexpected ')'", id="extra-close"),
+    pytest.param("domain", "@; nothing but a comment\n", "empty domain file", id="empty-file"),
+    pytest.param("domain", "(define (domain d)) @(define (domain e))", "expected a single domain definition",
+                 id="two-definitions"),
+    pytest.param("domain", "@domain", "expected a domain definition list", id="bare-token"),
+    pytest.param("domain", "@(domain d)", "expected (define (domain ...) ...)", id="no-define"),
+    pytest.param("domain", "@(define (problem p))", "expected (domain NAME) after define", id="wrong-header"),
+    pytest.param("domain", "(define (domain @(d)))", "expected domain name", id="list-as-name"),
+    pytest.param("domain", "(define (domain d) (:types @- t))", "dangling '-' in typed list",
+                 id="dangling-dash"),
+    pytest.param("domain", "(define (domain d) (:types t @-))", "missing type name after '-'",
+                 id="missing-type-name"),
+    pytest.param("domain", "(define (domain d) (:predicates (@= ?x ?y)))",
+                 "predicate name '=' is reserved for built-in equality", id="equality-predicate"),
+    pytest.param("domain", "(define (domain d) (:action a :parameters ())\n  @(:action a :parameters ()))",
+                 "duplicate action name a", id="duplicate-action"),
+    pytest.param("domain", "(define (domain d) @:predicates)", "expected a domain section",
+                 id="bare-domain-section"),
+    pytest.param("domain", "(define (domain d) @(:derived (p)))", "unsupported domain section :derived",
+                 id="unsupported-domain-section"),
+    pytest.param("domain", "(define (domain d) (:constants @?c))", "object names must not start with '?'",
+                 id="variable-constant"),
+    pytest.param("domain", "(define (domain d) (:predicates @p))", "expected a predicate declaration",
+                 id="bare-declaration"),
+    pytest.param("domain", "(define (domain d) (:predicates (p @x)))", "predicate parameters must be variables",
+                 id="declaration-constant"),
+    pytest.param("domain", "(define (domain d) (:functions (f) @-))", "missing type after '-'",
+                 id="function-group-no-type"),
+    pytest.param("domain", "(define (domain d) (:functions (f) - @object))",
+                 "functions must map to type 'number'", id="function-group-not-number"),
+    pytest.param("domain", "(define (domain d) (:functions (f) (@f ?x)))",
+                 "function f redeclared with different arity", id="function-redeclared"),
+    pytest.param("domain", _action(":precondition (p @?y)"), "variable ?y is not a parameter",
+                 id="unknown-variable"),
+    pytest.param("domain", _action(":effect (@= ?x)"), "equality takes exactly 2 arguments",
+                 id="equality-arity"),
+    pytest.param("domain", _action(":precondition (< @?x 1)"), "expected a number or function term, got '?x'",
+                 id="variable-in-expression"),
+    pytest.param("domain", _action(":precondition (< @() 1)"), "empty expression", id="empty-expression"),
+    pytest.param("domain", _action(":precondition (< (@+ 1) 2)"), "operator + needs at least 2 operands",
+                 id="plus-arity"),
+    pytest.param("domain", _action(":precondition (< (@- 1 2 3) 2)"), "operator - takes 1 or 2 operands",
+                 id="minus-arity"),
+    pytest.param("domain", _action(":precondition (< (@/ 1) 2)"), "operator / takes exactly 2 operands",
+                 id="divide-arity"),
+    pytest.param("domain", _action(":precondition (and @q)"), "expected a condition", id="bare-condition"),
+    pytest.param("domain", _action(":precondition (@not (q) (q))"), "'not' takes a single atom",
+                 id="condition-not-arity"),
+    pytest.param("domain", _action(":precondition (not (@< 1 2))"),
+                 "negated numeric constraints are not supported", id="negated-constraint"),
+    pytest.param("domain", _action(":precondition (@< 1)"), "comparison < takes exactly 2 operands",
+                 id="comparison-arity"),
+    pytest.param("domain", _action(":effect (and @q)"), "expected an effect", id="bare-effect"),
+    pytest.param("domain", _action(":effect (@increase (g))"),
+                 "increase takes a function term and an expression", id="update-arity"),
+    pytest.param("domain", _action(":effect (@not q)"), "'not' takes a single atom", id="effect-not-atom"),
+    pytest.param("domain", _action(":effect (@not (= ?x ?x))"), "built-in equality cannot appear in effects",
+                 id="equality-effect"),
+    pytest.param("domain", "(define (domain d) @(:action))", "action needs a name", id="nameless-action"),
+    pytest.param("domain", "(define (domain d) (:action a @:duration 1))", "unsupported action keyword :duration",
+                 id="action-keyword"),
+    pytest.param("domain", "(define (domain d) (:action a :parameters () @:effect))", "missing value for :effect",
+                 id="keyword-without-value"),
+    pytest.param("domain", "(define (domain d) (:action @a :effect ()))", "action requires a :parameters list",
+                 id="no-parameters"),
+    pytest.param("domain", "(define (domain d) (:action a :parameters (@x)))",
+                 "parameters must be variables starting with '?'", id="constant-parameter"),
+    pytest.param("domain", "(define (domain d) (:action a :parameters (?x @?x)))", "duplicate parameter ?x",
+                 id="duplicate-parameter"),
+    pytest.param("problem", "(define (problem p) (:domain @e))", "problem requires domain e, parsed domain is d",
+                 id="other-domain"),
+    pytest.param("problem", _problem("@x"), "expected a problem section", id="bare-problem-section"),
+    pytest.param("problem", _problem("@(:constraints (q))"), "unsupported problem section :constraints",
+                 id="unsupported-problem-section"),
+    pytest.param("problem", "@(define (problem p) (:objects a))", "problem is missing a (:domain ...) section",
+                 id="no-domain-section"),
+    pytest.param("problem", _problem("(:init @a)"), "expected an init entry", id="bare-init-entry"),
+    pytest.param("problem", _problem("(:objects a) (:init (@= a a))"),
+                 "built-in equality cannot be asserted in :init", id="equality-init"),
+    pytest.param("problem", _problem("@(:goal (q) (q))"), "goal takes a single condition", id="goal-arity"),
+    pytest.param("problem", _problem("@(:metric minimize)"), "metric takes a direction and an expression",
+                 id="metric-arity"),
+    pytest.param("problem", _problem("@(:metric fastest (g))"), "unknown metric direction fastest",
+                 id="metric-direction"),
+]
+
+
+@pytest.mark.parametrize("parser, marked, message", PARSE_ERRORS)
+def test_parse_error_span_and_message(parser, marked, message):
+    before, after = marked.split("@")
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    text = before + after
+    with pytest.raises(ParseError) as err:
+        if parser == "domain":
+            parse_domain(text, "d.pddl")
+        else:
+            parse_problem(text, parse_domain(_action(":effect ()")), "p.pddl")
+    assert (err.value.span, err.value.message) == ((f"{parser[0]}.pddl", line, col), message)
+    assert str(err.value) == f"{parser[0]}.pddl:{line}:{col}: {message}"
+
+
+def test_function_group_type_number_is_accepted():
+    domain = parse_domain("(define (domain d) (:functions (f) (g ?x) - number (h)))")
+    assert [(f.name, f.arity) for f in domain.functions] == [("f", 0), ("g", 1), ("h", 0)]

@@ -22,6 +22,7 @@ from lnplan.model import (
     Task,
     Variable,
     apply,
+    static_predicate_names,
 )
 from lnplan.pddl import parse_task
 from lnplan.search import solve
@@ -35,7 +36,6 @@ from lnplan.successors import (
     GroundLimitError,
     SuccessorGenerator,
     ground_all,
-    static_predicate_names,
 )
 
 A, B = Object("a"), Object("b")
