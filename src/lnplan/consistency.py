@@ -23,7 +23,10 @@ static atoms and fluents. Every reachable state does, and graphs must only
 be built for such states. Static elements are therefore evaluated once per
 task into a plan, built on the first graph for a (schema, numeric rules,
 record) combination: int bitsets of a static alive mask per partition and,
-per partition pair, a static row per object plus its transpose. Per state the
+per partition pair, a static row per object plus its transpose. The alive
+masks are then made arc-consistent over the static rows (Mackworth 1977):
+a vertex whose row meets no alive vertex of the pair's other partition is
+in no clique, so it is dropped, until no mask changes. Per state the
 atom index takes the static predicates' buckets from the initial state's and
 indexes only the other atoms, range tables are built only for written
 functions, and only dynamic elements are evaluated, on the vertices and pairs
@@ -354,16 +357,22 @@ class _Plan:
     `ground` lists the dynamic rules checked with nothing bound, in the
     order the checks run; `failure` is a static one that fails after them,
     which empties every graph. `alive` holds the static alive mask per
-    partition and `unary` its dynamic vertex rules. `pairs` holds per
+    partition, arc-consistent over the static rows: each of its objects has
+    a static partner alive in every partition it shares a static row with,
+    since an object without one is in no clique. `unary` holds each
+    partition's dynamic vertex rules. `pairs` holds per
     partition pair (p1, p2, dynamic rules holding only the first variable,
     only the second, both, rows, cols): rows[oi] is the `_survivors` row of
     partition-p2 objects that the static rules leave connected to object oi
     of partition p1, cols its transpose, both None when no static rule
-    applies. Rule lists are compiled (`_compile`), None when empty.
+    applies. Rows and cols may still hold objects that arc consistency then
+    dropped from `alive`, so every reader ANDs them with the alive masks.
+    Rule lists are compiled (`_compile`), None when empty.
 
     A `record` plan treats every element as dynamic and keeps all of a
     pair's elements in its own group, so each refuted vertex and pair meets
-    its first rule in the per-state loop.
+    its first rule in the per-state loop. It has no static rows, so its
+    alive masks are all objects.
     """
 
     def __init__(self, statics: "TaskStatics", schema: ActionSchema, numeric: bool,
@@ -441,6 +450,19 @@ class _Plan:
                                _compile(groups[frozenset((x2,))], x2),
                                _compile(groups[pair], x2, x1), rows, cols))
 
+        # arc consistency: a vertex with no static partner in some partition
+        # is in no clique; drop it, and again for the partners it supported
+        alive, changed = self.alive, True
+        while changed:
+            changed = False
+            for p1, p2, *_, rows, cols in self.pairs:
+                if rows is None:
+                    continue
+                for p, q, lines in ((p1, p2, rows), (p2, p1, cols)):
+                    kept = sum(1 << oi for oi in _bits(alive[p]) if lines[oi] & alive[q])
+                    if kept != alive[p]:
+                        alive[p], changed = kept, True
+
 
 class TaskStatics:
     """Everything about a task's graphs that depends only on static symbols.
@@ -477,10 +499,12 @@ class TaskStatics:
 
     def pools(self, schema: ActionSchema, numeric: bool) -> list[tuple[Object, ...]]:
         """Per parameter, the objects that the schema's static
-        single-variable elements allow (its type literals among them), from
-        the plan's alive masks; every pool is empty when a static element
-        without variables fails. The one place a parameter's pool is worked
-        out."""
+        single-variable elements allow (its type literals among them) and
+        that have a static partner in every other parameter's pool, from the
+        plan's arc-consistent alive masks; an object without one is in no
+        clique, so no applicable action binds it. Every pool is empty when a
+        static element without variables fails. The one place a parameter's
+        pool is worked out."""
         plan = self.plan(schema, numeric, record=False)
         if plan.failure is not None:
             return [()] * len(schema.params)

@@ -628,7 +628,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
             raise ParseError(m.span, "metric takes a direction and an expression")
         direction = _require_token(m[1], "metric direction").text
         if direction not in ("minimize", "maximize"):
-            raise ParseError(m.span, f"unknown metric direction {direction}")
+            raise ParseError(m[1].span, f"unknown metric direction {direction}")
         metric = (direction, _parse_metric_expr(m[2], scope))
 
     return Task(

@@ -5,6 +5,7 @@ import random
 from taskgen import random_task, walk_states
 
 from lnplan.assignments import AssignmentCache
+from lnplan.cliques import iter_cliques
 from lnplan.consistency import (
     StateContext,
     build_graph,
@@ -311,9 +312,31 @@ def _same_graph(got, want):
         want.alive, want.adjacency, want.empty, want.notes, want.exclusions)
 
 
+def _matches_reference(got, want, record):
+    """A record graph is the reference's. Any other graph may drop the
+    vertices that have no static partner in some partition, which are in no
+    clique: its alive masks lie within the reference's, its edges are the
+    reference's among the vertices it keeps (none when it is empty), and
+    the two have the same cliques."""
+    if record:
+        return _same_graph(got, want)
+    n = got.n_objects
+    kept = 0
+    for p, mask in enumerate(got.alive):
+        if mask & ~want.alive[p]:
+            return False
+        kept |= mask << p * n
+    if got.empty:
+        kept = 0
+    restricted = [bits & kept if kept >> v & 1 else 0 for v, bits in enumerate(want.adjacency)]
+    return ((got.adjacency, got.notes, got.exclusions) == (restricted, want.notes, None)
+            and got.empty >= want.empty
+            and set(iter_cliques(got)) == set(iter_cliques(want)))
+
+
 def test_static_split_matches_reference_on_random_walks():
     rng = random.Random(29)
-    graphs = parameter_free = 0
+    graphs = parameter_free = pruned = 0
     for i in range(50):
         task = random_task(rng, exact=i % 2 == 0, task_id=i)
         for state, _ in walk_states(task, rng, extra=2):
@@ -324,11 +347,12 @@ def test_static_split_matches_reference_on_random_walks():
                         got = build_graph(schema, ctx, numeric=numeric, record=record)
                         want = _reference_graph(schema, task, state, numeric=numeric,
                                                 record=record)
-                        assert _same_graph(got, want), (
+                        assert _matches_reference(got, want, record), (
                             task.problem_name, schema.name, numeric, record)
                         graphs += 1
                         parameter_free += not schema.params
-    assert graphs > 500 and parameter_free > 0
+                        pruned += got.alive != want.alive
+    assert graphs > 500 and parameter_free > 0 and pruned > 0
 
 
 def test_static_split_pair_elements_on_one_pair_variable():
@@ -355,7 +379,45 @@ def test_static_split_pair_elements_on_one_pair_variable():
             for record in (False, True):
                 got = build_graph(schema, StateContext(task, task.init), record=record)
                 want = _reference_graph(schema, task, task.init, numeric=True, record=record)
-                assert _same_graph(got, want), (touched, q_bits, s_bits, record)
+                assert _matches_reference(got, want, record), (touched, q_bits, s_bits, record)
+
+
+def test_static_alive_masks_are_arc_consistent():
+    # A chain (p ?x ?y) (s ?y ?z) (t ?z ?w). A pair's rows hold the
+    # projections of the literals that touch it, so the (?x ?y) rows know
+    # that ?y needs an s partner but not that this partner needs a t one.
+    # The (?y ?z) rows drop ?y/b only after the (?x ?y) pair is done, and
+    # ?x/b falls on the second pass.
+    from lnplan.consistency import task_statics
+
+    Z, W = Variable("?z"), Variable("?w")
+    p, s_, t = (PredicateSymbol(name, 2) for name in "pst")
+    schema = ActionSchema("s", (X, Y, Z, W),
+                          pre_literals=tuple(Literal(Atom(pred, args)) for pred, args in
+                                             ((p, (X, Y)), (s_, (Y, Z)), (t, (Z, W)))))
+    atoms = [Atom(p, (A, A)), Atom(p, (B, B)), Atom(s_, (A, A)), Atom(s_, (B, B)),
+             Atom(t, (A, C))]
+    task = _task([schema], [A, B, C], atoms, {}, predicates=[p, s_, t])
+    assert task_statics(task).pools(schema, numeric=True) == [(A,), (A,), (A,), (C,)]
+
+    # on random tasks, every static alive object has a partner in each
+    # partition it shares static rows with
+    rng = random.Random(31)
+    checked = 0
+    for i in range(60):
+        task = random_task(rng, exact=i % 2 == 0, task_id=i)
+        statics = task_statics(task)
+        for schema in task.schemas:
+            plan = statics.plan(schema, numeric=True, record=False)
+            for p1, p2, *_, rows, cols in [] if plan.failure else plan.pairs:
+                if rows is not None:
+                    alive = plan.alive
+                    assert all(rows[oi] & alive[p2] for oi in range(len(rows))
+                               if alive[p1] >> oi & 1)
+                    assert all(cols[oj] & alive[p1] for oj in range(len(cols))
+                               if alive[p2] >> oj & 1)
+                    checked += 1
+    assert checked > 0
 
 
 def test_effect_touched_symbols_are_never_static(bundled_tasks):
@@ -452,14 +514,18 @@ def test_atom_shapes_match_reference():
                         got = build_graph(schema, ctx, numeric=numeric, record=record)
                         want = _reference_graph(schema, task, task.init, numeric=numeric,
                                                 record=record)
-                        assert _same_graph(got, want), (name, touched, numeric, record)
+                        assert _matches_reference(got, want, record), (
+                            name, touched, numeric, record)
 
 
 def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch):
     # 3 robots on 400 waypoints, two links per robot and waypoint. The static
     # rows come from projections of the link atoms; a match query is left
-    # only for each static literal the plan checks with nothing bound.
+    # only for each static literal the plan checks with nothing bound. Arc
+    # consistency over those rows leaves the robots alone for ?r, so a state
+    # checks the energy of 3 objects, not of 403.
     from conftest import load_bundled
+    from lnplan import consistency
     from lnplan.consistency import AtomIndex, static_graph, task_statics
 
     relay = load_bundled("relay")
@@ -500,3 +566,20 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     got = {(oi, oj) for oi in graph.iter_alive(pa) for oj in graph.iter_alive(pb)
            if graph.has_edge(graph.vertex_id(pa, oi), graph.vertex_id(pb, oj))}
     assert got == {(index_of[a], index_of[b]) for _, a, b in links}
+
+    def mask(objs):
+        return sum(1 << index_of[obj] for obj in set(objs))
+
+    alive = statics.plan(move, numeric=True, record=False).alive
+    assert alive[params.index(Variable("?r"))] == mask(robots)
+    assert alive[pa] == mask(a for _, a, _ in links)
+    assert alive[pb] == mask(b for _, _, b in links)
+
+    unsat = []
+    relaxed_unsat = consistency.relaxed_unsat
+    monkeypatch.setattr(consistency, "relaxed_unsat",
+                        lambda con, binding, ranges: unsat.append(dict(binding))
+                        or relaxed_unsat(con, binding, ranges))
+    build_graph(move, StateContext(task, task.init))
+    # the energy rule once with nothing bound, then once per robot
+    assert unsat == [{}] + [{Variable("?r"): r} for r in robots]

@@ -568,7 +568,7 @@ PARSE_ERRORS = [
     pytest.param("problem", _problem("@(:goal (q) (q))"), "goal takes a single condition", id="goal-arity"),
     pytest.param("problem", _problem("@(:metric minimize)"), "metric takes a direction and an expression",
                  id="metric-arity"),
-    pytest.param("problem", _problem("@(:metric fastest (g))"), "unknown metric direction fastest",
+    pytest.param("problem", _problem("(:metric @fastest (g))"), "unknown metric direction fastest",
                  id="metric-direction"),
 ]
 

@@ -34,7 +34,6 @@ def _residuals(task, strategy) -> dict:
     return {schema.name: _describe(check) for schema, check in generator.checks if check}
 
 
-RELAY_ENERGY = "(-= (energy ?r) (step-cost)) target"
 DELIVERY_FUEL = "(>= (fuel ?t) (dist ?a ?b))"
 DELIVERY_DIST = "(-= (fuel ?t) (dist ?a ?b)) defined"
 
@@ -45,11 +44,12 @@ RESIDUALS = {
         PROPOSITIONAL: {"increment": ("(<= (+ (value ?c) 1) (max_int))",),
                         "decrement": ("(>= (- (value ?c) 1) 0)",)},
     },
+    # (link ?r ?a ?b) narrows the pool of ?r to the robots, which all have
+    # an energy, so no strategy checks the target of the energy effect
     "relay": {
-        NUMERIC: {"move": ("(link ?r ?a ?b)", RELAY_ENERGY)},
-        PROPOSITIONAL: {"move": ("(link ?r ?a ?b)", "(>= (energy ?r) (step-cost))",
-                                 RELAY_ENERGY)},
-        GROUNDED: {"move": ("(at ?r ?a)", "(>= (energy ?r) (step-cost))", RELAY_ENERGY)},
+        NUMERIC: {"move": ("(link ?r ?a ?b)",)},
+        PROPOSITIONAL: {"move": ("(link ?r ?a ?b)", "(>= (energy ?r) (step-cost))")},
+        GROUNDED: {"move": ("(at ?r ?a)", "(>= (energy ?r) (step-cost))")},
     },
     "switches": {
         NUMERIC: {},
