@@ -83,8 +83,8 @@ def build_assignment_set(function: FunctionSymbol,
 class AssignmentCache:
     """Lazy per-state cache of assignment sets, one per function symbol.
 
-    Buckets the state's fluents by symbol once, then builds each table on
-    first use.
+    Buckets the state's fluents by symbol once, leaving out those of the
+    `static` functions, then builds each table on first use.
 
     `static` maps the names of functions no effect writes to a cache over the
     initial state. Their tables are the same in every reachable state, so
@@ -100,8 +100,11 @@ class AssignmentCache:
     def _bucket(self, name: str) -> list:
         if self._buckets is None:
             buckets: dict[str, list] = {}
+            static = self.static
             for term, value in self.state.fluents.items():
-                buckets.setdefault(term.function.name, []).append((term, value))
+                symbol = term.function.name
+                if symbol not in static:
+                    buckets.setdefault(symbol, []).append((term, value))
             self._buckets = buckets
         return self._buckets.get(name, [])
 

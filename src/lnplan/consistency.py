@@ -41,8 +41,15 @@ rule list is compiled once per plan for the variable whose row it decides
 (`_compile`), and `_survivors` applies it to one row of objects, whether a
 vertex mask or the partners of a vertex: an atom costs one projection row
 (`AtomIndex.project`, the objects its target positions admit once the bound
-positions are fixed) and one AND, and a constraint one `relaxed_unsat` call
-per object the atom rows leave.
+positions are fixed) and one AND. A constraint's sides are evaluated with
+`relaxed_eval` only as often as the row variables they hold require: a
+static side that holds neither once per plan, a static side that holds only
+the row's variable once per plan and object, any other side without the
+row's variable once per row, and the rest once per object. When one side is
+a per-object table and the other is fixed for the row, the constraint
+costs one threshold mask per row, read by bisection from the table sorted
+once per plan; otherwise the sides are compared per object the earlier rows
+leave.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
@@ -55,6 +62,7 @@ reason of the first row that removes it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -323,32 +331,110 @@ def _refuted(rules: list[_Rule], index: AtomIndex, ranges: AssignmentCache) -> O
     return None
 
 
+class _PerCall(NamedTuple):
+    """A constraint side that does not hold the row's variable and reads a
+    dynamic function or the bound variable: evaluated once per row."""
+
+    expr: Expr
+
+
 class _Rules(NamedTuple):
-    """A rule list compiled for the rows of one variable (see `_survivors`)."""
+    """A rule list compiled for the rows of one variable (see `_survivors`).
+
+    A constraint side is an `Interval` when it is static and holds neither
+    the row's variable nor the bound one (evaluated once per plan), a
+    `_PerCall` when it holds no row variable otherwise, a list of
+    per-object intervals when it is static and holds the row's variable
+    alone (per plan, over the row's domain), and the expression itself when
+    it must be evaluated per object. `thresholds` lists the constraints
+    whose one side is a list and the other evaluated once per row, as
+    (row side, conditions), the row side on the left; each condition is
+    (bisect, read the row side's hi, sorted keys, masks), see `_conditions`.
+    `numeric` lists the other constraints as (lhs, cmp, rhs), and
+    `per_call` says whether one of them has a `_PerCall` side."""
 
     var: Variable
     atoms: list[tuple]  # (reason, predicate name, fixed, targets), see AtomIndex.project
-    numeric: list[NumericConstraint]
+    thresholds: list[tuple]
+    numeric: list[tuple]
+    per_call: bool
 
 
-def _compile(rules: list[_Rule], var: Variable, bound: Optional[Variable] = None
-             ) -> Optional[_Rules]:
-    """The rules, in check order, for rows of `var` with `bound` (if any)
-    fixed by the binding; None when there are none. An atom's constants and
-    `bound` are its fixed positions and `var` its targets."""
+_FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the comparison, sides swapped
+
+
+def _compile(rules: list[_Rule], env: tuple, domain: int, var: Variable,
+             bound: Optional[Variable] = None) -> Optional[_Rules]:
+    """The rules, in check order, for rows within `domain` of `var` with
+    `bound` (if any) fixed by the binding; None when there are none. An
+    atom's constants and `bound` are its fixed positions and `var` its
+    targets. A constraint side is evaluated here, on the plan's `env`, as
+    far as its variables allow."""
     if not rules:
         return None
-    atoms, numeric = [], []
+    _, ranges, statics = env
+
+    def side(expr: Expr):
+        held = free_variables(expr) & {var, bound}
+        static = all(t.function.name in statics.functions for t in function_terms(expr))
+        if var not in held:
+            return relaxed_eval(expr, _NO_BINDING, ranges) if static and not held else _PerCall(expr)
+        if not static or bound in held:
+            return expr
+        table: list = [None] * len(statics.objects)
+        for oi in _bits(domain):
+            table[oi] = relaxed_eval(expr, {var: statics.objects[oi]}, ranges)
+        return table
+
+    atoms, thresholds, numeric = [], [], []
     for reason, element in rules:
         if reason == NUMERIC_UNSAT:
-            numeric.append(element)
+            lhs, cmp, rhs = side(element.lhs), element.cmp, side(element.rhs)
+            if type(lhs) is list and type(rhs) in (Interval, _PerCall):
+                lhs, cmp, rhs = rhs, _FLIP[cmp], lhs
+            if type(rhs) is list and type(lhs) in (Interval, _PerCall):
+                thresholds.append((lhs, _conditions(cmp, rhs, domain)))
+            else:
+                numeric.append((lhs, cmp, rhs))
             continue
         args = element.args
         fixed = tuple((i, arg) for i, arg in enumerate(args)
                       if type(arg) is Object or arg == bound)
         targets = tuple(i for i, arg in enumerate(args) if arg == var)
         atoms.append((reason, element.predicate.name, fixed, targets))
-    return _Rules(var, atoms, numeric)
+    per_call = any(type(s) is _PerCall for lhs, _, rhs in numeric for s in (lhs, rhs))
+    return _Rules(var, atoms, thresholds, numeric, per_call)
+
+
+def _conditions(cmp: str, table: list, domain: int) -> list[tuple]:
+    """The conditions under which `compare(row, cmp, table[oi])` holds, as
+    threshold masks over the objects of `domain` whose interval is
+    nonempty. `compare` is existential, so it holds iff the table's hi
+    exceeds the row's lo (for < and <=), its lo is below the row's hi (for
+    > and >=), or both (for =), strictly as the comparison is. Each
+    condition is (bisect function, whether it reads the row's hi, sorted
+    keys, masks): the objects kept are masks[bisect(keys, row bound)]."""
+    if cmp not in _FLIP:
+        raise ValueError(f"unknown comparison operator {cmp!r}")
+    kept = [(table[oi], oi) for oi in _bits(domain) if not table[oi].is_empty]
+    conditions = []
+    if cmp in ("<", "<=", "="):
+        # suffixes of the objects sorted by hi: masks[i] holds keys[i:]
+        by_hi = sorted(kept, key=lambda item: item[0].hi)
+        masks = [0]
+        for _, oi in reversed(by_hi):
+            masks.append(masks[-1] | 1 << oi)
+        conditions.append((bisect_right if cmp == "<" else bisect_left, False,
+                           [iv.hi for iv, _ in by_hi], masks[::-1]))
+    if cmp in (">", ">=", "="):
+        # prefixes of the objects sorted by lo: masks[i] holds keys[:i]
+        by_lo = sorted(kept, key=lambda item: item[0].lo)
+        masks = [0]
+        for _, oi in by_lo:
+            masks.append(masks[-1] | 1 << oi)
+        conditions.append((bisect_left if cmp == ">" else bisect_right, True,
+                           [iv.lo for iv, _ in by_lo], masks))
+    return conditions
 
 
 class _Plan:
@@ -426,33 +512,34 @@ class _Plan:
         everything = (1 << len(objects)) - 1
         for var in schema.params:
             groups = split(r for r in rules if r[2] == {var})
-            self.alive.append(_survivors(_compile(groups[_STATIC], var), {}, everything, env))
-            self.unary.append(_compile(groups[frozenset()], var))
+            self.alive.append(_survivors(_compile(groups[_STATIC], env, everything, var), {},
+                                         everything, env))
+            self.unary.append(_compile(groups[frozenset()], env, self.alive[-1], var))
 
         # pairs: elements on two or more variables that touch the pair
-        params = schema.params
+        params, alive = schema.params, self.alive
         for p1, p2 in itertools.combinations(range(len(params)), 2):
             x1, x2 = params[p1], params[p2]
             pair = frozenset((x1, x2))
             # a negative atom refutes only when bound in full
             groups = split((r for r in rules if (r[2] == pair if r[0] == NEGATIVE_HIT
                                                  else len(r[2]) > 1 and r[2] & pair)), pair)
-            static = _compile(groups[_STATIC], x2, x1)
+            static = _compile(groups[_STATIC], env, alive[p2], x2, x1)
             rows = cols = None
             if static is not None:
                 rows, cols, binding = [0] * len(objects), [0] * len(objects), {}
-                for oi in _bits(self.alive[p1]):
+                for oi in _bits(alive[p1]):
                     binding[x1] = objects[oi]
-                    rows[oi] = _survivors(static, binding, self.alive[p2], env)
+                    rows[oi] = _survivors(static, binding, alive[p2], env)
                     for oj in _bits(rows[oi]):
                         cols[oj] |= 1 << oi
-            self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], x1),
-                               _compile(groups[frozenset((x2,))], x2),
-                               _compile(groups[pair], x2, x1), rows, cols))
+            self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], env, alive[p1], x1),
+                               _compile(groups[frozenset((x2,))], env, alive[p2], x2),
+                               _compile(groups[pair], env, alive[p2], x2, x1), rows, cols))
 
         # arc consistency: a vertex with no static partner in some partition
         # is in no clique; drop it, and again for the partners it supported
-        alive, changed = self.alive, True
+        changed = True
         while changed:
             changed = False
             for p1, p2, *_, rows, cols in self.pairs:
@@ -610,8 +697,10 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
 
     Each atom rule costs one projection row (`AtomIndex.project`): a
     positive literal keeps the row's objects and a negative one, bound in
-    full by the variable, drops them. The constraints are then checked on
-    each object left, with the variable bound in place. Each excluded object
+    full by the variable, drops them. A threshold constraint then costs one
+    evaluation of its row side and a bisect per condition, and the other
+    constraints are compared on each object left, with the variable bound
+    in place and their `_PerCall` sides evaluated once. Each excluded object
     is listed in `exclusions`, if given, as `tag + (oi, reason)`, in
     ascending oi and with the first rule in check order that excludes it.
     `env` is (atom index, range tables, `TaskStatics`)."""
@@ -628,18 +717,41 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
         mask &= row
         if not mask:
             break
-    if rules.numeric:
+    for row_side, conditions in rules.thresholds if mask else ():
+        row = _now(row_side, binding, ranges)
+        kept = 0
+        if not row.is_empty:
+            kept = -1
+            for find, upper, keys, masks in conditions:
+                kept &= masks[find(keys, row.hi if upper else row.lo)]
+        if exclusions is not None:
+            removed += [(oi, NUMERIC_UNSAT) for oi in _bits(mask & ~kept)]
+        mask &= kept
+    checks = rules.numeric
+    if checks and mask:
+        if rules.per_call:
+            checks = [(_now(lhs, binding, ranges), cmp, _now(rhs, binding, ranges))
+                      for lhs, cmp, rhs in checks]
         var, objects = rules.var, statics.objects
         for oi in _bits(mask):
             binding[var] = objects[oi]
-            for constraint in rules.numeric:
-                if relaxed_unsat(constraint, binding, ranges):
+            for lhs, cmp, rhs in checks:
+                left = (lhs if type(lhs) is Interval else lhs[oi] if type(lhs) is list
+                        else relaxed_eval(lhs, binding, ranges))
+                right = (rhs if type(rhs) is Interval else rhs[oi] if type(rhs) is list
+                         else relaxed_eval(rhs, binding, ranges))
+                if not compare(left, cmp, right):
                     mask ^= 1 << oi
                     removed.append((oi, NUMERIC_UNSAT))
                     break
     if exclusions is not None:
         exclusions.extend(tag + record for record in sorted(removed))
     return mask
+
+
+def _now(side, binding: Mapping[Variable, Object], ranges: AssignmentCache):
+    """The side with a `_PerCall` expression evaluated."""
+    return relaxed_eval(side.expr, binding, ranges) if type(side) is _PerCall else side
 
 
 def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:

@@ -518,6 +518,86 @@ def test_atom_shapes_match_reference():
                             name, touched, numeric, record)
 
 
+def test_constraint_shapes_match_reference():
+    # Each shape is one constraint over ?x ?y ?z, under all five comparisons
+    # and with its sides either way round, checked against the reference on
+    # random states with and without record mode. s/1, s2/2, s3/3 and c/0
+    # are static unless `touched`, when an effect writes them too; d/1,
+    # d2/2 and k/0 are always written. Values include +-inf, and any ground
+    # term may be undefined, so sides and table entries read empty. A
+    # dynamic literal (q ?x ?y) thins the pair rows before the constraint.
+    from lnplan.consistency import NUMERIC_UNSAT, task_statics
+    from lnplan.model import NumericEffect
+
+    Z = Variable("?z")
+    s, s2, s3, c = (FunctionSymbol("s", 1), FunctionSymbol("s2", 2), FunctionSymbol("s3", 3),
+                    FunctionSymbol("c", 0))
+    d, d2, k = FunctionSymbol("d", 1), FunctionSymbol("d2", 2), FunctionSymbol("k", 0)
+    q = PredicateSymbol("q", 2)
+
+    def term(fn, *args):
+        return FunctionTerm(fn, args)
+
+    shapes = {
+        "dynamic side of the bound variable against a static table": (term(d, X), term(s, Y)),
+        "static side of the bound variable": (term(s, X), term(s, Y)),
+        "constant": (Constant(1.0), term(s, X)),
+        "static nullary side, arithmetic on the table": (
+            term(c), BinaryExpr("*", term(s, Y), Constant(2.0))),
+        "dynamic nullary side": (term(k), term(s, Z)),
+        "dynamic per object against a constant": (term(d, Y), Constant(0.0)),
+        "a third variable left free, as in delivery": (term(d, X), term(s2, Y, Z)),
+        "both variables in one static side": (
+            term(d, Z), BinaryExpr("-", term(s2, X, Y), term(s, X))),
+        "both variables in a dynamic side, table on the other": (term(d2, X, Y), term(s, Y)),
+        "repeated variable, two tables": (term(s, Y), term(s2, Y, Y)),
+        "constant argument": (term(d, X), term(s2, Y, B)),
+        "arity three, truncated to DEGREE positions": (term(d, X), term(s3, Y, B, Y)),
+        "arity three over all variables": (term(s3, X, Y, Z), term(k)),
+    }
+    written = [term(d, X), term(d2, X, Y), term(k)]
+    static = [term(s, X), term(s2, X, Y), term(s3, X, Y, Z), term(c)]
+    objects = (A, B, C)
+    values = (-math.inf, -1.0, 0.0, 1.0, 2.0, math.inf)
+    rng = random.Random(43)
+    states = []
+    for _ in range(5):
+        fluents = {}
+        for fn in (s, s2, s3, c, d, d2, k):
+            for args in itertools.product(objects, repeat=fn.arity):
+                if rng.random() < 0.75:
+                    fluents[FunctionTerm(fn, args)] = rng.choice(values)
+        atoms = [Atom(q, args) for args in itertools.product(objects, repeat=2)
+                 if rng.random() < 0.7]
+        states.append((atoms, fluents))
+    thresholds = unsat = 0
+    for name, sides in shapes.items():
+        for touched in (False, True):
+            effects = tuple(NumericEffect(t, "+=", Constant(1.0))
+                            for t in written + static * touched)
+            for (lhs, rhs), cmp in itertools.product((sides, sides[::-1]),
+                                                     ("=", "<", ">", "<=", ">=")):
+                schema = ActionSchema("s", (X, Y, Z), pre_literals=(Literal(Atom(q, (X, Y))),),
+                                      pre_constraints=(NumericConstraint(lhs, cmp, rhs),),
+                                      eff_literals=(Literal(Atom(q, (Y, X))),),
+                                      eff_numeric=effects)
+                for atoms, fluents in states:
+                    task = _task([schema], objects, atoms, fluents, predicates=[q],
+                                 functions=[s, s2, s3, c, d, d2, k])
+                    ctx = StateContext(task, task.init)
+                    for record in (False, True):
+                        got = build_graph(schema, ctx, record=record)
+                        want = _reference_graph(schema, task, task.init, numeric=True,
+                                                record=record)
+                        assert _matches_reference(got, want, record), (
+                            name, touched, lhs, cmp, rhs, record)
+                        unsat += record and any(x[-1] == NUMERIC_UNSAT for x in got.exclusions)
+                    plan = task_statics(task).plan(schema, numeric=True, record=False)
+                    rules = plan.unary + [r for pair in plan.pairs for r in pair[2:5]]
+                    thresholds += any(r is not None and r.thresholds for r in rules)
+    assert thresholds > 100 and unsat > 100
+
+
 def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch):
     # 3 robots on 400 waypoints, two links per robot and waypoint. The static
     # rows come from projections of the link atoms; a match query is left
@@ -575,11 +655,26 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     assert alive[pa] == mask(a for _, a, _ in links)
     assert alive[pb] == mask(b for _, _, b in links)
 
-    unsat = []
-    relaxed_unsat = consistency.relaxed_unsat
+    # On a copy of the task, whose plans are not built yet: the energy rule
+    # is checked whole only with nothing bound, once per graph. Its
+    # (step-cost) side is read once per plan, and (energy ?r) once per robot.
+    unsat, evals = [], []
+    relaxed_unsat, relaxed_eval = consistency.relaxed_unsat, consistency.relaxed_eval
     monkeypatch.setattr(consistency, "relaxed_unsat",
                         lambda con, binding, ranges: unsat.append(dict(binding))
                         or relaxed_unsat(con, binding, ranges))
-    build_graph(move, StateContext(task, task.init))
-    # the energy rule once with nothing bound, then once per robot
-    assert unsat == [{}] + [{Variable("?r"): r} for r in robots]
+    monkeypatch.setattr(consistency, "relaxed_eval",
+                        lambda expr, binding, ranges: evals.append((expr, dict(binding)))
+                        or relaxed_eval(expr, binding, ranges))
+    copy = _task(relay.schemas, robots + waypoints, atoms, fluents, relay.predicates,
+                 relay.functions)
+    ctx = StateContext(copy, copy.init)
+    (rule,) = move.pre_constraints
+    ground = [(rule.lhs, {}), (rule.rhs, {})]
+    per_robot = [(rule.lhs, {Variable("?r"): r}) for r in robots]
+    build_graph(move, ctx)
+    assert evals == [(rule.rhs, {})] + ground + per_robot
+    evals.clear()
+    build_graph(move, ctx)
+    assert evals == ground + per_robot
+    assert unsat == [{}, {}]
