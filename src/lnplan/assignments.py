@@ -19,7 +19,7 @@ import itertools
 from typing import Iterable, Mapping
 
 from .intervals import EMPTY, Interval
-from .model import FunctionSymbol, FunctionTerm, Object, State
+from .model import FunctionSymbol, FunctionTerm, Object
 
 PosBinding = Mapping[int, Object]  # argument position -> object
 
@@ -81,18 +81,22 @@ def build_assignment_set(function: FunctionSymbol,
 
 
 class AssignmentCache:
-    """Lazy per-state cache of assignment sets, one per function symbol.
+    """Lazy cache of assignment sets over one map of fluents, one per
+    function symbol.
 
-    Buckets the state's fluents by symbol once, leaving out those of the
-    `static` functions, then builds each table on first use.
+    Buckets the fluents by symbol once, then builds each table on first use.
+    A state's cache is built over the state's own fluents, those of the
+    functions some effect writes.
 
     `static` maps the names of functions no effect writes to a cache over the
-    initial state. Their tables are the same in every reachable state, so
-    they are read from that shared cache instead of being rebuilt per state.
+    task's static fluents. Their tables are the same in every state of the
+    task, so they are read from that shared cache instead of being rebuilt
+    per state.
     """
 
-    def __init__(self, state: State, static: Mapping[str, "AssignmentCache"] | None = None):
-        self.state = state
+    def __init__(self, fluents: Mapping[FunctionTerm, float],
+                 static: Mapping[str, "AssignmentCache"] | None = None):
+        self.fluents = fluents
         self.static = static or {}
         self._sets: dict[str, AssignmentSet] = {}
         self._buckets: dict[str, list] | None = None
@@ -100,11 +104,8 @@ class AssignmentCache:
     def _bucket(self, name: str) -> list:
         if self._buckets is None:
             buckets: dict[str, list] = {}
-            static = self.static
-            for term, value in self.state.fluents.items():
-                symbol = term.function.name
-                if symbol not in static:
-                    buckets.setdefault(symbol, []).append((term, value))
+            for term, value in self.fluents.items():
+                buckets.setdefault(term.function.name, []).append((term, value))
             self._buckets = buckets
         return self._buckets.get(name, [])
 

@@ -18,21 +18,22 @@ either case.
 Static/dynamic split. A predicate is static when no effect literal touches
 it (built-in equality always is), a function when no numeric effect targets
 it, and an element when all its symbols are static. A static element has the
-same value in every state that agrees with the task's initial state on the
-static atoms and fluents. Every reachable state does, and graphs must only
-be built for such states. Static elements are therefore evaluated once per
-task into a plan, built on the first graph for a (schema, numeric rules,
-record) combination: int bitsets of a static alive mask per partition and,
-per partition pair, a static row per object plus its transpose. The alive
-masks are then made arc-consistent over the static rows (Mackworth 1977):
-a vertex whose row meets no alive vertex of the pair's other partition is
-in no clique, so it is dropped, until no mask changes. Per state the
-atom index takes the static predicates' buckets from the initial state's and
-indexes only the other atoms, range tables are built only for written
-functions, and only dynamic elements are evaluated, on the vertices and pairs
-the static masks leave alive. A partition pair without dynamic elements costs
-bit operations only. `static_graph` builds a schema's graph from its plan
-alone, with no state, for the grounded store to join.
+same value in every state of the task: its states share one static part,
+the task's `StaticFacts`, and own only the dynamic atoms and fluents.
+`StateContext` refuses a state with another static part. Static elements
+are therefore evaluated once per task into a plan, built on the first graph
+for a (schema, numeric rules, record) combination: int bitsets of a static
+alive mask per partition and, per partition pair, a static row per object
+plus its transpose. The alive masks are then made arc-consistent over the
+static rows (Mackworth 1977): a vertex whose row meets no alive vertex of
+the pair's other partition is in no clique, so it is dropped, until no mask
+changes. Per state the atom index takes the static predicates' buckets from
+the index of the static part and indexes the state's own atoms, range
+tables are built only for the state's own fluents, and only dynamic
+elements are evaluated, on the vertices and pairs the static masks leave
+alive. A partition pair without dynamic elements costs bit operations only.
+`static_graph` builds a schema's graph from its plan alone, with no state,
+for the grounded store to join.
 
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
@@ -66,7 +67,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
 from .intervals import Interval, arith, compare, point
@@ -84,8 +85,6 @@ from .model import (
     Variable,
     free_variables,
     function_terms,
-    static_function_names,
-    static_predicate_names,
 )
 
 VAR_CONFLICT = "variable-conflict"
@@ -111,16 +110,15 @@ class AtomIndex:
     (`match_exists`, which the graph asks only with nothing bound).
 
     Buckets in `shared` (predicate name -> bucket of another index) are
-    taken as they are, and the state's atoms of those predicates skipped: a
-    state shares the static ones of the initial state's `TaskStatics.index`.
+    taken as they are and never extended, so `atoms` must hold none of
+    their predicates: a state's index indexes the state's own atoms and
+    shares the static ones of `TaskStatics.index`.
     """
 
-    def __init__(self, state: State, shared: Mapping[str, _Bucket] = {}):
+    def __init__(self, atoms: Iterable[Atom], shared: Mapping[str, _Bucket] = {}):
         buckets = dict(shared)
-        for atom in state.atoms:
+        for atom in atoms:
             name = atom.predicate.name
-            if name in shared:
-                continue
             bucket = buckets.get(name)
             if bucket is None:
                 bucket = buckets[name] = _Bucket()
@@ -189,15 +187,19 @@ class StateContext:
     """Shared per-state structures: the match index and the range tables of
     the dynamic symbols.
 
-    The state must agree with the task's initial state on static atoms and
-    fluents, as every reachable state does.
+    The state must be one of the task's, sharing its static part, as the
+    initial state and every state reached from it do; any other state is a
+    ValueError.
     """
 
     def __init__(self, task: Task, state: State):
         self.objects = task.objects
         self.statics = task_statics(task)
-        self.index = AtomIndex(state, self.statics.index.buckets)
-        self.ranges = AssignmentCache(state, self.statics.ranges)
+        if state.static is not self.statics.static:
+            raise ValueError("the state does not share the task's static part;"
+                             " derive it from the task's initial state")
+        self.index = AtomIndex(state.own_atoms, self.statics.index.buckets)
+        self.ranges = AssignmentCache(state.own_fluents, self.statics.ranges)
 
 
 def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: AssignmentCache) -> Interval:
@@ -466,7 +468,7 @@ class _Plan:
         self.schema = schema
         objects = statics.objects
         preds, funcs = statics.predicates, statics.functions
-        env = (statics.index, statics.init_ranges, statics)
+        env = (statics.index, statics.static_ranges, statics)
 
         lits = schema.pre_literals
         rules = ([(POSITIVE_MISS, lit.atom) for lit in lits if lit.positive]
@@ -495,7 +497,7 @@ class _Plan:
         for reason, element, _ in checks:
             if not is_static(element):
                 self.ground.append((reason, element))
-            elif _refuted([(reason, element)], statics.index, statics.init_ranges):
+            elif _refuted([(reason, element)], statics.index, statics.static_ranges):
                 self.failure = (reason, element)
                 return
 
@@ -561,21 +563,21 @@ class TaskStatics:
 
     def __init__(self, task: Task):
         self.init = task.init
+        self.static = task.init.static
         self.objects = task.objects
         self.index_of = {obj: oi for oi, obj in enumerate(task.objects)}
-        self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
-        self.functions = static_function_names(task)
-        self.init_ranges = AssignmentCache(self.init)
+        self.predicates = self.static.predicates | {EQUALITY_NAME}
+        self.functions = self.static.functions
+        self.static_ranges = AssignmentCache(self.static.fluents)
         # static function name -> the shared cache that serves its tables
-        self.ranges = dict.fromkeys(self.functions, self.init_ranges)
+        self.ranges = dict.fromkeys(self.functions, self.static_ranges)
         self._plans: dict[tuple, _Plan] = {}
 
     @cached_property
     def index(self) -> AtomIndex:
-        """Match index over the initial state's static atoms, for the static
-        elements; every state's index shares its buckets."""
-        static = [atom for atom in self.init.atoms if atom.predicate.name in self.predicates]
-        return AtomIndex(State(static, {}))
+        """Match index over the static atoms, for the static elements; every
+        state's index shares its buckets."""
+        return AtomIndex(self.static.atoms)
 
     def plan(self, schema: ActionSchema, numeric: bool, record: bool) -> _Plan:
         key = (id(schema), numeric, record)  # the plan keeps the schema alive

@@ -1,9 +1,12 @@
 """Numeric planning task representation and exact ground semantics.
 
 States pair a set of ground atoms with a partial map from ground function
-terms to finite reals. Evaluation is exact on floats; a missing fluent or a
-zero divisor yields the undefined marker (None), and anything undefined makes
-the enclosing literal or constraint count as not holding rather than raising.
+terms to finite reals. The states of a task hold only the atoms and fluents
+that effects can change, and share the rest (`StaticFacts`), which `Task`
+splits off the initial state. Evaluation is exact on floats; a missing
+fluent or a zero divisor yields the undefined marker (None), and anything
+undefined makes the enclosing literal or constraint count as not holding
+rather than raising.
 
 The predicate name "=" is reserved for built-in object equality: it has the
 implicit extension {(o, o)} in every state and never appears in effect sets.
@@ -11,6 +14,7 @@ implicit extension {(o, o)} in every state and never appears in effect sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
@@ -326,26 +330,104 @@ class Check:
         return bool(self.literals or self.constraints or self.effects)
 
 
-class State:
-    """Immutable state: true ground atoms plus defined ground fluent values."""
+def _normalized(fluents: Mapping[FunctionTerm, float]) -> dict[FunctionTerm, float]:
+    """A copy of the fluents as floats, with -0.0 stored as 0.0. A dict is
+    copied with its stored hashes, and only the values that change are
+    written again."""
+    out = dict(fluents)
+    for t, v in out.items():
+        if type(v) is not float or (v == 0 and math.copysign(1.0, v) < 0):
+            out[t] = 0.0 if v == 0 else float(v)
+    return out
 
-    __slots__ = ("atoms", "fluents", "_key")
 
-    def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float]):
+class StaticFacts:
+    """The atoms and fluents of a task that no effect changes: those of the
+    `predicates` no effect touches and of the `functions` no numeric effect
+    writes. The evaluators look an atom or fluent up here when its symbol is
+    one of these, and in the state's own part otherwise.
+
+    `Task` splits them off its initial state once, and every state of the
+    task shares that one instance. It is a value: instances with the same
+    atoms and fluents compare equal, through a hash computed on first use.
+    Its `fluents` dict is shared with every state and must not be changed.
+    """
+
+    __slots__ = ("predicates", "functions", "atoms", "fluents", "_hash")
+
+    def __init__(self, predicates: frozenset[str] = frozenset(),
+                 functions: frozenset[str] = frozenset(), atoms: Iterable[Atom] = (),
+                 fluents: Mapping[FunctionTerm, float] = {}):
+        self.predicates = predicates
+        self.functions = functions
         self.atoms = frozenset(atoms)
-        self.fluents = {t: 0.0 if v == 0 else float(v) for t, v in fluents.items()}
+        self.fluents = _normalized(fluents)
+        self._hash = None
+
+    def __eq__(self, other):
+        return self is other or (type(other) is StaticFacts and hash(other) == hash(self)
+                                 and other.atoms == self.atoms and other.fluents == self.fluents)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.atoms, frozenset(self.fluents.items())))
+        return self._hash
+
+    def __repr__(self):
+        return f"StaticFacts({len(self.atoms)} atoms, {len(self.fluents)} fluents)"
+
+
+NO_STATIC_FACTS = StaticFacts()
+
+
+class State:
+    """Immutable state: true ground atoms plus defined ground fluent values.
+
+    A state owns some atoms and fluents and shares the rest, `static`, with
+    the other states of its task. In a task's states (the initial state as
+    `Task` splits it, and every successor) the own part holds the atoms of
+    predicates some effect touches and the fluents of functions some
+    numeric effect writes, so a successor copies only those. A state built
+    by hand shares nothing and owns every atom and fluent it is given.
+
+    `atoms` and `fluents` are the full contents, built on each read for
+    readers outside the hot path; the evaluators below read both parts.
+    """
+
+    __slots__ = ("own_atoms", "own_fluents", "static", "_key")
+
+    def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float],
+                 static: StaticFacts = NO_STATIC_FACTS):
+        self.own_atoms = frozenset(atoms)
+        self.own_fluents = _normalized(fluents)
+        self.static = static
         self._key = None
 
+    @property
+    def atoms(self) -> frozenset[Atom]:
+        """Every true atom, the static ones included."""
+        static = self.static.atoms
+        return self.own_atoms | static if static else self.own_atoms
+
+    @property
+    def fluents(self) -> dict[FunctionTerm, float]:
+        """Every defined fluent, the static ones included."""
+        static = self.static.fluents
+        return {**static, **self.own_fluents} if static else self.own_fluents
+
     def key(self):
-        """Value identity: the atom set and the set of (term, value) pairs.
+        """Value identity: the own atom set, the set of own (term, value)
+        pairs and the static part.
 
         Atoms and terms compare by name and values are floats with -0.0 stored
         as 0.0, so two states with the same true atoms and fluent values have
-        equal keys whatever their construction order. Equality and hashing of
-        states use this key; it is built once per state.
+        equal keys whatever their construction order, as long as they split
+        them alike. The states of one task share their static part, which
+        then compares by identity. Equality and hashing of states use this
+        key; it is built once per state.
         """
         if self._key is None:
-            self._key = (self.atoms, frozenset(self.fluents.items()))
+            self._key = (self.own_atoms, frozenset(self.own_fluents.items()), self.static)
         return self._key
 
     def __eq__(self, other):
@@ -391,6 +473,23 @@ class Task:
         ):
             if len(index) != len(group):
                 raise ValueError(f"duplicate {label} names in task")
+        # the initial state owns the atoms and fluents that effects change
+        # and shares the rest with every state reached from it; a state
+        # already split by the same symbols is kept, and so is its static part
+        predicates, functions = static_predicate_names(self), static_function_names(self)
+        init = self.init
+        if (init.static is NO_STATIC_FACTS or init.static.predicates != predicates
+                or init.static.functions != functions):
+            # the own part is the smaller one: the static part is what is
+            # left of copies that keep their stored hashes
+            atoms, fluents = init.atoms, init.fluents
+            own_atoms = frozenset(a for a in atoms if a.predicate.name not in predicates)
+            own_fluents = {t: v for t, v in fluents.items() if t.function.name not in functions}
+            static_fluents = dict(fluents)
+            for term in own_fluents:
+                del static_fluents[term]
+            self.init = State(own_atoms, own_fluents, StaticFacts(
+                predicates, functions, atoms - own_atoms, static_fluents))
 
 
 def static_predicate_names(task: Task) -> frozenset[str]:
@@ -489,10 +588,13 @@ def ground_function_term(term: FunctionTerm, binding: Mapping[Variable, Object])
 
 def literal_holds(state: State, literal: Literal, binding: Mapping[Variable, Object] = _EMPTY_BINDING) -> bool:
     atom = literal.atom
-    if atom.predicate.name == EQUALITY_NAME:
+    name = atom.predicate.name
+    if name == EQUALITY_NAME:
         result = _bind(atom.args[0], binding) == _bind(atom.args[1], binding)
     else:
-        result = ground_atom(atom, binding) in state.atoms
+        static = state.static
+        atoms = static.atoms if name in static.predicates else state.own_atoms
+        result = ground_atom(atom, binding) in atoms
     return result if literal.positive else not result
 
 
@@ -501,7 +603,9 @@ def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _E
     if isinstance(expr, Constant):
         return expr.value
     if isinstance(expr, FunctionTerm):
-        return state.fluents.get(ground_function_term(expr, binding))
+        static = state.static
+        fluents = static.fluents if expr.function.name in static.functions else state.own_fluents
+        return fluents.get(ground_function_term(expr, binding))
     left = expr_value(state, expr.left, binding)
     if left is None:
         return None
@@ -567,14 +671,12 @@ def _failure(state: State, action: GroundAction, tolerance: float,
             value = expr_value(state, eff.expr, binding)
             if value is None:
                 return "effect expression undefined:", eff
-        if target_defined or conflict:
-            target = ground_function_term(eff.target, binding)
-            if target_defined and target not in state.fluents:
-                return "effect target undefined:", target
+        if target_defined and expr_value(state, eff.target, binding) is None:
+            return "effect target undefined:", ground_function_term(eff.target, binding)
         if nonzero and value == 0.0:
             return "effect divides by zero:", eff
         if conflict:
-            per_target.setdefault(target, []).append(eff.op)
+            per_target.setdefault(ground_function_term(eff.target, binding), []).append(eff.op)
     for target, ops in per_target.items():
         if not effects_compatible(ops):
             return "conflicting effects on", target
@@ -624,7 +726,8 @@ def apply_effects(state: State, action: GroundAction) -> State:
 
     All effect expressions are evaluated in the original state. Atoms are
     updated as (atoms - deletes) + adds; the effects on one target fold into
-    it in order.
+    it in order. Effects change only what a state of the task owns, so the
+    successor copies the own part and shares the static one.
     """
     schema = action.schema
     binding = action.binding_map()
@@ -633,14 +736,14 @@ def apply_effects(state: State, action: GroundAction) -> State:
     dels = set()
     for lit in schema.eff_literals:
         (adds if lit.positive else dels).add(ground_atom(lit.atom, binding))
-    atoms = state.atoms.difference(dels).union(adds)
+    atoms = state.own_atoms.difference(dels).union(adds)
 
-    fluents = dict(state.fluents)
+    fluents = dict(state.own_fluents)
     for eff in schema.eff_numeric:
         value = expr_value(state, eff.expr, binding)
         target = ground_function_term(eff.target, binding)
         fluents[target] = value if eff.op == ASSIGN else _UPDATES[eff.op](fluents[target], value)
-    return State(atoms, fluents)
+    return State(atoms, fluents, state.static)
 
 
 def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:

@@ -638,7 +638,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         functions=domain.functions,
         schemas=domain.schemas,
         objects=tuple(objects.values()),
-        init=State(init_atoms, init_fluents),
+        init=State(init_atoms, init_fluents),  # Task splits it
         goal_literals=tuple(goal_literals),
         goal_constraints=tuple(goal_constraints),
         metric=metric,
@@ -702,16 +702,16 @@ def write_domain(task: Task) -> str:
 
 
 def write_problem(task: Task) -> str:
-    """Problem text of the task; a non-finite initial fluent has no PDDL
-    number and raises ValueError."""
-    for term, value in task.init.fluents.items():
+    """Problem text of the task, the static part of its initial state
+    included; a non-finite initial fluent has no PDDL number and raises
+    ValueError."""
+    fluents = task.init.fluents
+    for term, value in fluents.items():
         if not math.isfinite(value):
             raise ValueError(f"initial fluent {term!r} = {value} is not a finite number")
     lines = [f"(define (problem {task.problem_name})", f"  (:domain {task.domain_name})"]
     init_entries = sorted(repr(a) for a in task.init.atoms)
-    init_entries += sorted(
-        f"(= {t!r} {format_number(v)})" for t, v in task.init.fluents.items()
-    )
+    init_entries += sorted(f"(= {t!r} {format_number(v)})" for t, v in fluents.items())
     lines.append("  (:init " + " ".join(init_entries) + ")")
     goals = [repr(e) for e in task.goal_literals + task.goal_constraints]
     lines.append("  (:goal (and " + " ".join(goals) + "))" if goals else "  (:goal (and))")

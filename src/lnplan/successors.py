@@ -18,10 +18,10 @@ its candidates can still fail, once per generator (on first use): the
 precondition elements the strategy does not decide (for `numeric`, those
 outside the paper's exactness conditions) and the effect conditions that no
 static argument rules out. A schema whose residual is empty costs no filter
-call. The residual relies on the graph's contract: a state agrees with the
-task's initial state on static atoms and fluents, and defines every fluent
-the initial state defines. Every reachable state does, since no effect
-removes a static atom or undefines a fluent.
+call. The residual relies on two facts about the task's states. They share
+the static atoms and fluents of the initial state by construction (its
+`StaticFacts`), and they define every fluent the initial state defines,
+since no effect undefines a fluent.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
     reachable from the initial state."""
     if statics is None:
         return lambda term: False
-    init = statics.init
-    counts = Counter(term.function.name for term in init.fluents)
+    fluents = statics.init.fluents
+    counts = Counter(term.function.name for term in fluents)
     pool = dict(zip(schema.params, statics.pools(schema, numeric)))
 
     def defined(term: FunctionTerm) -> bool:
@@ -255,7 +255,7 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
         pools = [(arg,) if type(arg) is Object else pool[arg] for arg in term.args]
         if counts[term.function.name] < math.prod(map(len, pools)):
             return False
-        return all(FunctionTerm(term.function, args) in init.fluents
+        return all(FunctionTerm(term.function, args) in fluents
                    for args in itertools.product(*pools))
 
     return defined

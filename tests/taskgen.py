@@ -13,6 +13,12 @@ Two generator modes:
                 maps, division everywhere, assignment and scaling effects,
                 and occasional deliberately conflicting effect sets.
 
+Random tasks mostly end within one expansion. `searching_task` builds tasks
+whose search runs over dozens to hundreds of states instead: an agent on a
+static link graph with static costs and marks, a fuel budget and switches
+with bounded counters, so that duplicate detection and state identity are
+exercised. `search_record` is what a search test compares of one solve.
+
 The oracles are deliberately naive: enumerate every total binding and filter.
 """
 
@@ -267,3 +273,104 @@ def _random_schema(rng, name, predicates, functions, objects, exact) -> ActionSc
         eff_literals=tuple(eff_literals),
         eff_numeric=tuple(eff_numeric),
     )
+
+
+# --- tasks with a search to do ---
+
+
+def searching_task(rng: random.Random, task_id: int = 0) -> Task:
+    """An agent moves along static links, paying each link's static cost out
+    of a fuel budget, and switches on marked objects, each at most (cap)
+    times. Optional schemas add a three-parameter hop (a constraint on three
+    variables), switching off (cycles back to earlier states) and refuelling
+    (an assignment). The goal asks for switches and sometimes a position or
+    more fuel than can ever be held, so some tasks are unsolvable."""
+    objects = tuple(Object(f"o{i + 1}") for i in range(rng.randint(5, 7)))
+    link, mark, at, on = (PredicateSymbol("link", 2), PredicateSymbol("mark", 1),
+                          PredicateSymbol("at", 1), PredicateSymbol("on", 1))
+    cost, cap, fuel, count = (FunctionSymbol("cost", 2), FunctionSymbol("cap", 0),
+                              FunctionSymbol("fuel", 0), FunctionSymbol("count", 1))
+    a, b, c = Variable("?a"), Variable("?b"), Variable("?c")
+
+    def lit(pred, *args, positive=True):
+        return Literal(Atom(pred, args), positive)
+
+    def term(fn, *args):
+        return FunctionTerm(fn, args)
+
+    atoms = {Atom(link, (u, v)) for u in objects for v in objects
+             if u != v and rng.random() < 0.5}
+    marked = [o for o in objects if rng.random() < 0.6] or [objects[-1]]
+    atoms |= {Atom(mark, (o,)) for o in marked}
+    atoms.add(Atom(at, (rng.choice(objects),)))
+    atoms |= {Atom(on, (o,)) for o in objects if rng.random() < 0.2}
+    fluents = {term(cost, u, v): float(rng.randint(0, 2)) for u in objects for v in objects}
+    fluents.update({term(count, o): 0.0 for o in objects})
+    fluents[term(cap)] = float(rng.randint(1, 2))
+    fluents[term(fuel)] = float(rng.randint(5, 9))
+
+    schemas = [
+        ActionSchema("move", (a, b), pre_literals=(lit(at, a), lit(link, a, b)),
+                     pre_constraints=(NumericConstraint(term(fuel), ">=", term(cost, a, b)),),
+                     eff_literals=(lit(at, a, positive=False), lit(at, b)),
+                     eff_numeric=(NumericEffect(term(fuel), DECREASE, term(cost, a, b)),)),
+        ActionSchema("switch-on", (a,),
+                     pre_literals=(lit(at, a), lit(mark, a), lit(on, a, positive=False)),
+                     pre_constraints=(NumericConstraint(term(count, a), "<", term(cap)),),
+                     eff_literals=(lit(on, a),),
+                     eff_numeric=(NumericEffect(term(count, a), INCREASE, Constant(1.0)),)),
+    ]
+    if rng.random() < 0.5:
+        both = BinaryExpr("+", term(cost, a, b), term(cost, b, c))
+        schemas.append(ActionSchema(
+            "hop", (a, b, c),
+            pre_literals=(lit(at, a), lit(link, a, b), lit(link, b, c),
+                          lit(EQUALITY, a, c, positive=False)),
+            pre_constraints=(NumericConstraint(term(fuel), ">=", both),),
+            eff_literals=(lit(at, a, positive=False), lit(at, c)),
+            eff_numeric=(NumericEffect(term(fuel), DECREASE, both),)))
+    if rng.random() < 0.5:
+        schemas.append(ActionSchema("switch-off", (a, b),
+                                    pre_literals=(lit(at, a), lit(link, a, b), lit(on, b)),
+                                    eff_literals=(lit(on, b, positive=False),)))
+    if rng.random() < 0.5:
+        schemas.append(ActionSchema(
+            "refuel", (a,), pre_literals=(lit(at, a), lit(mark, a)),
+            pre_constraints=(NumericConstraint(term(fuel), "<", Constant(2.0)),),
+            eff_numeric=(NumericEffect(term(fuel), ASSIGN,
+                                       BinaryExpr("+", term(fuel), Constant(3.0))),)))
+
+    goal_literals = [lit(on, o) for o in rng.sample(marked, min(len(marked), 3))]
+    if rng.random() < 0.5:
+        goal_literals.append(lit(at, rng.choice(objects)))
+    goal_constraints = []
+    if rng.random() < 0.25:
+        goal_constraints.append(NumericConstraint(term(fuel), ">", Constant(10.0)))
+    return Task(
+        domain_name="searching-domain",
+        problem_name=f"searching-{task_id}",
+        predicates=(link, mark, at, on),
+        functions=(cost, cap, fuel, count),
+        schemas=tuple(schemas),
+        objects=objects,
+        init=State(atoms, fluents),
+        goal_literals=tuple(goal_literals),
+        goal_constraints=tuple(goal_constraints),
+    )
+
+
+def search_record(result) -> dict:
+    """What a search test compares of one solve: verdict, plan, expansions,
+    generated states and the g-value trace, the trace as the number of
+    expansions per g-value (breadth-first g-values never decrease, so the
+    counts give the trace back)."""
+    trace = result.stats.g_trace
+    assert all(g <= h <= g + 1 for g, h in zip(trace, trace[1:])), trace
+    return {
+        "status": result.status,
+        "limit_hit": result.limit_hit,
+        "plan": None if result.plan is None else [action.pddl() for action in result.plan],
+        "expansions": result.stats.expansions,
+        "generated": result.stats.generated,
+        "g_counts": [trace.count(g) for g in range(trace[-1] + 1)] if trace else [],
+    }

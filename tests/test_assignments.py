@@ -107,7 +107,7 @@ def test_monotone_under_refinement():
 def test_cache_single_winner_and_reuse():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 3.0})
-    cache = AssignmentCache(state)
+    cache = AssignmentCache(state.fluents)
     first = cache.get(f)
     assert cache.get(f) is first
     assert first.lookup({0: A}) == Interval(3.0, 3.0)
@@ -118,10 +118,10 @@ def test_cache_serves_static_functions_from_the_shared_cache():
     # symbol in `static` is read from the shared cache, whatever the state says
     f, g, h = FunctionSymbol("f", 1), FunctionSymbol("g", 1), FunctionSymbol("h", 0)
     init = State([], {FunctionTerm(g, (A,)): 1.0, FunctionTerm(h, ()): 2.0})
-    shared = AssignmentCache(init)
+    shared = AssignmentCache(init.fluents)
     state = State([], {FunctionTerm(f, (A,)): 3.0, FunctionTerm(f, (B,)): 4.0,
                        FunctionTerm(g, (A,)): 1.0, FunctionTerm(h, ()): 5.0})
-    cache = AssignmentCache(state, {"h": shared})
+    cache = AssignmentCache(state.fluents, {"h": shared})
     assert cache.get(f).lookup({}) == Interval(3.0, 4.0)
     assert cache.get(g).lookup({0: A}) == Interval(1.0, 1.0)
     assert cache.get(h) is shared.get(h)

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from taskgen import random_task, walk_states
 
 from lnplan.assignments import AssignmentCache
@@ -11,6 +13,7 @@ from lnplan.consistency import (
     build_graph,
     relaxed_eval,
     relaxed_unsat,
+    task_statics,
 )
 from lnplan.intervals import Interval
 from lnplan.model import (
@@ -48,7 +51,7 @@ def _task(schemas, objects, atoms, fluents, predicates=(), functions=()):
 def test_relaxed_eval_examples():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 2.0, FunctionTerm(f, (B,)): 4.0})
-    cache = AssignmentCache(state)
+    cache = AssignmentCache(state.fluents)
     expr = BinaryExpr("+", FunctionTerm(f, (X,)), Constant(1.0))
     assert relaxed_eval(expr, {}, cache) == Interval(3.0, 5.0)
     assert relaxed_eval(expr, {X: A}, cache) == Interval(3.0, 3.0)
@@ -59,7 +62,7 @@ def test_relaxed_eval_examples():
 def test_relaxed_unsat_examples():
     f = FunctionSymbol("f", 1)
     state = State([], {FunctionTerm(f, (A,)): 2.0, FunctionTerm(f, (B,)): 4.0})
-    cache = AssignmentCache(state)
+    cache = AssignmentCache(state.fluents)
     too_high = NumericConstraint(FunctionTerm(f, (X,)), ">=", Constant(10.0))
     reachable = NumericConstraint(FunctionTerm(f, (X,)), ">=", Constant(3.0))
     assert relaxed_unsat(too_high, {}, cache)
@@ -77,7 +80,7 @@ def test_point_relaxation_agrees_with_exact_evaluation_on_non_finite_values():
     values = (-math.inf, -1.0, 0.0, 2.5, math.inf, math.nan)
     objects = [Object(f"o{i}") for i in range(len(values))]
     state = State([], {FunctionTerm(f, (o,)): v for o, v in zip(objects, values)})
-    ranges = AssignmentCache(state)
+    ranges = AssignmentCache(state.fluents)
     fx, fy = FunctionTerm(f, (X,)), FunctionTerm(f, (Y,))
     sides = [fx] + [BinaryExpr(op, fx, fy) for op in "+-*/"]
     others = [fy, Constant(0.0), Constant(1.0), BinaryExpr("/", fy, Constant(0.0))]
@@ -245,7 +248,7 @@ def _reference_graph(schema, task, state, *, numeric, record):
     )
     from lnplan.model import free_variables
 
-    index, ranges = AtomIndex(state), AssignmentCache(state)
+    index, ranges = AtomIndex(state.atoms), AssignmentCache(state.fluents)
     k, objects, n = len(schema.params), task.objects, len(task.objects)
     graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
                              exclusions=[] if record else None)
@@ -447,8 +450,9 @@ def test_state_index_shares_the_static_atoms_of_the_initial_state(bundled_tasks)
     absent = Atom(road.predicate, (road.args[0], road.args[0]))
     assert absent not in task.init.atoms
     assert index.match_exists(road, {}) and not index.match_exists(absent, {})
-    # shared as built from the initial state, not extended by the state's atoms
+    # shared as built from the static part, not extended by the state's atoms
     roads = sum(atom.predicate.name == "road" for atom in task.init.atoms)
+    assert index.buckets["road"] is task_statics(task).index.buckets["road"]
     assert len(index.buckets["road"].atoms) == roads
     # the dynamic atoms are the state's own
     moved = [atom for atom in state.atoms if atom.predicate.name == "at"]
@@ -456,6 +460,18 @@ def test_state_index_shares_the_static_atoms_of_the_initial_state(bundled_tasks)
     assert moved and left
     assert all(index.match_exists(atom, {}) for atom in moved)
     assert not any(index.match_exists(atom, {}) for atom in left)
+
+
+def test_context_refuses_a_state_that_does_not_share_the_static_part(bundled_tasks):
+    # a state built by hand owns its static atoms; indexing them would
+    # extend the task's shared buckets
+    task = bundled_tasks["delivery"]
+    shared = task_statics(task).index.buckets
+    sizes = {name: len(bucket.atoms) for name, bucket in shared.items()}
+    by_hand = State(task.init.atoms, task.init.fluents)
+    with pytest.raises(ValueError, match="static part"):
+        StateContext(task, by_hand)
+    assert {name: len(bucket.atoms) for name, bucket in shared.items()} == sizes
 
 
 # --- atom shapes that random tasks rarely produce ---

@@ -356,3 +356,90 @@ def test_state_identity_is_exact():
     bumped = State(first.atoms, {**first.fluents, some_term: first.fluents[some_term] + 1})
     for changed in (dropped, bumped):
         assert changed.key() != first.key() and changed != first
+
+
+# --- states own what effects change and share the static rest ---
+
+
+def test_successors_share_the_static_part_of_their_task(bundled_tasks):
+    from lnplan.successors import SuccessorGenerator
+
+    for name, task in bundled_tasks.items():
+        init, generator = task.init, SuccessorGenerator(task)
+        for action in generator.applicable(init)[0]:
+            child = apply(init, action)
+            assert child.static is init.static, name
+            for grandchild_action in generator.applicable(child)[0][:3]:
+                assert apply(child, grandchild_action).static is init.static, name
+
+
+def test_relay_states_own_only_positions_and_energy(bundled_tasks):
+    from lnplan.successors import SuccessorGenerator
+
+    task = bundled_tasks["relay"]
+    step_cost = FunctionTerm(task.function("step-cost"), ())
+    assert step_cost in task.init.static.fluents and step_cost not in task.init.own_fluents
+    assert task.init.static.atoms and all(
+        atom.predicate.name != "at" for atom in task.init.static.atoms)
+    states = [task.init] + [apply(task.init, a)
+                            for a in SuccessorGenerator(task).applicable(task.init)[0]]
+    assert len(states) > 1
+    for state in states:
+        assert state.own_atoms and {a.predicate.name for a in state.own_atoms} == {"at"}
+        assert state.own_fluents and {t.function.name for t in state.own_fluents} == {"energy"}
+        assert state.fluents[step_cost] == task.init.fluents[step_cost]
+
+
+def test_states_differ_when_only_their_static_parts_do(bundled_tasks):
+    import dataclasses
+
+    task = bundled_tasks["relay"]
+    static = task.init.static
+    link = next(iter(static.atoms))
+    step_cost = next(iter(static.fluents))
+    for init in (State(task.init.atoms - {link}, task.init.fluents),
+                 State(task.init.atoms, {**task.init.fluents, step_cost: 2.0})):
+        other = dataclasses.replace(task, init=init).init
+        assert other.own_atoms == task.init.own_atoms
+        assert other.own_fluents == task.init.own_fluents
+        assert other.static != static and other.key() != task.init.key() and other != task.init
+    # the same static content in another object compares equal
+    again = dataclasses.replace(task, init=State(task.init.atoms, task.init.fluents)).init
+    assert again.static is not static and again.static == static
+    assert again.key() == task.init.key() and hash(again) == hash(task.init)
+
+
+def test_full_views_equal_the_unsplit_contents(monkeypatch):
+    # the parser hands Task a state that owns everything it read; the task's
+    # split initial state and its successors read back the same contents as
+    # that state and the successors computed from it
+    from conftest import BUNDLED
+    from taskgen import brute_applicable
+
+    from lnplan import pddl
+    from lnplan.model import NO_STATIC_FACTS
+
+    unsplit = []
+    real = pddl.Task
+    monkeypatch.setattr(pddl, "Task", lambda **fields: unsplit.append(fields["init"])
+                        or real(**fields))
+    for name in BUNDLED:
+        task = load_bundled(name)
+        (whole,) = unsplit
+        unsplit.clear()
+        split = task.init
+        assert whole.static is NO_STATIC_FACTS and split.static is not NO_STATIC_FACTS
+        assert split.static.atoms or split.static.fluents, name
+        assert not split.own_atoms & split.static.atoms
+        assert not split.own_fluents.keys() & split.static.fluents.keys()
+        rng = random.Random(name)
+        for _ in range(6):
+            assert split.atoms == whole.own_atoms, name
+            assert split.fluents == whole.own_fluents, name
+            assert goal_satisfied(split, task) == goal_satisfied(whole, task), name
+            actions = brute_applicable(task, split)
+            assert actions == brute_applicable(task, whole), name
+            if not actions:
+                break
+            action = rng.choice(actions)
+            split, whole = apply(split, action), apply(whole, action)

@@ -197,6 +197,9 @@ def test_roundtrip_counters(bundled_tasks):
         problem_text = write_problem(task)
         again = parse_task(domain_text, problem_text)
         assert again == task, name
+        # equality compares the static atoms and fluents by value
+        assert again.init.static is not task.init.static
+        assert again.init.static == task.init.static, name
         # the written domain keeps everything generation reads, so every
         # strategy streams as many candidates from the round-tripped task
         for strategy in STRATEGIES:

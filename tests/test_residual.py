@@ -224,6 +224,24 @@ def test_constraint_on_a_ternary_function_kept_for_a_parameter_free_schema():
     assert applicable == ["(low)"]
 
 
+def test_effect_checks_read_the_own_and_the_static_fluents_of_the_initial_state():
+    # relay's (-= (energy ?r) (step-cost)): the initial state owns the energy
+    # of every robot, and (step-cost) is in its static part; both count as
+    # defined over the robots, so the effect has nothing left to check
+    from lnplan.consistency import task_statics
+    from lnplan.successors import fallible_effects
+
+    task = load_bundled("relay")
+    move = task.schema("move")
+    (effect,) = move.eff_numeric
+    assert effect.target.function.name in {t.function.name for t in task.init.own_fluents}
+    assert effect.expr in task.init.static.fluents
+    for numeric in (True, False):
+        assert fallible_effects(move, task_statics(task), numeric) == ()
+    (unknown,) = fallible_effects(move)  # without a problem nothing is defined
+    assert unknown.defined and unknown.target
+
+
 def _fails_an_effect(state, action) -> bool:
     failure = applicability_failure(state, action)
     return failure is not None and failure.startswith(("effect", "conflicting"))

@@ -111,7 +111,7 @@ def test_relaxation_never_flags_satisfiable_gadget():
         inst = encode(cnf)
         sat, _ = satisfiable(inst)
         if sat:
-            ranges = AssignmentCache(inst.state)
+            ranges = AssignmentCache(inst.state.fluents)
             assert not relaxed_unsat(inst.constraint, {}, ranges)
 
 
@@ -134,6 +134,20 @@ def test_problem_text_snippet():
     assert "(= (fy2 o-false) 0)" in text
     assert "(:constraint" in text and "= " in text
     assert "?x1" in text and "?x2" in text
+
+
+def test_problem_text_is_exact():
+    # the gadget's state is built by hand, so it owns every fluent it holds
+    inst = encode(CnfFormula(3, ((1, -2, 3), (-1, 2, -3))))
+    assert to_problem_text(inst) == (
+        "(define (problem cnf-gadget)\n"
+        "  (:objects o-true o-false)\n"
+        "  (:init (= (fy1 o-false) 0) (= (fy1 o-true) 1) (= (fy2 o-false) 0)"
+        " (= (fy2 o-true) 1) (= (fy3 o-false) 0) (= (fy3 o-true) 1))\n"
+        "  (:constraint (+ (- 1 (* (* (- 1 (fy1 ?x1)) (- 1 (- 1 (fy2 ?x2)))) (- 1 (fy3 ?x3))))"
+        " (- 1 (* (* (- 1 (- 1 (fy1 ?x1))) (- 1 (fy2 ?x2))) (- 1 (- 1 (fy3 ?x3)))))) = 2)\n"
+        "  (:free-variables ?x1 ?x2 ?x3)\n"
+        ")\n")
 
 
 def test_encoding_size_linear():

@@ -1,11 +1,14 @@
 import heapq
+import json
 import math
 import random
+import statistics
+from pathlib import Path
 
 import pytest
 
 from conftest import load_bundled
-from taskgen import bfs_optimal_cost, brute_applicable, random_task
+from taskgen import bfs_optimal_cost, brute_applicable, random_task, search_record, searching_task
 
 from lnplan.model import (
     ActionSchema,
@@ -23,7 +26,7 @@ from lnplan.model import (
     goal_satisfied,
 )
 from lnplan.search import LIMIT, SOLVED, UNSOLVABLE, Limits, format_plan, solve, validate
-from lnplan.successors import GeneratorConfig, STRATEGIES, SuccessorGenerator
+from lnplan.successors import NUMERIC, GeneratorConfig, STRATEGIES, SuccessorGenerator
 
 
 def test_plan_cost_matches_breadth_first_oracle(bundled_tasks):
@@ -273,3 +276,49 @@ def test_gvalues_nondecreasing_along_expansion_order(bundled_tasks):
         result = solve(task, GeneratorConfig())
         trace = result.stats.g_trace
         assert all(a <= b for a, b in zip(trace, trace[1:])), name
+
+
+# --- searches that visit many states, against a recorded fixture ---
+
+SEARCH_FIXTURE = Path(__file__).parent / "data" / "searching_tasks.json"
+SEARCH_TASKS, SEARCH_NODE_CAP = 16, 150
+
+
+def _searching_records() -> dict:
+    """Per `taskgen.searching_task` (seeds 0..15), per strategy, the
+    `search_record` of a solve to SEARCH_NODE_CAP expansions."""
+    records = {}
+    for i in range(SEARCH_TASKS):
+        task = searching_task(random.Random(i), i)
+        records[task.problem_name] = {
+            strategy: search_record(solve(task, GeneratorConfig(strategy),
+                                          Limits(nodes=SEARCH_NODE_CAP)))
+            for strategy in STRATEGIES}
+    return records
+
+
+def test_searches_match_the_recorded_fixture():
+    # The fixture was recorded before states shared their static atoms and
+    # fluents (commit 4f8ca0d). Verdicts, plans, expansion and generated
+    # counts and g-values must not depend on how a state stores its facts;
+    # a state-identity mistake shows as a changed count of generated states.
+    want = json.loads(SEARCH_FIXTURE.read_text())
+    got = _searching_records()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == want[name], name
+    # the tasks give the search something to do
+    expansions = [records[NUMERIC]["expansions"] for records in want.values()]
+    assert min(expansions) >= 12 and statistics.median(expansions) >= 48, expansions
+    assert {records[NUMERIC]["status"] for records in want.values()} == {SOLVED, UNSOLVABLE, LIMIT}
+
+
+if __name__ == "__main__":
+    # rewrite the fixture: PYTHONPATH=src python tests/test_search.py
+    records = _searching_records()
+    SEARCH_FIXTURE.parent.mkdir(exist_ok=True)
+    SEARCH_FIXTURE.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {{\n" + ",\n".join(
+            f"  {json.dumps(strategy)}: {json.dumps(record, sort_keys=True)}"
+            for strategy, record in records[name].items()) + "\n }"
+        for name in records) + "\n}\n")
