@@ -20,6 +20,7 @@ from .model import Task
 from .pddl import ParseError, load_task, parse_domain
 from .successors import (
     DEFAULT_GROUND_CAP,
+    GROUNDED,
     NUMERIC,
     GeneratorConfig,
     GroundLimitError,
@@ -184,8 +185,9 @@ def cmd_successors(args) -> int:
 
 
 def cmd_ground(args) -> int:
+    config = _config(GROUNDED, args.ground_cap)
     task = _load(args)
-    store = ground_all(task, cap=args.ground_cap)
+    store = ground_all(task, cap=config.ground_cap)
     for schema in task.schemas:
         actions = store.for_schema(schema.name)
         print(f"; {schema.name}: {len(actions)} ground actions")
@@ -198,6 +200,8 @@ def cmd_ground(args) -> int:
 
 def cmd_bench(args) -> int:
     configs = [_config(s.strip()) for s in args.strategies.split(",") if s.strip()]
+    if not configs:
+        raise _UsageError("--strategies names no strategy")
     limits = _limits(args)
     if not metrics.discover_suite(args.suite):
         raise _UsageError(f"no domain.pddl with a problem*.pddl under {args.suite}")

@@ -19,7 +19,8 @@ Static/dynamic split. A predicate is static when no effect literal touches
 it (built-in equality always is), a function when no numeric effect targets
 it, and an element when all its symbols are static. A static element has the
 same value in every state of the task: its states share one static part,
-the task's `StaticFacts`, and own only the dynamic atoms and fluents.
+a `State` that holds the static atoms and fluents of the initial state, and
+own only the dynamic ones.
 `StateContext` refuses a state with another static part. Static elements
 are therefore evaluated once per task into a plan, built on the first graph
 for a (schema, numeric rules, record) combination: int bitsets of a static
@@ -85,6 +86,8 @@ from .model import (
     Variable,
     free_variables,
     function_terms,
+    static_function_names,
+    static_predicate_names,
 )
 
 VAR_CONFLICT = "variable-conflict"
@@ -566,9 +569,9 @@ class TaskStatics:
         self.static = task.init.static
         self.objects = task.objects
         self.index_of = {obj: oi for oi, obj in enumerate(task.objects)}
-        self.predicates = self.static.predicates | {EQUALITY_NAME}
-        self.functions = self.static.functions
-        self.static_ranges = AssignmentCache(self.static.fluents)
+        self.predicates = static_predicate_names(task) | {EQUALITY_NAME}
+        self.functions = static_function_names(task)
+        self.static_ranges = AssignmentCache(self.static.own_fluents)
         # static function name -> the shared cache that serves its tables
         self.ranges = dict.fromkeys(self.functions, self.static_ranges)
         self._plans: dict[tuple, _Plan] = {}
@@ -577,7 +580,7 @@ class TaskStatics:
     def index(self) -> AtomIndex:
         """Match index over the static atoms, for the static elements; every
         state's index shares its buckets."""
-        return AtomIndex(self.static.atoms)
+        return AtomIndex(self.static.own_atoms)
 
     def plan(self, schema: ActionSchema, numeric: bool, record: bool) -> _Plan:
         key = (id(schema), numeric, record)  # the plan keeps the schema alive

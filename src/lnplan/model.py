@@ -2,11 +2,12 @@
 
 States pair a set of ground atoms with a partial map from ground function
 terms to finite reals. The states of a task hold only the atoms and fluents
-that effects can change, and share the rest (`StaticFacts`), which `Task`
-splits off the initial state. Evaluation is exact on floats; a missing
-fluent or a zero divisor yields the undefined marker (None), and anything
-undefined makes the enclosing literal or constraint count as not holding
-rather than raising.
+that effects can change, and share the rest, a static part that is itself a
+State and that `Task` splits off the initial state; a fact is looked up in
+the state's own part and then in its static part. Evaluation is exact on
+floats; a missing fluent or a zero divisor yields the undefined marker
+(None), and anything undefined makes the enclosing literal or constraint
+count as not holding rather than raising.
 
 The predicate name "=" is reserved for built-in object equality: it has the
 implicit extension {(o, o)} in every state and never appears in effect sets.
@@ -341,79 +342,48 @@ def _normalized(fluents: Mapping[FunctionTerm, float]) -> dict[FunctionTerm, flo
     return out
 
 
-class StaticFacts:
-    """The atoms and fluents of a task that no effect changes: those of the
-    `predicates` no effect touches and of the `functions` no numeric effect
-    writes. The evaluators look an atom or fluent up here when its symbol is
-    one of these, and in the state's own part otherwise.
-
-    `Task` splits them off its initial state once, and every state of the
-    task shares that one instance. It is a value: instances with the same
-    atoms and fluents compare equal, through a hash computed on first use.
-    Its `fluents` dict is shared with every state and must not be changed.
-    """
-
-    __slots__ = ("predicates", "functions", "atoms", "fluents", "_hash")
-
-    def __init__(self, predicates: frozenset[str] = frozenset(),
-                 functions: frozenset[str] = frozenset(), atoms: Iterable[Atom] = (),
-                 fluents: Mapping[FunctionTerm, float] = {}):
-        self.predicates = predicates
-        self.functions = functions
-        self.atoms = frozenset(atoms)
-        self.fluents = _normalized(fluents)
-        self._hash = None
-
-    def __eq__(self, other):
-        return self is other or (type(other) is StaticFacts and hash(other) == hash(self)
-                                 and other.atoms == self.atoms and other.fluents == self.fluents)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.atoms, frozenset(self.fluents.items())))
-        return self._hash
-
-    def __repr__(self):
-        return f"StaticFacts({len(self.atoms)} atoms, {len(self.fluents)} fluents)"
-
-
-NO_STATIC_FACTS = StaticFacts()
-
-
 class State:
     """Immutable state: true ground atoms plus defined ground fluent values.
 
     A state owns some atoms and fluents and shares the rest, `static`, with
-    the other states of its task. In a task's states (the initial state as
-    `Task` splits it, and every successor) the own part holds the atoms of
-    predicates some effect touches and the fluents of functions some
-    numeric effect writes, so a successor copies only those. A state built
-    by hand shares nothing and owns every atom and fluent it is given.
+    the other states of its task. The static part is a State too. `Task`
+    splits its initial state by symbol: the state owns the atoms of
+    predicates some effect touches and the fluents of functions some numeric
+    effect writes, and the static part owns the rest. Each fact is in one
+    part, and effects write only what the state owns, so a successor copies
+    the own part and shares the static one, and the evaluators below look a
+    fact up in the own part and then in the static part. A state built by
+    hand shares the empty `NO_STATIC_FACTS` and owns every atom and fluent it
+    is given.
 
     `atoms` and `fluents` are the full contents, built on each read for
-    readers outside the hot path; the evaluators below read both parts.
+    readers outside the hot path.
     """
 
-    __slots__ = ("own_atoms", "own_fluents", "static", "_key")
+    __slots__ = ("own_atoms", "own_fluents", "static", "_key", "_hash")
 
     def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float],
-                 static: StaticFacts = NO_STATIC_FACTS):
+                 static: Optional[State] = None):
         self.own_atoms = frozenset(atoms)
         self.own_fluents = _normalized(fluents)
-        self.static = static
-        self._key = None
+        self.static = NO_STATIC_FACTS if static is None else static
+        self._key = self._hash = None
 
     @property
     def atoms(self) -> frozenset[Atom]:
         """Every true atom, the static ones included."""
-        static = self.static.atoms
-        return self.own_atoms | static if static else self.own_atoms
+        static = self.static
+        if static is None or not static.own_atoms:
+            return self.own_atoms
+        return self.own_atoms | static.own_atoms
 
     @property
     def fluents(self) -> dict[FunctionTerm, float]:
         """Every defined fluent, the static ones included."""
-        static = self.static.fluents
-        return {**static, **self.own_fluents} if static else self.own_fluents
+        static = self.static
+        if static is None or not static.own_fluents:
+            return self.own_fluents
+        return {**static.own_fluents, **self.own_fluents}
 
     def key(self):
         """Value identity: the own atom set, the set of own (term, value)
@@ -424,7 +394,7 @@ class State:
         equal keys whatever their construction order, as long as they split
         them alike. The states of one task share their static part, which
         then compares by identity. Equality and hashing of states use this
-        key; it is built once per state.
+        key; it is built once per state, and so is the hash.
         """
         if self._key is None:
             self._key = (self.own_atoms, frozenset(self.own_fluents.items()), self.static)
@@ -434,10 +404,18 @@ class State:
         return type(other) is State and other.key() == self.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"State({len(self.atoms)} atoms, {len(self.fluents)} fluents)"
+
+
+# the empty static part of states built by hand; built while its own name is
+# still None, it has no static part itself, which keeps its key finite
+NO_STATIC_FACTS = None
+NO_STATIC_FACTS = State((), {})
 
 
 @dataclass
@@ -474,22 +452,17 @@ class Task:
             if len(index) != len(group):
                 raise ValueError(f"duplicate {label} names in task")
         # the initial state owns the atoms and fluents that effects change
-        # and shares the rest with every state reached from it; a state
-        # already split by the same symbols is kept, and so is its static part
+        # and shares the rest with every state reached from it; the own part
+        # is the smaller one, so the static part is what is left of copies
+        # that keep their stored hashes
         predicates, functions = static_predicate_names(self), static_function_names(self)
-        init = self.init
-        if (init.static is NO_STATIC_FACTS or init.static.predicates != predicates
-                or init.static.functions != functions):
-            # the own part is the smaller one: the static part is what is
-            # left of copies that keep their stored hashes
-            atoms, fluents = init.atoms, init.fluents
-            own_atoms = frozenset(a for a in atoms if a.predicate.name not in predicates)
-            own_fluents = {t: v for t, v in fluents.items() if t.function.name not in functions}
-            static_fluents = dict(fluents)
-            for term in own_fluents:
-                del static_fluents[term]
-            self.init = State(own_atoms, own_fluents, StaticFacts(
-                predicates, functions, atoms - own_atoms, static_fluents))
+        atoms, fluents = self.init.atoms, self.init.fluents
+        own_atoms = frozenset(a for a in atoms if a.predicate.name not in predicates)
+        own_fluents = {t: v for t, v in fluents.items() if t.function.name not in functions}
+        static_fluents = dict(fluents)
+        for term in own_fluents:
+            del static_fluents[term]
+        self.init = State(own_atoms, own_fluents, State(atoms - own_atoms, static_fluents))
 
 
 def static_predicate_names(task: Task) -> frozenset[str]:
@@ -569,32 +542,29 @@ _SLACK = {
 }
 
 
-def _bind(term: Term, binding: Mapping[Variable, Object]) -> Object:
-    if type(term) is Object:
-        return term
-    obj = binding.get(term)
-    if obj is None:
-        raise ValueError(f"unbound variable {term.name} in ground evaluation")
-    return obj
+def _ground_args(args: tuple[Term, ...], binding: Mapping[Variable, Object]) -> tuple[Object, ...]:
+    try:
+        return tuple([t if type(t) is Object else binding[t] for t in args])
+    except KeyError as missing:
+        raise ValueError(f"unbound variable {missing.args[0].name} in ground evaluation") from None
 
 
 def ground_atom(atom: Atom, binding: Mapping[Variable, Object]) -> Atom:
-    return Atom(atom.predicate, tuple(_bind(t, binding) for t in atom.args))
+    return Atom(atom.predicate, _ground_args(atom.args, binding))
 
 
 def ground_function_term(term: FunctionTerm, binding: Mapping[Variable, Object]) -> FunctionTerm:
-    return FunctionTerm(term.function, tuple(_bind(t, binding) for t in term.args))
+    return FunctionTerm(term.function, _ground_args(term.args, binding))
 
 
 def literal_holds(state: State, literal: Literal, binding: Mapping[Variable, Object] = _EMPTY_BINDING) -> bool:
     atom = literal.atom
-    name = atom.predicate.name
-    if name == EQUALITY_NAME:
-        result = _bind(atom.args[0], binding) == _bind(atom.args[1], binding)
+    if atom.predicate.name == EQUALITY_NAME:
+        left, right = _ground_args(atom.args, binding)
+        result = left == right
     else:
-        static = state.static
-        atoms = static.atoms if name in static.predicates else state.own_atoms
-        result = ground_atom(atom, binding) in atoms
+        atom = ground_atom(atom, binding)
+        result = atom in state.own_atoms or atom in state.static.own_atoms
     return result if literal.positive else not result
 
 
@@ -603,9 +573,9 @@ def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _E
     if isinstance(expr, Constant):
         return expr.value
     if isinstance(expr, FunctionTerm):
-        static = state.static
-        fluents = static.fluents if expr.function.name in static.functions else state.own_fluents
-        return fluents.get(ground_function_term(expr, binding))
+        term = ground_function_term(expr, binding)
+        value = state.own_fluents.get(term)
+        return state.static.own_fluents.get(term) if value is None else value
     left = expr_value(state, expr.left, binding)
     if left is None:
         return None

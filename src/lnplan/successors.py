@@ -20,8 +20,8 @@ outside the paper's exactness conditions) and the effect conditions that no
 static argument rules out. A schema whose residual is empty costs no filter
 call. The residual relies on two facts about the task's states. They share
 the static atoms and fluents of the initial state by construction (its
-`StaticFacts`), and they define every fluent the initial state defines,
-since no effect undefines a fluent.
+static part, which every successor passes on), and they define every fluent
+the initial state defines, since no effect undefines a fluent.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .model import (
     FunctionTerm,
     GroundAction,
     Literal,
+    NO_STATIC_FACTS,
     NumericConstraint,
     Object,
     State,
@@ -218,14 +219,11 @@ def residual_check(schema: ActionSchema, strategy: str,
                  fallible_effects(schema, statics, numeric=strategy == NUMERIC))
 
 
-_NO_STATE = State((), {})
-
-
 def _nonzero_constant(expr: Expr) -> bool:
     """Is the expression free of function terms, with a value other than 0?"""
     if next(function_terms(expr), None) is not None:
         return False
-    value = expr_value(_NO_STATE, expr)
+    value = expr_value(NO_STATIC_FACTS, expr)
     return value is not None and value != 0.0
 
 

@@ -204,6 +204,19 @@ def test_successors_ground_cap_exit_20(capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "successors", "ground"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_ground_cap_is_a_usage_error(command, cap, tmp_path, capsys):
+    # reported before the task is loaded: the domain file does not exist
+    _, problem = _paths("relay")
+    missing = str(tmp_path / "missing.pddl")
+    assert main([command, "--domain", missing, "--problem", problem,
+                 "--ground-cap", cap]) == 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: ground_cap must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "successors", "ground"])
 def test_missing_domain_file_exit_30(command, tmp_path, capsys):
     _, problem = _paths("counters")
     missing = tmp_path / "missing.pddl"
@@ -228,6 +241,17 @@ def test_bench_writes_jsonl_and_csv(tmp_path, capsys):
     numeric_rows = [r for r in rows if r["strategy"] == "numeric" and r["task"] == "counters"]
     assert numeric_rows[0]["oa"] == 1.0
     assert csv.read_text().startswith("task,strategy,")
+
+
+@pytest.mark.parametrize("strategies", [",", "", " , "])
+def test_bench_without_strategies_is_a_usage_error(strategies, tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    assert main(["bench", "--suite", str(domains_root() / "counters"),
+                 "--strategies", strategies, "--out", str(out)]) == 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --strategies names no strategy\n"
+    assert not out.exists()
 
 
 def test_solve_grounded_strategy_and_cap(tmp_path, capsys):

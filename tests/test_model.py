@@ -36,6 +36,7 @@ from lnplan.model import (
     free_variables,
     function_terms,
     goal_satisfied,
+    ground_atom,
     is_applicable,
     literal_holds,
     substitute,
@@ -115,6 +116,20 @@ def test_builtin_equality():
     assert literal_holds(s, Literal(Atom(EQUALITY, (A, A))))
     assert not literal_holds(s, Literal(Atom(EQUALITY, (A, B))))
     assert literal_holds(s, Literal(Atom(EQUALITY, (A, B)), positive=False))
+
+
+def test_unbound_variable_in_ground_evaluation_names_it():
+    s = State([Atom(P_AT, (A, B))], {term(F_UN, A): 1.0})
+    for evaluate, name in (
+        (lambda: ground_atom(Atom(P_AT, (X, Y)), {X: A}), "?y"),
+        (lambda: literal_holds(s, Literal(Atom(P_AT, (A, Y))), {X: A}), "?y"),
+        (lambda: literal_holds(s, Literal(Atom(EQUALITY, (X, Y)), False), {X: A}), "?y"),
+        (lambda: expr_value(s, BinaryExpr("+", term(F_UN, X), term(F_UN, Y)), {X: A}), "?y"),
+        (lambda: expr_value(s, term(F_UN, X)), "?x"),
+    ):
+        with pytest.raises(ValueError) as err:
+            evaluate()
+        assert str(err.value) == f"unbound variable {name} in ground evaluation"
 
 
 def test_eval_expr():
@@ -434,6 +449,8 @@ def test_full_views_equal_the_unsplit_contents(monkeypatch):
         assert not split.own_fluents.keys() & split.static.fluents.keys()
         rng = random.Random(name)
         for _ in range(6):
+            assert not split.own_atoms & split.static.own_atoms, name
+            assert not split.own_fluents.keys() & split.static.own_fluents.keys(), name
             assert split.atoms == whole.own_atoms, name
             assert split.fluents == whole.own_fluents, name
             assert goal_satisfied(split, task) == goal_satisfied(whole, task), name

@@ -172,6 +172,20 @@ def test_metric_parsed_and_kept():
     assert task.metric[0] == "minimize"
 
 
+@pytest.mark.parametrize("metric, written", [
+    ("(total-time)", "0"),
+    ("(+ (value c1) (* 2 (max_int)))", "(+ (value c1) (* 2 (max_int)))"),
+], ids=["total-time", "fluent-expression"])
+def test_metric_roundtrips(metric, written):
+    problem = COUNTERS_PROBLEM.replace("\n)", f"\n  (:metric minimize {metric}))")
+    task = parse_task(COUNTERS_DOMAIN, problem)
+    problem_text = write_problem(task)
+    assert f"  (:metric minimize {written})\n" in problem_text
+    again = parse_task(write_domain(task), problem_text)
+    assert again.metric == task.metric
+    assert again == task
+
+
 def test_duplicate_fluent_init_rejected():
     domain = parse_domain(COUNTERS_DOMAIN)
     bad = """
