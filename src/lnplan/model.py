@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from weakref import WeakValueDictionary
 
 from .intervals import ARITH
 
@@ -36,42 +38,41 @@ _UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
             SCALE_UP: ARITH["*"], SCALE_DOWN: ARITH["/"]}
 
 
-class Variable:
+class _Named:
+    """A name with one instance per name and class, so that equality and
+    hashing are by identity, which Python computes in C. The instances are
+    held weakly: a name that nothing uses any more is dropped."""
+
+    __slots__ = ("name", "__weakref__")
+    _instances: WeakValueDictionary
+
+    def __new__(cls, name: str):
+        named = cls._instances.get(name)
+        if named is None:
+            named = object.__new__(cls)
+            named.name = name
+            cls._instances[name] = named
+        return named
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __repr__(self):
+        return self.name
+
+
+class Variable(_Named):
     """A schema variable; the name keeps its '?' prefix for printing."""
 
-    __slots__ = ("name", "_hash")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("?var", name))
-
-    def __eq__(self, other):
-        return type(other) is Variable and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+    __slots__ = ()
+    _instances = WeakValueDictionary()
 
 
-class Object:
+class Object(_Named):
     """A constant from the task's object universe."""
 
-    __slots__ = ("name", "_hash")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("obj", name))
-
-    def __eq__(self, other):
-        return type(other) is Object and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+    __slots__ = ()
+    _instances = WeakValueDictionary()
 
 
 Term = Union[Variable, Object]
@@ -303,6 +304,67 @@ class ActionSchema:
                   for eff in self.eff_numeric),
         )
 
+    @cached_property
+    def effects(self) -> Effects:
+        """The schema's effects as templates over a binding, as `apply_effects` uses them."""
+        parts = [lit.atom for lit in self.eff_literals] + [eff.target for eff in self.eff_numeric]
+        constants = tuple(dict.fromkeys(
+            a for part in parts for a in part.args if type(a) is Object))
+        slots = {term: i for i, term in enumerate(self.params + constants)}
+
+        def template(symbol, args) -> PartTemplate:
+            return PartTemplate(symbol.name, symbol, _picker([slots[a] for a in args]))
+
+        updates = []
+        for eff in self.eff_numeric:
+            value = None
+            if next(function_terms(eff.expr), None) is None:
+                value = expr_value(NO_STATIC_FACTS, eff.expr)
+            updates.append((_UPDATES.get(eff.op), eff.expr if value is None else None, value))
+        return Effects(
+            constants,
+            tuple(template(lit.atom.predicate, lit.atom.args)
+                  for lit in self.eff_literals if not lit.positive),
+            tuple(template(lit.atom.predicate, lit.atom.args)
+                  for lit in self.eff_literals if lit.positive),
+            tuple(template(eff.target.function, eff.target.args) for eff in self.eff_numeric),
+            tuple(updates),
+        )
+
+
+def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
+    """A function in C from a tuple to the tuple of its items at the positions."""
+    first = positions[0] if positions else 0
+    if positions == list(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
+
+
+class PartTemplate(NamedTuple):
+    """An atom or function term of an effect, over a binding by position."""
+
+    name: str
+    symbol: Union[PredicateSymbol, FunctionSymbol]
+    args: Callable[[tuple], tuple]  # binding + constants -> ground arguments
+
+
+class Effects(NamedTuple):
+    """A schema's effects compiled for `apply_effects`.
+
+    Each template picks its ground arguments from the action's binding with
+    the schema's effect constants appended. Each numeric effect, in the
+    order of `targets`, has an update (fold, expr, value): `fold` is the
+    arithmetic that folds the value into the target (None for :=), and an
+    expression with no function term is evaluated once into `value`, with
+    `expr` None.
+    """
+
+    constants: tuple[Object, ...]
+    deletes: tuple[PartTemplate, ...]
+    adds: tuple[PartTemplate, ...]
+    targets: tuple[PartTemplate, ...]
+    updates: tuple[tuple[Optional[Callable], Optional[Expr], Optional[float]], ...]
+
 
 class EffectCheck(NamedTuple):
     """The conditions `_failure` checks for one numeric effect, one flag each."""
@@ -358,16 +420,23 @@ class State:
 
     `atoms` and `fluents` are the full contents, built on each read for
     readers outside the hot path.
+
+    The static part of a task's states holds `interned`: the instance of
+    each ground atom and function term that effects have written, keyed by
+    (symbol name, arguments) in one table for atoms and one for terms. `Task`
+    seeds them with the initial state's own atoms and fluent terms, so that
+    a successor's lookups of what it writes find the very keys of its
+    parent's atoms and fluents. Other states hold None.
     """
 
-    __slots__ = ("own_atoms", "own_fluents", "static", "_key", "_hash")
+    __slots__ = ("own_atoms", "own_fluents", "static", "interned", "_key", "_hash")
 
     def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float],
                  static: Optional[State] = None):
         self.own_atoms = frozenset(atoms)
         self.own_fluents = _normalized(fluents)
         self.static = NO_STATIC_FACTS if static is None else static
-        self._key = self._hash = None
+        self.interned = self._key = self._hash = None
 
     @property
     def atoms(self) -> frozenset[Atom]:
@@ -410,6 +479,14 @@ class State:
 
     def __repr__(self):
         return f"State({len(self.atoms)} atoms, {len(self.fluents)} fluents)"
+
+
+def _successor(atoms: frozenset[Atom], fluents: dict[FunctionTerm, float], static: State) -> State:
+    """A state over own contents that are already normalised."""
+    state = object.__new__(State)
+    state.own_atoms, state.own_fluents, state.static = atoms, fluents, static
+    state.interned = state._key = state._hash = None
+    return state
 
 
 # the empty static part of states built by hand; built while its own name is
@@ -462,7 +539,10 @@ class Task:
         static_fluents = dict(fluents)
         for term in own_fluents:
             del static_fluents[term]
-        self.init = State(own_atoms, own_fluents, State(atoms - own_atoms, static_fluents))
+        static = State(atoms - own_atoms, static_fluents)
+        self.init = State(own_atoms, own_fluents, static)
+        static.interned = ({(a.predicate.name, a.args): a for a in own_atoms},
+                           {(t.function.name, t.args): t for t in own_fluents})
 
 
 def static_predicate_names(task: Task) -> frozenset[str]:
@@ -697,23 +777,40 @@ def apply_effects(state: State, action: GroundAction) -> State:
     All effect expressions are evaluated in the original state. Atoms are
     updated as (atoms - deletes) + adds; the effects on one target fold into
     it in order. Effects change only what a state of the task owns, so the
-    successor copies the own part and shares the static one.
+    successor copies the own part and shares the static one. The atoms and
+    terms it writes are the task's interned ones (see `State`); a state built
+    by hand interns nothing beyond this call.
     """
-    schema = action.schema
-    binding = action.binding_map()
+    effects = action.schema.effects
+    values = action.binding + effects.constants if effects.constants else action.binding
+    atom_table, term_table = state.static.interned or ({}, {})
+    atoms = state.own_atoms
+    if effects.deletes:
+        atoms = atoms.difference(_interned(atom_table, effects.deletes, values, Atom))
+    if effects.adds:
+        atoms = atoms.union(_interned(atom_table, effects.adds, values, Atom))
+    fluents = state.own_fluents
+    if effects.targets:
+        fluents = dict(fluents)
+        targets = _interned(term_table, effects.targets, values, FunctionTerm)
+        for target, (fold, expr, value) in zip(targets, effects.updates):
+            if expr is not None:
+                value = expr_value(state, expr, action.binding_map())
+            if fold is not None:
+                value = fold(fluents[target], value)
+            # adding 0.0 stores an int as a float and -0.0 as 0.0
+            fluents[target] = value + 0.0
+    return _successor(atoms, fluents, state.static)
 
-    adds = set()
-    dels = set()
-    for lit in schema.eff_literals:
-        (adds if lit.positive else dels).add(ground_atom(lit.atom, binding))
-    atoms = state.own_atoms.difference(dels).union(adds)
 
-    fluents = dict(state.own_fluents)
-    for eff in schema.eff_numeric:
-        value = expr_value(state, eff.expr, binding)
-        target = ground_function_term(eff.target, binding)
-        fluents[target] = value if eff.op == ASSIGN else _UPDATES[eff.op](fluents[target], value)
-    return State(atoms, fluents, state.static)
+def _interned(table: dict, templates: tuple[PartTemplate, ...], values: tuple, cls) -> list:
+    """The table's instance of each template's ground atom or term, which is
+    added to the table when missing."""
+    out = []
+    for name, symbol, args in templates:
+        key = (name, args(values))
+        out.append(table.get(key) or table.setdefault(key, cls(symbol, key[1])))
+    return out
 
 
 def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:

@@ -4,8 +4,9 @@ Actions cost one, so breadth-first order (FIFO among equal g-values) is
 uniform-cost order and the first plan found is a shortest one. The goal is
 tested at expansion. A state is queued only when first generated, which is
 at its least g; later copies are dropped against a seen set of state keys.
-Resource limits are enforced in-process: a wall-clock deadline, an expansion
-cap, and a stored-state cap standing in for a memory bound.
+Resource limits are enforced in-process: a wall-clock deadline, which the
+grounding join checks too, an expansion cap, and a stored-state cap
+standing in for a memory bound.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import (
     apply_effects,
     goal_satisfied,
 )
-from .successors import GeneratorConfig, GroundLimitError, SuccessorGenerator
+from .successors import GeneratorConfig, GroundDeadlineError, GroundLimitError, SuccessorGenerator
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -100,10 +101,13 @@ def solve(task: Task, config: GeneratorConfig = GeneratorConfig(),
         stats.wall_time_s = time.perf_counter() - start
         return SolveResult(status, plan, limit_hit, stats)
 
+    deadline = None if limits.time_s is None else start + limits.time_s
     try:
-        generator = SuccessorGenerator(task, config)
+        generator = SuccessorGenerator(task, config, deadline)
     except GroundLimitError as exc:
         return finish(LIMIT, limit_hit=f"ground-store-cap: {exc}")
+    except GroundDeadlineError:
+        return finish(LIMIT, limit_hit="time")
 
     queue = deque([_Node(task.init, None, None, 0)])
     seen = {task.init.key()}
@@ -113,7 +117,7 @@ def solve(task: Task, config: GeneratorConfig = GeneratorConfig(),
         node = queue.popleft()
         if goal_satisfied(node.state, task):
             return finish(SOLVED, plan=_extract_plan(node))
-        if limits.time_s is not None and time.perf_counter() - start > limits.time_s:
+        if deadline is not None and time.perf_counter() >= deadline:
             return finish(LIMIT, limit_hit="time")
         if limits.nodes is not None and stats.expansions >= limits.nodes:
             return finish(LIMIT, limit_hit="nodes")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +68,8 @@ GROUNDED = "grounded"
 STRATEGIES = (NUMERIC, PROPOSITIONAL, EXHAUSTIVE, GROUNDED)
 
 DEFAULT_GROUND_CAP = 1_000_000
+# the grounding join reads the clock once per this many streamed cliques
+_DEADLINE_STRIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,10 @@ class GroundLimitError(Exception):
         self.schema = schema
 
 
+class GroundDeadlineError(Exception):
+    """The grounding join was still running at its deadline."""
+
+
 @dataclass
 class GroundStore:
     by_schema: dict[str, tuple[GroundAction, ...]]
@@ -105,7 +112,8 @@ class GroundStore:
         return self.by_schema.get(name, ())
 
 
-def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
+def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
+               deadline: Optional[float] = None) -> GroundStore:
     """Every binding whose static precondition literals hold, per schema in
     object-index order.
 
@@ -117,7 +125,9 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
     Raises GroundLimitError once the join has streamed more than `cap`
     cliques over all schemas, kept or not; that blowup is exactly what the
     lifted strategies avoid. The store never holds more than the join
-    streams, so it needs no cap of its own.
+    streams, so it needs no cap of its own. Raises GroundDeadlineError when
+    `time.perf_counter()` has reached the deadline at the first clique or at
+    one of every `_DEADLINE_STRIDE` after it.
     """
     statics = task_statics(task)
     objects = statics.objects
@@ -130,6 +140,9 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP) -> GroundStore:
                 if lit.atom.predicate.name in statics.predicates and len(free_variables(lit)) > 2]
         kept: list[tuple[int, ...]] = []
         for clique in iter_cliques(graph):
+            if (deadline is not None and streamed % _DEADLINE_STRIDE == 0
+                    and time.perf_counter() >= deadline):
+                raise GroundDeadlineError
             streamed += 1
             if streamed > cap:
                 raise GroundLimitError(cap, schema.name)
@@ -260,13 +273,15 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
 
 
 class SuccessorGenerator:
-    """Per-task generator; builds the grounded store once when needed."""
+    """Per-task generator; builds the grounded store once when needed, by
+    the deadline if one is given (see `ground_all`)."""
 
-    def __init__(self, task: Task, config: GeneratorConfig = GeneratorConfig()):
+    def __init__(self, task: Task, config: GeneratorConfig = GeneratorConfig(),
+                 deadline: Optional[float] = None):
         self.task = task
         self.config = config
         self.store: Optional[GroundStore] = (
-            ground_all(task, config.ground_cap) if config.strategy == GROUNDED else None
+            ground_all(task, config.ground_cap, deadline) if config.strategy == GROUNDED else None
         )
 
     @cached_property

@@ -53,11 +53,17 @@ from lnplan.model import (
     Task,
     Variable,
     apply,
+    expr_value,
     goal_satisfied,
     is_applicable,
     literal_holds,
     static_predicate_names,
+    substitute,
 )
+from lnplan.intervals import ARITH
+
+_UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
+            SCALE_UP: ARITH["*"], SCALE_DOWN: ARITH["/"]}
 
 
 def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[GroundAction]:
@@ -91,6 +97,25 @@ def brute_applicable(task: Task, state: State) -> list[GroundAction]:
             if is_applicable(state, action):
                 out.append(action)
     return out
+
+
+def reference_successor(state: State, action: GroundAction) -> State:
+    """The successor of an applicable action, from each effect substituted
+    by the action's binding: (atoms - deletes) + adds, and the numeric
+    effects, their expressions evaluated in the state, folded into their
+    targets in order. The state is built by hand, over the full contents."""
+    sub = action.binding_map()
+    adds, deletes = set(), set()
+    for lit in action.schema.eff_literals:
+        (adds if lit.positive else deletes).add(substitute(lit.atom, sub))
+    fluents = dict(state.fluents)
+    for effect in action.schema.eff_numeric:
+        ground = substitute(effect, sub)
+        value = expr_value(state, ground.expr)
+        if ground.op != ASSIGN:
+            value = _UPDATES[ground.op](fluents[ground.target], value)
+        fluents[ground.target] = value
+    return State((state.atoms - deletes) | adds, fluents)
 
 
 def bfs_optimal_cost(task: Task, max_states: int = 100_000) -> Optional[int]:

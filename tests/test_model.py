@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from lnplan.model import (
     Variable,
     applicability_failure,
     apply,
+    apply_effects,
     constraint_holds,
     expr_value,
     free_variables,
@@ -460,3 +462,187 @@ def test_full_views_equal_the_unsplit_contents(monkeypatch):
                 break
             action = rng.choice(actions)
             split, whole = apply(split, action), apply(whole, action)
+
+
+# --- successors from effect templates, over interned objects and terms ---
+
+
+def _check_successor(state, action):
+    """apply_effects agrees with the reference successor: equal full contents,
+    an equal key once the reference is split like the state, and every value
+    a float with -0.0 stored as 0.0. Returns the successor."""
+    from taskgen import reference_successor
+
+    got, want = apply_effects(state, action), reference_successor(state, action)
+    assert got.atoms == want.atoms, action
+    assert got.fluents == want.fluents, action
+    assert all(type(v) is float and (v != 0 or math.copysign(1.0, v) > 0)
+               for v in got.own_fluents.values()), action
+    static = state.static
+    split = State(want.atoms - static.own_atoms,
+                  {t: v for t, v in want.fluents.items() if t not in static.own_fluents}, static)
+    assert got.key() == split.key() and hash(got) == hash(split) and got == split, action
+    return got
+
+
+def _walk(task, rng, steps):
+    """Every applicable action of each state along a random walk, checked."""
+    from taskgen import brute_applicable
+
+    state = task.init
+    for _ in range(steps):
+        actions = brute_applicable(task, state)
+        if not actions:
+            return
+        successors = [_check_successor(state, action) for action in actions]
+        state = rng.choice(successors)
+
+
+P1, Q2 = PredicateSymbol("p", 1), PredicateSymbol("q", 2)
+F0, G1, H1 = FunctionSymbol("f", 0), FunctionSymbol("g", 1), FunctionSymbol("h", 1)
+
+
+def _effects_task(f=0.0):
+    lit, neg = Literal, (lambda atom: Literal(atom, False))
+    schemas = (
+        # constants in effect arguments, a target not defined initially
+        ActionSchema("consts", (X,), eff_literals=(lit(Atom(Q2, (X, A))), neg(Atom(P1, (B,)))),
+                     eff_numeric=(NumericEffect(term(G1, C), INCREASE, Constant(1.0)),
+                                  NumericEffect(term(H1, X), ASSIGN, term(G1, A)))),
+        # a repeated parameter, arguments out of parameter order, and two
+        # updates that share a target when ?x = ?y
+        ActionSchema("repeat", (X, Y), eff_literals=(lit(Atom(Q2, (X, X))), neg(Atom(Q2, (Y, X)))),
+                     eff_numeric=(NumericEffect(term(G1, X), INCREASE, Constant(1.0)),
+                                  NumericEffect(term(G1, Y), DECREASE, term(F0)))),
+        # an assignment to a target that the schemas above update
+        ActionSchema("reset", (X,), pre_literals=(Literal(Atom(P1, (X,)), False),),
+                     eff_numeric=(NumericEffect(term(G1, X), ASSIGN,
+                                                BinaryExpr("*", Constant(2.0), Constant(-0.0))),)),
+        # a delete and an add of the same atom
+        ActionSchema("flip", (X,), eff_literals=(neg(Atom(P1, (X,))), lit(Atom(P1, (X,))))),
+        ActionSchema("negate", (),
+                     eff_numeric=(NumericEffect(term(F0), SCALE_UP, Constant(-1.0)),)),
+    )
+    return Task("effects", "effects", (P1, Q2), (F0, G1, H1), schemas, (A, B, C),
+                State([Atom(P1, (A,)), Atom(P1, (B,))],
+                      {term(F0): f, term(H1, A): 1.0,
+                       **{term(G1, o): 0.0 for o in (A, B, C)}}))
+
+
+def test_apply_effects_matches_the_reference_on_walks(seed):
+    from taskgen import random_task, searching_task
+
+    rng = random.Random(seed)
+    for f in (0.0, 2.0):
+        _walk(_effects_task(f=f), rng, 12)
+    for i in range(24):
+        _walk(random_task(rng, exact=bool(i % 2), task_id=i), rng, 4)
+        _walk(searching_task(rng, task_id=i), rng, 4)
+    # states built by hand intern nothing, and still agree
+    task = _effects_task()
+    hand = State(task.init.atoms, task.init.fluents)
+    assert hand.static.interned is None
+    for action in (GroundAction(task.schema("consts"), (B,)),
+                   GroundAction(task.schema("repeat"), (A, A))):
+        _check_successor(hand, action)
+
+
+def test_apply_effects_edge_cases():
+    task = _effects_task()
+    init = task.init
+    flipped = apply_effects(init, GroundAction(task.schema("flip"), (A,)))
+    assert Atom(P1, (A,)) in flipped.atoms and flipped == init
+    # (scale-up (f) -1) on f = 0 writes -0.0, which keys equal to 0.0
+    negated = apply_effects(init, GroundAction(task.schema("negate"), ()))
+    assert math.copysign(1.0, negated.fluents[term(F0)]) == 1.0
+    assert negated == init and hash(negated) == hash(init)
+    # the reset schema's constant expression 2 * -0.0 stores 0.0 as well
+    reset = apply_effects(init, GroundAction(task.schema("reset"), (C,)))
+    assert math.copysign(1.0, reset.fluents[term(G1, C)]) == 1.0 and reset == init
+    both = apply_effects(init, GroundAction(task.schema("repeat"), (B, B)))
+    assert both.fluents[term(G1, B)] == 1.0
+    assert Atom(Q2, (B, B)) in both.atoms
+
+
+def test_successors_write_the_initial_states_keys(bundled_tasks):
+    # the atoms and terms a successor writes are the initial state's own
+    # instances wherever it has them, not equal copies, so that probing the
+    # atoms and fluents a successor copies finds them by identity
+    from lnplan.successors import SuccessorGenerator
+
+    for name in ("farmland", "relay", "delivery", "switches"):
+        task = bundled_tasks[name]
+        init, generator = task.init, SuccessorGenerator(task)
+        atoms, terms = init.static.interned
+        assert all(atoms[(a.predicate.name, a.args)] is a for a in init.own_atoms), name
+        assert all(terms[(t.function.name, t.args)] is t for t in init.own_fluents), name
+        ids = {id(a) for a in init.own_atoms}
+        for action in generator.applicable(init)[0]:
+            child = apply_effects(init, action)
+            for step in generator.applicable(child)[0]:
+                grandchild = apply_effects(child, step)
+                assert {id(a) for a in grandchild.own_atoms if a in init.own_atoms} <= ids, name
+
+
+def test_keys_equal_across_separate_parses():
+    from lnplan.successors import SuccessorGenerator
+
+    for name in ("delivery", "farmland", "relay", "doubling"):
+        first, second = load_bundled(name), load_bundled(name)
+        rng = random.Random(name)
+        states = [first.init, second.init]
+        for _ in range(8):
+            assert states[0].key() == states[1].key(), name
+            assert hash(states[0]) == hash(states[1]) and states[0] == states[1], name
+            actions = [SuccessorGenerator(task).applicable(state)[0]
+                       for task, state in zip((first, second), states)]
+            assert [a.pddl() for a in actions[0]] == [a.pddl() for a in actions[1]], name
+            if not actions[0]:
+                break
+            i = rng.randrange(len(actions[0]))
+            states = [_check_successor(state, acts[i]) for state, acts in zip(states, actions)]
+
+
+# --- interned objects and variables ---
+
+
+def test_objects_and_variables_are_interned():
+    assert Object("a") is Object("a") and Object("a") is A
+    assert Variable("?x") is Variable("?x") and Variable("?x") is X
+    assert Object("a") != Variable("a") and Variable("a") != Object("a")
+    assert Object("a") != "a" and hash(Object("a")) == hash(A)
+    import copy
+    import pickle
+
+    assert copy.deepcopy(A) is A and pickle.loads(pickle.dumps((A, X))) == (A, X)
+
+
+def test_intern_tables_shrink_when_tasks_are_dropped():
+    import gc
+    import uuid
+
+    from lnplan.pddl import parse_task
+    from lnplan.successors import SuccessorGenerator
+
+    gc.collect()
+    before = len(Object._instances), len(Variable._instances)
+    tasks = []
+    for i in range(50):
+        tag = uuid.uuid4().hex
+        domain = (f"(define (domain d{i}) (:predicates (at ?x{tag}))"
+                  f" (:functions (n ?x{tag}))"
+                  f" (:action go :parameters (?a{tag} ?b{tag})"
+                  f"  :precondition (at ?a{tag})"
+                  f"  :effect (and (not (at ?a{tag})) (at ?b{tag}) (increase (n ?b{tag}) 1))))")
+        problem = (f"(define (problem p{i}) (:domain d{i}) (:objects u{tag} v{tag})"
+                   f" (:init (at u{tag}) (= (n u{tag}) 0) (= (n v{tag}) 0))"
+                   f" (:goal (at v{tag})))")
+        task = parse_task(domain, problem)
+        actions = SuccessorGenerator(task).applicable(task.init)[0]
+        assert len(actions) == 2
+        tasks.append((task, [apply_effects(task.init, action) for action in actions]))
+    assert len(Object._instances) >= before[0] + 2 * 50
+    assert len(Variable._instances) >= before[1] + 2 * 50
+    del tasks, task, actions
+    gc.collect()
+    assert len(Object._instances) <= before[0] and len(Variable._instances) <= before[1]

@@ -141,6 +141,32 @@ def test_limits_reported():
             Limits(**bad)
 
 
+def test_grounding_stops_at_a_passed_deadline(monkeypatch):
+    # the grounding join of the dense 60-waypoint relay streams 10,266
+    # cliques; a deadline of 0 s has passed at its first clock reading, which
+    # comes at the first clique
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import families
+
+    from lnplan import pddl, successors
+
+    family = families.relay(1, waypoints=60, links=58)
+    task = pddl.parse_task(family.domain, family.problem)
+    streamed = []
+    real = successors.iter_cliques
+
+    def counted(graph):
+        for clique in real(graph):
+            streamed.append(clique)
+            yield clique
+
+    monkeypatch.setattr(successors, "iter_cliques", counted)
+    result = solve(task, GeneratorConfig(strategy="grounded"), Limits(time_s=0.0))
+    assert result.status == LIMIT and result.limit_hit == "time"
+    assert result.stats.expansions == 0
+    assert len(streamed) == 1
+
+
 def test_infinite_limits_set_no_cap():
     task = load_bundled("counters")
     limits = Limits(time_s=math.inf, memory_mb=math.inf)
