@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import metrics, satgadget, search
-from .consistency import build_graph, exactness_violations
-from .model import Task
+from .consistency import build_graph, exactness_violations, wide_elements
+from .model import Literal, Task
 from .pddl import ParseError, load_task, parse_domain
 from .successors import (
     DEFAULT_GROUND_CAP,
@@ -231,6 +231,10 @@ def cmd_check_exactness(args) -> int:
     else:
         for schema, element, why in violations:
             print(f"exactness NOT guaranteed: {schema}/{element} ({why})")
+    for schema in domain.schemas:
+        for element in wide_elements(schema):
+            under = "" if isinstance(element, Literal) else " under the numeric strategy"
+            print(f"decided while enumerating cliques{under}: {schema.name}/{element!r}")
     # with no problem, no fluent is known to be defined
     for schema in domain.schemas:
         for check in residual_check(schema, NUMERIC).effects:

@@ -11,9 +11,23 @@ rules), and elements with no free variables short-circuit the whole graph;
 a schema without parameters gets a graph that is empty or holds just the
 empty clique, exact on functions of arity at most two.
 
+An element on three or more variables enters the graph only through its
+pair projections, so the graph's cliques overapproximate the bindings that
+satisfy it: the paper's exactness conditions (`schema_violations`). The
+graph therefore also carries a check per such element
+(`ConsistencyGraph.wide`, compiled by `_Wide`), which `cliques.iter_cliques`
+applies at the depth where all the element's variables but one are bound.
+A literal costs a projection row of the atom index, which a static one
+reads once per plan and binding of its other variables, and a constraint
+bisects threshold masks over its static side's exact values or is
+evaluated exactly at the full binding. With the numeric rules, the cliques that remain are exactly
+the bindings whose preconditions hold, except where a constraint on at most
+two variables reads a function of arity above two, which the range tables
+only relax. The graph itself, its dump and its exclusions are the paper's.
+
 The numeric rules can be switched off to obtain the purely propositional
-graph; the final applicability filter downstream restores exactness in
-either case.
+graph (which still decides every literal); the final applicability filter
+downstream checks what a graph leaves undecided.
 
 Static/dynamic split. A predicate is static when no effect literal touches
 it (built-in equality always is), a function when no numeric effect targets
@@ -67,11 +81,12 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
-from .intervals import Interval, arith, compare, point
+from .intervals import EMPTY, Interval, arith, compare, point
 from .model import (
     Atom,
     ActionSchema,
@@ -84,6 +99,8 @@ from .model import (
     State,
     Task,
     Variable,
+    constraint_holds,
+    expr_value,
     free_variables,
     function_terms,
     static_function_names,
@@ -187,8 +204,8 @@ class AtomIndex:
 
 
 class StateContext:
-    """Shared per-state structures: the match index and the range tables of
-    the dynamic symbols.
+    """Shared per-state structures: the state, its match index and the
+    range tables of the dynamic symbols.
 
     The state must be one of the task's, sharing its static part, as the
     initial state and every state reached from it do; any other state is a
@@ -197,6 +214,7 @@ class StateContext:
 
     def __init__(self, task: Task, state: State):
         self.objects = task.objects
+        self.state = state
         self.statics = task_statics(task)
         if state.static is not self.statics.static:
             raise ValueError("the state does not share the task's static part;"
@@ -253,6 +271,10 @@ class ConsistencyGraph:
     empty: bool = False
     notes: list[str] = field(default_factory=list)
     exclusions: Optional[list[tuple]] = None
+    # per precondition element on three or more variables, (its partitions,
+    # a function of its last partition and n_objects that gives the clique
+    # search's check at that partition's depth, see `_Wide.narrowing`)
+    wide: tuple[tuple[tuple[int, ...], Callable], ...] = ()
 
     @property
     def k(self) -> int:
@@ -458,7 +480,8 @@ class _Plan:
     of partition p1, cols its transpose, both None when no static rule
     applies. Rows and cols may still hold objects that arc consistency then
     dropped from `alive`, so every reader ANDs them with the alive masks.
-    Rule lists are compiled (`_compile`), None when empty.
+    Rule lists are compiled (`_compile`), None when empty. `wide` holds the
+    elements on three or more variables, which the clique search decides.
 
     A `record` plan treats every element as dynamic and keeps all of a
     pair's elements in its own group, so each refuted vertex and pair meets
@@ -492,6 +515,7 @@ class _Plan:
         self.alive: list[int] = []
         self.unary: list[list[_Rule]] = []
         self.pairs: list[tuple] = []
+        self.wide: list[_Wide] = []
 
         # elements with no variable bound, in the order the checks run
         checks = ([r for r in rules if not r[2] and r[0] != NUMERIC_UNSAT]
@@ -554,6 +578,141 @@ class _Plan:
                     kept = sum(1 << oi for oi in _bits(alive[p]) if lines[oi] & alive[q])
                     if kept != alive[p]:
                         alive[p], changed = kept, True
+
+        # elements on three or more variables, decided in the clique search
+        self.wide = [_Wide(reason, element, params, is_static(element), alive)
+                     for reason, element, vars_ in rules if len(vars_) > 2]
+
+
+class _Wide:
+    """A precondition element on three or more variables. The graph holds
+    only its pair projections, so the clique search decides it exactly at
+    the depth where all its variables but one are bound (`narrowing`):
+    - a literal costs one projection row of the atom index; a static one
+      keeps the row per binding of the other partitions;
+    - a constraint whose side with the last variable is static, and whose
+      other side lacks it, evaluates the other side once and bisects
+      threshold masks over the static side's exact values, kept per binding
+      of that side's other variables, on the last partition's static alive
+      mask (`alive` is the plan's list of them);
+    - any other constraint is evaluated at the full binding, per vertex.
+    Undefined and NaN values satisfy no comparison, as in
+    `model.constraint_holds`. The check at each possible last partition is
+    compiled once per plan, on first use.
+    """
+
+    def __init__(self, reason: str, element, params: tuple[Variable, ...], static: bool,
+                 alive: list[int]):
+        self.reason, self.element, self.params = reason, element, params
+        self.static, self.alive = static, alive
+        held = free_variables(element)
+        self.partitions = tuple(p for p, var in enumerate(params) if var in held)
+        self._compiled: dict[int, Callable] = {}
+
+    def narrowing(self, statics: "TaskStatics", ctx: Optional[StateContext], last: int,
+                  n: int) -> Callable[[list[int], int], int]:
+        """The check at the depth of partition `last`, given the chosen vertex
+        ids per partition (the element's other partitions among them) and a
+        pool of `last`'s vertices: the vertices of the pool under which the
+        element holds. `ctx` is the state's context; a static literal needs
+        none."""
+        check = self._compiled.get(last)
+        if check is None:
+            check = self._compiled[last] = self._compile(statics, last, n)
+        return partial(check, ctx)
+
+    def _compile(self, statics: "TaskStatics", last: int, n: int) -> Callable:
+        """The check as a function of the context, the chosen vertex ids and
+        the pool."""
+        bound = tuple(p for p in self.partitions if p != last)
+        if self.reason == NUMERIC_UNSAT:
+            return self._constraint(statics, bound, last, n)
+        atom, var, off = self.element, self.params[last], last * n
+        name, index_of = atom.predicate.name, statics.index_of
+        fixed = tuple((i, arg) for i, arg in enumerate(atom.args) if arg != var)
+        targets = tuple(i for i, arg in enumerate(atom.args) if arg == var)
+        binding = _binder(statics.objects, self.params, bound, n)
+        keep = 0 if self.reason == POSITIVE_MISS else -1  # a negative literal keeps the others
+
+        def dynamic(ctx: StateContext, chosen: list[int], pool: int) -> int:
+            row = ctx.index.project(name, fixed, targets, binding(chosen), index_of) << off
+            return pool & (row ^ keep)
+
+        if not self.static:
+            return dynamic
+        rows, key_of, index = {}, itemgetter(*bound), statics.index
+
+        def static(ctx: Optional[StateContext], chosen: list[int], pool: int) -> int:
+            key = key_of(chosen)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = index.project(name, fixed, targets, binding(chosen),
+                                                index_of) << off ^ keep
+            return pool & row
+
+        return static
+
+    def _constraint(self, statics: "TaskStatics", bound: tuple[int, ...], last: int,
+                    n: int) -> Callable:
+        con, params, objects = self.element, self.params, statics.objects
+        var, off = params[last], last * n
+        # the side with the last variable on the right: other cmp side
+        for other, cmp, side in ((con.lhs, con.cmp, con.rhs), (con.rhs, _FLIP[con.cmp], con.lhs)):
+            if (var in free_variables(side) and var not in free_variables(other)
+                    and all(t.function.name in statics.functions for t in function_terms(side))):
+                break
+        else:
+            binding_of = _binder(objects, params, bound, n)
+
+            def exact(ctx: StateContext, chosen: list[int], pool: int) -> int:
+                binding = binding_of(chosen)
+                for v in _bits(pool):
+                    binding[var] = objects[v - off]
+                    if not constraint_holds(ctx.state, con, binding):
+                        pool ^= 1 << v
+                return pool
+
+            return exact
+
+        held = free_variables(side)
+        keyed = tuple(p for p in bound if params[p] in held)
+        key_of = itemgetter(*keyed) if keyed else lambda chosen: ()
+        side_binding = _binder(objects, params, keyed, n)
+        other_binding = _binder(objects, params,
+                                tuple(p for p in bound if params[p] in free_variables(other)), n)
+        domain, static, tables = self.alive[last], statics.static, {}
+
+        def thresholds(chosen: list[int]) -> list[tuple]:
+            binding, table = side_binding(chosen), [EMPTY] * len(objects)
+            for oi in _bits(domain):
+                binding[var] = objects[oi]
+                value = expr_value(static, side, binding)
+                if value is not None and value == value:
+                    table[oi] = point(value)
+            return [(find, keys, [mask << off for mask in masks])
+                    for find, _, keys, masks in _conditions(cmp, table, domain)]
+
+        def threshold(ctx: StateContext, chosen: list[int], pool: int) -> int:
+            value = expr_value(ctx.state, other, other_binding(chosen))
+            if value is None or value != value:
+                return 0
+            key = key_of(chosen)
+            conditions = tables.get(key)
+            if conditions is None:
+                conditions = tables[key] = thresholds(chosen)
+            for find, keys, masks in conditions:
+                pool &= masks[find(keys, value)]
+            return pool
+
+        return threshold
+
+
+def _binder(objects: tuple[Object, ...], params: tuple[Variable, ...], parts: tuple[int, ...],
+            n: int) -> Callable[[list[int]], dict[Variable, Object]]:
+    """A function from the chosen vertex ids per partition to the binding of
+    the variables of `parts`."""
+    slots = [(params[p], p, p * n) for p in parts]
+    return lambda chosen: {var: objects[chosen[p] - off] for var, p, off in slots}
 
 
 class TaskStatics:
@@ -619,6 +778,9 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
                              exclusions=[] if record else None)
     plan = ctx.statics.plan(schema, numeric, record)
+    if plan.wide:
+        graph.wide = tuple((w.partitions, partial(w.narrowing, ctx.statics, ctx))
+                           for w in plan.wide)
     env = (ctx.index, ctx.ranges, ctx.statics)
 
     # elements with no variable bound decide the whole graph
@@ -661,16 +823,18 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
 def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph:
     """The graph of the schema's static precondition literals alone.
 
-    It is exact on the static literals of at most two variables and holds
-    the pair projections of wider positive ones, so its cliques are the
-    bindings whose static literals hold, up to those wider literals. Built
-    from the propositional plan with no state; `ground_all` joins its
+    It is exact on the static literals of at most two variables, holds the
+    pair projections of wider positive ones and carries the checks of every
+    wider one, so its cliques are the bindings whose static literals hold.
+    Built from the propositional plan with no state; `ground_all` joins its
     cliques.
     """
     k, objects = len(schema.params), statics.objects
     n = len(objects)
-    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n))
     plan = statics.plan(schema, numeric=False, record=False)
+    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
+                             wide=tuple((w.partitions, partial(w.narrowing, statics, None))
+                                        for w in plan.wide if w.static))
     if plan.failure is not None:
         graph.empty = True
         graph.notes.append(f"{plan.failure[0]}: {plan.failure[1]!r}")
@@ -757,6 +921,15 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
 def _now(side, binding: Mapping[Variable, Object], ranges: AssignmentCache):
     """The side with a `_PerCall` expression evaluated."""
     return relaxed_eval(side.expr, binding, ranges) if type(side) is _PerCall else side
+
+
+def wide_elements(schema: ActionSchema) -> tuple:
+    """The precondition literals and constraints on three or more variables.
+    The graph holds only their pair projections, and the clique search
+    decides them (`_Wide`): the literals under every plan, the constraints
+    under the numeric one."""
+    return tuple(element for element in schema.pre_literals + schema.pre_constraints
+                 if len(free_variables(element)) > 2)
 
 
 def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:

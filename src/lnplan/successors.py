@@ -15,9 +15,11 @@ many candidates they touch, which the CandidateReport records per expansion.
 The filter checks only what a strategy leaves undecided. Per schema and
 strategy, `residual_check` compiles the applicability conditions that one of
 its candidates can still fail, once per generator (on first use): the
-precondition elements the strategy does not decide (for `numeric`, those
-outside the paper's exactness conditions) and the effect conditions that no
-static argument rules out. A schema whose residual is empty costs no filter
+precondition elements the strategy does not decide and the effect
+conditions that no static argument rules out. The graph strategies decide
+the elements on three or more variables while enumerating cliques, so for
+`numeric` only constraints on at most two variables that read a function of
+arity above two are left. A schema whose residual is empty costs no filter
 call. The residual relies on two facts about the task's states. They share
 the static atoms and fluents of the initial state by construction (its
 static part, which every successor passes on), and they define every fluent
@@ -36,7 +38,7 @@ from typing import Iterator, Optional
 
 from .cliques import iter_cliques
 from .consistency import (StateContext, TaskStatics, build_graph, schema_violations,
-                          static_graph, task_statics)
+                          static_graph, task_statics, wide_elements)
 from .model import (
     ASSIGN,
     SCALE_DOWN,
@@ -55,10 +57,8 @@ from .model import (
     Task,
     effects_compatible,
     expr_value,
-    free_variables,
     function_terms,
     is_applicable,
-    literal_holds,
 )
 
 NUMERIC = "numeric"
@@ -118,16 +118,15 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
     object-index order.
 
     The bindings are joined, not enumerated: they are the cliques of the
-    schema's static graph (`consistency.static_graph`), which decides the
-    static literals of at most two variables, and each clique is checked
-    against the wider static literals in the initial state.
+    schema's static graph (`consistency.static_graph`), which decides every
+    static literal, those of three or more variables in the clique search.
 
     Raises GroundLimitError once the join has streamed more than `cap`
-    cliques over all schemas, kept or not; that blowup is exactly what the
-    lifted strategies avoid. The store never holds more than the join
-    streams, so it needs no cap of its own. Raises GroundDeadlineError when
-    `time.perf_counter()` has reached the deadline at the first clique or at
-    one of every `_DEADLINE_STRIDE` after it.
+    cliques over all schemas; that blowup is exactly what the lifted
+    strategies avoid. The store holds what the join streams, so it needs no
+    cap of its own. Raises GroundDeadlineError when `time.perf_counter()`
+    has reached the deadline at the first clique or at one of every
+    `_DEADLINE_STRIDE` after it.
     """
     statics = task_statics(task)
     objects = statics.objects
@@ -135,23 +134,15 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
     streamed = 0
     for schema in task.schemas:
-        graph = static_graph(schema, statics)
-        wide = [lit for lit in schema.pre_literals
-                if lit.atom.predicate.name in statics.predicates and len(free_variables(lit)) > 2]
         kept: list[tuple[int, ...]] = []
-        for clique in iter_cliques(graph):
+        for clique in iter_cliques(static_graph(schema, statics)):
             if (deadline is not None and streamed % _DEADLINE_STRIDE == 0
                     and time.perf_counter() >= deadline):
                 raise GroundDeadlineError
             streamed += 1
             if streamed > cap:
                 raise GroundLimitError(cap, schema.name)
-            combo = tuple(v - p * n for p, v in enumerate(clique))
-            if wide:
-                binding = {var: objects[oi] for var, oi in zip(schema.params, combo)}
-                if not all(literal_holds(task.init, lit, binding) for lit in wide):
-                    continue
-            kept.append(combo)
+            kept.append(tuple(v - p * n for p, v in enumerate(clique)))
         kept.sort()
         by_schema[schema.name] = tuple(
             GroundAction(schema, tuple(objects[oi] for oi in combo)) for combo in kept)
@@ -164,8 +155,9 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
     strategy can still fail; `static` names the static predicates.
 
     - numeric: the elements outside the exactness conditions
-      (`consistency.schema_violations`), which the graph only
-      overapproximates.
+      (`consistency.schema_violations`) that the clique search does not
+      decide either: constraints on at most two variables that read a
+      function of arity above two.
     - propositional: those elements plus every constraint.
     - grounded: the literals on dynamic predicates plus every constraint;
       `ground_all` keeps only bindings whose static literals hold.
@@ -176,7 +168,8 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
         return literals, constraints
     if strategy == GROUNDED:
         return tuple(lit for lit in literals if lit.atom.predicate.name not in static), constraints
-    undecided = {element for element, _ in schema_violations(schema)}
+    decided = wide_elements(schema)
+    undecided = {element for element, _ in schema_violations(schema) if element not in decided}
     if strategy == PROPOSITIONAL:
         undecided.update(constraints)
     return (tuple(lit for lit in literals if lit in undecided),
@@ -193,13 +186,16 @@ def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None
     - a /= by a constant expression with a nonzero value cannot divide by 0;
     - an expression of constants and always-defined terms, in which every
       divisor is such a constant expression, is defined;
+    - a term that a precondition constraint reads is defined, because a
+      constraint holds only when both its sides are;
     - a term is always defined when the initial state defines its function
       for every object tuple over the parameters' static pools
       (`TaskStatics.pools` of the plan with or without the `numeric` rules),
       because no effect undefines a fluent;
     - effects on one function that are all additive or all multiplicative,
       or that are the only effect on it, cannot conflict.
-    Without `statics` (a domain with no problem) no term counts as defined.
+    Without `statics` (a domain with no problem) only the terms that the
+    preconditions read count as defined.
     """
     defined = _always_defined_terms(schema, statics, numeric)
     ops: dict[str, list[str]] = {}
@@ -254,13 +250,16 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
     """A test of whether a function term of the schema is defined under every
     binding that satisfies the schema's preconditions, in every state
     reachable from the initial state."""
+    read = {term for con in schema.pre_constraints for term in function_terms(con)}
     if statics is None:
-        return lambda term: False
+        return read.__contains__
     fluents = statics.init.fluents
     counts = Counter(term.function.name for term in fluents)
     pool = dict(zip(schema.params, statics.pools(schema, numeric)))
 
     def defined(term: FunctionTerm) -> bool:
+        if term in read:
+            return True
         # positions are filled independently, which asks for more tuples than
         # a repeated variable needs and so stays sound
         pools = [(arg,) if type(arg) is Object else pool[arg] for arg in term.args]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -320,7 +321,8 @@ def _matches_reference(got, want, record):
     vertices that have no static partner in some partition, which are in no
     clique: its alive masks lie within the reference's, its edges are the
     reference's among the vertices it keeps (none when it is empty), and
-    the two have the same cliques."""
+    the two have the same cliques. The checks of the elements on three or
+    more variables, which the reference does not build, only drop cliques."""
     if record:
         return _same_graph(got, want)
     n = got.n_objects
@@ -334,7 +336,8 @@ def _matches_reference(got, want, record):
     restricted = [bits & kept if kept >> v & 1 else 0 for v, bits in enumerate(want.adjacency)]
     return ((got.adjacency, got.notes, got.exclusions) == (restricted, want.notes, None)
             and got.empty >= want.empty
-            and set(iter_cliques(got)) == set(iter_cliques(want)))
+            and set(iter_cliques(dataclasses.replace(got, wide=[]))) == set(iter_cliques(want))
+            and set(iter_cliques(got)) <= set(iter_cliques(want)))
 
 
 def test_static_split_matches_reference_on_random_walks():

@@ -1,5 +1,6 @@
 """The residual checks: what the exact filter still tests per schema and strategy."""
 
+import dataclasses
 import random
 
 from conftest import BUNDLED, load_bundled
@@ -35,7 +36,6 @@ def _residuals(task, strategy) -> dict:
 
 
 DELIVERY_FUEL = "(>= (fuel ?t) (dist ?a ?b))"
-DELIVERY_DIST = "(-= (fuel ?t) (dist ?a ?b)) defined"
 
 # task -> strategy -> schema -> residual; a schema left out has none
 RESIDUALS = {
@@ -44,11 +44,11 @@ RESIDUALS = {
         PROPOSITIONAL: {"increment": ("(<= (+ (value ?c) 1) (max_int))",),
                         "decrement": ("(>= (- (value ?c) 1) 0)",)},
     },
-    # (link ?r ?a ?b) narrows the pool of ?r to the robots, which all have
-    # an energy, so no strategy checks the target of the energy effect
+    # the clique search decides (link ?r ?a ?b), and the precondition reads
+    # the target and the expression of the energy effect
     "relay": {
-        NUMERIC: {"move": ("(link ?r ?a ?b)",)},
-        PROPOSITIONAL: {"move": ("(link ?r ?a ?b)", "(>= (energy ?r) (step-cost))")},
+        NUMERIC: {},
+        PROPOSITIONAL: {"move": ("(>= (energy ?r) (step-cost))",)},
         GROUNDED: {"move": ("(at ?r ?a)", "(>= (energy ?r) (step-cost))")},
     },
     "switches": {
@@ -60,10 +60,12 @@ RESIDUALS = {
         NUMERIC: {},
         PROPOSITIONAL: {"move-unit": ("(>= (units ?a) 1)",)},
     },
+    # the numeric clique search decides the fuel constraint, which reads
+    # what the fuel effect reads and writes
     "delivery": {
-        NUMERIC: {"drive": (DELIVERY_FUEL, DELIVERY_DIST)},
-        PROPOSITIONAL: {"drive": (DELIVERY_FUEL, DELIVERY_DIST)},
-        GROUNDED: {"drive": ("(at ?t ?a)", DELIVERY_FUEL, DELIVERY_DIST)},
+        NUMERIC: {},
+        PROPOSITIONAL: {"drive": (DELIVERY_FUEL,)},
+        GROUNDED: {"drive": ("(at ?t ?a)", DELIVERY_FUEL)},
     },
     "ratecounters": {
         NUMERIC: {},
@@ -225,21 +227,25 @@ def test_constraint_on_a_ternary_function_kept_for_a_parameter_free_schema():
 
 
 def test_effect_checks_read_the_own_and_the_static_fluents_of_the_initial_state():
-    # relay's (-= (energy ?r) (step-cost)): the initial state owns the energy
-    # of every robot, and (step-cost) is in its static part; both count as
-    # defined over the robots, so the effect has nothing left to check
+    # relay's (-= (energy ?r) (step-cost)) without the precondition that
+    # reads both terms: the initial state owns the energy of every robot, and
+    # (step-cost) is in its static part; both count as defined over the
+    # robots, so the effect has nothing left to check
     from lnplan.consistency import task_statics
     from lnplan.successors import fallible_effects
 
     task = load_bundled("relay")
     move = task.schema("move")
-    (effect,) = move.eff_numeric
+    bare = dataclasses.replace(move, name="bare-move", pre_constraints=())
+    (effect,) = bare.eff_numeric
     assert effect.target.function.name in {t.function.name for t in task.init.own_fluents}
     assert effect.expr in task.init.static.fluents
     for numeric in (True, False):
-        assert fallible_effects(move, task_statics(task), numeric) == ()
-    (unknown,) = fallible_effects(move)  # without a problem nothing is defined
+        assert fallible_effects(bare, task_statics(task), numeric) == ()
+    (unknown,) = fallible_effects(bare)  # without a problem nothing is defined
     assert unknown.defined and unknown.target
+    # (>= (energy ?r) (step-cost)) holds only when both its sides are defined
+    assert fallible_effects(move) == ()
 
 
 def _fails_an_effect(state, action) -> bool:

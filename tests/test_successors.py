@@ -155,8 +155,9 @@ def test_ground_cap_enforced():
 
 
 def test_ground_cap_counts_join_candidates():
-    # every pair projection of t is full, so the static graph streams all
-    # 64 bindings, of which the exact check of t keeps the 32 with an even sum
+    # every pair projection of t is full, so the static graph has all 64
+    # bindings as cliques; the clique search's check of t streams only the
+    # 32 with an even sum, and the cap counts those
     t = PredicateSymbol("t", 3)
     a, b, c = Variable("?a"), Variable("?b"), Variable("?c")
     schema = ActionSchema("even", (a, b, c), pre_literals=(Literal(Atom(t, (a, b, c))),))
@@ -164,9 +165,9 @@ def test_ground_cap_counts_join_candidates():
     atoms = [Atom(t, combo) for combo in itertools.product(objects, repeat=3)
              if sum(objects.index(o) for o in combo) % 2 == 0]
     task = Task("d", "t", (t,), (), (schema,), objects, State(atoms, {}))
-    assert ground_all(task, cap=64).total == 32
+    assert ground_all(task, cap=32).total == 32
     with pytest.raises(GroundLimitError):
-        ground_all(task, cap=40)
+        ground_all(task, cap=31)
 
 
 def _assert_store_matches_product(task):
