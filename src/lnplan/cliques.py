@@ -10,7 +10,6 @@ A graph's elements on three or more variables (`ConsistencyGraph.wide`) are
 decided in the search: each one's check narrows the pool of its last
 partition in that order, at the depth where its other partitions are bound.
 The checks only prune, so the cliques that remain come in the same order.
-A graph without such elements is searched without them.
 """
 
 from __future__ import annotations
@@ -33,41 +32,18 @@ def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
     partition_masks = [graph.alive[p] << (p * n) for p in order]
     chosen = [0] * k
     full = (1 << (k * n)) - 1
-    if not graph.wide:
-        yield from _extend(0, full, order, partition_masks, graph.adjacency, chosen)
-        return
-    depth_of = {p: d for d, p in enumerate(order)}
     checks: list[list[Callable]] = [[] for _ in order]
     for partitions, narrowing in graph.wide:
-        last = max(partitions, key=depth_of.__getitem__)
-        checks[depth_of[last]].append(narrowing(last, n))
-    yield from _extend_checked(0, full, order, partition_masks, graph.adjacency, chosen, checks)
+        depth = max(map(order.index, partitions))
+        checks[depth].append(narrowing(order[depth], n))
+    yield from _extend(0, full, order, partition_masks, graph.adjacency, chosen, checks)
 
 
 def _extend(depth: int, candidates: int, order: list[int], partition_masks: list[int],
-            adjacency: list[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
+            adjacency: list[int], chosen: list[int],
+            checks: list[list[Callable]]) -> Iterator[tuple[int, ...]]:
     # module-level rather than a closure, which would keep the graph in a
     # reference cycle after the enumeration
-    pool = candidates & partition_masks[depth]
-    last = depth + 1 == len(order)
-    while pool:
-        low = pool & -pool
-        pool ^= low
-        v = low.bit_length() - 1
-        chosen[order[depth]] = v
-        if last:
-            yield tuple(chosen)
-        else:
-            narrowed = candidates & adjacency[v]
-            if narrowed:
-                yield from _extend(depth + 1, narrowed, order, partition_masks,
-                                   adjacency, chosen)
-
-
-def _extend_checked(depth: int, candidates: int, order: list[int], partition_masks: list[int],
-                    adjacency: list[int], chosen: list[int],
-                    checks: list[list[Callable]]) -> Iterator[tuple[int, ...]]:
-    # `_extend`, with the pool narrowed by the checks of its depth first
     pool = candidates & partition_masks[depth]
     for narrow in checks[depth]:
         if not pool:
@@ -84,5 +60,5 @@ def _extend_checked(depth: int, candidates: int, order: list[int], partition_mas
         else:
             narrowed = candidates & adjacency[v]
             if narrowed:
-                yield from _extend_checked(depth + 1, narrowed, order, partition_masks,
-                                           adjacency, chosen, checks)
+                yield from _extend(depth + 1, narrowed, order, partition_masks,
+                                   adjacency, chosen, checks)

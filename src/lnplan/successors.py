@@ -221,7 +221,8 @@ def residual_check(schema: ActionSchema, strategy: str,
     for the schema (see `undecided_preconditions` and `fallible_effects`).
 
     Without `statics` (a domain with no problem) every predicate counts as
-    dynamic and no term as defined.
+    dynamic, and only the terms that a precondition constraint reads count
+    as defined.
     """
     static = statics.predicates if statics is not None else frozenset()
     return Check(*undecided_preconditions(schema, strategy, static),

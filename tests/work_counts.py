@@ -2,7 +2,6 @@
 """Work counts of the benchmark families, pinned in tests/data/work_counts.json.
 
     python3 tests/work_counts.py            # rewrite the fixture
-    python3 tests/work_counts.py --check    # compare with it, print what differs
 
 For each family at its benchmark size (the relay-wide, delivery-fuel and
 farmland-dense workloads of `perfbench/spec.py`, and the dense relay with
@@ -11,8 +10,8 @@ each strategy listed for it in `CASES`, one breadth-first solve to node cap 150 
 summed up as (expansions, generated, candidates, applicable). A change that
 weakens pruning while the filter still restores the right answers moves
 `candidates` and nothing else, so only a pin on the counts catches it.
-A change that moves a count on purpose rewrites the fixture and says which
-counts moved.
+A change that moves a count on purpose rewrites the fixture; `git diff` of
+it then lists the counts that moved.
 """
 
 from __future__ import annotations
@@ -67,23 +66,11 @@ def all_counts() -> dict:
             for name, (_, _, strategies) in CASES.items()}
 
 
-def main(argv: list[str]) -> int:
-    got = all_counts()
-    if "--check" in argv:
-        want = json.loads(FIXTURE.read_text())
-        moved = [(name, strategy, seed, want[name][strategy][seed], row)
-                 for name, by_strategy in got.items()
-                 for strategy, by_seed in by_strategy.items()
-                 for seed, row in by_seed.items()
-                 if want.get(name, {}).get(strategy, {}).get(seed) != row]
-        for entry in moved:
-            print(*entry)
-        return 1 if moved else 0
-    text = json.dumps(got, indent=1)  # then one line per count row
+def main() -> None:
+    text = json.dumps(all_counts(), indent=1)  # then one line per count row
     text = re.sub(r"\[\s+([^\]]*?)\s+\]", lambda m: "[" + " ".join(m.group(1).split()) + "]", text)
     FIXTURE.write_text(text + "\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
