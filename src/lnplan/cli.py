@@ -235,7 +235,8 @@ def cmd_check_exactness(args) -> int:
         for element in wide_elements(schema):
             under = "" if isinstance(element, Literal) else " under the numeric strategy"
             print(f"decided while enumerating cliques{under}: {schema.name}/{element!r}")
-    # with no problem, no fluent is known to be defined
+    # with no problem, only the terms a precondition constraint reads count
+    # as defined
     for schema in domain.schemas:
         for check in residual_check(schema, NUMERIC).effects:
             what = "; ".join(text for flag, text in zip(check[1:], _EFFECT_FAILURES) if flag)

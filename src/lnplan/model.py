@@ -9,6 +9,11 @@ floats; a missing fluent or a zero divisor yields the undefined marker
 (None), and anything undefined makes the enclosing literal or constraint
 count as not holding rather than raising.
 
+Objects, variables, atoms and function terms are interned: one instance per
+name, or per symbol name and arguments, held weakly, so that equality and
+hashing are by identity. A probe for a ground atom or fluent looks the
+instance up and builds none: with no instance, no state holds it.
+
 The predicate name "=" is reserved for built-in object equality: it has the
 implicit extension {(o, o)} in every state and never appears in effect sets.
 """
@@ -38,24 +43,46 @@ _UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
             SCALE_UP: ARITH["*"], SCALE_DOWN: ARITH["/"]}
 
 
-class _Named:
-    """A name with one instance per name and class, so that equality and
+class _Interned:
+    """A value with one instance per key and class, so that equality and
     hashing are by identity, which Python computes in C. The instances are
-    held weakly: a name that nothing uses any more is dropped."""
+    held weakly: one that nothing uses any more is dropped. Pickling and
+    copying rebuild through the constructor, which returns the instance."""
 
-    __slots__ = ("name", "__weakref__")
-    _instances: WeakValueDictionary
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]  # the constructor's arguments, one slot each
+    _instances: WeakValueDictionary  # key -> instance, one table per class
 
-    def __new__(cls, name: str):
-        named = cls._instances.get(name)
-        if named is None:
-            named = object.__new__(cls)
-            named.name = name
-            cls._instances[name] = named
-        return named
+    @classmethod
+    def find(cls, key):
+        """The instance with the key, or None; builds nothing."""
+        # the table's own dict of weak references: a miss costs neither a
+        # Python method call nor a KeyError, as one through `get` would
+        ref = cls._instances.data.get(key)
+        return None if ref is None else ref()
+
+    @classmethod
+    def _intern(cls, key, *values):
+        """The instance with the key, built from one value per field on a miss."""
+        instance = cls.find(key)
+        if instance is None:
+            instance = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                setattr(instance, name, value)
+            cls._instances[key] = instance
+        return instance
 
     def __reduce__(self):
-        return type(self), (self.name,)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class _Named(_Interned):
+    """A name, interned by itself."""
+
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return cls._intern(name, name)
 
     def __repr__(self):
         return self.name
@@ -93,62 +120,37 @@ class FunctionSymbol:
 EQUALITY = PredicateSymbol(EQUALITY_NAME, 2)
 
 
-class Atom:
-    __slots__ = ("predicate", "args", "_hash")
+class _Application(_Interned):
+    """A predicate or function symbol applied to terms, interned by (symbol
+    name, arguments). The arity is checked before the lookup, so a key fixes
+    its symbol, and identity is equality of symbol and arguments."""
 
-    def __init__(self, predicate: PredicateSymbol, args: Iterable[Term]):
+    __slots__ = ()
+    _kind: str
+
+    def __new__(cls, symbol, args: Iterable[Term]):
         args = tuple(args)
-        if len(args) != predicate.arity:
+        if len(args) != symbol.arity:
             raise ValueError(
-                f"atom {predicate.name} expects {predicate.arity} arguments, got {len(args)}"
+                f"{cls._kind} {symbol.name} expects {symbol.arity} arguments, got {len(args)}"
             )
-        self.predicate = predicate
-        self.args = args
-        self._hash = hash((predicate.name, args))
-
-    def __eq__(self, other):
-        return (
-            type(other) is Atom
-            and other._hash == self._hash
-            and other.predicate == self.predicate
-            and other.args == self.args
-        )
-
-    def __hash__(self):
-        return self._hash
+        return cls._intern((symbol.name, args), symbol, args)
 
     def __repr__(self):
-        inner = " ".join([self.predicate.name] + [a.name for a in self.args])
-        return f"({inner})"
+        symbol, args = (getattr(self, name) for name in self._fields)
+        return "(" + " ".join([symbol.name] + [a.name for a in args]) + ")"
 
 
-class FunctionTerm:
-    __slots__ = ("function", "args", "_hash")
+class Atom(_Application):
+    __slots__ = _fields = ("predicate", "args")
+    _kind = "atom"
+    _instances = WeakValueDictionary()
 
-    def __init__(self, function: FunctionSymbol, args: Iterable[Term]):
-        args = tuple(args)
-        if len(args) != function.arity:
-            raise ValueError(
-                f"function {function.name} expects {function.arity} arguments, got {len(args)}"
-            )
-        self.function = function
-        self.args = args
-        self._hash = hash((function.name, args, "fterm"))
 
-    def __eq__(self, other):
-        return (
-            type(other) is FunctionTerm
-            and other._hash == self._hash
-            and other.function == self.function
-            and other.args == self.args
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        inner = " ".join([self.function.name] + [a.name for a in self.args])
-        return f"({inner})"
+class FunctionTerm(_Application):
+    __slots__ = _fields = ("function", "args")
+    _kind = "function"
+    _instances = WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ class ActionSchema:
         slots = {term: i for i, term in enumerate(self.params + constants)}
 
         def template(symbol, args) -> PartTemplate:
-            return PartTemplate(symbol.name, symbol, _picker([slots[a] for a in args]))
+            return PartTemplate(symbol, _picker([slots[a] for a in args]))
 
         updates = []
         for eff in self.eff_numeric:
@@ -343,7 +345,6 @@ def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
 class PartTemplate(NamedTuple):
     """An atom or function term of an effect, over a binding by position."""
 
-    name: str
     symbol: Union[PredicateSymbol, FunctionSymbol]
     args: Callable[[tuple], tuple]  # binding + constants -> ground arguments
 
@@ -394,9 +395,8 @@ class Check:
 
 
 def _normalized(fluents: Mapping[FunctionTerm, float]) -> dict[FunctionTerm, float]:
-    """A copy of the fluents as floats, with -0.0 stored as 0.0. A dict is
-    copied with its stored hashes, and only the values that change are
-    written again."""
+    """A copy of the fluents as floats, with -0.0 stored as 0.0; only the
+    values that change are written again."""
     out = dict(fluents)
     for t, v in out.items():
         if type(v) is not float or (v == 0 and math.copysign(1.0, v) < 0):
@@ -420,23 +420,16 @@ class State:
 
     `atoms` and `fluents` are the full contents, built on each read for
     readers outside the hot path.
-
-    The static part of a task's states holds `interned`: the instance of
-    each ground atom and function term that effects have written, keyed by
-    (symbol name, arguments) in one table for atoms and one for terms. `Task`
-    seeds them with the initial state's own atoms and fluent terms, so that
-    a successor's lookups of what it writes find the very keys of its
-    parent's atoms and fluents. Other states hold None.
     """
 
-    __slots__ = ("own_atoms", "own_fluents", "static", "interned", "_key", "_hash")
+    __slots__ = ("own_atoms", "own_fluents", "static", "_key", "_hash")
 
     def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float],
                  static: Optional[State] = None):
         self.own_atoms = frozenset(atoms)
         self.own_fluents = _normalized(fluents)
         self.static = NO_STATIC_FACTS if static is None else static
-        self.interned = self._key = self._hash = None
+        self._key = self._hash = None
 
     @property
     def atoms(self) -> frozenset[Atom]:
@@ -458,7 +451,7 @@ class State:
         """Value identity: the own atom set, the set of own (term, value)
         pairs and the static part.
 
-        Atoms and terms compare by name and values are floats with -0.0 stored
+        Atoms and terms are interned and values are floats with -0.0 stored
         as 0.0, so two states with the same true atoms and fluent values have
         equal keys whatever their construction order, as long as they split
         them alike. The states of one task share their static part, which
@@ -485,7 +478,7 @@ def _successor(atoms: frozenset[Atom], fluents: dict[FunctionTerm, float], stati
     """A state over own contents that are already normalised."""
     state = object.__new__(State)
     state.own_atoms, state.own_fluents, state.static = atoms, fluents, static
-    state.interned = state._key = state._hash = None
+    state._key = state._hash = None
     return state
 
 
@@ -529,20 +522,14 @@ class Task:
             if len(index) != len(group):
                 raise ValueError(f"duplicate {label} names in task")
         # the initial state owns the atoms and fluents that effects change
-        # and shares the rest with every state reached from it; the own part
-        # is the smaller one, so the static part is what is left of copies
-        # that keep their stored hashes
+        # and shares the rest with every state reached from it
         predicates, functions = static_predicate_names(self), static_function_names(self)
         atoms, fluents = self.init.atoms, self.init.fluents
         own_atoms = frozenset(a for a in atoms if a.predicate.name not in predicates)
         own_fluents = {t: v for t, v in fluents.items() if t.function.name not in functions}
-        static_fluents = dict(fluents)
-        for term in own_fluents:
-            del static_fluents[term]
-        static = State(atoms - own_atoms, static_fluents)
+        static = State(atoms - own_atoms,
+                       {t: v for t, v in fluents.items() if t.function.name in functions})
         self.init = State(own_atoms, own_fluents, static)
-        static.interned = ({(a.predicate.name, a.args): a for a in own_atoms},
-                           {(t.function.name, t.args): t for t in own_fluents})
 
 
 def static_predicate_names(task: Task) -> frozenset[str]:
@@ -629,22 +616,18 @@ def _ground_args(args: tuple[Term, ...], binding: Mapping[Variable, Object]) -> 
         raise ValueError(f"unbound variable {missing.args[0].name} in ground evaluation") from None
 
 
-def ground_atom(atom: Atom, binding: Mapping[Variable, Object]) -> Atom:
-    return Atom(atom.predicate, _ground_args(atom.args, binding))
-
-
 def ground_function_term(term: FunctionTerm, binding: Mapping[Variable, Object]) -> FunctionTerm:
     return FunctionTerm(term.function, _ground_args(term.args, binding))
 
 
 def literal_holds(state: State, literal: Literal, binding: Mapping[Variable, Object] = _EMPTY_BINDING) -> bool:
     atom = literal.atom
+    args = _ground_args(atom.args, binding)
     if atom.predicate.name == EQUALITY_NAME:
-        left, right = _ground_args(atom.args, binding)
-        result = left == right
+        result = args[0] is args[1]
     else:
-        atom = ground_atom(atom, binding)
-        result = atom in state.own_atoms or atom in state.static.own_atoms
+        atom = Atom.find((atom.predicate.name, args))
+        result = atom is not None and (atom in state.own_atoms or atom in state.static.own_atoms)
     return result if literal.positive else not result
 
 
@@ -653,7 +636,9 @@ def expr_value(state: State, expr: Expr, binding: Mapping[Variable, Object] = _E
     if isinstance(expr, Constant):
         return expr.value
     if isinstance(expr, FunctionTerm):
-        term = ground_function_term(expr, binding)
+        term = FunctionTerm.find((expr.function.name, _ground_args(expr.args, binding)))
+        if term is None:
+            return None
         value = state.own_fluents.get(term)
         return state.static.own_fluents.get(term) if value is None else value
     left = expr_value(state, expr.left, binding)
@@ -778,21 +763,19 @@ def apply_effects(state: State, action: GroundAction) -> State:
     updated as (atoms - deletes) + adds; the effects on one target fold into
     it in order. Effects change only what a state of the task owns, so the
     successor copies the own part and shares the static one. The atoms and
-    terms it writes are the task's interned ones (see `State`); a state built
-    by hand interns nothing beyond this call.
+    terms it writes are the interned instances, built only on a miss.
     """
     effects = action.schema.effects
     values = action.binding + effects.constants if effects.constants else action.binding
-    atom_table, term_table = state.static.interned or ({}, {})
     atoms = state.own_atoms
     if effects.deletes:
-        atoms = atoms.difference(_interned(atom_table, effects.deletes, values, Atom))
+        atoms = atoms.difference(_ground_parts(effects.deletes, values, Atom))
     if effects.adds:
-        atoms = atoms.union(_interned(atom_table, effects.adds, values, Atom))
+        atoms = atoms.union(_ground_parts(effects.adds, values, Atom))
     fluents = state.own_fluents
     if effects.targets:
         fluents = dict(fluents)
-        targets = _interned(term_table, effects.targets, values, FunctionTerm)
+        targets = _ground_parts(effects.targets, values, FunctionTerm)
         for target, (fold, expr, value) in zip(targets, effects.updates):
             if expr is not None:
                 value = expr_value(state, expr, action.binding_map())
@@ -803,13 +786,13 @@ def apply_effects(state: State, action: GroundAction) -> State:
     return _successor(atoms, fluents, state.static)
 
 
-def _interned(table: dict, templates: tuple[PartTemplate, ...], values: tuple, cls) -> list:
-    """The table's instance of each template's ground atom or term, which is
-    added to the table when missing."""
-    out = []
-    for name, symbol, args in templates:
-        key = (name, args(values))
-        out.append(table.get(key) or table.setdefault(key, cls(symbol, key[1])))
+def _ground_parts(templates: tuple[PartTemplate, ...], values: tuple, cls) -> list:
+    """The ground atom or term of each template: the interned instance,
+    looked up first, so that a write builds one only on a miss."""
+    find, out = cls.find, []
+    for symbol, args in templates:
+        args = args(values)
+        out.append(find((symbol.name, args)) or cls(symbol, args))
     return out
 
 

@@ -266,7 +266,9 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
         pools = [(arg,) if type(arg) is Object else pool[arg] for arg in term.args]
         if counts[term.function.name] < math.prod(map(len, pools)):
             return False
-        return all(FunctionTerm(term.function, args) in fluents
+        # a term with no instance is in no state; None is no key of `fluents`
+        name = term.function.name
+        return all(FunctionTerm.find((name, args)) in fluents
                    for args in itertools.product(*pools))
 
     return defined

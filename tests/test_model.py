@@ -38,7 +38,6 @@ from lnplan.model import (
     free_variables,
     function_terms,
     goal_satisfied,
-    ground_atom,
     is_applicable,
     literal_holds,
     substitute,
@@ -123,7 +122,6 @@ def test_builtin_equality():
 def test_unbound_variable_in_ground_evaluation_names_it():
     s = State([Atom(P_AT, (A, B))], {term(F_UN, A): 1.0})
     for evaluate, name in (
-        (lambda: ground_atom(Atom(P_AT, (X, Y)), {X: A}), "?y"),
         (lambda: literal_holds(s, Literal(Atom(P_AT, (A, Y))), {X: A}), "?y"),
         (lambda: literal_holds(s, Literal(Atom(EQUALITY, (X, Y)), False), {X: A}), "?y"),
         (lambda: expr_value(s, BinaryExpr("+", term(F_UN, X), term(F_UN, Y)), {X: A}), "?y"),
@@ -538,10 +536,9 @@ def test_apply_effects_matches_the_reference_on_walks(seed):
     for i in range(24):
         _walk(random_task(rng, exact=bool(i % 2), task_id=i), rng, 4)
         _walk(searching_task(rng, task_id=i), rng, 4)
-    # states built by hand intern nothing, and still agree
+    # states built by hand, with no static part, agree as well
     task = _effects_task()
     hand = State(task.init.atoms, task.init.fluents)
-    assert hand.static.interned is None
     for action in (GroundAction(task.schema("consts"), (B,)),
                    GroundAction(task.schema("repeat"), (A, A))):
         _check_successor(hand, action)
@@ -566,22 +563,25 @@ def test_apply_effects_edge_cases():
 
 def test_successors_write_the_initial_states_keys(bundled_tasks):
     # the atoms and terms a successor writes are the initial state's own
-    # instances wherever it has them, not equal copies, so that probing the
-    # atoms and fluents a successor copies finds them by identity
+    # instances wherever it has them, not equal copies: matched by symbol
+    # name and arguments, not by equality, each one is the very instance
     from lnplan.successors import SuccessorGenerator
 
     for name in ("farmland", "relay", "delivery", "switches"):
         task = bundled_tasks[name]
         init, generator = task.init, SuccessorGenerator(task)
-        atoms, terms = init.static.interned
-        assert all(atoms[(a.predicate.name, a.args)] is a for a in init.own_atoms), name
-        assert all(terms[(t.function.name, t.args)] is t for t in init.own_fluents), name
-        ids = {id(a) for a in init.own_atoms}
+        atoms = {(a.predicate.name, a.args): a for a in init.own_atoms}
+        terms = {(t.function.name, t.args): t for t in init.own_fluents}
         for action in generator.applicable(init)[0]:
             child = apply_effects(init, action)
             for step in generator.applicable(child)[0]:
                 grandchild = apply_effects(child, step)
-                assert {id(a) for a in grandchild.own_atoms if a in init.own_atoms} <= ids, name
+                for a in grandchild.own_atoms:
+                    assert atoms.get((a.predicate.name, a.args), a) is a, name
+                    assert Atom.find((a.predicate.name, a.args)) is a, name
+                for t in grandchild.own_fluents:
+                    assert terms.get((t.function.name, t.args), t) is t, name
+                    assert FunctionTerm.find((t.function.name, t.args)) is t, name
 
 
 def test_keys_equal_across_separate_parses():
@@ -603,7 +603,7 @@ def test_keys_equal_across_separate_parses():
             states = [_check_successor(state, acts[i]) for state, acts in zip(states, actions)]
 
 
-# --- interned objects and variables ---
+# --- interned objects, variables, atoms and function terms ---
 
 
 def test_objects_and_variables_are_interned():
@@ -611,10 +611,52 @@ def test_objects_and_variables_are_interned():
     assert Variable("?x") is Variable("?x") and Variable("?x") is X
     assert Object("a") != Variable("a") and Variable("a") != Object("a")
     assert Object("a") != "a" and hash(Object("a")) == hash(A)
+    # atoms and terms: one instance per symbol name and arguments, whatever
+    # symbol instance or argument iterable builds them
+    atom, fterm = Atom(P_AT, (A, B)), term(F_UN, A)
+    assert Atom(PredicateSymbol("at", 2), iter([A, B])) is atom
+    assert FunctionTerm(FunctionSymbol("g", 1), [A]) is fterm
+    assert Atom(P_AT, (B, A)) is not atom and Atom(P_AT, (A, X)) is not atom
+    assert Atom.find(("at", (A, B))) is atom and FunctionTerm.find(("g", (A,))) is fterm
+    # an atom and a term of one name and arguments never compare equal
+    twin = Atom(PredicateSymbol("g", 1), (A,))
+    assert twin is not fterm and twin != fterm and fterm != twin
+    assert len({twin, fterm}) == 2
+    # the arity is checked before the lookup: the key ("at", (a,)) of a
+    # unary symbol named at does not answer for the binary one
+    unary = Atom(PredicateSymbol("at", 1), (A,))
+    assert Atom.find(("at", (A,))) is unary
+    with pytest.raises(ValueError, match="atom at expects 2 arguments, got 1"):
+        Atom(P_AT, (A,))
+    with pytest.raises(ValueError, match="function g expects 1 arguments, got 2"):
+        FunctionTerm(F_UN, (A, B))
     import copy
     import pickle
 
     assert copy.deepcopy(A) is A and pickle.loads(pickle.dumps((A, X))) == (A, X)
+    assert copy.deepcopy(atom) is atom and copy.copy(fterm) is fterm
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    assert pickle.loads(pickle.dumps(fterm)) is fterm
+    effect = NumericEffect(fterm, ASSIGN, term(F_VAL))
+    assert copy.deepcopy(effect).target is fterm and pickle.loads(pickle.dumps(effect)) == effect
+
+
+def test_probes_build_no_atom_or_term():
+    import gc
+
+    state = State([Atom(P_AT, (A, B))], {term(F_UN, A): 1.0})
+    gc.collect()
+    before = len(Atom._instances), len(FunctionTerm._instances)
+    assert not literal_holds(state, Literal(Atom(P_AT, (X, Y))), {X: B, Y: C})
+    assert literal_holds(state, Literal(Atom(P_AT, (X, Y)), False), {X: C, Y: C})
+    assert literal_holds(state, Literal(Atom(P_AT, (X, Y))), {X: A, Y: B})
+    assert expr_value(state, term(F_UN, X), {X: C}) is None
+    assert expr_value(state, BinaryExpr("+", term(F_UN, X), Constant(1.0)), {X: B}) is None
+    assert expr_value(state, term(F_UN, X), {X: A}) == 1.0
+    assert not constraint_holds(state, NumericConstraint(term(F_UN, X), ">", Constant(0.0)),
+                                {X: C})
+    assert Atom.find(("at", (B, C))) is None and FunctionTerm.find(("g", (C,))) is None
+    assert (len(Atom._instances), len(FunctionTerm._instances)) == before
 
 
 def test_intern_tables_shrink_when_tasks_are_dropped():
@@ -625,7 +667,8 @@ def test_intern_tables_shrink_when_tasks_are_dropped():
     from lnplan.successors import SuccessorGenerator
 
     gc.collect()
-    before = len(Object._instances), len(Variable._instances)
+    tables = (Object._instances, Variable._instances, Atom._instances, FunctionTerm._instances)
+    before = [len(table) for table in tables]
     tasks = []
     for i in range(50):
         tag = uuid.uuid4().hex
@@ -643,6 +686,10 @@ def test_intern_tables_shrink_when_tasks_are_dropped():
         tasks.append((task, [apply_effects(task.init, action) for action in actions]))
     assert len(Object._instances) >= before[0] + 2 * 50
     assert len(Variable._instances) >= before[1] + 2 * 50
+    # per task, the atoms (at u), (at v), (at ?a) and (at ?b) and the terms
+    # (n u), (n v) and (n ?b)
+    assert len(Atom._instances) >= before[2] + 4 * 50
+    assert len(FunctionTerm._instances) >= before[3] + 3 * 50
     del tasks, task, actions
     gc.collect()
-    assert len(Object._instances) <= before[0] and len(Variable._instances) <= before[1]
+    assert all(len(table) <= size for table, size in zip(tables, before))

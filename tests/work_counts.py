@@ -10,6 +10,13 @@ each strategy listed for it in `CASES`, one breadth-first solve to node cap 150 
 summed up as (expansions, generated, candidates, applicable). A change that
 weakens pruning while the filter still restores the right answers moves
 `candidates` and nothing else, so only a pin on the counts catches it.
+
+The fixture also pins graph sizes under `graph-sizes`: for each family at
+seed 101, the `numeric` and `propositional` consistency graphs of each
+schema in the first 20 states in breadth-first order, summed up as
+(vertices alive, edges). The counts above do not see static arc
+consistency, which only drops vertices that are in no clique; these do.
+
 A change that moves a count on purpose rewrites the fixture; `git diff` of
 it then lists the counts that moved.
 """
@@ -30,10 +37,12 @@ for path in (ROOT / "perfbench", ROOT / "src"):
 import families  # noqa: E402
 from spec import WORKLOADS  # noqa: E402
 
-from lnplan import pddl, search, successors  # noqa: E402
+from lnplan import consistency, model, pddl, search, successors  # noqa: E402
 
 NODE_CAP = 150
 SEEDS = (101, 102, 103)
+GRAPHS = "graph-sizes"  # the fixture's key of the graph sizes
+GRAPH_SEED, GRAPH_STATES = 101, 20
 
 # name -> (family, knobs, strategies). A strategy is listed where its solve
 # takes a fraction of a second, so that the pinning test stays fast:
@@ -50,20 +59,51 @@ CASES = {
 }
 
 
-def counts(name: str, seed: int, strategy: str) -> list[int]:
-    """(expansions, generated, candidates, applicable) of one solve."""
+def _task(name: str, seed: int) -> model.Task:
     family_name, knobs, _ = CASES[name]
     family = families.FAMILIES[family_name](seed, **knobs)
-    task = pddl.parse_task(family.domain, family.problem)
+    return pddl.parse_task(family.domain, family.problem)
+
+
+def counts(name: str, seed: int, strategy: str) -> list[int]:
+    """(expansions, generated, candidates, applicable) of one solve."""
+    task = _task(name, seed)
     stats = search.solve(task, successors.GeneratorConfig(strategy=strategy),
                          search.Limits(nodes=NODE_CAP)).stats
     return [stats.expansions, stats.generated, stats.candidates, stats.applicable]
 
 
+def graph_sizes(name: str) -> dict:
+    """strategy -> schema -> [vertices alive, edges], summed over the first
+    GRAPH_STATES states of a breadth-first search."""
+    task = _task(name, GRAPH_SEED)
+    generator = successors.SuccessorGenerator(task)
+    states, seen, i = [task.init], {task.init}, 0
+    while i < len(states) < GRAPH_STATES:
+        for action in generator.applicable(states[i])[0]:
+            child = model.apply_effects(states[i], action)
+            if child not in seen and len(states) < GRAPH_STATES:
+                seen.add(child)
+                states.append(child)
+        i += 1
+    sizes = {}
+    for strategy in ("numeric", "propositional"):
+        per_schema = sizes[strategy] = {schema.name: [0, 0] for schema in task.schemas}
+        for state in states:
+            ctx = generator.context(state)
+            for schema in task.schemas:
+                graph = consistency.build_graph(schema, ctx, numeric=strategy == "numeric")
+                per_schema[schema.name][0] += sum(mask.bit_count() for mask in graph.alive)
+                per_schema[schema.name][1] += graph.edge_count()
+    return sizes
+
+
 def all_counts() -> dict:
-    return {name: {strategy: {str(seed): counts(name, seed, strategy) for seed in SEEDS}
-                   for strategy in strategies}
-            for name, (_, _, strategies) in CASES.items()}
+    pinned = {name: {strategy: {str(seed): counts(name, seed, strategy) for seed in SEEDS}
+                     for strategy in strategies}
+              for name, (_, _, strategies) in CASES.items()}
+    pinned[GRAPHS] = {name: graph_sizes(name) for name in CASES}
+    return pinned
 
 
 def main() -> None:
