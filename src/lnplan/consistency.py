@@ -17,13 +17,14 @@ satisfy it: the paper's exactness conditions (`schema_violations`). The
 graph therefore also carries a check per such element
 (`ConsistencyGraph.wide`, compiled by `_Wide`), which `cliques.iter_cliques`
 applies at the depth where all the element's variables but one are bound.
-A literal costs a projection row of the atom index, which a static one
-reads once per plan and binding of its other variables, and a constraint
-bisects threshold masks over its static side's exact values or is
-evaluated exactly at the full binding. With the numeric rules, the cliques that remain are exactly
-the bindings whose preconditions hold, except where a constraint on at most
-two variables reads a function of arity above two, which the range tables
-only relax. The graph itself, its dump and its exclusions are the paper's.
+The check is the element's row for its last variable, with the others
+bound, from `_compile` and `_survivors` like every other row. With every
+variable bound the range tables read exact values, except for a function of
+arity above two, which a constraint then evaluates exactly per vertex. With
+the numeric rules, the cliques that remain are exactly the bindings whose
+preconditions hold, except where a constraint on at most two variables
+reads a function of arity above two, which the range tables only relax.
+The graph itself, its dump and its exclusions are the paper's.
 
 The numeric rules can be switched off to obtain the purely propositional
 graph (which still decides every literal); the final applicability filter
@@ -53,19 +54,21 @@ for the grounded store to join.
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
 `_refuted`, through `AtomIndex.match_exists` and `relaxed_unsat`. Every other
-rule list is compiled once per plan for the variable whose row it decides
-(`_compile`), and `_survivors` applies it to one row of objects, whether a
-vertex mask or the partners of a vertex: an atom costs one projection row
+rule list is compiled once per plan for the variable whose row it decides,
+with a tuple of variables bound (`_compile`), and `_survivors` applies it to
+one row of objects, whether a vertex mask, the partners of a vertex or the
+pool of a clique-search check: an atom costs one projection row
 (`AtomIndex.project`, the objects its target positions admit once the bound
 positions are fixed) and one AND. A constraint's sides are evaluated with
 `relaxed_eval` only as often as the row variables they hold require: a
-static side that holds neither once per plan, a static side that holds only
-the row's variable once per plan and object, any other side without the
-row's variable once per row, and the rest once per object. When one side is
-a per-object table and the other is fixed for the row, the constraint
-costs one threshold mask per row, read by bisection from the table sorted
-once per plan; otherwise the sides are compared per object the earlier rows
-leave.
+static side that holds neither the row's variable nor a bound one once per
+plan, a static side that holds the row's variable once per task and
+binding of the bound variables it holds (a `_Table` of `TaskStatics`), any
+other side without the row's variable once per row, and the rest once per
+object. When one side is a table and the other is fixed for the row, the
+constraint costs one threshold mask per row, read by bisection from the
+table's values sorted once per task and binding; otherwise the sides are
+compared per object the earlier rows leave.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
@@ -86,7 +89,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
-from .intervals import EMPTY, Interval, arith, compare, point
+from .intervals import Interval, arith, compare, point
 from .model import (
     Atom,
     ActionSchema,
@@ -100,7 +103,6 @@ from .model import (
     Task,
     Variable,
     constraint_holds,
-    expr_value,
     free_variables,
     function_terms,
     static_function_names,
@@ -369,16 +371,15 @@ class _Rules(NamedTuple):
     """A rule list compiled for the rows of one variable (see `_survivors`).
 
     A constraint side is an `Interval` when it is static and holds neither
-    the row's variable nor the bound one (evaluated once per plan), a
-    `_PerCall` when it holds no row variable otherwise, a list of
-    per-object intervals when it is static and holds the row's variable
-    alone (per plan, over the row's domain), and the expression itself when
-    it must be evaluated per object. `thresholds` lists the constraints
-    whose one side is a list and the other evaluated once per row, as
-    (row side, conditions), the row side on the left; each condition is
-    (bisect, read the row side's hi, sorted keys, masks), see `_conditions`.
-    `numeric` lists the other constraints as (lhs, cmp, rhs), and
-    `per_call` says whether one of them has a `_PerCall` side."""
+    the row's variable nor a bound one (evaluated once per plan), a
+    `_PerCall` when it holds no row variable otherwise, the task's `_Table`
+    when it is static and holds the row's variable, and the expression
+    itself when it must be evaluated per object. `thresholds` lists the
+    constraints whose one side is a `_Table` and the other evaluated once
+    per row, as (row side, comparison, table), the row side on the left;
+    the table's `_conditions` masks decide them. `numeric` lists the other
+    constraints as (lhs, cmp, rhs), and `per_call` says whether one of them
+    has a `_PerCall` or `_Table` side."""
 
     var: Variable
     atoms: list[tuple]  # (reason, predicate name, fixed, targets), see AtomIndex.project
@@ -390,60 +391,94 @@ class _Rules(NamedTuple):
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the comparison, sides swapped
 
 
-def _compile(rules: list[_Rule], env: tuple, domain: int, var: Variable,
-             bound: Optional[Variable] = None) -> Optional[_Rules]:
-    """The rules, in check order, for rows within `domain` of `var` with
-    `bound` (if any) fixed by the binding; None when there are none. An
-    atom's constants and `bound` are its fixed positions and `var` its
+def _compile(rules: list[_Rule], env: tuple, var: Variable,
+             bound: tuple[Variable, ...] = ()) -> Optional[_Rules]:
+    """The rules, in check order, for rows of `var` with the variables of
+    `bound` fixed by the binding; None when there are none. An atom's
+    constants and bound variables are its fixed positions and `var` its
     targets. A constraint side is evaluated here, on the plan's `env`, as
-    far as its variables allow."""
+    far as its variables allow; a static side with `var` is the task's
+    `_Table`, keyed by the bound variables it holds."""
     if not rules:
         return None
     _, ranges, statics = env
 
     def side(expr: Expr):
-        held = free_variables(expr) & {var, bound}
+        held = free_variables(expr)
         static = all(t.function.name in statics.functions for t in function_terms(expr))
         if var not in held:
-            return relaxed_eval(expr, _NO_BINDING, ranges) if static and not held else _PerCall(expr)
-        if not static or bound in held:
-            return expr
-        table: list = [None] * len(statics.objects)
-        for oi in _bits(domain):
-            table[oi] = relaxed_eval(expr, {var: statics.objects[oi]}, ranges)
-        return table
+            return (relaxed_eval(expr, _NO_BINDING, ranges) if static and held.isdisjoint(bound)
+                    else _PerCall(expr))
+        return statics.table(expr, var, tuple(v for v in bound if v in held)) if static else expr
 
     atoms, thresholds, numeric = [], [], []
     for reason, element in rules:
         if reason == NUMERIC_UNSAT:
             lhs, cmp, rhs = side(element.lhs), element.cmp, side(element.rhs)
-            if type(lhs) is list and type(rhs) in (Interval, _PerCall):
+            if cmp not in _FLIP:
+                raise ValueError(f"unknown comparison operator {cmp!r}")
+            if type(lhs) is _Table and type(rhs) in (Interval, _PerCall):
                 lhs, cmp, rhs = rhs, _FLIP[cmp], lhs
-            if type(rhs) is list and type(lhs) in (Interval, _PerCall):
-                thresholds.append((lhs, _conditions(cmp, rhs, domain)))
+            if type(rhs) is _Table and type(lhs) in (Interval, _PerCall):
+                thresholds.append((lhs, cmp, rhs))
             else:
                 numeric.append((lhs, cmp, rhs))
             continue
         args = element.args
         fixed = tuple((i, arg) for i, arg in enumerate(args)
-                      if type(arg) is Object or arg == bound)
+                      if type(arg) is Object or arg in bound)
         targets = tuple(i for i, arg in enumerate(args) if arg == var)
         atoms.append((reason, element.predicate.name, fixed, targets))
-    per_call = any(type(s) is _PerCall for lhs, _, rhs in numeric for s in (lhs, rhs))
+    per_call = any(type(s) in (_PerCall, _Table) for lhs, _, rhs in numeric for s in (lhs, rhs))
     return _Rules(var, atoms, thresholds, numeric, per_call)
 
 
-def _conditions(cmp: str, table: list, domain: int) -> list[tuple]:
-    """The conditions under which `compare(row, cmp, table[oi])` holds, as
-    threshold masks over the objects of `domain` whose interval is
-    nonempty. `compare` is existential, so it holds iff the table's hi
-    exceeds the row's lo (for < and <=), its lo is below the row's hi (for
-    > and >=), or both (for =), strictly as the comparison is. Each
-    condition is (bisect function, whether it reads the row's hi, sorted
-    keys, masks): the objects kept are masks[bisect(keys, row bound)]."""
-    if cmp not in _FLIP:
-        raise ValueError(f"unknown comparison operator {cmp!r}")
-    kept = [(table[oi], oi) for oi in _bits(domain) if not table[oi].is_empty]
+class _Table:
+    """A static constraint side that holds the row variable `var`, read from
+    the static range tables: per binding of `keys`, the bound variables it
+    holds, one interval per object of the task (`values`), and the
+    `_conditions` masks per comparison (`conditions`). Each part is built
+    on first use and kept for the task (`TaskStatics.table`). It holds the
+    objects and the static range tables, not the `TaskStatics`, so that a
+    dropped task is still freed without the cycle collector."""
+
+    def __init__(self, expr: Expr, var: Variable, keys: tuple[Variable, ...],
+                 objects: tuple[Object, ...], ranges: AssignmentCache):
+        self.expr, self.var, self.keys = expr, var, keys
+        self.objects, self.ranges = objects, ranges
+        self._values: dict[tuple, list[Interval]] = {}
+        self._conditions: dict[tuple, list[tuple]] = {}
+
+    def values(self, binding: Mapping[Variable, Object]) -> list[Interval]:
+        """The side's interval per object, with the keys bound as in `binding`."""
+        key = tuple(map(binding.__getitem__, self.keys))
+        values = self._values.get(key)
+        if values is None:
+            at, values = dict(zip(self.keys, key)), []
+            for obj in self.objects:
+                at[self.var] = obj
+                values.append(relaxed_eval(self.expr, at, self.ranges))
+            self._values[key] = values
+        return values
+
+    def conditions(self, cmp: str, binding: Mapping[Variable, Object]) -> list[tuple]:
+        """The `_conditions` of `cmp` over `values(binding)`."""
+        key = (cmp, *map(binding.__getitem__, self.keys))
+        conditions = self._conditions.get(key)
+        if conditions is None:
+            conditions = self._conditions[key] = _conditions(cmp, self.values(binding))
+        return conditions
+
+
+def _conditions(cmp: str, values: list[Interval]) -> list[tuple]:
+    """The conditions under which `compare(row, cmp, values[oi])` holds, as
+    threshold masks over the objects whose interval is nonempty. `compare`
+    is existential, so it holds iff the object's hi exceeds the row's lo
+    (for < and <=), its lo is below the row's hi (for > and >=), or both
+    (for =), strictly as the comparison is. Each condition is (bisect
+    function, whether it reads the row's hi, sorted keys, masks): the
+    objects kept are masks[bisect(keys, row bound)]."""
+    kept = [(iv, oi) for oi, iv in enumerate(values) if not iv.is_empty]
     conditions = []
     if cmp in ("<", "<=", "="):
         # suffixes of the objects sorted by hi: masks[i] holds keys[i:]
@@ -541,9 +576,8 @@ class _Plan:
         everything = (1 << len(objects)) - 1
         for var in schema.params:
             groups = split(r for r in rules if r[2] == {var})
-            self.alive.append(_survivors(_compile(groups[_STATIC], env, everything, var), {},
-                                         everything, env))
-            self.unary.append(_compile(groups[frozenset()], env, self.alive[-1], var))
+            self.alive.append(_survivors(_compile(groups[_STATIC], env, var), {}, everything, env))
+            self.unary.append(_compile(groups[frozenset()], env, var))
 
         # pairs: elements on two or more variables that touch the pair
         params, alive = schema.params, self.alive
@@ -553,7 +587,7 @@ class _Plan:
             # a negative atom refutes only when bound in full
             groups = split((r for r in rules if (r[2] == pair if r[0] == NEGATIVE_HIT
                                                  else len(r[2]) > 1 and r[2] & pair)), pair)
-            static = _compile(groups[_STATIC], env, alive[p2], x2, x1)
+            static = _compile(groups[_STATIC], env, x2, (x1,))
             rows = cols = None
             if static is not None:
                 rows, cols, binding = [0] * len(objects), [0] * len(objects), {}
@@ -562,9 +596,9 @@ class _Plan:
                     rows[oi] = _survivors(static, binding, alive[p2], env)
                     for oj in _bits(rows[oi]):
                         cols[oj] |= 1 << oi
-            self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], env, alive[p1], x1),
-                               _compile(groups[frozenset((x2,))], env, alive[p2], x2),
-                               _compile(groups[pair], env, alive[p2], x2, x1), rows, cols))
+            self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], env, x1),
+                               _compile(groups[frozenset((x2,))], env, x2),
+                               _compile(groups[pair], env, x2, (x1,)), rows, cols))
 
         # arc consistency: a vertex with no static partner in some partition
         # is in no clique; drop it, and again for the partners it supported
@@ -587,16 +621,13 @@ class _Plan:
 class _Wide:
     """A precondition element on three or more variables. The graph holds
     only its pair projections, so the clique search decides it exactly at
-    the depth where all its variables but one are bound (`narrowing`):
-    - a literal costs one projection row of the atom index; a static one
-      keeps the row per binding of the other partitions;
-    - a constraint whose side with the last variable is static, and whose
-      other side lacks it, evaluates the other side once and bisects
-      threshold masks over the static side's exact values, kept per binding
-      of that side's other variables, on the last partition's static alive
-      mask (`alive` is the plan's list of them);
-    - any other constraint is evaluated at the full binding, per vertex.
-    Undefined and NaN values satisfy no comparison, as in
+    the depth where all its variables but one are bound (`narrowing`): the
+    check compiles the element for the last partition's variable with the
+    others bound (`_compile`) and runs `_survivors` on the pool. A static
+    element keeps its row per binding of the other partitions, on the last
+    partition's static alive mask (`alive` is the plan's list of them). A
+    constraint that reads a function of arity above DEGREE, which the range
+    tables only relax, is instead evaluated per vertex with
     `model.constraint_holds`. The check at each possible last partition is
     compiled once per plan, on first use.
     """
@@ -614,97 +645,52 @@ class _Wide:
         """The check at the depth of partition `last`, given the chosen vertex
         ids per partition (the element's other partitions among them) and a
         pool of `last`'s vertices: the vertices of the pool under which the
-        element holds. `ctx` is the state's context; a static literal needs
+        element holds. `ctx` is the state's context; a static element needs
         none."""
         check = self._compiled.get(last)
         if check is None:
             check = self._compiled[last] = self._compile(statics, last, n)
-        return partial(check, ctx)
+        return partial(check, statics, ctx)
 
     def _compile(self, statics: "TaskStatics", last: int, n: int) -> Callable:
-        """The check as a function of the context, the chosen vertex ids and
-        the pool."""
+        """The check as a function of the task's statics, the context, the
+        chosen vertex ids and the pool; it holds no `TaskStatics`, which
+        holds it."""
+        var, off, objects = self.params[last], last * n, statics.objects
         bound = tuple(p for p in self.partitions if p != last)
-        if self.reason == NUMERIC_UNSAT:
-            return self._constraint(statics, bound, last, n)
-        atom, var, off = self.element, self.params[last], last * n
-        name, index_of = atom.predicate.name, statics.index_of
-        fixed = tuple((i, arg) for i, arg in enumerate(atom.args) if arg != var)
-        targets = tuple(i for i, arg in enumerate(atom.args) if arg == var)
-        binding = _binder(statics.objects, self.params, bound, n)
-        keep = 0 if self.reason == POSITIVE_MISS else -1  # a negative literal keeps the others
-
-        def dynamic(ctx: StateContext, chosen: list[int], pool: int) -> int:
-            row = ctx.index.project(name, fixed, targets, binding(chosen), index_of) << off
-            return pool & (row ^ keep)
-
-        if not self.static:
-            return dynamic
-        rows, key_of, index = {}, itemgetter(*bound), statics.index
-
-        def static(ctx: Optional[StateContext], chosen: list[int], pool: int) -> int:
-            key = key_of(chosen)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = index.project(name, fixed, targets, binding(chosen),
-                                                index_of) << off ^ keep
-            return pool & row
-
-        return static
-
-    def _constraint(self, statics: "TaskStatics", bound: tuple[int, ...], last: int,
-                    n: int) -> Callable:
-        con, params, objects = self.element, self.params, statics.objects
-        var, off = params[last], last * n
-        # the side with the last variable on the right: other cmp side
-        for other, cmp, side in ((con.lhs, con.cmp, con.rhs), (con.rhs, _FLIP[con.cmp], con.lhs)):
-            if (var in free_variables(side) and var not in free_variables(other)
-                    and all(t.function.name in statics.functions for t in function_terms(side))):
-                break
-        else:
-            binding_of = _binder(objects, params, bound, n)
-
-            def exact(ctx: StateContext, chosen: list[int], pool: int) -> int:
-                binding = binding_of(chosen)
+        binding = _binder(objects, self.params, bound, n)
+        element = self.element
+        if self.reason == NUMERIC_UNSAT and any(t.function.arity > DEGREE
+                                                for t in function_terms(element)):
+            def exact(statics, ctx: StateContext, chosen: list[int], pool: int) -> int:
+                at = binding(chosen)
                 for v in _bits(pool):
-                    binding[var] = objects[v - off]
-                    if not constraint_holds(ctx.state, con, binding):
+                    at[var] = objects[v - off]
+                    if not constraint_holds(ctx.state, element, at):
                         pool ^= 1 << v
                 return pool
 
             return exact
+        rules = _compile([(self.reason, element)], (statics.index, statics.static_ranges, statics),
+                         var, tuple(self.params[p] for p in bound))
 
-        held = free_variables(side)
-        keyed = tuple(p for p in bound if params[p] in held)
-        key_of = itemgetter(*keyed) if keyed else lambda chosen: ()
-        side_binding = _binder(objects, params, keyed, n)
-        other_binding = _binder(objects, params,
-                                tuple(p for p in bound if params[p] in free_variables(other)), n)
-        domain, static, tables = self.alive[last], statics.static, {}
+        def dynamic(statics: TaskStatics, ctx: StateContext, chosen: list[int], pool: int) -> int:
+            return _survivors(rules, binding(chosen), pool >> off,
+                              (ctx.index, ctx.ranges, statics)) << off
 
-        def thresholds(chosen: list[int]) -> list[tuple]:
-            binding, table = side_binding(chosen), [EMPTY] * len(objects)
-            for oi in _bits(domain):
-                binding[var] = objects[oi]
-                value = expr_value(static, side, binding)
-                if value is not None and value == value:
-                    table[oi] = point(value)
-            return [(find, keys, [mask << off for mask in masks])
-                    for find, _, keys, masks in _conditions(cmp, table, domain)]
+        if not self.static:
+            return dynamic
+        rows, key_of, domain = {}, itemgetter(*bound), self.alive[last]
 
-        def threshold(ctx: StateContext, chosen: list[int], pool: int) -> int:
-            value = expr_value(ctx.state, other, other_binding(chosen))
-            if value is None or value != value:
-                return 0
+        def static(statics: TaskStatics, ctx, chosen: list[int], pool: int) -> int:
             key = key_of(chosen)
-            conditions = tables.get(key)
-            if conditions is None:
-                conditions = tables[key] = thresholds(chosen)
-            for find, keys, masks in conditions:
-                pool &= masks[find(keys, value)]
-            return pool
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _survivors(rules, binding(chosen), domain, (
+                    statics.index, statics.static_ranges, statics)) << off
+            return pool & row
 
-        return threshold
+        return static
 
 
 def _binder(objects: tuple[Object, ...], params: tuple[Variable, ...], parts: tuple[int, ...],
@@ -734,6 +720,7 @@ class TaskStatics:
         # static function name -> the shared cache that serves its tables
         self.ranges = dict.fromkeys(self.functions, self.static_ranges)
         self._plans: dict[tuple, _Plan] = {}
+        self._tables: dict[tuple, _Table] = {}
 
     @cached_property
     def index(self) -> AtomIndex:
@@ -747,6 +734,12 @@ class TaskStatics:
         if plan is None:
             plan = self._plans[key] = _Plan(self, schema, numeric, record)
         return plan
+
+    def table(self, expr: Expr, var: Variable, keys: tuple[Variable, ...]) -> _Table:
+        """The task's `_Table` of the static side `expr` for rows of `var`,
+        keyed by the bound variables `keys` it holds; every plan shares it."""
+        return self._tables.setdefault((expr, var, keys),
+                                       _Table(expr, var, keys, self.objects, self.static_ranges))
 
     def pools(self, schema: ActionSchema, numeric: bool) -> list[tuple[Object, ...]]:
         """Per parameter, the objects that the schema's static
@@ -862,14 +855,14 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
                exclusions: Optional[list] = None, tag: tuple = ()) -> int:
     """The objects of `mask` that the rules leave for their variable, with
     the rest of the binding fixed: the one row routine, for a vertex mask, a
-    pair's halves and its static or dynamic row.
+    pair's halves, its static or dynamic row and a clique-search check.
 
     Each atom rule costs one projection row (`AtomIndex.project`): a
     positive literal keeps the row's objects and a negative one, bound in
     full by the variable, drops them. A threshold constraint then costs one
     evaluation of its row side and a bisect per condition, and the other
     constraints are compared on each object left, with the variable bound
-    in place and their `_PerCall` sides evaluated once. Each excluded object
+    in place and their `_PerCall` and `_Table` sides read once. Each excluded object
     is listed in `exclusions`, if given, as `tag + (oi, reason)`, in
     ascending oi and with the first rule in check order that excludes it.
     `env` is (atom index, range tables, `TaskStatics`)."""
@@ -886,12 +879,12 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
         mask &= row
         if not mask:
             break
-    for row_side, conditions in rules.thresholds if mask else ():
+    for row_side, cmp, table in rules.thresholds if mask else ():
         row = _now(row_side, binding, ranges)
         kept = 0
         if not row.is_empty:
             kept = -1
-            for find, upper, keys, masks in conditions:
+            for find, upper, keys, masks in table.conditions(cmp, binding):
                 kept &= masks[find(keys, row.hi if upper else row.lo)]
         if exclusions is not None:
             removed += [(oi, NUMERIC_UNSAT) for oi in _bits(mask & ~kept)]
@@ -911,7 +904,8 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
                          else relaxed_eval(rhs, binding, ranges))
                 if not compare(left, cmp, right):
                     mask ^= 1 << oi
-                    removed.append((oi, NUMERIC_UNSAT))
+                    if exclusions is not None:
+                        removed.append((oi, NUMERIC_UNSAT))
                     break
     if exclusions is not None:
         exclusions.extend(tag + record for record in sorted(removed))
@@ -919,8 +913,11 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
 
 
 def _now(side, binding: Mapping[Variable, Object], ranges: AssignmentCache):
-    """The side with a `_PerCall` expression evaluated."""
-    return relaxed_eval(side.expr, binding, ranges) if type(side) is _PerCall else side
+    """The side for one row: a `_PerCall` expression evaluated, and a
+    `_Table`'s intervals at the row's binding."""
+    kind = type(side)
+    return (relaxed_eval(side.expr, binding, ranges) if kind is _PerCall
+            else side.values(binding) if kind is _Table else side)
 
 
 def wide_elements(schema: ActionSchema) -> tuple:

@@ -589,7 +589,7 @@ def test_constraint_shapes_match_reference():
         atoms = [Atom(q, args) for args in itertools.product(objects, repeat=2)
                  if rng.random() < 0.7]
         states.append((atoms, fluents))
-    thresholds = unsat = 0
+    thresholds = unsat = keyed = 0
     for name, sides in shapes.items():
         for touched in (False, True):
             effects = tuple(NumericEffect(t, "+=", Constant(1.0))
@@ -614,7 +614,35 @@ def test_constraint_shapes_match_reference():
                     plan = task_statics(task).plan(schema, numeric=True, record=False)
                     rules = plan.unary + [r for pair in plan.pairs for r in pair[2:5]]
                     thresholds += any(r is not None and r.thresholds for r in rules)
+                    # a threshold whose table is keyed by a bound variable
+                    keyed += any(r is not None and any(table.keys for *_, table in r.thresholds)
+                                 for r in rules)
     assert thresholds > 100 and unsat > 100
+    assert keyed > 0
+
+
+def test_a_dropped_task_is_freed_without_the_cycle_collector():
+    # `TaskStatics` holds no reference to the task, and nothing it keeps (its
+    # plans, their compiled rows and clique-search checks, its tables) holds
+    # one back to it, so reference counting alone frees them with the task.
+    import gc
+    import weakref
+
+    from conftest import load_bundled
+    from lnplan import search, successors
+
+    gc.disable()
+    try:
+        for name in ("delivery", "relay", "watering"):
+            for strategy in successors.STRATEGIES:
+                task = load_bundled(name)
+                search.solve(task, successors.GeneratorConfig(strategy=strategy),
+                             search.Limits(nodes=50))
+                statics = weakref.ref(task_statics(task))
+                del task
+                assert statics() is None, (name, strategy)
+    finally:
+        gc.enable()
 
 
 def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch):
