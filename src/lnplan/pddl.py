@@ -8,12 +8,24 @@ typed objects contribute initial atoms for the type and all its ancestors.
 Object equality (= over two bare names) is mapped to the built-in "="
 predicate. The :metric section is parsed and recorded but ignored by search.
 
-The text is split into tokens by one regular expression: parentheses, words
-(runs of anything but whitespace, parentheses and ';'), ';' comments to the
-end of the line, and line ends. A column counts characters, so a tab or a \\r
-is one column. Each construct has one routine: the (define (WHAT NAME) ...)
-header, (name ?x - t ...) declarations of predicates and functions, and
-(name term ...) applications of both.
+Reading builds no object per token but the token's text. One regular
+expression splits the lowercased text into tokens: parentheses, words (runs
+of anything but whitespace, parentheses and ';') and ';' comments to the end
+of the line, which are dropped. One loop with an explicit stack nests the
+tokens into ListNodes, lists of token strings and ListNodes, each of which
+records the index of its '(' among the tokens. A form nested deeper than
+MAX_DEPTH levels is an error. Offsets and spans are built only for an
+error: the text is scanned again for the offset of each token, and the
+line and column of the one at fault are counted from the line ends before
+it. A column counts the characters of the text as written, so a tab, a \\r
+or a character whose lowercase is longer (such as 'İ') is one column.
+
+Each construct has one routine: the (define (WHAT NAME) ...) header, (name
+?x - t ...) declarations of predicates and functions, and (name term ...)
+applications of both. A token is addressed by its list and index, which is
+where an error finds its span. A plain ground atom in :init, the bulk of a
+large problem, is read in one step; any other entry goes through these
+routines.
 
 A type must be declared in :types before a declaration, parameter or
 object uses it. A :types entry that would make a type its own ancestor, a
@@ -66,9 +78,14 @@ SUPPORTED_REQUIREMENTS = (
 
 ROOT_TYPE = "object"
 
+# the deepest nesting of forms that is read; far above any real domain, and
+# low enough that the recursive routines below stay within Python's stack
+MAX_DEPTH = 256
+
 _NUMBER_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
-_TOKEN_RE = re.compile(r"([()]|[^ \t\r\n();]+)|(\n)|;[^\n]*")
+# a token in the group, or a comment, which has none
+_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 _EFFECT_HEADS = {
     "increase": INCREASE,
@@ -86,6 +103,11 @@ class SourceSpan(NamedTuple):
     line: int
     col: int
 
+    @classmethod
+    def at(cls, file: str, text: str, offset: int) -> SourceSpan:
+        """The span of the character at `offset` of `text`; only '\\n' ends a line."""
+        return cls(file, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
 
@@ -97,62 +119,85 @@ class ParseError(Exception):
         self.message = message
 
 
-class TokenNode(NamedTuple):  # one per token, so a plain tuple: cheap to build
+def tokenize(text: str) -> list[str]:
+    """The text's tokens, lowercased; comments are dropped."""
+    # the whole text lowers to each token's own lowercase: no character lowers
+    # into a delimiter, and no delimiter lets a context-dependent lowercase
+    # (final sigma) see past it
+    tokens = _TOKEN_RE.findall(text.lower())
+    return list(filter(None, tokens)) if ";" in text else tokens
+
+
+def token_offsets(text: str) -> list[int]:
+    """The character offset in `text` of each token of `tokenize(text)`."""
+    return [m.start() for m in _TOKEN_RE.finditer(text) if m.lastindex]
+
+
+class _Source(NamedTuple):
+    """A text being read; it places a token only when an error needs that."""
+
     text: str
-    span: SourceSpan
+    file: str
+
+    def span(self, token: int) -> SourceSpan:
+        """The span of the token with this index in `tokenize(text)`."""
+        return SourceSpan.at(self.file, self.text, token_offsets(self.text)[token])
 
 
 class ListNode(list):
-    __slots__ = ("span",)
+    """A parenthesized form: a list of token strings and forms. `start` is
+    the index of its '(' among the tokens of `source`."""
 
-    def __init__(self, items, span):
-        super().__init__(items)
-        self.span = span
+    __slots__ = ("start", "source")
+    # by identity, so that looking a form up among names misses
+    __hash__ = object.__hash__
 
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start)
 
-Node = Union[TokenNode, ListNode]
-
-
-def tokenize(text: str, filename: str) -> list[TokenNode]:
-    tokens: list[TokenNode] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 1:
-            col = m.start() - line_start + 1
-            tokens.append(TokenNode(m.group(1).lower(), SourceSpan(filename, line, col)))
-        elif m.lastindex == 2:
-            line += 1
-            line_start = m.end()
-    return tokens
+    def at(self, i: int) -> SourceSpan:
+        """The span of item i, a token or a form."""
+        item = self[i]
+        if isinstance(item, ListNode):
+            return item.span
+        return self.source.span(self.start + 1 + sum(map(_token_count, self[:i])))
 
 
-def read_forms(text: str, filename: str) -> list[Node]:
-    tokens = tokenize(text, filename)
-    forms: list[Node] = []
-    pos = 0
-    while pos < len(tokens):
-        form, pos = _read_form(tokens, pos)
-        forms.append(form)
+def _token_count(node: Node) -> int:
+    return 2 + sum(map(_token_count, node)) if isinstance(node, ListNode) else 1
+
+
+Node = Union[str, ListNode]
+
+
+def read_forms(text: str, filename: str) -> ListNode:
+    """The text's top-level forms (and stray tokens), as the items of one
+    ListNode that has no parentheses of its own."""
+    # the nodes share `source` and hold nothing that refers back to them, so
+    # a dropped parse is freed without the cycle collector
+    source = _Source(text, filename)
+    forms = items = ListNode()
+    forms.start, forms.source = -1, source
+    stack = []
+    for i, token in enumerate(tokenize(text)):
+        if token == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(source.span(i), f"forms nested deeper than {MAX_DEPTH} levels")
+            node = ListNode()
+            node.start, node.source = i, source
+            items.append(node)
+            stack.append(items)
+            items = node
+        elif token == ")":
+            if not stack:
+                raise ParseError(source.span(i), "unexpected ')'")
+            items = stack.pop()
+        else:
+            items.append(token)
+    if stack:  # `items` is the innermost form left open
+        raise ParseError(items.span, "unbalanced parenthesis: missing ')'")
     return forms
-
-
-def _read_form(tokens: list[TokenNode], pos: int) -> tuple[Node, int]:
-    # module-level rather than a closure, which would keep the token list in a
-    # reference cycle after the parse
-    tok = tokens[pos]
-    if tok.text == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError(tok.span, "unbalanced parenthesis: missing ')'")
-            if tokens[pos].text == ")":
-                return ListNode(items, tok.span), pos + 1
-            item, pos = _read_form(tokens, pos)
-            items.append(item)
-    if tok.text == ")":
-        raise ParseError(tok.span, "unexpected ')'")
-    return tok, pos + 1
 
 
 def _define(text: str, filename: str, what: str) -> tuple[ListNode, str]:
@@ -161,25 +206,25 @@ def _define(text: str, filename: str, what: str) -> tuple[ListNode, str]:
     if not forms:
         raise ParseError(SourceSpan(filename, 1, 1), f"empty {what} file")
     if len(forms) > 1:
-        raise ParseError(forms[1].span, f"expected a single {what} definition")
+        raise ParseError(forms.at(1), f"expected a single {what} definition")
     form = forms[0]
     if not isinstance(form, ListNode):
-        raise ParseError(form.span, f"expected a {what} definition list")
+        raise ParseError(forms.at(0), f"expected a {what} definition list")
     if _head_text(form) != "define":
         raise ParseError(form.span, f"expected (define ({what} ...) ...)")
     if len(form) < 2 or _head_text(form[1]) != what or len(form[1]) != 2:
         raise ParseError(form.span, f"expected ({what} NAME) after define")
-    return form, _require_token(form[1][1], f"{what} name").text
+    return form, _require_token(form[1][1], f"{what} name")
 
 
 def _head_text(node: Node) -> Optional[str]:
-    if isinstance(node, ListNode) and node and isinstance(node[0], TokenNode):
-        return node[0].text
+    if isinstance(node, ListNode) and node and not isinstance(node[0], ListNode):
+        return node[0]
     return None
 
 
-def _require_token(node: Node, what: str) -> TokenNode:
-    if not isinstance(node, TokenNode):
+def _require_token(node: Node, what: str) -> str:
+    if isinstance(node, ListNode):
         raise ParseError(node.span, f"expected {what}")
     return node
 
@@ -188,40 +233,40 @@ def _is_number(text: str) -> bool:
     return bool(_NUMBER_RE.match(text))
 
 
-def _number(tok: TokenNode) -> float:
-    """The numeral's value; one that overflows to +-inf is out of range."""
-    value = float(tok.text)
+def _number(node: ListNode, i: int) -> float:
+    """The value of the numeral node[i]; one that overflows to +-inf is out of range."""
+    value = float(node[i])
     if math.isinf(value):
-        raise ParseError(tok.span, "number out of range")
+        raise ParseError(node.at(i), "number out of range")
     return value
 
 
-def _parse_typed_names(items: list[Node], what: str) -> list[tuple[TokenNode, str]]:
-    """Parse a PDDL typed list of names: a b - t c d  ->  [(a,t),(b,t),(c,object),...]."""
-    out: list[tuple[TokenNode, str]] = []
-    pending: list[TokenNode] = []
-    i = 0
-    while i < len(items):
-        tok = _require_token(items[i], f"{what} name")
-        if tok.text == "-":
+def _parse_typed_names(node: ListNode, first: int, what: str) -> list[tuple[int, str]]:
+    """Parse the PDDL typed list node[first:]: a b - t c  ->  [(a,t),(b,t),(c,object)],
+    each name given by its index in `node`."""
+    out: list[tuple[int, str]] = []
+    pending: list[int] = []
+    i = first
+    while i < len(node):
+        if _require_token(node[i], f"{what} name") == "-":
             if not pending:
-                raise ParseError(tok.span, "dangling '-' in typed list")
-            if i + 1 >= len(items):
-                raise ParseError(tok.span, "missing type name after '-'")
-            type_tok = _require_token(items[i + 1], "type name")
-            out.extend((p, type_tok.text) for p in pending)
+                raise ParseError(node.at(i), "dangling '-' in typed list")
+            if i + 1 >= len(node):
+                raise ParseError(node.at(i), "missing type name after '-'")
+            type_name = _require_token(node[i + 1], "type name")
+            out.extend((j, type_name) for j in pending)
             pending = []
             i += 2
         else:
-            pending.append(tok)
+            pending.append(i)
             i += 1
-    out.extend((p, ROOT_TYPE) for p in pending)
+    out.extend((j, ROOT_TYPE) for j in pending)
     return out
 
 
-def _require_type(types: dict, type_name: str, tok: TokenNode) -> None:
+def _require_type(types: dict, type_name: str, node: ListNode, i: int) -> None:
     if type_name != ROOT_TYPE and type_name not in types:
-        raise ParseError(tok.span, f"unknown type {type_name}")
+        raise ParseError(node.at(i), f"unknown type {type_name}")
 
 
 def _type_closure(types: dict, type_name: str) -> list[str]:
@@ -250,12 +295,13 @@ class Domain:
         return _type_closure(self.types, type_name)
 
 
-def _declare_predicate(predicates: dict, name: str, arity: int, span: SourceSpan) -> None:
+def _declare_predicate(predicates: dict, name: str, arity: int, node: ListNode, i: int) -> None:
+    """Declares the predicate; an error is placed at node[i]."""
     if name == EQUALITY_NAME:
-        raise ParseError(span, "predicate name '=' is reserved for built-in equality")
+        raise ParseError(node.at(i), "predicate name '=' is reserved for built-in equality")
     sym = predicates.setdefault(name, PredicateSymbol(name, arity))
     if sym.arity != arity:
-        raise ParseError(span, f"predicate {name} redeclared with arity {arity}, was {sym.arity}")
+        raise ParseError(node.at(i), f"predicate {name} redeclared with arity {arity}, was {sym.arity}")
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> Domain:
@@ -267,31 +313,33 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
     constant_types: dict[Object, str] = {}
     schemas: dict[str, ActionSchema] = {}
 
-    for section in form[2:]:
+    for k in range(2, len(form)):
+        section = form[k]
         head = _head_text(section)
         if head == ":requirements":
-            for req in section[1:]:
-                tok = _require_token(req, "requirement")
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise ParseError(tok.span, f"unsupported requirement {tok.text}")
+            for i in range(1, len(section)):
+                requirement = _require_token(section[i], "requirement")
+                if requirement not in SUPPORTED_REQUIREMENTS:
+                    raise ParseError(section.at(i), f"unsupported requirement {requirement}")
         elif head == ":types":
-            for name_tok, parent in _parse_typed_names(section[1:], "type"):
+            for i, parent in _parse_typed_names(section, 1, "type"):
+                type_name = section[i]
                 # the hierarchy is acyclic before this entry, so a cycle
                 # through it would pass through its own name
-                if name_tok.text in _type_closure(types, parent):
-                    raise ParseError(name_tok.span, f"type {name_tok.text} is its own ancestor")
-                types[name_tok.text] = parent if parent != ROOT_TYPE else None
+                if type_name in _type_closure(types, parent):
+                    raise ParseError(section.at(i), f"type {type_name} is its own ancestor")
+                types[type_name] = parent if parent != ROOT_TYPE else None
                 if parent != ROOT_TYPE and parent not in types:
                     types[parent] = None
             # every declared type doubles as a unary predicate
             for type_name in types:
-                _declare_predicate(predicates, type_name, 1, section.span)
+                _declare_predicate(predicates, type_name, 1, form, k)
         elif head == ":constants":
             _parse_object_decls(section, types, constants, constant_types)
         elif head == ":predicates":
-            for decl in section[1:]:
-                name_tok, arity = _declaration(decl, "predicate", types)
-                _declare_predicate(predicates, name_tok.text, arity, name_tok.span)
+            for i in range(1, len(section)):
+                decl, arity = _declaration(section, i, "predicate", types)
+                _declare_predicate(predicates, decl[0], arity, decl, 0)
         elif head == ":functions":
             _parse_function_decls(section, types, functions)
         elif head == ":action":
@@ -300,7 +348,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
                 raise ParseError(section.span, f"duplicate action name {schema.name}")
             schemas[schema.name] = schema
         elif head is None:
-            raise ParseError(section.span, "expected a domain section")
+            raise ParseError(form.at(k), "expected a domain section")
         else:
             raise ParseError(section.span, f"unsupported domain section {head}")
 
@@ -311,48 +359,48 @@ def parse_domain(text: str, filename: str = "<domain>") -> Domain:
 def _parse_object_decls(section: ListNode, types: dict, objects: dict, object_types: dict) -> None:
     """Adds the section's objects to `objects` (name -> Object) and the typed
     ones to `object_types`."""
-    for name_tok, type_name in _parse_typed_names(section[1:], "object"):
-        if name_tok.text.startswith("?"):
-            raise ParseError(name_tok.span, "object names must not start with '?'")
-        _require_type(types, type_name, name_tok)
-        if name_tok.text in objects:
-            raise ParseError(name_tok.span, f"duplicate object {name_tok.text}")
-        obj = objects[name_tok.text] = Object(name_tok.text)
+    for i, type_name in _parse_typed_names(section, 1, "object"):
+        name = section[i]
+        if name.startswith("?"):
+            raise ParseError(section.at(i), "object names must not start with '?'")
+        _require_type(types, type_name, section, i)
+        if name in objects:
+            raise ParseError(section.at(i), f"duplicate object {name}")
+        obj = objects[name] = Object(name)
         if type_name != ROOT_TYPE:
             object_types[obj] = type_name
 
 
-def _declaration(decl: Node, kind: str, types: dict) -> tuple[TokenNode, int]:
-    """A (name ?x - t ...) declaration of a predicate or function: its name
-    token and its arity."""
+def _declaration(node: ListNode, i: int, kind: str, types: dict) -> tuple[ListNode, int]:
+    """The (name ?x - t ...) declaration node[i] of a predicate or function,
+    its name checked to be a token, and its arity."""
+    decl = node[i]
     if not isinstance(decl, ListNode) or not decl:
-        raise ParseError(decl.span, f"expected a {kind} declaration")
-    name_tok = _require_token(decl[0], f"{kind} name")
-    args = _parse_typed_names(decl[1:], "parameter")
-    for arg_tok, type_name in args:
-        if not arg_tok.text.startswith("?"):
-            raise ParseError(arg_tok.span, f"{kind} parameters must be variables")
-        _require_type(types, type_name, arg_tok)
-    return name_tok, len(args)
+        raise ParseError(node.at(i), f"expected a {kind} declaration")
+    _require_token(decl[0], f"{kind} name")
+    args = _parse_typed_names(decl, 1, "parameter")
+    for j, type_name in args:
+        if not decl[j].startswith("?"):
+            raise ParseError(decl.at(j), f"{kind} parameters must be variables")
+        _require_type(types, type_name, decl, j)
+    return decl, len(args)
 
 
 def _parse_function_decls(section: ListNode, types: dict, functions: dict) -> None:
     i = 1
     while i < len(section):
-        decl = section[i]
-        if isinstance(decl, TokenNode) and decl.text == "-":
+        if section[i] == "-":
             # trailing "- number" group type; accept and skip
             if i + 1 >= len(section):
-                raise ParseError(decl.span, "missing type after '-'")
-            type_tok = _require_token(section[i + 1], "type name")
-            if type_tok.text != "number":
-                raise ParseError(type_tok.span, "functions must map to type 'number'")
+                raise ParseError(section.at(i), "missing type after '-'")
+            if _require_token(section[i + 1], "type name") != "number":
+                raise ParseError(section.at(i + 1), "functions must map to type 'number'")
             i += 2
             continue
-        name_tok, arity = _declaration(decl, "function", types)
-        sym = functions.setdefault(name_tok.text, FunctionSymbol(name_tok.text, arity))
+        decl, arity = _declaration(section, i, "function", types)
+        sym = functions.setdefault(decl[0], FunctionSymbol(decl[0], arity))
         if sym.arity != arity:
-            raise ParseError(name_tok.span, f"function {sym.name} redeclared with different arity")
+            raise ParseError(decl.at(0), f"function {sym.name} redeclared with different arity")
         i += 1
 
 
@@ -367,33 +415,35 @@ class _Scope:
         self.objects = objects
         self.variables = variables
 
-    def term(self, tok: TokenNode) -> Term:
-        if tok.text.startswith("?"):
+    def term(self, node: ListNode, i: int) -> Term:
+        name = _require_token(node[i], "term")
+        if name.startswith("?"):
             if self.variables is None:
-                raise ParseError(tok.span, f"variable {tok.text} not allowed here; element must be ground")
-            var = self.variables.get(tok.text)
+                raise ParseError(node.at(i), f"variable {name} not allowed here; element must be ground")
+            var = self.variables.get(name)
             if var is None:
-                raise ParseError(tok.span, f"variable {tok.text} is not a parameter")
+                raise ParseError(node.at(i), f"variable {name} is not a parameter")
             return var
-        obj = self.objects.get(tok.text)
+        obj = self.objects.get(name)
         if obj is None:
-            raise ParseError(tok.span, f"unknown object {tok.text}")
+            raise ParseError(node.at(i), f"unknown object {name}")
         return obj
 
-    def terms(self, nodes: list[Node]) -> tuple[Term, ...]:
-        return tuple(self.term(_require_token(t, "term")) for t in nodes)
+    def terms(self, node: ListNode) -> tuple[Term, ...]:
+        """The arguments node[1:] of an application."""
+        return tuple([self.term(node, i) for i in range(1, len(node))])
 
 
 def _application(node: ListNode, scope: _Scope, symbols: dict, kind: str) -> tuple:
     """A (name term ...) application of a predicate or function: the symbol
     and the resolved terms."""
-    name_tok = _require_token(node[0], f"{kind} name")
-    sym = symbols.get(name_tok.text)
+    name = _require_token(node[0], f"{kind} name")
+    sym = symbols.get(name)
     if sym is None:
-        raise ParseError(name_tok.span, f"unknown {kind} {name_tok.text}")
-    args = scope.terms(node[1:])
+        raise ParseError(node.at(0), f"unknown {kind} {name}")
+    args = scope.terms(node)
     if sym.arity != len(args):
-        raise ParseError(name_tok.span, f"{kind} {sym.name} expects {sym.arity} arguments, got {len(args)}")
+        raise ParseError(node.at(0), f"{kind} {sym.name} expects {sym.arity} arguments, got {len(args)}")
     return sym, args
 
 
@@ -401,9 +451,9 @@ def _parse_atom(node: ListNode, scope: _Scope) -> Atom:
     if not node:
         raise ParseError(node.span, "expected an atom")
     if _head_text(node) == EQUALITY_NAME:
-        args = scope.terms(node[1:])
+        args = scope.terms(node)
         if len(args) != 2:
-            raise ParseError(node[0].span, "equality takes exactly 2 arguments")
+            raise ParseError(node.at(0), "equality takes exactly 2 arguments")
         return Atom(EQUALITY, args)
     return Atom(*_application(node, scope, scope.predicates, "predicate"))
 
@@ -414,31 +464,33 @@ def _parse_function_term(node: ListNode, scope: _Scope) -> FunctionTerm:
     return FunctionTerm(*_application(node, scope, scope.functions, "function"))
 
 
-def _parse_expr(node: Node, scope: _Scope) -> Expr:
-    if isinstance(node, TokenNode):
-        if _is_number(node.text):
-            return Constant(_number(node))
-        raise ParseError(node.span, f"expected a number or function term, got {node.text!r}")
+def _parse_expr(parent: ListNode, i: int, scope: _Scope) -> Expr:
+    """The expression parent[i]."""
+    node = parent[i]
+    if not isinstance(node, ListNode):
+        if _is_number(node):
+            return Constant(_number(parent, i))
+        raise ParseError(parent.at(i), f"expected a number or function term, got {node!r}")
     if not node:
         raise ParseError(node.span, "empty expression")
     head = _require_token(node[0], "expression head")
-    if head.text in ("+", "*"):
+    if head in ("+", "*"):
         if len(node) < 3:
-            raise ParseError(head.span, f"operator {head.text} needs at least 2 operands")
-        expr = _parse_expr(node[1], scope)
-        for operand in node[2:]:
-            expr = BinaryExpr(head.text, expr, _parse_expr(operand, scope))
+            raise ParseError(node.at(0), f"operator {head} needs at least 2 operands")
+        expr = _parse_expr(node, 1, scope)
+        for j in range(2, len(node)):
+            expr = BinaryExpr(head, expr, _parse_expr(node, j, scope))
         return expr
-    if head.text == "-":
+    if head == "-":
         if len(node) == 2:  # unary minus
-            return BinaryExpr("-", Constant(0.0), _parse_expr(node[1], scope))
+            return BinaryExpr("-", Constant(0.0), _parse_expr(node, 1, scope))
         if len(node) != 3:
-            raise ParseError(head.span, "operator - takes 1 or 2 operands")
-        return BinaryExpr("-", _parse_expr(node[1], scope), _parse_expr(node[2], scope))
-    if head.text == "/":
+            raise ParseError(node.at(0), "operator - takes 1 or 2 operands")
+        return BinaryExpr("-", _parse_expr(node, 1, scope), _parse_expr(node, 2, scope))
+    if head == "/":
         if len(node) != 3:
-            raise ParseError(head.span, "operator / takes exactly 2 operands")
-        return BinaryExpr("/", _parse_expr(node[1], scope), _parse_expr(node[2], scope))
+            raise ParseError(node.at(0), "operator / takes exactly 2 operands")
+        return BinaryExpr("/", _parse_expr(node, 1, scope), _parse_expr(node, 2, scope))
     return _parse_function_term(node, scope)
 
 
@@ -448,55 +500,57 @@ def _is_constraint(node: ListNode) -> bool:
     head = _head_text(node)
     return head in _COMPARISONS and not (
         head == EQUALITY_NAME and len(node) == 3
-        and all(isinstance(t, TokenNode) and not _is_number(t.text) for t in node[1:]))
+        and all(not isinstance(t, ListNode) and not _is_number(t) for t in node[1:]))
 
 
-def _parse_condition(node: Node, scope: _Scope, literals: list, constraints: list) -> None:
+def _parse_condition(parent: ListNode, i: int, scope: _Scope, literals: list, constraints: list) -> None:
+    """Adds the literals and constraints of the condition parent[i]."""
+    node = parent[i]
     if not isinstance(node, ListNode) or not node:
-        raise ParseError(node.span, "expected a condition")
+        raise ParseError(parent.at(i), "expected a condition")
     head = _require_token(node[0], "condition head")
-    if head.text == "and":
-        for sub in node[1:]:
-            _parse_condition(sub, scope, literals, constraints)
+    if head == "and":
+        for j in range(1, len(node)):
+            _parse_condition(node, j, scope, literals, constraints)
         return
-    if head.text == "not":
+    if head == "not":
         if len(node) != 2 or not isinstance(node[1], ListNode):
-            raise ParseError(head.span, "'not' takes a single atom")
+            raise ParseError(node.at(0), "'not' takes a single atom")
         if _is_constraint(node[1]):
-            raise ParseError(node[1][0].span, "negated numeric constraints are not supported")
+            raise ParseError(node[1].at(0), "negated numeric constraints are not supported")
         literals.append(Literal(_parse_atom(node[1], scope), positive=False))
         return
     if _is_constraint(node):
         if len(node) != 3:
-            raise ParseError(head.span, f"comparison {head.text} takes exactly 2 operands")
-        constraints.append(NumericConstraint(_parse_expr(node[1], scope), head.text,
-                                             _parse_expr(node[2], scope)))
+            raise ParseError(node.at(0), f"comparison {head} takes exactly 2 operands")
+        constraints.append(NumericConstraint(_parse_expr(node, 1, scope), head,
+                                             _parse_expr(node, 2, scope)))
         return
     literals.append(Literal(_parse_atom(node, scope), positive=True))
 
 
-def _parse_effects(node: Node, scope: _Scope, literals: list, numeric: list) -> None:
+def _parse_effects(parent: ListNode, i: int, scope: _Scope, literals: list, numeric: list) -> None:
+    """Adds the literal and numeric effects of the effect parent[i]."""
+    node = parent[i]
     if not isinstance(node, ListNode) or not node:
-        raise ParseError(node.span, "expected an effect")
+        raise ParseError(parent.at(i), "expected an effect")
     head = _require_token(node[0], "effect head")
-    if head.text == "and":
-        for sub in node[1:]:
-            _parse_effects(sub, scope, literals, numeric)
+    if head == "and":
+        for j in range(1, len(node)):
+            _parse_effects(node, j, scope, literals, numeric)
         return
-    if head.text in _EFFECT_HEADS:
+    if head in _EFFECT_HEADS:
         if len(node) != 3 or not isinstance(node[1], ListNode):
-            raise ParseError(head.span, f"{head.text} takes a function term and an expression")
+            raise ParseError(node.at(0), f"{head} takes a function term and an expression")
         target = _parse_function_term(node[1], scope)
-        numeric.append(NumericEffect(target, _EFFECT_HEADS[head.text], _parse_expr(node[2], scope)))
+        numeric.append(NumericEffect(target, _EFFECT_HEADS[head], _parse_expr(node, 2, scope)))
         return
-    positive = head.text != "not"
-    if not positive:
-        if len(node) != 2 or not isinstance(node[1], ListNode):
-            raise ParseError(head.span, "'not' takes a single atom")
-        node = node[1]
-    atom = _parse_atom(node, scope)
+    positive = head != "not"
+    if not positive and (len(node) != 2 or not isinstance(node[1], ListNode)):
+        raise ParseError(node.at(0), "'not' takes a single atom")
+    atom = _parse_atom(node if positive else node[1], scope)
     if atom.predicate.name == EQUALITY_NAME:
-        raise ParseError(head.span, "built-in equality cannot appear in effects")
+        raise ParseError(node.at(0), "built-in equality cannot appear in effects")
     literals.append(Literal(atom, positive))
 
 
@@ -504,32 +558,33 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
                   constants: dict) -> ActionSchema:
     if len(section) < 2:
         raise ParseError(section.span, "action needs a name")
-    name_tok = _require_token(section[1], "action name")
-    fields: dict[str, Node] = {}
+    name = _require_token(section[1], "action name")
+    fields: dict[str, int] = {}  # keyword -> index of its value in `section`
     for i in range(2, len(section), 2):
         key = _require_token(section[i], "action keyword")
-        if key.text not in (":parameters", ":precondition", ":effect"):
-            raise ParseError(key.span, f"unsupported action keyword {key.text}")
+        if key not in (":parameters", ":precondition", ":effect"):
+            raise ParseError(section.at(i), f"unsupported action keyword {key}")
         if i + 1 >= len(section):
-            raise ParseError(key.span, f"missing value for {key.text}")
-        if key.text in fields:
-            raise ParseError(key.span, f"duplicate {key.text}")
-        fields[key.text] = section[i + 1]
+            raise ParseError(section.at(i), f"missing value for {key}")
+        if key in fields:
+            raise ParseError(section.at(i), f"duplicate {key}")
+        fields[key] = i + 1
 
-    params_node = fields.get(":parameters")
+    params_node = section[fields[":parameters"]] if ":parameters" in fields else None
     if not isinstance(params_node, ListNode):
-        raise ParseError(name_tok.span, "action requires a :parameters list")
+        raise ParseError(section.at(1), "action requires a :parameters list")
     params: list[Variable] = []
     pre_literals: list[Literal] = []  # each typed parameter's type literal first
     variables: dict[str, Variable] = {}
-    for var_tok, type_name in _parse_typed_names(params_node, "parameter"):
-        if not var_tok.text.startswith("?"):
-            raise ParseError(var_tok.span, "parameters must be variables starting with '?'")
-        if var_tok.text in variables:
-            raise ParseError(var_tok.span, f"duplicate parameter {var_tok.text}")
-        _require_type(types, type_name, var_tok)
-        var = Variable(var_tok.text)
-        variables[var_tok.text] = var
+    for i, type_name in _parse_typed_names(params_node, 0, "parameter"):
+        var_name = params_node[i]
+        if not var_name.startswith("?"):
+            raise ParseError(params_node.at(i), "parameters must be variables starting with '?'")
+        if var_name in variables:
+            raise ParseError(params_node.at(i), f"duplicate parameter {var_name}")
+        _require_type(types, type_name, params_node, i)
+        var = Variable(var_name)
+        variables[var_name] = var
         params.append(var)
         if type_name != ROOT_TYPE:
             pre_literals.append(Literal(Atom(predicates[type_name], (var,)), positive=True))
@@ -540,14 +595,14 @@ def _parse_action(section: ListNode, types: dict, predicates: dict, functions: d
     eff_numeric: list[NumericEffect] = []
     # an empty list () means an empty precondition or effect
     pre, eff = fields.get(":precondition"), fields.get(":effect")
-    if pre is not None and not (isinstance(pre, ListNode) and not pre):
-        _parse_condition(pre, scope, pre_literals, pre_constraints)
-    if eff is not None and not (isinstance(eff, ListNode) and not eff):
-        _parse_effects(eff, scope, eff_literals, eff_numeric)
+    if pre is not None and not (isinstance(section[pre], ListNode) and not section[pre]):
+        _parse_condition(section, pre, scope, pre_literals, pre_constraints)
+    if eff is not None and not (isinstance(section[eff], ListNode) and not section[eff]):
+        _parse_effects(section, eff, scope, eff_literals, eff_numeric)
 
     # the checks above cover ActionSchema's own (repeated and loose variables)
     return ActionSchema(
-        name=name_tok.text,
+        name=name,
         params=tuple(params),
         pre_literals=tuple(pre_literals),
         pre_constraints=tuple(pre_constraints),
@@ -568,14 +623,15 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     domain_named = False
 
     sections: dict[str, ListNode] = {}
-    for section in form[2:]:
+    for k in range(2, len(form)):
+        section = form[k]
         head = _head_text(section)
         if head == ":domain":
             if len(section) != 2:
                 raise ParseError(section.span, "expected (:domain NAME)")
-            name_tok = _require_token(section[1], "domain name")
-            if name_tok.text != domain.name:
-                raise ParseError(name_tok.span, f"problem requires domain {name_tok.text}, parsed domain is {domain.name}")
+            name = _require_token(section[1], "domain name")
+            if name != domain.name:
+                raise ParseError(section.at(1), f"problem requires domain {name}, parsed domain is {domain.name}")
             domain_named = True
         elif head == ":objects":
             _parse_object_decls(section, domain.types, objects, object_types)
@@ -584,7 +640,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
                 raise ParseError(section.span, f"duplicate {head} section")
             sections[head] = section  # parsed below, once objects are known
         elif head is None:
-            raise ParseError(section.span, "expected a problem section")
+            raise ParseError(form.at(k), "expected a problem section")
         else:
             raise ParseError(section.span, f"unsupported problem section {head}")
     if not domain_named:
@@ -593,23 +649,7 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     scope = _Scope({p.name: p for p in domain.predicates}, {f.name: f for f in domain.functions}, objects)
 
     if ":init" in sections:
-        for entry in sections[":init"][1:]:
-            if not isinstance(entry, ListNode) or not entry:
-                raise ParseError(entry.span, "expected an init entry")
-            head_tok = _require_token(entry[0], "init entry head")
-            if head_tok.text == EQUALITY_NAME and len(entry) == 3 and isinstance(entry[1], ListNode):
-                term = _parse_function_term(entry[1], scope)
-                value_tok = _require_token(entry[2], "fluent value")
-                if not _is_number(value_tok.text):
-                    raise ParseError(value_tok.span, "initial fluent values must be numeric constants")
-                if term in init_fluents:
-                    raise ParseError(head_tok.span, f"duplicate initial value for {term!r}")
-                init_fluents[term] = _number(value_tok)
-            else:
-                atom = _parse_atom(entry, scope)
-                if atom.predicate.name == EQUALITY_NAME:
-                    raise ParseError(head_tok.span, "built-in equality cannot be asserted in :init")
-                init_atoms.add(atom)
+        _parse_init(sections[":init"], scope, init_atoms, init_fluents)
 
     # typed objects contribute their type-closure atoms
     for obj, type_name in object_types.items():
@@ -620,16 +660,16 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
         goal_section = sections[":goal"]
         if len(goal_section) != 2:
             raise ParseError(goal_section.span, "goal takes a single condition")
-        _parse_condition(goal_section[1], scope, goal_literals, goal_constraints)
+        _parse_condition(goal_section, 1, scope, goal_literals, goal_constraints)
 
     if ":metric" in sections:
         m = sections[":metric"]
         if len(m) != 3:
             raise ParseError(m.span, "metric takes a direction and an expression")
-        direction = _require_token(m[1], "metric direction").text
+        direction = _require_token(m[1], "metric direction")
         if direction not in ("minimize", "maximize"):
-            raise ParseError(m[1].span, f"unknown metric direction {direction}")
-        metric = (direction, _parse_metric_expr(m[2], scope))
+            raise ParseError(m.at(1), f"unknown metric direction {direction}")
+        metric = (direction, _parse_metric_expr(m, 2, scope))
 
     return Task(
         domain_name=domain.name,
@@ -645,11 +685,43 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
     )
 
 
-def _parse_metric_expr(node: Node, scope: _Scope) -> Expr:
+def _parse_init(section: ListNode, scope: _Scope, atoms: set, fluents: dict) -> None:
+    """Adds the atoms and fluent values of the (:init ...) section."""
+    predicates, objects = scope.predicates, scope.objects
+    for i in range(1, len(section)):
+        entry = section[i]
+        # a ground atom in one step; on any miss (a name not found, an arity
+        # that does not match, '=', a form among the names) the routines below
+        # read the entry, and report its error if it has one
+        if isinstance(entry, ListNode) and entry:
+            sym = predicates.get(entry[0])
+            if sym is not None and sym.arity == len(entry) - 1:
+                args = tuple(map(objects.get, entry[1:]))
+                if None not in args:
+                    atoms.add(Atom(sym, args))
+                    continue
+        if not isinstance(entry, ListNode) or not entry:
+            raise ParseError(section.at(i), "expected an init entry")
+        head = _require_token(entry[0], "init entry head")
+        if head == EQUALITY_NAME and len(entry) == 3 and isinstance(entry[1], ListNode):
+            term = _parse_function_term(entry[1], scope)
+            if not _is_number(_require_token(entry[2], "fluent value")):
+                raise ParseError(entry.at(2), "initial fluent values must be numeric constants")
+            if term in fluents:
+                raise ParseError(entry.at(0), f"duplicate initial value for {term!r}")
+            fluents[term] = _number(entry, 2)
+        else:
+            atom = _parse_atom(entry, scope)
+            if atom.predicate.name == EQUALITY_NAME:
+                raise ParseError(entry.at(0), "built-in equality cannot be asserted in :init")
+            atoms.add(atom)
+
+
+def _parse_metric_expr(node: ListNode, i: int, scope: _Scope) -> Expr:
     # total-time is accepted as a conventional zero-cost placeholder
-    if isinstance(node, ListNode) and _head_text(node) == "total-time" and len(node) == 1:
+    if isinstance(node[i], ListNode) and _head_text(node[i]) == "total-time" and len(node[i]) == 1:
         return Constant(0.0)
-    return _parse_expr(node, scope)
+    return _parse_expr(node, i, scope)
 
 
 def parse_task(domain_text: str, problem_text: str,

@@ -6,6 +6,7 @@ import pytest
 from conftest import BUNDLED, domains_root, load_bundled
 
 from lnplan.cli import main
+from lnplan.pddl import MAX_DEPTH
 from lnplan.successors import ground_all
 
 
@@ -54,6 +55,17 @@ def test_parse_error_exit_30(tmp_path, capsys):
     assert code == 30
     err = capsys.readouterr().err
     assert "bad.pddl:1:" in err and "unsupported requirement" in err
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    # a precondition of 3,000 nested (and ...) forms: a file:line:col
+    # message and exit 30, not a RecursionError
+    domain = tmp_path / "deep.pddl"
+    head = "(define (domain d) (:predicates (p)) (:action a :parameters () :precondition "
+    domain.write_text(head + "(and " * 3000 + "(p)" + ")" * 3000 + "))")
+    assert main(["check-exactness", "--domain", str(domain)]) == 30
+    col = len(head) + len("(and ") * (MAX_DEPTH - 2) + 1  # the form at depth MAX_DEPTH + 1
+    assert capsys.readouterr().err == f"{domain}:1:{col}: forms nested deeper than {MAX_DEPTH} levels\n"
 
 
 @pytest.mark.parametrize("domain_text, problem_text", [

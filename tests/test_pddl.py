@@ -1,3 +1,6 @@
+import gc
+
+import parse_fixture
 import pytest
 
 from lnplan.model import (
@@ -11,10 +14,13 @@ from lnplan.model import (
     Variable,
 )
 from lnplan.pddl import (
+    MAX_DEPTH,
     ParseError,
+    SourceSpan,
     parse_domain,
     parse_problem,
     parse_task,
+    token_offsets,
     tokenize,
     write_domain,
     write_problem,
@@ -480,13 +486,106 @@ def test_error_position_after_tabs_crlf_and_comments(lead, col):
 def test_tokenize_texts_and_spans():
     # lower-cased texts; a comment runs to the line end, a \r is one column
     text = "(Define ;; (not a token)\r\n  (P ?X)); tail\r\n\t42 -1.5e3\n"
-    got = [(tok.text, str(tok.span)) for tok in tokenize(text, "t.pddl")]
+    tokens, offsets = tokenize(text), token_offsets(text)
+    assert len(tokens) == len(offsets)
+    got = [(token, str(SourceSpan.at("t.pddl", text, offset))) for token, offset in zip(tokens, offsets)]
     assert got == [("(", "t.pddl:1:1"), ("define", "t.pddl:1:2"),
                    ("(", "t.pddl:2:3"), ("p", "t.pddl:2:4"), ("?x", "t.pddl:2:6"),
                    (")", "t.pddl:2:8"), (")", "t.pddl:2:9"),
                    ("42", "t.pddl:3:2"), ("-1.5e3", "t.pddl:3:5")]
-    span = tokenize(text, "t.pddl")[1].span
+    span = SourceSpan.at("t.pddl", text, offsets[1])
     assert (span.file, span.line, span.col) == ("t.pddl", 1, 2)
+
+
+def test_column_counts_characters_as_written():
+    # 'İ' lowers to two code points; the columns after it count it once
+    text = ("(define (domain İd) (:predicates (p)) "
+            "(:action a :parameters () :precondition (q) :effect ()))")
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, "d.pddl")
+    assert str(err.value) == "d.pddl:1:80: unknown predicate q"
+    # lowering the whole text gives each token's own lowercase, final sigma too
+    assert tokenize("(Domain İd (ΑΣ) ΑΣ;c\nΑΣΑ)") == [
+        "(", "domain", "i\u0307d", "(", "ας", ")", "ας", "ασα", ")"]
+
+
+_SPAN_DOMAIN = "(define (domain d){0}(:predicates (p)){0}(:action a :parameters () :precondition (@q) :effect ()))"
+
+
+# (text with '@' where the error's span must point, message)
+SPAN_EDGES = [
+    pytest.param(_SPAN_DOMAIN.format("\r"), "unknown predicate q", id="lone-cr"),
+    pytest.param(_SPAN_DOMAIN.format("\r\n\t"), "unknown predicate q", id="crlf-tab"),
+    pytest.param(_SPAN_DOMAIN.format("\t\t"), "unknown predicate q", id="tabs"),
+    pytest.param("@(define (domain d) (:predicates (p ?x)) ; no newline at the end",
+                 "unbalanced parenthesis: missing ')'", id="comment-at-eof"),
+    pytest.param("@x", "expected a domain definition list", id="first-character"),
+    pytest.param("(define (domain d)) @x", "expected a single domain definition", id="last-character"),
+    pytest.param("(define (domain d))@)", "unexpected ')'", id="last-character-close"),
+    pytest.param("(define (domain d)\n (:action a :parameters (?x)\n  :precondition @(and (p ?x) (not (p ?x))",
+                 "unbalanced parenthesis: missing ')'", id="innermost-open"),
+]
+
+
+@pytest.mark.parametrize("marked, message", SPAN_EDGES)
+def test_span_edge_cases(marked, message):
+    before, after = marked.split("@")
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    with pytest.raises(ParseError) as err:
+        parse_domain(before + after, "d.pddl")
+    assert str(err.value) == f"d.pddl:{line}:{col}: {message}"
+
+
+def test_comment_at_eof_without_newline():
+    domain = parse_domain("(define (domain d) (:predicates (p))) ; no newline")
+    assert [p.name for p in domain.predicates] == ["p"]
+
+
+def _nested(depth: int) -> str:
+    """A domain whose precondition nests forms `depth` levels deep."""
+    ands = depth - 3  # (define, (:action and the innermost (p) make three
+    return ("(define (domain d) (:predicates (p)) (:action a :parameters () :precondition "
+            + "(and " * ands + "(p)" + ")" * ands + "))")
+
+
+def test_nesting_up_to_the_limit_parses():
+    schema, = parse_domain(_nested(MAX_DEPTH)).schemas
+    assert repr(schema.pre_literals) == "((p),)"
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_nesting_past_the_limit_is_a_parse_error(depth):
+    text = _nested(depth)
+    # the '(' that opens the first form past the limit; the first (and is at depth 3
+    offset = text.index("(and") + len("(and ") * (MAX_DEPTH + 1 - 3)
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, "d.pddl")
+    assert str(err.value) == f"d.pddl:1:{offset + 1}: forms nested deeper than {MAX_DEPTH} levels"
+
+
+def test_parsing_leaves_no_reference_cycles():
+    # a dropped task and a caught error are freed by reference counts alone,
+    # so a parse never waits for the cycle collector
+    family = parse_fixture.families.relay(101, **parse_fixture.WORKLOADS["relay-wide"].knobs)
+    bad = [family.domain.replace("(link ?r ?a ?b) (>=", "(link ?r ?a ?nowhere) (>="),
+           _nested(3000), family.domain[:-5]]
+    gc.collect()
+    gc.disable()
+    try:
+        task = parse_task(family.domain, family.problem, "d.pddl", "p.pddl")
+        del task
+        assert gc.collect() == 0
+        for text in bad:
+            try:
+                parse_task(text, family.problem, "d.pddl", "p.pddl")
+            except ParseError as err:
+                assert "d.pddl:" in str(err)
+            else:
+                raise AssertionError("no ParseError")
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _action(tail: str) -> str:
