@@ -149,7 +149,7 @@ class ListNode(list):
     the index of its '(' among the tokens of `source`."""
 
     __slots__ = ("start", "source")
-    # by identity, so that looking a form up among names misses
+    # by identity, so that looking a form up among names misses instead of raising
     __hash__ = object.__hash__
 
     @property
@@ -717,11 +717,11 @@ def _parse_init(section: ListNode, scope: _Scope, atoms: set, fluents: dict) -> 
             atoms.add(atom)
 
 
-def _parse_metric_expr(node: ListNode, i: int, scope: _Scope) -> Expr:
+def _parse_metric_expr(parent: ListNode, i: int, scope: _Scope) -> Expr:
     # total-time is accepted as a conventional zero-cost placeholder
-    if isinstance(node[i], ListNode) and _head_text(node[i]) == "total-time" and len(node[i]) == 1:
+    if _head_text(parent[i]) == "total-time" and len(parent[i]) == 1:
         return Constant(0.0)
-    return _parse_expr(node, i, scope)
+    return _parse_expr(parent, i, scope)
 
 
 def parse_task(domain_text: str, problem_text: str,
