@@ -43,13 +43,19 @@ alive mask per partition and, per partition pair, a static row per object
 plus its transpose. The alive masks are then made arc-consistent over the
 static rows (Mackworth 1977): a vertex whose row meets no alive vertex of
 the pair's other partition is in no clique, so it is dropped, until no mask
-changes. Per state the atom index takes the static predicates' buckets from
-the index of the static part and indexes the state's own atoms, range
-tables are built only for the state's own fluents, and only dynamic
-elements are evaluated, on the vertices and pairs the static masks leave
-alive. A partition pair without dynamic elements costs bit operations only.
-`static_graph` builds a schema's graph from its plan alone, with no state,
-for the grounded store to join.
+changes. The plan also keeps the edges of every pair without dynamic
+elements, on those masks, once per task. Per state the atom index takes the
+static predicates' buckets from the index of the static part and indexes
+the state's own atoms, range tables are built only for the state's own
+fluents, and only dynamic elements are evaluated, on the vertices and pairs
+the static masks leave alive: the alive masks, each pair's single-variable
+rules, which narrow the clique search's pools, and the rows of the pairs
+with dynamic elements, in the direction the search reads them. A pair
+without dynamic elements costs nothing per state. The full adjacency, the
+paper's graph, is built only when something reads it (a dump, an edge
+count), from those parts (`ConsistencyGraph`). `static_graph` builds a
+schema's graph from its plan alone, with no state, for the grounded store
+to join.
 
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
@@ -63,12 +69,13 @@ positions are fixed) and one AND. A constraint's sides are evaluated with
 `relaxed_eval` only as often as the row variables they hold require: a
 static side that holds neither the row's variable nor a bound one once per
 plan, a static side that holds the row's variable once per task and
-binding of the bound variables it holds (a `_Table` of `TaskStatics`), any
-other side without the row's variable once per row, and the rest once per
-object. When one side is a table and the other is fixed for the row, the
-constraint costs one threshold mask per row, read by bisection from the
-table's values sorted once per task and binding; otherwise the sides are
-compared per object the earlier rows leave.
+binding of the bound variables it holds, on the objects its range tables
+hold there (a `_Table` of `TaskStatics`), any other side without the row's
+variable once per row, and the rest once per object. When one side is a
+table and the other is fixed for the row, the constraint costs one
+threshold mask per row, read by bisection from the table's values sorted
+once per task and binding; otherwise the sides are compared per object the
+earlier rows leave.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
@@ -89,7 +96,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
-from .intervals import Interval, arith, compare, point
+from .intervals import EMPTY, Interval, arith, compare, point
 from .model import (
     Atom,
     ActionSchema,
@@ -266,10 +273,30 @@ def relaxed_unsat(constraint: NumericConstraint, binding: Mapping[Variable, Obje
 
 @dataclass
 class ConsistencyGraph:
+    """A schema's consistency graph: `alive` and `adjacency` are the paper's
+    graph, `pools` and `search_rows` what the clique search reads of it.
+
+    A graph given its adjacency is searched as it is. `build_graph` and
+    `static_graph` pass None instead and build only the search's part:
+      - `search_rows`, vertex id -> neighbor bitset: the plan's static edges,
+        built once per task, plus the rows of the pairs with dynamic rules,
+        built per state in the search direction. A vertex's row holds its
+        edges toward the partitions the search binds after the vertex's,
+        and may hold more;
+      - `pools`, the alive masks narrowed by each pair's single-variable
+        rules: a vertex they drop has no edge toward some partition, so it
+        is in no clique;
+      - `pair_masks`, per partition pair (p1, p2, a1, a2): the pair's edges
+        join each object of a1 in p1 to the objects of a2 in p2 that its
+        search row holds.
+    The adjacency is materialized from them on first read (by `has_edge`,
+    `edge_count`, `dump` or any other reader).
+    """
+
     schema: ActionSchema
     objects: tuple[Object, ...]
     alive: list[int]  # per-partition bitset over object indexes
-    adjacency: list[int]  # vertex id -> neighbor bitset; id = partition * n + object
+    adjacency: Optional[list[int]]  # vertex id -> neighbor bitset; id = partition * n + object
     empty: bool = False
     notes: list[str] = field(default_factory=list)
     exclusions: Optional[list[tuple]] = None
@@ -277,6 +304,34 @@ class ConsistencyGraph:
     # a function of its last partition and n_objects that gives the clique
     # search's check at that partition's depth, see `_Wide.narrowing`)
     wide: tuple[tuple[tuple[int, ...], Callable], ...] = ()
+    search_rows: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    pools: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    pair_masks: list[tuple[int, int, int, int]] = field(default_factory=list, repr=False,
+                                                        compare=False)
+
+    def __post_init__(self):
+        if self.adjacency is None:
+            del self.adjacency  # read through __getattr__
+        elif self.search_rows is None:
+            self.search_rows = self.adjacency
+        if self.pools is None:
+            self.pools = self.alive
+
+    def __getattr__(self, name: str):
+        # only a built graph's adjacency is ever missing
+        if name != "adjacency":
+            raise AttributeError(name)
+        n, rows = self.n_objects, self.search_rows
+        self.adjacency = adjacency = [0] * (self.k * n)
+        for p1, p2, a1, a2 in self.pair_masks:
+            off1, off2 = p1 * n, p2 * n
+            for oi in _bits(a1):
+                v = off1 + oi
+                row = rows[v] >> off2 & a2
+                adjacency[v] |= row << off2
+                for oj in _bits(row):
+                    adjacency[off2 + oj] |= 1 << v
+        return adjacency
 
     @property
     def k(self) -> int:
@@ -343,6 +398,12 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def search_order(alive: list[int]) -> list[int]:
+    """The partitions in the order the clique search binds them: ascending
+    alive count, then partition index."""
+    return sorted(range(len(alive)), key=lambda p: (alive[p].bit_count(), p))
 
 
 _Rule = tuple[str, object]  # (reason, element): the element refutes with the reason
@@ -443,23 +504,60 @@ class _Table:
     dropped task is still freed without the cycle collector."""
 
     def __init__(self, expr: Expr, var: Variable, keys: tuple[Variable, ...],
-                 objects: tuple[Object, ...], ranges: AssignmentCache):
+                 objects: tuple[Object, ...], index_of: Mapping[Object, int],
+                 ranges: AssignmentCache):
         self.expr, self.var, self.keys = expr, var, keys
-        self.objects, self.ranges = objects, ranges
+        self.objects, self.index_of, self.ranges = objects, index_of, ranges
         self._values: dict[tuple, list[Interval]] = {}
         self._conditions: dict[tuple, list[tuple]] = {}
 
     def values(self, binding: Mapping[Variable, Object]) -> list[Interval]:
-        """The side's interval per object, with the keys bound as in `binding`."""
+        """The side's interval per object, with the keys bound as in
+        `binding`: evaluated on the objects of `_support`, EMPTY elsewhere."""
         key = tuple(map(binding.__getitem__, self.keys))
         values = self._values.get(key)
         if values is None:
-            at, values = dict(zip(self.keys, key)), []
-            for obj in self.objects:
-                at[self.var] = obj
-                values.append(relaxed_eval(self.expr, at, self.ranges))
+            at, objects = dict(zip(self.keys, key)), self.objects
+            if self._support is None:
+                support = range(len(objects))
+            else:
+                slots, masks = self._support
+                support = _bits(masks.get(tuple(key[s] for s in slots), 0))
+            values = [EMPTY] * len(objects)
+            for oi in support:
+                at[self.var] = objects[oi]
+                values[oi] = relaxed_eval(self.expr, at, self.ranges)
             self._values[key] = values
         return values
+
+    @cached_property
+    def _support(self) -> Optional[tuple[tuple[int, ...], dict[tuple, int]]]:
+        """The objects whose value can be nonempty, per binding of the keys:
+        the side is EMPTY where one of its terms is, so those a term's range
+        table holds at `var` under the key. Given as (the indexes in `keys`
+        of the keys that term's lookup fixes, their objects -> object mask);
+        None when no term's lookup fixes `var`."""
+        for term in function_terms(self.expr):
+            # the positions relaxed_eval looks up, with the keys and `var` bound
+            kept = [i for i, arg in enumerate(term.args)
+                    if type(arg) is Object or arg == self.var or arg in self.keys][:DEGREE]
+            args = [term.args[i] for i in kept]
+            if self.var in args:
+                break
+        else:
+            return None
+        slots = tuple(sorted({self.keys.index(arg) for arg in args if arg in self.keys}))
+        masks: dict[tuple, int] = defaultdict(int)
+        for entry in self.ranges.get(term.function).table:
+            if [i for i, _ in entry] != kept:
+                continue
+            at: dict = {}
+            if all(obj == arg if type(arg) is Object else at.setdefault(arg, obj) == obj
+                   for arg, (_, obj) in zip(args, entry)):
+                oi = self.index_of.get(at[self.var])
+                if oi is not None:
+                    masks[tuple(at[self.keys[s]] for s in slots)] |= 1 << oi
+        return slots, masks
 
     def conditions(self, cmp: str, binding: Mapping[Variable, Object]) -> list[tuple]:
         """The `_conditions` of `cmp` over `values(binding)`."""
@@ -515,8 +613,11 @@ class _Plan:
     of partition p1, cols its transpose, both None when no static rule
     applies. Rows and cols may still hold objects that arc consistency then
     dropped from `alive`, so every reader ANDs them with the alive masks.
-    Rule lists are compiled (`_compile`), None when empty. `wide` holds the
-    elements on three or more variables, which the clique search decides.
+    Rule lists are compiled (`_compile`), None when empty. `adjacency` holds
+    the edges of the pairs without dynamic rules among the alive masks, by
+    vertex id as in `ConsistencyGraph`: every state's search rows start from
+    it. `wide` holds the elements on three or more variables, which the
+    clique search decides.
 
     A `record` plan treats every element as dynamic and keeps all of a
     pair's elements in its own group, so each refuted vertex and pair meets
@@ -550,6 +651,7 @@ class _Plan:
         self.alive: list[int] = []
         self.unary: list[list[_Rule]] = []
         self.pairs: list[tuple] = []
+        self.adjacency: list[int] = []
         self.wide: list[_Wide] = []
 
         # elements with no variable bound, in the order the checks run
@@ -612,6 +714,13 @@ class _Plan:
                     kept = sum(1 << oi for oi in _bits(alive[p]) if lines[oi] & alive[q])
                     if kept != alive[p]:
                         alive[p], changed = kept, True
+
+        # the edges of the pairs without dynamic rules, the same in every state
+        n = len(objects)
+        self.adjacency = [0] * (len(params) * n)
+        for p1, p2, _, _, dynamic, rows, cols in self.pairs:
+            if dynamic is None:
+                _connect(self.adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
 
         # elements on three or more variables, decided in the clique search
         self.wide = [_Wide(reason, element, params, is_static(element), alive)
@@ -739,7 +848,8 @@ class TaskStatics:
         """The task's `_Table` of the static side `expr` for rows of `var`,
         keyed by the bound variables `keys` it holds; every plan shares it."""
         return self._tables.setdefault((expr, var, keys),
-                                       _Table(expr, var, keys, self.objects, self.static_ranges))
+                                       _Table(expr, var, keys, self.objects, self.index_of,
+                                              self.static_ranges))
 
     def pools(self, schema: ActionSchema, numeric: bool) -> list[tuple[Object, ...]]:
         """Per parameter, the objects that the schema's static
@@ -764,12 +874,12 @@ def task_statics(task: Task) -> TaskStatics:
 
 def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True,
                 record: bool = False) -> ConsistencyGraph:
-    """Construct the consistency graph; `numeric` toggles the constraint rules."""
+    """Construct the consistency graph, the part the clique search reads
+    (see `ConsistencyGraph`); `numeric` toggles the constraint rules."""
     k = len(schema.params)
     objects = ctx.objects
     n = len(objects)
-    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
-                             exclusions=[] if record else None)
+    graph = ConsistencyGraph(schema, objects, [0] * k, None, exclusions=[] if record else None)
     plan = ctx.statics.plan(schema, numeric, record)
     if plan.wide:
         graph.wide = tuple((w.partitions, partial(w.narrowing, ctx.statics, ctx))
@@ -788,28 +898,40 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     for p in range(k):
         alive[p] = _survivors(plan.unary[p], {}, plan.alive[p], env, exclusions, ("vertex", p))
     graph.empty = 0 in alive
+    graph.search_rows = rows = plan.adjacency
     if graph.empty or k == 1:
         return graph
 
-    # edges between distinct partitions; an element holding only one of the
-    # pair's variables is checked once per vertex, not once per pair
-    params, adjacency = schema.params, graph.adjacency
-    for p1, p2, half1, half2, dynamic, rows, cols in plan.pairs:
+    # An element holding only one of a pair's variables is checked once per
+    # vertex, not once per pair, and narrows that partition's pool. A pair
+    # with dynamic rules adds its rows to the plan's static edges: the
+    # transpose only when the search binds the pair's second partition first.
+    params, pools, pair_masks = schema.params, list(alive), graph.pair_masks
+    order = None
+    for p1, p2, half1, half2, dynamic, static_rows, _ in plan.pairs:
         a1 = _survivors(half1, {}, alive[p1], env)
         a2 = _survivors(half2, {}, alive[p2], env)
-        off1, off2 = p1 * n, p2 * n
+        pools[p1] &= a1
+        pools[p2] &= a2
+        pair_masks.append((p1, p2, a1, a2))
         if dynamic is None:
-            _connect(adjacency, off1, a1, off2, a2, rows, cols)
             continue
+        if order is None:  # the first pair with dynamic rules
+            order = search_order(alive)
+            graph.search_rows = rows = list(rows)
+        off1, off2 = p1 * n, p2 * n
+        backward = order.index(p2) < order.index(p1)
         x1, binding = params[p1], {}
         for oi in _bits(a1):
             binding[x1] = objects[oi]
-            bits = _survivors(dynamic, binding, a2 if rows is None else rows[oi] & a2, env,
-                              exclusions, ("pair", p1, oi, p2))
-            adjacency[off1 + oi] |= bits << off2
-            v = 1 << off1 + oi
-            for oj in _bits(bits):
-                adjacency[off2 + oj] |= v
+            partners = a2 if static_rows is None else static_rows[oi] & a2
+            bits = _survivors(dynamic, binding, partners, env, exclusions, ("pair", p1, oi, p2))
+            rows[off1 + oi] |= bits << off2
+            if backward:
+                v = 1 << off1 + oi
+                for oj in _bits(bits):
+                    rows[off2 + oj] |= v
+    graph.pools = pools
     return graph
 
 
@@ -825,19 +947,22 @@ def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph
     k, objects = len(schema.params), statics.objects
     n = len(objects)
     plan = statics.plan(schema, numeric=False, record=False)
-    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
-                             wide=tuple((w.partitions, partial(w.narrowing, statics, None))
-                                        for w in plan.wide if w.static))
+    wide = tuple((w.partitions, partial(w.narrowing, statics, None))
+                 for w in plan.wide if w.static)
     if plan.failure is not None:
-        graph.empty = True
-        graph.notes.append(f"{plan.failure[0]}: {plan.failure[1]!r}")
-        return graph
-    graph.alive = alive = list(plan.alive)
-    graph.empty = 0 in alive
-    if not graph.empty:
-        for p1, p2, *_, rows, cols in plan.pairs:
-            _connect(graph.adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
-    return graph
+        return ConsistencyGraph(schema, objects, [0] * k, None, empty=True, wide=wide,
+                                notes=[f"{plan.failure[0]}: {plan.failure[1]!r}"])
+    alive = list(plan.alive)
+    if 0 in alive:
+        return ConsistencyGraph(schema, objects, alive, None, empty=True, wide=wide)
+    # the plan's static edges, and those of the pairs whose dynamic rules a state decides
+    search_rows = list(plan.adjacency)
+    for p1, p2, _, _, dynamic, rows, cols in plan.pairs:
+        if dynamic is not None:
+            _connect(search_rows, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
+    return ConsistencyGraph(schema, objects, alive, None, wide=wide, search_rows=search_rows,
+                            pair_masks=[(p1, p2, alive[p1], alive[p2])
+                                        for p1, p2, *_ in plan.pairs])
 
 
 def _connect(adjacency: list[int], off1: int, a1: int, off2: int, a2: int,

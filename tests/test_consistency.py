@@ -589,7 +589,7 @@ def test_constraint_shapes_match_reference():
         atoms = [Atom(q, args) for args in itertools.product(objects, repeat=2)
                  if rng.random() < 0.7]
         states.append((atoms, fluents))
-    thresholds = unsat = keyed = 0
+    thresholds = unsat = keyed = sparse = 0
     for name, sides in shapes.items():
         for touched in (False, True):
             effects = tuple(NumericEffect(t, "+=", Constant(1.0))
@@ -611,14 +611,39 @@ def test_constraint_shapes_match_reference():
                         assert _matches_reference(got, want, record), (
                             name, touched, lhs, cmp, rhs, record)
                         unsat += record and any(x[-1] == NUMERIC_UNSAT for x in got.exclusions)
-                    plan = task_statics(task).plan(schema, numeric=True, record=False)
+                    statics = task_statics(task)
+                    sparse += _tables_read_as_dense(statics)
+                    plan = statics.plan(schema, numeric=True, record=False)
                     rules = plan.unary + [r for pair in plan.pairs for r in pair[2:5]]
                     thresholds += any(r is not None and r.thresholds for r in rules)
                     # a threshold whose table is keyed by a bound variable
                     keyed += any(r is not None and any(table.keys for *_, table in r.thresholds)
                                  for r in rules)
     assert thresholds > 100 and unsat > 100
-    assert keyed > 0
+    assert keyed > 0 and sparse > 100
+
+
+def _tables_read_as_dense(statics) -> int:
+    """Every value a table has filled is the side's interval at the object,
+    the objects outside its support included, and so are its threshold
+    masks; returns how many keys left some object outside the support."""
+    from lnplan.consistency import _bits, _conditions
+
+    skipped = 0
+    for table in statics._tables.values():
+        dense = {}
+        for key, values in table._values.items():
+            at = dict(zip(table.keys, key))
+            dense[key] = [relaxed_eval(table.expr, {**at, table.var: obj}, table.ranges)
+                          for obj in table.objects]
+            assert values == dense[key], (table.expr, key)
+            if table._support is not None:
+                slots, masks = table._support
+                support = masks.get(tuple(key[s] for s in slots), 0)
+                skipped += len(list(_bits(support))) < len(table.objects)
+        for (cmp, *key), conditions in table._conditions.items():
+            assert conditions == _conditions(cmp, dense[tuple(key)])
+    return skipped
 
 
 def test_a_dropped_task_is_freed_without_the_cycle_collector():
@@ -725,3 +750,88 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     build_graph(move, ctx)
     assert evals == ground + per_robot
     assert unsat == [{}, {}]
+
+
+# --- the clique search reads the search rows, not the full graph ---
+
+
+def _search_paths(graph, plan) -> tuple[int, int]:
+    """(dynamic pairs whose transpose the graph filled, partitions whose pool
+    a pair's single-variable rules emptied while alive stays nonempty)."""
+    from lnplan.consistency import search_order
+
+    if graph.empty or graph.k < 2:
+        return 0, 0
+    rank = {p: depth for depth, p in enumerate(search_order(graph.alive))}
+    transposed = sum(dynamic is not None and rank[p2] < rank[p1]
+                     for p1, p2, _, _, dynamic, *_ in plan.pairs)
+    emptied = sum(pool == 0 < mask for pool, mask in zip(graph.pools, graph.alive))
+    return transposed, emptied
+
+
+def _streams_as_full_graph(graph) -> bool:
+    """The cliques streamed from the graph's search rows are, in order, those
+    of a copy whose adjacency is the materialized full graph."""
+    from lnplan.consistency import ConsistencyGraph
+
+    copy = ConsistencyGraph(graph.schema, graph.objects, list(graph.alive),
+                            list(graph.adjacency), empty=graph.empty, wide=graph.wide)
+    return list(iter_cliques(graph)) == list(iter_cliques(copy))
+
+
+def test_search_rows_stream_the_cliques_of_the_full_graph():
+    # A built graph's search rows hold the static edges of the plan and the
+    # dynamic rows in the search direction only; its pools drop the vertices
+    # a pair's single-variable rules refute. None of that moves a clique.
+    rng = random.Random(47)
+    graphs = transposed = 0
+    for i in range(120):
+        task = random_task(rng, exact=i % 2 == 0, task_id=i)
+        statics = task_statics(task)
+        for state, _ in walk_states(task, rng, extra=2):
+            ctx = StateContext(task, state)
+            for schema in task.schemas:
+                for numeric in (True, False):
+                    graph = build_graph(schema, ctx, numeric=numeric)
+                    assert _streams_as_full_graph(graph), (task.problem_name, schema.name)
+                    plan = statics.plan(schema, numeric, record=False)
+                    transposed += _search_paths(graph, plan)[0]
+                    graphs += 1
+    assert graphs > 500 and transposed > 0
+
+
+def test_search_rows_with_a_transposed_pair_and_an_emptied_pool():
+    # (p ?x ?y) is dynamic, and the type literal (t ?y) leaves ?y fewer
+    # objects than ?x, so the search binds ?y first and reads the pair's
+    # rows transposed. (q ?x ?z) is dynamic and holds ?x but not ?y, so it
+    # narrows ?x's pool by the ?x that have a q atom: with q only on the ?x
+    # that (r ?x) drops, that pool is empty while ?x's alive mask is not.
+    Z = Variable("?z")
+    p, q, r, t = (PredicateSymbol("p", 2), PredicateSymbol("q", 2), PredicateSymbol("r", 1),
+                  PredicateSymbol("t", 1))
+    objects = (A, B, C)
+    schema = ActionSchema(
+        "s", (X, Y, Z),
+        pre_literals=(Literal(Atom(p, (X, Y))), Literal(Atom(t, (Y,))), Literal(Atom(r, (X,))),
+                      Literal(Atom(q, (X, Z)))),
+        eff_literals=(Literal(Atom(p, (Y, X))), Literal(Atom(q, (Z, X))),
+                      Literal(Atom(r, (Z,)))))
+    transposed = emptied = 0
+    rng = random.Random(53)
+    for _ in range(40):
+        atoms = [Atom(pred, args) for pred in (p, q)
+                 for args in itertools.product(objects, repeat=2) if rng.random() < 0.5]
+        atoms += [Atom(r, (o,)) for o in objects if rng.random() < 0.6]
+        atoms += [Atom(t, (A,))]
+        task = _task([schema], objects, atoms, {}, predicates=[p, q, r, t])
+        ctx = StateContext(task, task.init)
+        for record in (False, True):
+            graph = build_graph(schema, ctx, record=record)
+            want = _reference_graph(schema, task, task.init, numeric=True, record=record)
+            assert _matches_reference(graph, want, record)
+            assert _streams_as_full_graph(graph)
+            plan = task_statics(task).plan(schema, True, record)
+            paths = _search_paths(graph, plan)
+            transposed += paths[0]
+            emptied += paths[1]
+    assert transposed > 0 and emptied > 0
