@@ -40,8 +40,8 @@ own only the dynamic ones.
 are therefore evaluated once per task into a plan, built on the first graph
 for a (schema, numeric rules, record) combination: int bitsets of a static
 alive mask per partition and, per partition pair, a static row per object
-plus its transpose. The alive masks are then made arc-consistent over the
-static rows (Mackworth 1977): a vertex whose row meets no alive vertex of
+of its first partition. The alive masks are then made arc-consistent over
+the static rows (Mackworth 1977): a vertex that meets no alive vertex of
 the pair's other partition is in no clique, so it is dropped, until no mask
 changes. The plan also keeps the edges of every pair without dynamic
 elements, on those masks, once per task. Per state the atom index takes the
@@ -52,10 +52,10 @@ the static masks leave alive: the alive masks, each pair's single-variable
 rules, which narrow the clique search's pools, and the rows of the pairs
 with dynamic elements, in the direction the search reads them. A pair
 without dynamic elements costs nothing per state. The full adjacency, the
-paper's graph, is built only when something reads it (a dump, an edge
-count), from those parts (`ConsistencyGraph`). `static_graph` builds a
-schema's graph from its plan alone, with no state, for the grounded store
-to join.
+paper's graph, is built only when something reads it (a dump), from each
+pair's masks and rows (`ConsistencyGraph`); `_connect` writes every edge.
+`static_graph` builds a schema's full graph from its plan alone, with no
+state, for the grounded store to join.
 
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
@@ -91,8 +91,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property, partial, reduce
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .assignments import DEGREE, AssignmentCache
@@ -276,8 +276,8 @@ class ConsistencyGraph:
     """A schema's consistency graph: `alive` and `adjacency` are the paper's
     graph, `pools` and `search_rows` what the clique search reads of it.
 
-    A graph given its adjacency is searched as it is. `build_graph` and
-    `static_graph` pass None instead and build only the search's part:
+    A graph given its adjacency is searched as it is; `static_graph` gives
+    one. `build_graph` passes None instead and builds only the search's part:
       - `search_rows`, vertex id -> neighbor bitset: the plan's static edges,
         built once per task, plus the rows of the pairs with dynamic rules,
         built per state in the search direction. A vertex's row holds its
@@ -286,11 +286,11 @@ class ConsistencyGraph:
       - `pools`, the alive masks narrowed by each pair's single-variable
         rules: a vertex they drop has no edge toward some partition, so it
         is in no clique;
-      - `pair_masks`, per partition pair (p1, p2, a1, a2): the pair's edges
-        join each object of a1 in p1 to the objects of a2 in p2 that its
-        search row holds.
-    The adjacency is materialized from them on first read (by `has_edge`,
-    `edge_count`, `dump` or any other reader).
+      - `parts`, per partition pair (p1, p2, a1, a2, rows): the pair's edges
+        join each object oi of a1 in p1 to the objects of a2 in p2 that
+        rows[oi] holds, all of them when rows is None.
+    The adjacency is written from the parts on first read (by `has_edge`,
+    `dump` or any other reader); `edge_count` counts them without it.
     """
 
     schema: ActionSchema
@@ -306,8 +306,7 @@ class ConsistencyGraph:
     wide: tuple[tuple[tuple[int, ...], Callable], ...] = ()
     search_rows: Optional[list[int]] = field(default=None, repr=False, compare=False)
     pools: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    pair_masks: list[tuple[int, int, int, int]] = field(default_factory=list, repr=False,
-                                                        compare=False)
+    parts: list[tuple] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.adjacency is None:
@@ -321,16 +320,10 @@ class ConsistencyGraph:
         # only a built graph's adjacency is ever missing
         if name != "adjacency":
             raise AttributeError(name)
-        n, rows = self.n_objects, self.search_rows
+        n = self.n_objects
         self.adjacency = adjacency = [0] * (self.k * n)
-        for p1, p2, a1, a2 in self.pair_masks:
-            off1, off2 = p1 * n, p2 * n
-            for oi in _bits(a1):
-                v = off1 + oi
-                row = rows[v] >> off2 & a2
-                adjacency[v] |= row << off2
-                for oj in _bits(row):
-                    adjacency[off2 + oj] |= 1 << v
+        for p1, p2, a1, a2, rows in self.parts:
+            _connect(adjacency, p1 * n, a1, p2 * n, a2, rows)
         return adjacency
 
     @property
@@ -351,7 +344,11 @@ class ConsistencyGraph:
         return bool(self.adjacency[v] >> w & 1)
 
     def edge_count(self) -> int:
-        return sum(bits.bit_count() for bits in self.adjacency) // 2
+        if "adjacency" in self.__dict__:
+            return sum(bits.bit_count() for bits in self.adjacency) // 2
+        return sum(a1.bit_count() * a2.bit_count() if rows is None
+                   else sum((rows[oi] & a2).bit_count() for oi in _bits(a1))
+                   for _, _, a1, a2, rows in self.parts)
 
     def dump(self) -> str:
         params = self.schema.params
@@ -608,11 +605,11 @@ class _Plan:
     since an object without one is in no clique. `unary` holds each
     partition's dynamic vertex rules. `pairs` holds per
     partition pair (p1, p2, dynamic rules holding only the first variable,
-    only the second, both, rows, cols): rows[oi] is the `_survivors` row of
+    only the second, both, rows): rows[oi] is the `_survivors` row of
     partition-p2 objects that the static rules leave connected to object oi
-    of partition p1, cols its transpose, both None when no static rule
-    applies. Rows and cols may still hold objects that arc consistency then
-    dropped from `alive`, so every reader ANDs them with the alive masks.
+    of partition p1, None when no static rule applies. Rows may still hold
+    objects that arc consistency then dropped from `alive`, so every reader
+    ANDs them with the alive masks.
     Rule lists are compiled (`_compile`), None when empty. `adjacency` holds
     the edges of the pairs without dynamic rules among the alive masks, by
     vertex id as in `ConsistencyGraph`: every state's search rows start from
@@ -690,37 +687,35 @@ class _Plan:
             groups = split((r for r in rules if (r[2] == pair if r[0] == NEGATIVE_HIT
                                                  else len(r[2]) > 1 and r[2] & pair)), pair)
             static = _compile(groups[_STATIC], env, x2, (x1,))
-            rows = cols = None
+            rows = None
             if static is not None:
-                rows, cols, binding = [0] * len(objects), [0] * len(objects), {}
+                rows, binding = [0] * len(objects), {}
                 for oi in _bits(alive[p1]):
                     binding[x1] = objects[oi]
                     rows[oi] = _survivors(static, binding, alive[p2], env)
-                    for oj in _bits(rows[oi]):
-                        cols[oj] |= 1 << oi
             self.pairs.append((p1, p2, _compile(groups[frozenset((x1,))], env, x1),
                                _compile(groups[frozenset((x2,))], env, x2),
-                               _compile(groups[pair], env, x2, (x1,)), rows, cols))
+                               _compile(groups[pair], env, x2, (x1,)), rows))
 
         # arc consistency: a vertex with no static partner in some partition
         # is in no clique; drop it, and again for the partners it supported
         changed = True
         while changed:
             changed = False
-            for p1, p2, *_, rows, cols in self.pairs:
+            for p1, p2, *_, rows in self.pairs:
                 if rows is None:
                     continue
-                for p, q, lines in ((p1, p2, rows), (p2, p1, cols)):
-                    kept = sum(1 << oi for oi in _bits(alive[p]) if lines[oi] & alive[q])
-                    if kept != alive[p]:
-                        alive[p], changed = kept, True
+                kept = sum(1 << oi for oi in _bits(alive[p1]) if rows[oi] & alive[p2])
+                support = alive[p2] & reduce(or_, map(rows.__getitem__, _bits(kept)), 0)
+                if (kept, support) != (alive[p1], alive[p2]):
+                    alive[p1], alive[p2], changed = kept, support, True
 
         # the edges of the pairs without dynamic rules, the same in every state
         n = len(objects)
         self.adjacency = [0] * (len(params) * n)
-        for p1, p2, _, _, dynamic, rows, cols in self.pairs:
+        for p1, p2, _, _, dynamic, rows in self.pairs:
             if dynamic is None:
-                _connect(self.adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
+                _connect(self.adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows)
 
         # elements on three or more variables, decided in the clique search
         self.wide = [_Wide(reason, element, params, is_static(element), alive)
@@ -898,7 +893,7 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     for p in range(k):
         alive[p] = _survivors(plan.unary[p], {}, plan.alive[p], env, exclusions, ("vertex", p))
     graph.empty = 0 in alive
-    graph.search_rows = rows = plan.adjacency
+    graph.search_rows = search_rows = plan.adjacency
     if graph.empty or k == 1:
         return graph
 
@@ -906,31 +901,26 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     # vertex, not once per pair, and narrows that partition's pool. A pair
     # with dynamic rules adds its rows to the plan's static edges: the
     # transpose only when the search binds the pair's second partition first.
-    params, pools, pair_masks = schema.params, list(alive), graph.pair_masks
+    params, pools, parts = schema.params, list(alive), graph.parts
     order = None
-    for p1, p2, half1, half2, dynamic, static_rows, _ in plan.pairs:
+    for p1, p2, half1, half2, dynamic, rows in plan.pairs:
         a1 = _survivors(half1, {}, alive[p1], env)
         a2 = _survivors(half2, {}, alive[p2], env)
         pools[p1] &= a1
         pools[p2] &= a2
-        pair_masks.append((p1, p2, a1, a2))
-        if dynamic is None:
-            continue
-        if order is None:  # the first pair with dynamic rules
-            order = search_order(alive)
-            graph.search_rows = rows = list(rows)
-        off1, off2 = p1 * n, p2 * n
-        backward = order.index(p2) < order.index(p1)
-        x1, binding = params[p1], {}
-        for oi in _bits(a1):
-            binding[x1] = objects[oi]
-            partners = a2 if static_rows is None else static_rows[oi] & a2
-            bits = _survivors(dynamic, binding, partners, env, exclusions, ("pair", p1, oi, p2))
-            rows[off1 + oi] |= bits << off2
-            if backward:
-                v = 1 << off1 + oi
-                for oj in _bits(bits):
-                    rows[off2 + oj] |= v
+        if dynamic is not None:
+            if order is None:  # the first pair with dynamic rules
+                order = search_order(alive)
+                graph.search_rows = search_rows = list(search_rows)
+            static_rows, rows, x1, binding = rows, [0] * n, params[p1], {}
+            for oi in _bits(a1):
+                binding[x1] = objects[oi]
+                partners = a2 if static_rows is None else static_rows[oi] & a2
+                rows[oi] = _survivors(dynamic, binding, partners, env, exclusions,
+                                      ("pair", p1, oi, p2))
+            _connect(search_rows, p1 * n, a1, p2 * n, a2, rows,
+                     both=order.index(p2) < order.index(p1))
+        parts.append((p1, p2, a1, a2, rows))
     graph.pools = pools
     return graph
 
@@ -956,24 +946,29 @@ def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph
     if 0 in alive:
         return ConsistencyGraph(schema, objects, alive, None, empty=True, wide=wide)
     # the plan's static edges, and those of the pairs whose dynamic rules a state decides
-    search_rows = list(plan.adjacency)
-    for p1, p2, _, _, dynamic, rows, cols in plan.pairs:
+    adjacency = list(plan.adjacency)
+    for p1, p2, _, _, dynamic, rows in plan.pairs:
         if dynamic is not None:
-            _connect(search_rows, p1 * n, alive[p1], p2 * n, alive[p2], rows, cols)
-    return ConsistencyGraph(schema, objects, alive, None, wide=wide, search_rows=search_rows,
-                            pair_masks=[(p1, p2, alive[p1], alive[p2])
-                                        for p1, p2, *_ in plan.pairs])
+            _connect(adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows)
+    return ConsistencyGraph(schema, objects, alive, adjacency, wide=wide)
 
 
 def _connect(adjacency: list[int], off1: int, a1: int, off2: int, a2: int,
-             rows: Optional[list[int]], cols: Optional[list[int]]) -> None:
-    """Add the edges between the objects of `a1` (partition at vertex offset
-    `off1`) and those of `a2` that the static rows and cols leave, all of
-    them when `rows` is None."""
+             rows: Optional[list[int]], both: bool = True) -> None:
+    """Add a pair's edges between the objects of `a1` (partition at vertex
+    offset `off1`) and those of `a2`: rows[oi] & a2 for object oi of a1, all
+    of a2 when `rows` is None. `both` also adds them to the rows of the a2
+    ends. The one routine that writes edges into an adjacency or search rows."""
     for oi in _bits(a1):
-        adjacency[off1 + oi] |= (a2 if rows is None else rows[oi] & a2) << off2
-    for oj in _bits(a2):
-        adjacency[off2 + oj] |= (a1 if cols is None else cols[oj] & a1) << off1
+        row = a2 if rows is None else rows[oi] & a2
+        adjacency[off1 + oi] |= row << off2
+        if both and rows is not None:
+            v = 1 << off1 + oi
+            for oj in _bits(row):
+                adjacency[off2 + oj] |= v
+    if both and rows is None:
+        for oj in _bits(a2):
+            adjacency[off2 + oj] |= a1 << off1
 
 
 def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: int, env: tuple,

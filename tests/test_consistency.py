@@ -415,13 +415,14 @@ def test_static_alive_masks_are_arc_consistent():
         statics = task_statics(task)
         for schema in task.schemas:
             plan = statics.plan(schema, numeric=True, record=False)
-            for p1, p2, *_, rows, cols in [] if plan.failure else plan.pairs:
+            for p1, p2, *_, rows in [] if plan.failure else plan.pairs:
                 if rows is not None:
                     alive = plan.alive
                     assert all(rows[oi] & alive[p2] for oi in range(len(rows))
                                if alive[p1] >> oi & 1)
-                    assert all(cols[oj] & alive[p1] for oj in range(len(cols))
-                               if alive[p2] >> oj & 1)
+                    assert all(any(rows[oi] >> oj & 1 for oi in range(len(rows))
+                                   if alive[p1] >> oi & 1)
+                               for oj in range(len(rows)) if alive[p2] >> oj & 1)
                     checked += 1
     assert checked > 0
 
@@ -835,3 +836,57 @@ def test_search_rows_with_a_transposed_pair_and_an_emptied_pool():
             transposed += paths[0]
             emptied += paths[1]
     assert transposed > 0 and emptied > 0
+
+
+def test_edge_count_reads_the_parts_without_the_adjacency():
+    # A built graph counts its edges from its per-pair parts; the full
+    # adjacency stays unbuilt, and counting it gives the same number.
+    rng = random.Random(59)
+    graphs = edges = 0
+    for i in range(60):
+        task = random_task(rng, exact=i % 2 == 0, task_id=i)
+        for state, _ in walk_states(task, rng, extra=2):
+            ctx = StateContext(task, state)
+            for schema in task.schemas:
+                for numeric, record in itertools.product((True, False), repeat=2):
+                    graph = build_graph(schema, ctx, numeric=numeric, record=record)
+                    count = graph.edge_count()
+                    assert "adjacency" not in graph.__dict__
+                    assert count == sum(bits.bit_count() for bits in graph.adjacency) // 2
+                    assert graph.edge_count() == count
+                    graphs += 1
+                    edges += count
+    assert graphs > 500 and edges > 1000
+
+
+def test_connect_writes_the_edges_of_its_rows_and_masks():
+    # The one edge writer against a brute-force edge set: with rows and
+    # without, in one direction and in both, on masks narrower than the
+    # rows, ORed into rows that already hold edges.
+    from lnplan.consistency import _connect
+
+    rng = random.Random(61)
+    seen, narrower = set(), 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        p1, p2 = rng.sample(range(3), 2)
+        off1, off2 = p1 * n, p2 * n
+        a1, a2 = rng.getrandbits(n), rng.getrandbits(n)
+        rows = None if rng.random() < 0.3 else [rng.getrandbits(n) for _ in range(n)]
+        both = rng.random() < 0.5
+        before = [rng.getrandbits(3 * n) if rng.random() < 0.3 else 0 for _ in range(3 * n)]
+        want = list(before)
+        for oi, oj in itertools.product(range(n), repeat=2):
+            if a1 >> oi & 1 and a2 >> oj & 1 and (rows is None or rows[oi] >> oj & 1):
+                want[off1 + oi] |= 1 << off2 + oj
+                if both:
+                    want[off2 + oj] |= 1 << off1 + oi
+        got = list(before)
+        _connect(got, off1, a1, off2, a2, rows, both)
+        assert got == want, (n, p1, p2, a1, a2, rows, both)
+        seen.add((rows is None, both))
+        if rows is not None:
+            # a row beyond a2, and one of an object outside a1
+            narrower += (any(rows[oi] & ~a2 for oi in range(n) if a1 >> oi & 1)
+                         and any(rows[oi] for oi in range(n) if not a1 >> oi & 1))
+    assert len(seen) == 4 and narrower > 50
