@@ -5,10 +5,10 @@ Depth-first search over partitions ordered by ascending alive count
 the chosen vertices' search rows (`ConsistencyGraph.search_rows`), which
 hold each vertex's edges toward the partitions bound after it, and each
 partition's vertices are drawn from its pool (`ConsistencyGraph.pools`). A
-graph given its adjacency is searched as it is; a built graph's full
-adjacency is never read here. Output is a lazy stream; each clique is
-reported as a vertex-id tuple ordered by partition index, and the emission
-order is deterministic for a fixed graph.
+graph without search rows, static or hand-built, is searched over its
+derived adjacency; a built graph's is never read here. Output is a lazy
+stream; each clique is reported as a vertex-id tuple ordered by partition
+index, and the emission order is deterministic for a fixed graph.
 
 A graph's elements on three or more variables (`ConsistencyGraph.wide`) are
 decided in the search: each one's check narrows the pool of its last
@@ -40,7 +40,8 @@ def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
     for partitions, narrowing in graph.wide:
         depth = max(map(order.index, partitions))
         checks[depth].append(narrowing(order[depth], n))
-    yield from _extend(0, full, order, partition_masks, graph.search_rows, chosen, checks)
+    rows = graph.adjacency if graph.search_rows is None else graph.search_rows
+    yield from _extend(0, full, order, partition_masks, rows, chosen, checks)
 
 
 def _extend(depth: int, candidates: int, order: list[int], partition_masks: list[int],

@@ -51,11 +51,11 @@ fluents, and only dynamic elements are evaluated, on the vertices and pairs
 the static masks leave alive: the alive masks, each pair's single-variable
 rules, which narrow the clique search's pools, and the rows of the pairs
 with dynamic elements, in the direction the search reads them. A pair
-without dynamic elements costs nothing per state. The full adjacency, the
-paper's graph, is built only when something reads it (a dump), from each
-pair's masks and rows (`ConsistencyGraph`); `_connect` writes every edge.
-`static_graph` builds a schema's full graph from its plan alone, with no
-state, for the grounded store to join.
+without dynamic elements costs nothing per state. A graph's edges come
+from its parts, each pair's masks and rows; the full adjacency, the paper's
+graph, is derived from them only when read (`ConsistencyGraph`), and
+`_connect` writes every edge. `static_graph` takes a schema's parts from
+its plan alone, with no state, for the grounded store to join.
 
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
@@ -103,6 +103,7 @@ from .model import (
     Constant,
     EQUALITY_NAME,
     Expr,
+    FunctionSymbol,
     FunctionTerm,
     NumericConstraint,
     Object,
@@ -236,26 +237,27 @@ def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: Assignm
     """Interval overapproximation of the expression's values over all
     total extensions of the binding.
 
-    Leaves read the range table with every argument position fixed by the
-    binding or by a constant; repeated variables fix all their positions.
-    Tables fix at most DEGREE positions. Should a leaf fix more, the lowest
-    DEGREE of them are kept, which only widens the result and stays sound.
+    Leaves read their range table at `_lookup_key`.
     """
     if isinstance(expr, Constant):
         return point(expr.value)
     if isinstance(expr, FunctionTerm):
-        positions: dict[int, Object] = {}
-        for i, arg in enumerate(expr.args):
-            obj = arg if type(arg) is Object else binding.get(arg)
-            if obj is not None:
-                positions[i] = obj
-        if len(positions) > DEGREE:
-            keep = sorted(positions)[:DEGREE]
-            positions = {i: positions[i] for i in keep}
-        return ranges.get(expr.function).lookup(positions)
+        return ranges.get(expr.function).table.get(_lookup_key(expr.args, binding), EMPTY)
     left = relaxed_eval(expr.left, binding, ranges)
     right = relaxed_eval(expr.right, binding, ranges)
     return arith(left, expr.op, right)
+
+
+def _lookup_key(args: tuple, binding: Mapping[Variable, object]) -> tuple:
+    """The range-table key a term with these arguments reads: (position,
+    object) for its constants and bound variables, the lowest DEGREE of
+    them. Fixing fewer than all only widens the interval, soundly."""
+    key = []
+    for i, arg in enumerate(args):
+        obj = arg if type(arg) is Object else binding.get(arg)
+        if obj is not None:
+            key.append((i, obj))
+    return tuple(key[:DEGREE])
 
 
 def relaxed_unsat(constraint: NumericConstraint, binding: Mapping[Variable, Object],
@@ -276,27 +278,26 @@ class ConsistencyGraph:
     """A schema's consistency graph: `alive` and `adjacency` are the paper's
     graph, `pools` and `search_rows` what the clique search reads of it.
 
-    A graph given its adjacency is searched as it is; `static_graph` gives
-    one. `build_graph` passes None instead and builds only the search's part:
+    Every graph gets its edges from `parts`, per partition pair (p1, p2, a1,
+    a2, rows): the pair's edges join each object oi of a1 in p1 to the
+    objects of a2 in p2 that rows[oi] holds, all of them when rows is None.
+    The adjacency is derived from the parts on first read (by `has_edge`,
+    `dump` or any other reader); `edge_count` counts them without it.
+    `build_graph` also gives the search its own part:
       - `search_rows`, vertex id -> neighbor bitset: the plan's static edges,
         built once per task, plus the rows of the pairs with dynamic rules,
         built per state in the search direction. A vertex's row holds its
         edges toward the partitions the search binds after the vertex's,
-        and may hold more;
+        and may hold more. Without them the search reads the adjacency;
       - `pools`, the alive masks narrowed by each pair's single-variable
         rules: a vertex they drop has no edge toward some partition, so it
-        is in no clique;
-      - `parts`, per partition pair (p1, p2, a1, a2, rows): the pair's edges
-        join each object oi of a1 in p1 to the objects of a2 in p2 that
-        rows[oi] holds, all of them when rows is None.
-    The adjacency is written from the parts on first read (by `has_edge`,
-    `dump` or any other reader); `edge_count` counts them without it.
+        is in no clique. Without them the pools are the alive masks.
     """
 
     schema: ActionSchema
     objects: tuple[Object, ...]
     alive: list[int]  # per-partition bitset over object indexes
-    adjacency: Optional[list[int]]  # vertex id -> neighbor bitset; id = partition * n + object
+    parts: list[tuple]  # per partition pair, (p1, p2, a1, a2, rows)
     empty: bool = False
     notes: list[str] = field(default_factory=list)
     exclusions: Optional[list[tuple]] = None
@@ -306,22 +307,16 @@ class ConsistencyGraph:
     wide: tuple[tuple[tuple[int, ...], Callable], ...] = ()
     search_rows: Optional[list[int]] = field(default=None, repr=False, compare=False)
     pools: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    parts: list[tuple] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.adjacency is None:
-            del self.adjacency  # read through __getattr__
-        elif self.search_rows is None:
-            self.search_rows = self.adjacency
         if self.pools is None:
             self.pools = self.alive
 
-    def __getattr__(self, name: str):
-        # only a built graph's adjacency is ever missing
-        if name != "adjacency":
-            raise AttributeError(name)
+    @cached_property
+    def adjacency(self) -> list[int]:
+        """Vertex id -> neighbor bitset, with id = partition * n + object."""
         n = self.n_objects
-        self.adjacency = adjacency = [0] * (self.k * n)
+        adjacency = [0] * (self.k * n)
         for p1, p2, a1, a2, rows in self.parts:
             _connect(adjacency, p1 * n, a1, p2 * n, a2, rows)
         return adjacency
@@ -344,8 +339,6 @@ class ConsistencyGraph:
         return bool(self.adjacency[v] >> w & 1)
 
     def edge_count(self) -> int:
-        if "adjacency" in self.__dict__:
-            return sum(bits.bit_count() for bits in self.adjacency) // 2
         return sum(a1.bit_count() * a2.bit_count() if rows is None
                    else sum((rows[oi] & a2).bit_count() for oi in _bits(a1))
                    for _, _, a1, a2, rows in self.parts)
@@ -535,10 +528,9 @@ class _Table:
         of the keys that term's lookup fixes, their objects -> object mask);
         None when no term's lookup fixes `var`."""
         for term in function_terms(self.expr):
-            # the positions relaxed_eval looks up, with the keys and `var` bound
-            kept = [i for i, arg in enumerate(term.args)
-                    if type(arg) is Object or arg == self.var or arg in self.keys][:DEGREE]
-            args = [term.args[i] for i in kept]
+            # the key relaxed_eval reads, with the keys and `var` standing for their objects
+            key = _lookup_key(term.args, {v: v for v in (self.var, *self.keys)})
+            kept, args = [i for i, _ in key], [arg for _, arg in key]
             if self.var in args:
                 break
         else:
@@ -719,7 +711,7 @@ class _Plan:
 
         # elements on three or more variables, decided in the clique search
         self.wide = [_Wide(reason, element, params, is_static(element), alive)
-                     for reason, element, vars_ in rules if len(vars_) > 2]
+                     for reason, element, vars_ in rules if _wide(vars_)]
 
 
 class _Wide:
@@ -764,7 +756,7 @@ class _Wide:
         bound = tuple(p for p in self.partitions if p != last)
         binding = _binder(objects, self.params, bound, n)
         element = self.element
-        if self.reason == NUMERIC_UNSAT and any(t.function.arity > DEGREE
+        if self.reason == NUMERIC_UNSAT and any(_relaxed(t.function)
                                                 for t in function_terms(element)):
             def exact(statics, ctx: StateContext, chosen: list[int], pool: int) -> int:
                 at = binding(chosen)
@@ -874,7 +866,7 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     k = len(schema.params)
     objects = ctx.objects
     n = len(objects)
-    graph = ConsistencyGraph(schema, objects, [0] * k, None, exclusions=[] if record else None)
+    graph = ConsistencyGraph(schema, objects, [0] * k, [], exclusions=[] if record else None)
     plan = ctx.statics.plan(schema, numeric, record)
     if plan.wide:
         graph.wide = tuple((w.partitions, partial(w.narrowing, ctx.statics, ctx))
@@ -931,26 +923,20 @@ def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph
     It is exact on the static literals of at most two variables, holds the
     pair projections of wider positive ones and carries the checks of every
     wider one, so its cliques are the bindings whose static literals hold.
-    Built from the propositional plan with no state; `ground_all` joins its
-    cliques.
+    Its parts are the propositional plan's alive masks and static rows, with
+    no state, and it has no search rows; `ground_all` joins its cliques.
     """
     k, objects = len(schema.params), statics.objects
-    n = len(objects)
     plan = statics.plan(schema, numeric=False, record=False)
     wide = tuple((w.partitions, partial(w.narrowing, statics, None))
                  for w in plan.wide if w.static)
     if plan.failure is not None:
-        return ConsistencyGraph(schema, objects, [0] * k, None, empty=True, wide=wide,
+        return ConsistencyGraph(schema, objects, [0] * k, [], empty=True, wide=wide,
                                 notes=[f"{plan.failure[0]}: {plan.failure[1]!r}"])
-    alive = list(plan.alive)
-    if 0 in alive:
-        return ConsistencyGraph(schema, objects, alive, None, empty=True, wide=wide)
-    # the plan's static edges, and those of the pairs whose dynamic rules a state decides
-    adjacency = list(plan.adjacency)
-    for p1, p2, _, _, dynamic, rows in plan.pairs:
-        if dynamic is not None:
-            _connect(adjacency, p1 * n, alive[p1], p2 * n, alive[p2], rows)
-    return ConsistencyGraph(schema, objects, alive, adjacency, wide=wide)
+    alive, empty = list(plan.alive), 0 in plan.alive
+    parts = [] if empty else [(p1, p2, alive[p1], alive[p2], rows)
+                              for p1, p2, *_, rows in plan.pairs]
+    return ConsistencyGraph(schema, objects, alive, parts, empty=empty, wide=wide)
 
 
 def _connect(adjacency: list[int], off1: int, a1: int, off2: int, a2: int,
@@ -1040,13 +1026,23 @@ def _now(side, binding: Mapping[Variable, Object], ranges: AssignmentCache):
             else side.values(binding) if kind is _Table else side)
 
 
+def _wide(variables: frozenset) -> bool:
+    """Three or more: the graph holds only the element's pair projections."""
+    return len(variables) > 2
+
+
+def _relaxed(function: FunctionSymbol) -> bool:
+    """Above arity DEGREE, the range tables only relax a function's values."""
+    return function.arity > DEGREE
+
+
 def wide_elements(schema: ActionSchema) -> tuple:
     """The precondition literals and constraints on three or more variables.
     The graph holds only their pair projections, and the clique search
     decides them (`_Wide`): the literals under every plan, the constraints
     under the numeric one."""
     return tuple(element for element in schema.pre_literals + schema.pre_constraints
-                 if len(free_variables(element)) > 2)
+                 if _wide(free_variables(element)))
 
 
 def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:
@@ -1058,15 +1054,15 @@ def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:
     arity at most two.
     """
     for lit in schema.pre_literals:
-        arity = len(free_variables(lit))
-        if arity > 2:
-            yield lit, f"literal with {arity} variables"
+        held = free_variables(lit)
+        if _wide(held):
+            yield lit, f"literal with {len(held)} variables"
     for con in schema.pre_constraints:
-        arity = len(free_variables(con))
-        if arity > 2:
-            yield con, f"constraint with {arity} variables"
+        held = free_variables(con)
+        if _wide(held):
+            yield con, f"constraint with {len(held)} variables"
         for fn in sorted({t.function for t in function_terms(con)}, key=lambda f: f.name):
-            if fn.arity > 2:
+            if _relaxed(fn):
                 yield con, f"function {fn.name} of arity {fn.arity}"
 
 

@@ -7,25 +7,25 @@ from lnplan.model import ActionSchema, Object, Variable
 
 
 def make_graph(k, objects_per_partition, edges, alive=None):
-    """Hand-built partitioned graph; edges as ((p1, o1), (p2, o2)) pairs."""
+    """Hand-built partitioned graph; edges as ((p1, o1), (p2, o2)) pairs, p1 < p2."""
     params = tuple(Variable(f"?v{i}") for i in range(k))
     schema = ActionSchema("g", params)
     objects = tuple(Object(f"o{i}") for i in range(objects_per_partition))
     n = objects_per_partition
+    rows = {pair: [0] * n for pair in itertools.combinations(range(k), 2)}
+    for (p1, o1), (p2, o2) in edges:
+        rows[p1, p2][o1] |= 1 << o2
+    everything = (1 << n) - 1
     graph = ConsistencyGraph(
         schema=schema,
         objects=objects,
         alive=[0] * k,
-        adjacency=[0] * (k * n),
+        parts=[(p1, p2, everything, everything, r) for (p1, p2), r in rows.items()],
     )
     if alive is None:
         alive = {(p, o) for p in range(k) for o in range(n)}
     for p, o in alive:
         graph.alive[p] |= 1 << o
-    for (p1, o1), (p2, o2) in edges:
-        v, w = graph.vertex_id(p1, o1), graph.vertex_id(p2, o2)
-        graph.adjacency[v] |= 1 << w
-        graph.adjacency[w] |= 1 << v
     return graph
 
 

@@ -251,8 +251,7 @@ def _reference_graph(schema, task, state, *, numeric, record):
 
     index, ranges = AtomIndex(state.atoms), AssignmentCache(state.fluents)
     k, objects, n = len(schema.params), task.objects, len(task.objects)
-    graph = ConsistencyGraph(schema, objects, [0] * k, [0] * (k * n),
-                             exclusions=[] if record else None)
+    graph = ConsistencyGraph(schema, objects, [0] * k, [], exclusions=[] if record else None)
     pos = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals if lit.positive]
     neg = [(lit.atom, free_variables(lit.atom)) for lit in schema.pre_literals
            if not lit.positive]
@@ -298,16 +297,16 @@ def _reference_graph(schema, task, state, *, numeric, record):
         elements = ([a for a, v in pos if len(v) > 1 and v & pair],
                     [a for a, v in neg if v == pair],
                     [c for c, v in cons if len(v) > 1 and v & pair])
+        rows = [0] * n
         for oi in graph.iter_alive(p1):
             for oj in graph.iter_alive(p2):
                 binding = {schema.params[p1]: objects[oi], schema.params[p2]: objects[oj]}
                 why = reason(binding, *elements)
                 if why is None:
-                    v, w = graph.vertex_id(p1, oi), graph.vertex_id(p2, oj)
-                    graph.adjacency[v] |= 1 << w
-                    graph.adjacency[w] |= 1 << v
+                    rows[oi] |= 1 << oj
                 elif record:
                     graph.exclusions.append(("pair", p1, oi, p2, oj, why))
+        graph.parts.append((p1, p2, graph.alive[p1], graph.alive[p2], rows))
     return graph
 
 
@@ -772,11 +771,12 @@ def _search_paths(graph, plan) -> tuple[int, int]:
 
 def _streams_as_full_graph(graph) -> bool:
     """The cliques streamed from the graph's search rows are, in order, those
-    of a copy whose adjacency is the materialized full graph."""
+    of a copy with the same parts but no search rows or pools, which is
+    searched over the full adjacency derived from the parts."""
     from lnplan.consistency import ConsistencyGraph
 
-    copy = ConsistencyGraph(graph.schema, graph.objects, list(graph.alive),
-                            list(graph.adjacency), empty=graph.empty, wide=graph.wide)
+    copy = ConsistencyGraph(graph.schema, graph.objects, list(graph.alive), graph.parts,
+                            empty=graph.empty, wide=graph.wide)
     return list(iter_cliques(graph)) == list(iter_cliques(copy))
 
 
@@ -838,9 +838,13 @@ def test_search_rows_with_a_transposed_pair_and_an_emptied_pool():
     assert transposed > 0 and emptied > 0
 
 
-def test_edge_count_reads_the_parts_without_the_adjacency():
-    # A built graph counts its edges from its per-pair parts; the full
-    # adjacency stays unbuilt, and counting it gives the same number.
+def test_the_adjacency_is_built_only_on_request():
+    # Copying a built graph, searching it and counting its edges read its
+    # parts, search rows and pools: the full adjacency stays unbuilt in both
+    # graphs. Read, it holds the edges `_connect` writes from the parts, and
+    # as many as `edge_count` counts.
+    from lnplan.consistency import _connect
+
     rng = random.Random(59)
     graphs = edges = 0
     for i in range(60):
@@ -850,10 +854,18 @@ def test_edge_count_reads_the_parts_without_the_adjacency():
             for schema in task.schemas:
                 for numeric, record in itertools.product((True, False), repeat=2):
                     graph = build_graph(schema, ctx, numeric=numeric, record=record)
+                    copy = dataclasses.replace(graph, wide=[])
+                    assert set(iter_cliques(graph)) <= set(iter_cliques(copy))
                     count = graph.edge_count()
+                    assert copy.edge_count() == count
                     assert "adjacency" not in graph.__dict__
-                    assert count == sum(bits.bit_count() for bits in graph.adjacency) // 2
-                    assert graph.edge_count() == count
+                    assert "adjacency" not in copy.__dict__
+                    n = graph.n_objects
+                    want = [0] * (graph.k * n)
+                    for p1, p2, a1, a2, rows in graph.parts:
+                        _connect(want, p1 * n, a1, p2 * n, a2, rows)
+                    assert graph.adjacency == copy.adjacency == want
+                    assert count == sum(bits.bit_count() for bits in want) // 2
                     graphs += 1
                     edges += count
     assert graphs > 500 and edges > 1000
