@@ -11,11 +11,17 @@ as EMPTY, which is equivalent to initializing every binding to the empty
 interval up front. A NaN value is left out: it satisfies no comparison, so
 no binding that reads it can satisfy a constraint, and a fully bound term
 whose value is NaN reads EMPTY, as exact evaluation agrees.
+
+A table costs one pass over the function's n ground terms of arity k and
+one zip of their argument columns per position subset of `_subsets`, which
+is listed once per arity: O(n * k^DEGREE), with no subset enumerated per
+term. `AssignmentCache` picks the terms out of a state inside that call.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import cache
+from itertools import combinations, repeat
 from typing import Iterable, Mapping
 
 from .intervals import EMPTY, Interval
@@ -50,33 +56,57 @@ class AssignmentSet:
         return self.table.get(key, EMPTY)
 
 
+@cache
+def _subsets(arity: int) -> tuple[tuple[int, ...], ...]:
+    """The position subsets of one to DEGREE positions of an arity, in the
+    order of `itertools.combinations`: the keys a term contributes to,
+    besides the empty one."""
+    return tuple(positions for size in range(1, min(DEGREE, arity) + 1)
+                 for positions in combinations(range(arity), size))
+
+
 def build_assignment_set(function: FunctionSymbol,
                          fluent_items: Iterable[tuple[FunctionTerm, float]]) -> AssignmentSet:
     """Fold the values of `function`'s ground terms in one state, given as
-    (term, value) pairs, per binding.
+    (term, value) pairs with each term once, per binding.
 
-    One pass over the n ground terms; each contributes to every subset of at
-    most DEGREE of its positions, so construction is O(n * k^DEGREE) with
-    k = ar(function).
+    One pass over the n ground terms collects their arguments and values;
+    then, per position subset of `_subsets`, the terms' keys are zipped
+    from the argument columns at those positions and their values folded,
+    so construction is O(n * k^DEGREE) with k = ar(function). A subset of
+    all k positions gives each term its own key, which holds its value's
+    point interval, one per distinct value. Among equal values, the first
+    one seen bounds the interval.
     """
-    bounds: dict[tuple, list[float]] = {}
-    top = min(DEGREE, function.arity)
+    args, values = [], []
     for term, value in fluent_items:
-        if value != value:
-            continue  # NaN satisfies no comparison, and would pin the hull
-        args = term.args
-        for size in range(top + 1):
-            for positions in itertools.combinations(range(function.arity), size):
-                key = tuple((i, args[i]) for i in positions)
-                cur = bounds.get(key)
-                if cur is None:
-                    bounds[key] = [value, value]
-                else:
-                    if value < cur[0]:
-                        cur[0] = value
-                    if value > cur[1]:
-                        cur[1] = value
-    table = {key: Interval(lo, hi) for key, (lo, hi) in bounds.items()}
+        if value == value:  # NaN satisfies no comparison, and would pin the hull
+            args.append(term.args)
+            values.append(value)
+    if not values:
+        return AssignmentSet({})
+    table = {(): Interval(min(values), max(values))}
+    columns = list(zip(*args))
+    bounds: dict[tuple, list[float]] = {}
+    for positions in _subsets(function.arity):
+        keys = zip(*[zip(repeat(i), columns[i]) for i in positions])
+        if len(positions) == function.arity:
+            points = dict.fromkeys(values)
+            for value in points:
+                points[value] = Interval(value, value)
+            table.update(zip(keys, map(points.__getitem__, values)))
+            continue
+        for key, value in zip(keys, values):
+            cur = bounds.get(key)
+            if cur is None:
+                bounds[key] = [value, value]
+            else:
+                if value < cur[0]:
+                    cur[0] = value
+                if value > cur[1]:
+                    cur[1] = value
+    for key, (lo, hi) in bounds.items():
+        table[key] = Interval(lo, hi)
     return AssignmentSet(table)
 
 
@@ -84,9 +114,10 @@ class AssignmentCache:
     """Lazy cache of assignment sets over one map of fluents, one per
     function symbol.
 
-    Buckets the fluents by symbol once, then builds each table on first use.
-    A state's cache is built over the state's own fluents, those of the
-    functions some effect writes.
+    Builds each table on first use, from the fluents of its symbol, which
+    the build call itself picks out of the map as it reads them. A state's
+    cache is built over the state's own fluents, those of the functions some
+    effect writes.
 
     `static` maps the names of functions no effect writes to a cache over the
     task's static fluents. Their tables are the same in every state of the
@@ -99,23 +130,16 @@ class AssignmentCache:
         self.fluents = fluents
         self.static = static or {}
         self._sets: dict[str, AssignmentSet] = {}
-        self._buckets: dict[str, list] | None = None
-
-    def _bucket(self, name: str) -> list:
-        if self._buckets is None:
-            buckets: dict[str, list] = {}
-            for term, value in self.fluents.items():
-                buckets.setdefault(term.function.name, []).append((term, value))
-            self._buckets = buckets
-        return self._buckets.get(name, [])
 
     def get(self, function: FunctionSymbol) -> AssignmentSet:
-        cached = self._sets.get(function.name)
+        name = function.name
+        cached = self._sets.get(name)
         if cached is not None:
             return cached
-        shared = self.static.get(function.name)
+        shared = self.static.get(name)
         if shared is not None:
             built = shared.get(function)
         else:
-            built = build_assignment_set(function, self._bucket(function.name))
-        return self._sets.setdefault(function.name, built)
+            built = build_assignment_set(function, (item for item in self.fluents.items()
+                                                    if item[0].function.name == name))
+        return self._sets.setdefault(name, built)

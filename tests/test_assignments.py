@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -127,3 +128,75 @@ def test_cache_serves_static_functions_from_the_shared_cache():
     assert cache.get(h) is shared.get(h)
     assert cache.get(h).lookup({}) == Interval(2.0, 2.0)
     assert shared.get(g).lookup({}) == Interval(1.0, 1.0)
+
+
+def brute_table(function, items) -> dict:
+    """Every key of at most DEGREE (position, object) pairs, over the objects
+    the terms hold, that some term agrees with, mapped to the hull of those
+    terms' values; NaN values are left out."""
+    items = [(term, value) for term, value in items if value == value]
+    objects = {obj for term, _ in items for obj in term.args}
+    table = {}
+    for size in range(min(DEGREE, function.arity) + 1):
+        for positions in itertools.combinations(range(function.arity), size):
+            for objs in itertools.product(objects, repeat=size):
+                values = [value for term, value in items
+                          if all(term.args[i] == obj for i, obj in zip(positions, objs))]
+                if values:
+                    table[tuple(zip(positions, objs))] = Interval(min(values), max(values))
+    return table
+
+
+def test_tables_are_exact_as_a_whole():
+    # every key and every interval, against the brute-force table, for
+    # arities 0 to 4, terms that repeat an object, no terms at all, and
+    # values among NaN, +-inf and -0.0
+    rng = random.Random(2718)
+    objects = (A, B, C, Z)
+    pool = [float("nan"), math.inf, -math.inf, -0.0, 0.0, 1.5, -2.0, 3.0, 7.0]
+    shapes = set()
+    for trial in range(400):
+        arity = trial % 5
+        fn = FunctionSymbol("f", arity)
+        density = rng.choice([0.0, 0.1, 0.5, 1.0])
+        items = [(FunctionTerm(fn, combo), rng.choice(pool))
+                 for combo in itertools.product(objects, repeat=arity) if rng.random() < density]
+        rng.shuffle(items)
+        got = build_assignment_set(fn, items).table
+        assert got == brute_table(fn, items), (arity, items)
+        shapes.add((arity, bool(got)))
+        assert all(iv.lo == iv.lo and iv.hi == iv.hi for iv in got.values())
+    assert shapes == {(arity, filled) for arity in range(5) for filled in (False, True)}
+
+
+def test_the_cache_reads_its_fluents_inside_the_build_call(monkeypatch):
+    # the walk that picks a symbol's fluents out of the state's runs inside
+    # the build call, so a span around that call times it
+    from lnplan import assignments
+
+    f, g = FunctionSymbol("f", 1), FunctionSymbol("g", 2)
+    building, reads = [False], []
+
+    class Fluents(dict):
+        def items(self):
+            for item in super().items():
+                reads.append(building[0])
+                yield item
+
+    build = assignments.build_assignment_set
+
+    def spy(function, items):
+        building[0] = True
+        try:
+            return build(function, items)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(assignments, "build_assignment_set", spy)
+    fluents = Fluents({FunctionTerm(f, (A,)): 1.0, FunctionTerm(g, (A, B)): 2.0,
+                       FunctionTerm(f, (B,)): 3.0})
+    cache = AssignmentCache(fluents)
+    assert cache.get(f).table == {(): Interval(1.0, 3.0), ((0, A),): Interval(1.0, 1.0),
+                                  ((0, B),): Interval(3.0, 3.0)}
+    assert cache.get(g).lookup({1: B}) == Interval(2.0, 2.0)
+    assert reads and all(reads)
