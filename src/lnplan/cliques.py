@@ -8,7 +8,11 @@ partition's vertices are drawn from its pool (`ConsistencyGraph.pools`). A
 graph without search rows, static or hand-built, is searched over its
 derived adjacency; a built graph's is never read here. Output is a lazy
 stream; each clique is reported as a vertex-id tuple ordered by partition
-index, and the emission order is deterministic for a fixed graph.
+index, and the emission order is deterministic for a fixed graph. The
+search runs in one generator frame over an explicit per-depth stack, so a
+clique costs one resumption of it, whatever k is. A successor generator
+keys the ground actions it has built by these tuples, so a clique it has
+seen in an earlier state costs it one lookup (`successors`).
 
 A graph's elements on three or more variables (`ConsistencyGraph.wide`) are
 decided in the search: each one's check narrows the pool of its last
@@ -25,45 +29,57 @@ from .consistency import ConsistencyGraph, search_order
 
 def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
     """All k-cliques of the graph that its wide elements allow, each exactly once."""
-    k = graph.k
-    if graph.empty or any(mask == 0 for mask in graph.pools):
+    k, pools = graph.k, graph.pools
+    if graph.empty or 0 in pools:
         return
     if k == 0:
         yield ()
         return
     n = graph.n_objects
     order = search_order(graph.alive)
-    partition_masks = [graph.pools[p] << (p * n) for p in order]
+    partition_masks = [pools[p] << (p * n) for p in order]
     chosen = [0] * k
     full = (1 << (k * n)) - 1
-    checks: list[list[Callable]] = [[] for _ in order]
+    checks: list[tuple[Callable, ...]] = [()] * k
     for partitions, narrowing in graph.wide:
         depth = max(map(order.index, partitions))
-        checks[depth].append(narrowing(order[depth], n))
+        checks[depth] += (narrowing(order[depth], n),)
     rows = graph.adjacency if graph.search_rows is None else graph.search_rows
-    yield from _extend(0, full, order, partition_masks, rows, chosen, checks)
-
-
-def _extend(depth: int, candidates: int, order: list[int], partition_masks: list[int],
-            rows: list[int], chosen: list[int],
-            checks: list[list[Callable]]) -> Iterator[tuple[int, ...]]:
-    # module-level rather than a closure, which would keep the graph in a
-    # reference cycle after the enumeration
-    pool = candidates & partition_masks[depth]
-    for narrow in checks[depth]:
-        if not pool:
-            return
-        pool = narrow(chosen, pool)
-    last = depth + 1 == len(order)
-    while pool:
-        low = pool & -pool
-        pool ^= low
-        v = low.bit_length() - 1
-        chosen[order[depth]] = v
-        if last:
-            yield tuple(chosen)
+    # one frame for the whole search: per depth, the candidates it was
+    # entered with and the vertices of its pool not tried yet
+    top = k - 1
+    cands, untried = [0] * k, [0] * k
+    depth, candidates = 0, full
+    while True:
+        pool = candidates & partition_masks[depth]
+        for narrow in checks[depth]:
+            if not pool:
+                break
+            pool = narrow(chosen, pool)
+        if depth == top:
+            p = order[top]
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                chosen[p] = low.bit_length() - 1
+                yield tuple(chosen)
+            depth -= 1
         else:
-            narrowed = candidates & rows[v]
-            if narrowed:
-                yield from _extend(depth + 1, narrowed, order, partition_masks,
-                                   rows, chosen, checks)
+            cands[depth], untried[depth] = candidates, pool
+        # the next vertex to try, at the deepest depth that has one left
+        # whose row leaves candidates for the depth below it
+        while True:
+            if depth < 0:
+                return
+            pool = untried[depth]
+            if not pool:
+                depth -= 1
+                continue
+            low = pool & -pool
+            untried[depth] = pool ^ low
+            v = low.bit_length() - 1
+            chosen[order[depth]] = v
+            candidates = cands[depth] & rows[v]
+            if candidates:
+                depth += 1
+                break

@@ -126,21 +126,23 @@ def arith(a: Interval, op: str, b: Interval) -> Interval:
     return Interval(_clean(min(out)), _clean(max(out)))
 
 
+# comparison -> (the endpoint test, whether it reads a's upper and b's lower
+# endpoint rather than a's lower and b's upper one); "=" tests both pairs
+_EXISTS = {"<": (operator.lt, False), "<=": (operator.le, False),
+           ">": (operator.gt, True), ">=": (operator.ge, True), "=": (None, None)}
+
+
 def compare(a: Interval, cmp: str, b: Interval) -> bool:
     """Existential comparison: true iff some x in a, y in b satisfy x cmp y."""
-    if a.is_empty or b.is_empty:
+    try:
+        test, upper = _EXISTS[cmp]
+    except KeyError:
+        raise ValueError(f"unknown comparison operator {cmp!r}") from None
+    if a.lo > a.hi or b.lo > b.hi:
         return False
-    if cmp == "=":
+    if test is None:
         return a.lo <= b.hi and b.lo <= a.hi
-    if cmp == "<":
-        return a.lo < b.hi
-    if cmp == "<=":
-        return a.lo <= b.hi
-    if cmp == ">":
-        return a.hi > b.lo
-    if cmp == ">=":
-        return a.hi >= b.lo
-    raise ValueError(f"unknown comparison operator {cmp!r}")
+    return test(a.hi, b.lo) if upper else test(a.lo, b.hi)
 
 
 def _split_at_zero(j: Interval) -> tuple[Interval, ...]:

@@ -14,6 +14,12 @@ name, or per symbol name and arguments, held weakly, so that equality and
 hashing are by identity. A probe for a ground atom or fluent looks the
 instance up and builds none: with no instance, no state holds it.
 
+A ground action grounds its effects once, on first use, and keeps them
+(`GroundAction.ground_effects`). Successor generators intern their actions
+per generator (`successors.SuccessorGenerator`), so effects are ground once
+per distinct action, not once per application; only the values of effect
+expressions that read fluents are evaluated per application.
+
 The predicate name "=" is reserved for built-in object equality: it has the
 implicit extension {(o, o)} in every state and never appears in effect sets.
 """
@@ -553,9 +559,16 @@ def static_function_names(task: Task) -> frozenset[str]:
 
 
 class GroundAction:
-    """A schema plus a total binding of its parameters, in parameter order."""
+    """A schema plus a total binding of its parameters, in parameter order.
 
-    __slots__ = ("schema", "binding", "_map", "_hash")
+    What an action derives from its binding is filled on first use and kept:
+    the binding map and its ground effects (`ground_effects`). A successor
+    generator builds each distinct action once and reuses it in every state
+    (see `successors.SuccessorGenerator`), so that work is done once per
+    action, not once per state.
+    """
+
+    __slots__ = ("schema", "binding", "_map", "_hash", "_effects")
 
     def __init__(self, schema: ActionSchema, binding: Iterable[Object]):
         binding = tuple(binding)
@@ -563,8 +576,30 @@ class GroundAction:
             raise ValueError(f"action {schema.name}: binding arity mismatch")
         self.schema = schema
         self.binding = binding
-        self._map = None
+        self._map = self._effects = None
         self._hash = hash((schema.name, binding))
+
+    @classmethod
+    def bound(cls, schema: ActionSchema, binding: tuple[Object, ...]) -> GroundAction:
+        """The action, unchecked: `binding` is a tuple with one object per
+        parameter, as a successor generator's bindings are."""
+        action = object.__new__(cls)
+        action.schema, action.binding = schema, binding
+        action._map = action._effects = None
+        action._hash = hash((schema.name, binding))
+        return action
+
+    def ground_effects(self) -> tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[FunctionTerm, ...]]:
+        """The atoms the action deletes and adds and the terms it writes, in
+        the order of the schema's effect templates (`ActionSchema.effects`):
+        the interned instances, built only on a miss."""
+        if self._effects is None:
+            effects = self.schema.effects
+            values = self.binding + effects.constants if effects.constants else self.binding
+            self._effects = (_ground_parts(effects.deletes, values, Atom),
+                             _ground_parts(effects.adds, values, Atom),
+                             _ground_parts(effects.targets, values, FunctionTerm))
+        return self._effects
 
     def binding_map(self) -> dict[Variable, Object]:
         if self._map is None:
@@ -763,20 +798,18 @@ def apply_effects(state: State, action: GroundAction) -> State:
     updated as (atoms - deletes) + adds; the effects on one target fold into
     it in order. Effects change only what a state of the task owns, so the
     successor copies the own part and shares the static one. The atoms and
-    terms it writes are the interned instances, built only on a miss.
+    terms it writes are the action's ground effects, ground once per action.
     """
-    effects = action.schema.effects
-    values = action.binding + effects.constants if effects.constants else action.binding
+    deletes, adds, targets = action.ground_effects()
     atoms = state.own_atoms
-    if effects.deletes:
-        atoms = atoms.difference(_ground_parts(effects.deletes, values, Atom))
-    if effects.adds:
-        atoms = atoms.union(_ground_parts(effects.adds, values, Atom))
+    if deletes:
+        atoms = atoms.difference(deletes)
+    if adds:
+        atoms = atoms.union(adds)
     fluents = state.own_fluents
-    if effects.targets:
+    if targets:
         fluents = dict(fluents)
-        targets = _ground_parts(effects.targets, values, FunctionTerm)
-        for target, (fold, expr, value) in zip(targets, effects.updates):
+        for target, (fold, expr, value) in zip(targets, action.schema.effects.updates):
             if expr is not None:
                 value = expr_value(state, expr, action.binding_map())
             if fold is not None:
@@ -786,14 +819,14 @@ def apply_effects(state: State, action: GroundAction) -> State:
     return _successor(atoms, fluents, state.static)
 
 
-def _ground_parts(templates: tuple[PartTemplate, ...], values: tuple, cls) -> list:
+def _ground_parts(templates: tuple[PartTemplate, ...], values: tuple, cls) -> tuple:
     """The ground atom or term of each template: the interned instance,
-    looked up first, so that a write builds one only on a miss."""
+    looked up first, so that grounding builds one only on a miss."""
     find, out = cls.find, []
     for symbol, args in templates:
         args = args(values)
         out.append(find((symbol.name, args)) or cls(symbol, args))
-    return out
+    return tuple(out)
 
 
 def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:

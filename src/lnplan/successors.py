@@ -11,6 +11,12 @@ Strategies:
 Every strategy streams candidate ground actions that are then passed through
 an exact filter, so all four agree on the final set; they differ only in how
 many candidates they touch, which the CandidateReport records per expansion.
+Each ground action is built once per generator: `grounded` builds its store
+once, and the other strategies intern the actions they build, per schema by
+the binding's key, so that a binding streamed in an earlier state costs one
+lookup, and the action's binding map and ground effects are reused with it
+(see `SuccessorGenerator`). Every path builds its actions through the one
+unchecked constructor, `GroundAction.bound`.
 
 The filter checks only what a strategy leaves undecided. Per schema and
 strategy, `residual_check` compiles the applicability conditions that one of
@@ -31,10 +37,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .cliques import iter_cliques
 from .consistency import (StateContext, TaskStatics, build_graph, schema_violations,
@@ -145,7 +151,7 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
             kept.append(tuple(v - p * n for p, v in enumerate(clique)))
         kept.sort()
         by_schema[schema.name] = tuple(
-            GroundAction(schema, tuple(objects[oi] for oi in combo)) for combo in kept)
+            GroundAction.bound(schema, tuple([objects[oi] for oi in combo])) for combo in kept)
     return GroundStore(by_schema, sum(map(len, by_schema.values())))
 
 
@@ -276,7 +282,16 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
 
 class SuccessorGenerator:
     """Per-task generator; builds the grounded store once when needed, by
-    the deadline if one is given (see `ground_all`)."""
+    the deadline if one is given (see `ground_all`).
+
+    The lifted strategies build each distinct ground action once per
+    generator. Per schema, a table maps the key of each binding they have
+    streamed, a clique's vertex-id tuple or, under exhaustive, the object
+    tuple, to its action, which every later state reuses along with what the
+    action derives from its binding (`GroundAction.ground_effects`). A table
+    holds at most one action per distinct binding streamed, at most as many
+    as the candidates, and lives as long as the generator.
+    """
 
     def __init__(self, task: Task, config: GeneratorConfig = GeneratorConfig(),
                  deadline: Optional[float] = None):
@@ -285,6 +300,7 @@ class SuccessorGenerator:
         self.store: Optional[GroundStore] = (
             ground_all(task, config.ground_cap, deadline) if config.strategy == GROUNDED else None
         )
+        self._actions: defaultdict[str, dict[tuple, GroundAction]] = defaultdict(dict)
 
     @cached_property
     def checks(self) -> tuple[tuple[ActionSchema, Optional[Check]], ...]:
@@ -298,26 +314,25 @@ class SuccessorGenerator:
         return StateContext(self.task, state)
 
     def candidates(self, schema: ActionSchema, state: State,
-                   ctx: Optional[StateContext] = None) -> Iterator[GroundAction]:
-        """Stream of candidate ground actions for one schema."""
+                   ctx: Optional[StateContext] = None) -> Sequence[GroundAction]:
+        """The candidate ground actions for one schema, in stream order."""
         strategy = self.config.strategy
         if strategy == GROUNDED:
-            yield from self.store.for_schema(schema.name)
-            return
+            return self.store.for_schema(schema.name)
+        table = self._actions[schema.name]
+        get = table.get
         if strategy == EXHAUSTIVE:
             pools = task_statics(self.task).pools(schema, numeric=False)
-            for combo in itertools.product(*pools):
-                yield GroundAction(schema, combo)
-            return
+            return [get(combo) or _built(table, combo, schema, combo)
+                    for combo in itertools.product(*pools)]
         if ctx is None:
             ctx = self.context(state)
         graph = build_graph(schema, ctx, numeric=strategy == NUMERIC)
         objects = ctx.objects
         n = len(objects)
-        for clique in iter_cliques(graph):
-            yield GroundAction(
-                schema, tuple(objects[v - p * n] for p, v in enumerate(clique))
-            )
+        return [get(clique) or _built(table, clique, schema,
+                                      tuple([objects[v - p * n] for p, v in enumerate(clique)]))
+                for clique in iter_cliques(graph)]
 
     def applicable(self, state: State, ctx: Optional[StateContext] = None
                    ) -> tuple[list[GroundAction], CandidateReport]:
@@ -329,12 +344,19 @@ class SuccessorGenerator:
         """
         if ctx is None and self.config.strategy in (NUMERIC, PROPOSITIONAL):
             ctx = self.context(state)
-        report = CandidateReport()
         out: list[GroundAction] = []
+        streamed = 0
         for schema, check in self.checks:
-            for action in self.candidates(schema, state, ctx):
-                report.candidates += 1
-                if check is None or is_applicable(state, action, check):
-                    out.append(action)
-        report.applicable = len(out)
-        return out, report
+            found = self.candidates(schema, state, ctx)
+            streamed += len(found)
+            if check is None:
+                out += found
+            else:
+                out += [action for action in found if is_applicable(state, action, check)]
+        return out, CandidateReport(streamed, len(out))
+
+
+def _built(table: dict, key: tuple, schema: ActionSchema, binding: tuple) -> GroundAction:
+    """The action of a binding a generator has not streamed yet, kept in its table."""
+    table[key] = action = GroundAction.bound(schema, binding)
+    return action

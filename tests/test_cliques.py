@@ -2,7 +2,7 @@ import itertools
 import random
 
 from lnplan.cliques import iter_cliques
-from lnplan.consistency import ConsistencyGraph
+from lnplan.consistency import ConsistencyGraph, search_order
 from lnplan.model import ActionSchema, Object, Variable
 
 
@@ -125,3 +125,94 @@ def test_enumeration_is_lazy():
     assert first in brute_cliques(graph)
     rest = list(stream)
     assert len(rest) == 8
+    # the search has gone no further than the first clique when it is out
+    calls = []
+    graph.wide = (((0, 1), lambda last, n: lambda chosen, pool: calls.append(1) or pool),)
+    stream = iter_cliques(graph)
+    next(stream)
+    assert len(calls) == 1
+    assert len(list(stream)) == 8 and len(calls) == 3
+
+
+def reference_cliques(graph):
+    """The clique search as one recursive generator per depth, which the
+    single-frame search must match clique for clique, in order."""
+    k = graph.k
+    if graph.empty or any(mask == 0 for mask in graph.pools):
+        return
+    if k == 0:
+        yield ()
+        return
+    n = graph.n_objects
+    order = search_order(graph.alive)
+    partition_masks = [graph.pools[p] << (p * n) for p in order]
+    checks = [[] for _ in order]
+    for partitions, narrowing in graph.wide:
+        depth = max(map(order.index, partitions))
+        checks[depth].append(narrowing(order[depth], n))
+    rows = graph.adjacency if graph.search_rows is None else graph.search_rows
+    yield from _extend(0, (1 << (k * n)) - 1, order, partition_masks, rows, [0] * k, checks)
+
+
+def _extend(depth, candidates, order, partition_masks, rows, chosen, checks):
+    pool = candidates & partition_masks[depth]
+    for narrow in checks[depth]:
+        if not pool:
+            return
+        pool = narrow(chosen, pool)
+    last = depth + 1 == len(order)
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
+        chosen[order[depth]] = v
+        if last:
+            yield tuple(chosen)
+        else:
+            narrowed = candidates & rows[v]
+            if narrowed:
+                yield from _extend(depth + 1, narrowed, order, partition_masks,
+                                   rows, chosen, checks)
+
+
+def _random_wide(rng, k, n):
+    """A check on a random set of partitions that keeps a random share of
+    their object tuples, in the shape of `ConsistencyGraph.wide`."""
+    partitions = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+    kept = {combo for combo in itertools.product(range(n), repeat=len(partitions))
+            if rng.random() < 0.7}
+
+    def narrowing(last, n):
+        def check(chosen, pool):
+            for v in range(last * n, (last + 1) * n):
+                held = tuple(v - last * n if p == last else chosen[p] - p * n
+                             for p in partitions)
+                if pool >> v & 1 and held not in kept:
+                    pool ^= 1 << v
+            return pool
+        return check
+
+    return partitions, narrowing
+
+
+def test_emission_order_matches_the_recursive_search():
+    rng = random.Random(2024)
+    pruned = 0
+    for trial in range(400):
+        k, n = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [((p1, o1), (p2, o2))
+                 for p1 in range(k) for p2 in range(p1 + 1, k)
+                 for o1 in range(n) for o2 in range(n) if rng.random() < 0.6]
+        alive = {(p, o) for p in range(k) for o in range(n) if rng.random() < 0.85}
+        graph = make_graph(k, n, edges, alive)
+        if trial % 2:
+            graph.search_rows = graph.adjacency
+            graph.pools = [mask & rng.getrandbits(n) | mask & 1 for mask in graph.alive]
+        plain = list(iter_cliques(graph))
+        assert plain == list(reference_cliques(graph))
+        graph.wide = tuple(_random_wide(rng, k, n) for _ in range(rng.randint(1, 3)))
+        checked = list(iter_cliques(graph))
+        assert checked == list(reference_cliques(graph))
+        assert set(checked) <= set(plain)
+        pruned += len(checked) < len(plain)
+    assert pruned > 50

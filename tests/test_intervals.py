@@ -113,6 +113,28 @@ def test_compare_examples():
     assert compare(Interval(INF, INF), "<", Interval(INF, INF)) is False
 
 
+def test_compare_agrees_with_its_definition_on_every_endpoint_pair():
+    # the extremes of x cmp y lie at endpoints, so some pair of endpoints
+    # that lie in a and b satisfies it exactly when some pair of points does;
+    # the empty intervals include ones that are not [inf, -inf]
+    tests = {"=": lambda x, y: x == y, "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+             ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+    pairs = [Interval(lo, hi) for lo in ENDPOINTS for hi in ENDPOINTS]
+    for a in pairs:
+        for b in pairs:
+            ends = (a.lo, a.hi, b.lo, b.hi)
+            xs, ys = [x for x in ends if x in a], [y for y in ends if y in b]
+            for cmp, test in tests.items():
+                want = any(test(x, y) for x in xs for y in ys)
+                assert compare(a, cmp, b) is want, (a, cmp, b)
+
+
+@pytest.mark.parametrize("a", [point(1), EMPTY])
+def test_compare_rejects_an_unknown_operator(a):
+    with pytest.raises(ValueError, match="unknown comparison operator"):
+        compare(a, "!=", point(1))
+
+
 def _sample_points(j: Interval, rng: random.Random) -> list[float]:
     pts = []
     lo = j.lo if not math.isinf(j.lo) else (j.hi - 10.0 if not math.isinf(j.hi) else -10.0)

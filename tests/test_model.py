@@ -561,6 +561,25 @@ def test_apply_effects_edge_cases():
     assert Atom(Q2, (B, B)) in both.atoms
 
 
+def test_an_action_grounds_its_effects_once():
+    task = _effects_task()
+    consts = task.schema("consts")
+    with pytest.raises(ValueError, match="arity mismatch"):
+        GroundAction(consts, (A, B))
+    action = GroundAction.bound(consts, (B,))
+    assert action == GroundAction(consts, [B]) and hash(action) == hash(GroundAction(consts, [B]))
+    parts = action.ground_effects()
+    assert parts == ((Atom(P1, (B,)),), (Atom(Q2, (B, A)),), (term(G1, C), term(H1, B)))
+    assert action.ground_effects() is parts
+    # (assign (h ?x) (g a)) reads g(a) in the state it is applied in, each time
+    init = task.init
+    once = apply_effects(init, action)
+    bumped = apply_effects(once, GroundAction(task.schema("repeat"), (A, B)))
+    assert apply_effects(once, action).fluents[term(H1, B)] == 0.0
+    assert apply_effects(bumped, action).fluents[term(H1, B)] == 1.0
+    assert action.ground_effects() is parts
+
+
 def test_successors_write_the_initial_states_keys(bundled_tasks):
     # the atoms and terms a successor writes are the initial state's own
     # instances wherever it has them, not equal copies: matched by symbol

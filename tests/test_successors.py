@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from taskgen import brute_applicable, product_store, random_task, walk_states
+from taskgen import brute_applicable, product_store, random_task, searching_task, walk_states
 
 from lnplan.model import (
     EQUALITY,
@@ -22,6 +22,7 @@ from lnplan.model import (
     Task,
     Variable,
     apply,
+    apply_effects,
     static_predicate_names,
 )
 from lnplan.pddl import parse_task
@@ -311,3 +312,45 @@ def test_type_written_by_an_effect_is_a_dynamic_literal():
         assert set(SuccessorGenerator(task, config).applicable(state)[0]) == want, strategy
         result = solve(task, config)
         assert (result.status, result.cost) == ("solved", 2), strategy
+
+
+def _walk_with_interned_actions(task, strategy, rng, steps):
+    """Walk from the initial state with one generator, checking each state
+    against a fresh generator; returns how many interned actions were
+    applied in a state later than the one that built them."""
+    generator = SuccessorGenerator(task, GeneratorConfig(strategy=strategy))
+    built_at, reapplied = {}, 0
+    state = task.init
+    for step in range(steps):
+        fresh = SuccessorGenerator(task, GeneratorConfig(strategy=strategy))
+        for schema in task.schemas:
+            assert generator.candidates(schema, state) == fresh.candidates(schema, state)
+        actions, report = generator.applicable(state)
+        assert (actions, report) == fresh.applicable(state)
+        for schema in task.schemas:
+            for action in generator.candidates(schema, state):
+                # the same (schema, binding) is the same object in every state
+                first = built_at.setdefault((schema.name, action.binding), (action, step))[0]
+                assert first is action
+        for action in actions:
+            rebuilt = GroundAction(task.schema(action.schema.name), action.binding)
+            assert apply_effects(state, action).key() == apply_effects(state, rebuilt).key()
+            reapplied += built_at[action.schema.name, action.binding][1] < step
+        if not actions:
+            break
+        state = apply_effects(state, rng.choice(actions))
+    return reapplied
+
+
+def test_interned_actions_match_fresh_generators_along_walks(bundled_tasks):
+    rng = random.Random(8128)
+    reapplied = 0
+    tasks = [random_task(rng, exact=i % 2 == 0, task_id=i) for i in range(40)]
+    tasks += [searching_task(rng, task_id=i) for i in range(6)]
+    # delivery's drive decreases (fuel ?t) by (dist ?a ?b), an expression
+    # evaluated per application
+    tasks += [bundled_tasks["delivery"], bundled_tasks["farmland"], bundled_tasks["relay"]]
+    for task in tasks:
+        for strategy in STRATEGIES:
+            reapplied += _walk_with_interned_actions(task, strategy, rng, 12)
+    assert reapplied > 500
