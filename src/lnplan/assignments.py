@@ -1,10 +1,11 @@
 """Range tables for fluent values under partial argument bindings.
 
 For a function symbol F and a state, the table maps each partial binding of
-up to DEGREE argument positions to the hull of the values of all ground
-terms of F that agree with the binding. Fixing more positions never widens
-the interval, and at full arity the entry collapses to the exact value (or to
-EMPTY when no such ground term exists).
+up to DEGREE argument positions, and the binding of all of F's positions,
+to the hull of the values of all ground terms of F that agree with the
+binding. Fixing more positions never widens the interval, and at full arity
+the entry collapses to the exact value (or to EMPTY when no such ground term
+exists), whatever the arity.
 
 Only bindings witnessed by some ground term are stored; a missing key reads
 as EMPTY, which is equivalent to initializing every binding to the empty
@@ -15,6 +16,7 @@ whose value is NaN reads EMPTY, as exact evaluation agrees.
 A table costs one pass over the function's n ground terms of arity k and
 one zip of their argument columns per position subset of `_subsets`, which
 is listed once per arity: O(n * k^DEGREE), with no subset enumerated per
+term. Above arity DEGREE, the subset of all positions adds one key per
 term. `AssignmentCache` picks the terms out of a state inside that call.
 """
 
@@ -29,29 +31,30 @@ from .model import FunctionSymbol, FunctionTerm, Object
 
 PosBinding = Mapping[int, Object]  # argument position -> object
 
-# Fixed positions per table entry. Edge rules bind two variables, and the
-# exactness conditions bound functions at arity two, so two suffice.
+# Fixed positions per partial table entry. Edge rules bind two variables, so
+# two suffice; a term bound at every position is keyed in full at any arity.
 DEGREE = 2
 
 
 class AssignmentSet:
     """Per-symbol map from partial position bindings to value intervals."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "arity")
 
-    def __init__(self, table: dict):
+    def __init__(self, table: dict, arity: int):
         self.table = table
+        self.arity = arity
 
     def lookup(self, binding: PosBinding) -> Interval:
-        """Interval for the binding; EMPTY when no ground term matches.
+        """Interval for the binding; EMPTY when no ground term matches. A
+        binding of every position reads the term's exact value.
 
-        Querying more than DEGREE fixed positions violates the table's
-        construction contract and raises.
+        Querying more than DEGREE but fewer than all positions violates the
+        table's construction contract and raises.
         """
-        if len(binding) > DEGREE:
-            raise ValueError(
-                f"lookup with {len(binding)} fixed positions exceeds degree {DEGREE}"
-            )
+        if DEGREE < len(binding) < self.arity:
+            raise ValueError(f"lookup with {len(binding)} of {self.arity} fixed positions"
+                             f" exceeds degree {DEGREE}")
         key = tuple(sorted(binding.items()))
         return self.table.get(key, EMPTY)
 
@@ -59,10 +62,10 @@ class AssignmentSet:
 @cache
 def _subsets(arity: int) -> tuple[tuple[int, ...], ...]:
     """The position subsets of one to DEGREE positions of an arity, in the
-    order of `itertools.combinations`: the keys a term contributes to,
-    besides the empty one."""
-    return tuple(positions for size in range(1, min(DEGREE, arity) + 1)
-                 for positions in combinations(range(arity), size))
+    order of `itertools.combinations`, then all positions when there are
+    more than DEGREE: the keys a term contributes to, besides the empty one."""
+    sizes = range(1, arity + 1) if arity <= DEGREE else (*range(1, DEGREE + 1), arity)
+    return tuple(positions for size in sizes for positions in combinations(range(arity), size))
 
 
 def build_assignment_set(function: FunctionSymbol,
@@ -73,10 +76,10 @@ def build_assignment_set(function: FunctionSymbol,
     One pass over the n ground terms collects their arguments and values;
     then, per position subset of `_subsets`, the terms' keys are zipped
     from the argument columns at those positions and their values folded,
-    so construction is O(n * k^DEGREE) with k = ar(function). A subset of
-    all k positions gives each term its own key, which holds its value's
-    point interval, one per distinct value. Among equal values, the first
-    one seen bounds the interval.
+    so construction is O(n * k^DEGREE) with k = ar(function). The subset of
+    all k positions, at every arity, gives each term its own key, which
+    holds its value's point interval, one per distinct value. Among equal
+    values, the first one seen bounds the interval.
     """
     args, values = [], []
     for term, value in fluent_items:
@@ -84,7 +87,7 @@ def build_assignment_set(function: FunctionSymbol,
             args.append(term.args)
             values.append(value)
     if not values:
-        return AssignmentSet({})
+        return AssignmentSet({}, function.arity)
     table = {(): Interval(min(values), max(values))}
     columns = list(zip(*args))
     bounds: dict[tuple, list[float]] = {}
@@ -107,7 +110,7 @@ def build_assignment_set(function: FunctionSymbol,
                     cur[1] = value
     for key, (lo, hi) in bounds.items():
         table[key] = Interval(lo, hi)
-    return AssignmentSet(table)
+    return AssignmentSet(table, function.arity)
 
 
 class AssignmentCache:

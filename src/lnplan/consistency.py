@@ -9,22 +9,24 @@ under every extension of the pair (`relaxed_unsat`). Elements with a single
 free variable prune vertices instead (the unary specialization of the same
 rules), and elements with no free variables short-circuit the whole graph;
 a schema without parameters gets a graph that is empty or holds just the
-empty clique, exact on functions of arity at most two.
+empty clique.
 
-An element on three or more variables enters the graph only through its
-pair projections, so the graph's cliques overapproximate the bindings that
-satisfy it: the paper's exactness conditions (`schema_violations`). The
-graph therefore also carries a check per such element
+An element on at most two variables is decided in a row that binds all of
+them: a vertex mask binds its one variable, a pair row both, and `_refuted`
+takes those with none. There each of its function terms is bound at every
+position, and the term's range table reads its exact value at any arity
+(`_lookup_key`), so these rows decide their constraints exactly. An element
+on three or more variables enters the graph only through its pair
+projections, so the graph's cliques overapproximate the bindings that
+satisfy it: the paper's exactness conditions (`schema_violations`), which
+also ask for functions of arity at most two. The graph therefore also carries a check per such element
 (`ConsistencyGraph.wide`, compiled by `_Wide`), which `cliques.iter_cliques`
 applies at the depth where all the element's variables but one are bound.
 The check is the element's row for its last variable, with the others
-bound, from `_compile` and `_survivors` like every other row. With every
-variable bound the range tables read exact values, except for a function of
-arity above two, which a constraint then evaluates exactly per vertex. With
-the numeric rules, the cliques that remain are exactly the bindings whose
-preconditions hold, except where a constraint on at most two variables
-reads a function of arity above two, which the range tables only relax.
-The graph itself, its dump and its exclusions are the paper's.
+bound, from `_compile` and `_survivors` like every other row. With the
+numeric rules, the cliques that remain are exactly the bindings whose
+preconditions hold. The graph itself, its dump and its exclusions are the
+paper's.
 
 The numeric rules can be switched off to obtain the purely propositional
 graph (which still decides every literal); the final applicability filter
@@ -108,14 +110,12 @@ from .model import (
     Constant,
     EQUALITY_NAME,
     Expr,
-    FunctionSymbol,
     FunctionTerm,
     NumericConstraint,
     Object,
     State,
     Task,
     Variable,
-    constraint_holds,
     free_variables,
     function_terms,
     static_function_names,
@@ -261,14 +261,16 @@ def relaxed_eval(expr: Expr, binding: Mapping[Variable, Object], ranges: Assignm
 
 def _lookup_key(args: tuple, binding: Mapping[Variable, object]) -> tuple:
     """The range-table key a term with these arguments reads: (position,
-    object) for its constants and bound variables, the lowest DEGREE of
-    them. Fixing fewer than all only widens the interval, soundly."""
+    object) for its constants and bound variables, all of them when they
+    are all of its positions, which reads the term's exact value, and the
+    lowest DEGREE of them otherwise. Fixing fewer than all only widens the
+    interval, soundly."""
     key = []
     for i, arg in enumerate(args):
         obj = arg if type(arg) is Object else binding.get(arg)
         if obj is not None:
             key.append((i, obj))
-    return tuple(key[:DEGREE])
+    return tuple(key if len(key) == len(args) else key[:DEGREE])
 
 
 def relaxed_unsat(constraint: NumericConstraint, binding: Mapping[Variable, Object],
@@ -540,7 +542,7 @@ def _key(term: FunctionTerm, var: Variable, bound: tuple[Variable, ...]) -> tupl
 def _leaf(term: FunctionTerm, var: Variable, bound: tuple[Variable, ...]):
     """The term's `_Leaf` for rows of `var`; the term itself, which
     `relaxed_eval` reads per object, when its key fixes `var` at no
-    position or at two."""
+    position or at several."""
     key = _key(term, var, bound)
     at = [j for j, (_, arg) in enumerate(key) if arg == var]
     if len(at) != 1:
@@ -783,13 +785,12 @@ class _Wide:
     only its pair projections, so the clique search decides it exactly at
     the depth where all its variables but one are bound (`narrowing`): the
     check compiles the element for the last partition's variable with the
-    others bound (`_compile`) and runs `_survivors` on the pool. A static
-    element keeps its row per binding of the other partitions, on the last
-    partition's static alive mask (`alive` is the plan's list of them). A
-    constraint that reads a function of arity above DEGREE, which the range
-    tables only relax, is instead evaluated per vertex with
-    `model.constraint_holds`. The check at each possible last partition is
-    compiled once per plan, on first use.
+    others bound (`_compile`) and runs `_survivors` on the pool, where each
+    of its terms is bound at every position and read at its exact value. A
+    static element keeps its row per binding of the other partitions, on the
+    last partition's static alive mask (`alive` is the plan's list of them).
+    The check at each possible last partition is compiled once per plan, on
+    first use.
     """
 
     def __init__(self, reason: str, element, params: tuple[Variable, ...], static: bool,
@@ -816,22 +817,11 @@ class _Wide:
         """The check as a function of the task's statics, the context, the
         chosen vertex ids and the pool; it holds no `TaskStatics`, which
         holds it."""
-        var, off, objects = self.params[last], last * n, statics.objects
+        var, off = self.params[last], last * n
         bound = tuple(p for p in self.partitions if p != last)
-        binding = _binder(objects, self.params, bound, n)
-        element = self.element
-        if self.reason == NUMERIC_UNSAT and any(_relaxed(t.function)
-                                                for t in function_terms(element)):
-            def exact(statics, ctx: StateContext, chosen: list[int], pool: int) -> int:
-                at = binding(chosen)
-                for v in _bits(pool):
-                    at[var] = objects[v - off]
-                    if not constraint_holds(ctx.state, element, at):
-                        pool ^= 1 << v
-                return pool
-
-            return exact
-        rules = _compile([(self.reason, element)], (statics.index, statics.static_ranges, statics),
+        binding = _binder(statics.objects, self.params, bound, n)
+        rules = _compile([(self.reason, self.element)],
+                         (statics.index, statics.static_ranges, statics),
                          var, tuple(self.params[p] for p in bound))
 
         def dynamic(statics: TaskStatics, ctx: StateContext, chosen: list[int], pool: int) -> int:
@@ -1113,11 +1103,6 @@ def _wide(variables: frozenset) -> bool:
     return len(variables) > 2
 
 
-def _relaxed(function: FunctionSymbol) -> bool:
-    """Above arity DEGREE, the range tables only relax a function's values."""
-    return function.arity > DEGREE
-
-
 def wide_elements(schema: ActionSchema) -> tuple:
     """The precondition literals and constraints on three or more variables.
     The graph holds only their pair projections, and the clique search
@@ -1131,9 +1116,11 @@ def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:
     """(element, why) for each precondition element that breaks the
     exactness conditions.
 
-    The graph decides a precondition element exactly when it mentions at
-    most two variables and, for a constraint, every function it uses has
-    arity at most two.
+    The paper's graph decides a precondition element exactly when it
+    mentions at most two variables and, for a constraint, every function it
+    uses has arity at most two. lnplan decides the others too: wider
+    elements in the clique search (`wide_elements`), and a term of any arity
+    at its exact value.
     """
     for lit in schema.pre_literals:
         held = free_variables(lit)
@@ -1144,16 +1131,16 @@ def schema_violations(schema: ActionSchema) -> Iterator[tuple[object, str]]:
         if _wide(held):
             yield con, f"constraint with {len(held)} variables"
         for fn in sorted({t.function for t in function_terms(con)}, key=lambda f: f.name):
-            if _relaxed(fn):
+            if fn.arity > 2:
                 yield con, f"function {fn.name} of arity {fn.arity}"
 
 
 def exactness_violations(domain) -> list[tuple[str, str, str]]:
     """(schema, element, why) entries that break the exactness conditions.
 
-    Candidate generation is exact when every precondition literal and
-    constraint mentions at most two variables and every function used in a
-    precondition constraint has arity at most two.
+    The paper proves candidate generation exact when every precondition
+    literal and constraint mentions at most two variables and every function
+    used in a precondition constraint has arity at most two.
     """
     return [(schema.name, repr(element), why)
             for schema in domain.schemas

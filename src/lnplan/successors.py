@@ -23,13 +23,14 @@ strategy, `residual_check` compiles the applicability conditions that one of
 its candidates can still fail, once per generator (on first use): the
 precondition elements the strategy does not decide and the effect
 conditions that no static argument rules out. The graph strategies decide
-the elements on three or more variables while enumerating cliques, so for
-`numeric` only constraints on at most two variables that read a function of
-arity above two are left. A schema whose residual is empty costs no filter
-call. The residual relies on two facts about the task's states. They share
-the static atoms and fluents of the initial state by construction (its
-static part, which every successor passes on), and they define every fluent
-the initial state defines, since no effect undefines a fluent.
+the elements on three or more variables while enumerating cliques, and the
+range tables read a term bound at every position exactly, whatever its
+arity, so `numeric` leaves no precondition element. A schema whose residual
+is empty costs no filter call. The residual relies on two facts about the
+task's states. They share the static atoms and fluents of the initial state
+by construction (its static part, which every successor passes on), and
+they define every fluent the initial state defines, since no effect
+undefines a fluent.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .cliques import iter_cliques
-from .consistency import (StateContext, TaskStatics, build_graph, schema_violations,
-                          static_graph, task_statics, wide_elements)
+from .consistency import StateContext, TaskStatics, build_graph, static_graph, task_statics
 from .model import (
     ASSIGN,
     SCALE_DOWN,
@@ -160,26 +160,22 @@ def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozens
     """The precondition literals and constraints that a candidate of the
     strategy can still fail; `static` names the static predicates.
 
-    - numeric: the elements outside the exactness conditions
-      (`consistency.schema_violations`) that the clique search does not
-      decide either: constraints on at most two variables that read a
-      function of arity above two.
-    - propositional: those elements plus every constraint.
+    - numeric: none. The graph decides every element on at most two
+      variables, reading each function term at its exact value where the
+      element's variables are bound, and the clique search the rest.
+    - propositional: every constraint.
     - grounded: the literals on dynamic predicates plus every constraint;
       `ground_all` keeps only bindings whose static literals hold.
     - exhaustive: every element.
     """
     literals, constraints = schema.pre_literals, schema.pre_constraints
-    if strategy == EXHAUSTIVE:
-        return literals, constraints
-    if strategy == GROUNDED:
-        return tuple(lit for lit in literals if lit.atom.predicate.name not in static), constraints
-    decided = wide_elements(schema)
-    undecided = {element for element, _ in schema_violations(schema) if element not in decided}
-    if strategy == PROPOSITIONAL:
-        undecided.update(constraints)
-    return (tuple(lit for lit in literals if lit in undecided),
-            tuple(con for con in constraints if con in undecided))
+    return {
+        NUMERIC: ((), ()),
+        PROPOSITIONAL: ((), constraints),
+        GROUNDED: (tuple(lit for lit in literals if lit.atom.predicate.name not in static),
+                   constraints),
+        EXHAUSTIVE: (literals, constraints),
+    }[strategy]
 
 
 def fallible_effects(schema: ActionSchema, statics: Optional[TaskStatics] = None,

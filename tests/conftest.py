@@ -36,6 +36,7 @@ BUNDLED = (
     "doubling",
     "tokens",
     "dials",
+    "tolls",
 )
 
 

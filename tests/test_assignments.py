@@ -56,8 +56,18 @@ def test_binary_example():
 
 
 def test_lookup_beyond_degree_is_a_contract_violation():
+    # a binding of every position reads the exact value or EMPTY at any
+    # arity; one of more than DEGREE positions but fewer than all raises
     h = FunctionSymbol("h", 3)
-    table = build_assignment_set(h, [])
+    table = build_assignment_set(h, [(FunctionTerm(h, (A, B, C)), 4.0),
+                                     (FunctionTerm(h, (A, B, Z)), 9.0)])
+    assert table.lookup({0: A, 1: B, 2: C}) == Interval(4.0, 4.0)
+    assert table.lookup({0: A, 1: B}) == Interval(4.0, 9.0)
+    assert table.lookup({0: A, 1: B, 2: A}).is_empty
+    assert build_assignment_set(h, []).lookup({0: A, 1: B, 2: C}).is_empty
+    q = FunctionSymbol("q", 4)
+    table = build_assignment_set(q, [(FunctionTerm(q, (A, B, C, Z)), 1.0)])
+    assert table.lookup({0: A, 1: B, 2: C, 3: Z}) == Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         table.lookup({0: A, 1: B, 2: C})
 
@@ -131,13 +141,14 @@ def test_cache_serves_static_functions_from_the_shared_cache():
 
 
 def brute_table(function, items) -> dict:
-    """Every key of at most DEGREE (position, object) pairs, over the objects
-    the terms hold, that some term agrees with, mapped to the hull of those
-    terms' values; NaN values are left out."""
+    """Every key of at most DEGREE (position, object) pairs or of all the
+    function's positions, over the objects the terms hold, that some term
+    agrees with, mapped to the hull of those terms' values; NaN values are
+    left out."""
     items = [(term, value) for term, value in items if value == value]
     objects = {obj for term, _ in items for obj in term.args}
     table = {}
-    for size in range(min(DEGREE, function.arity) + 1):
+    for size in {*range(min(DEGREE, function.arity) + 1), function.arity}:
         for positions in itertools.combinations(range(function.arity), size):
             for objs in itertools.product(objects, repeat=size):
                 values = [value for term, value in items

@@ -83,6 +83,9 @@ EXCLUSIONS = {
     "doubling": {},
     "tokens": {("slide", "positive-miss"): 3, ("slide", "negative-hit"): 1},
     "dials": {("fine-tune", "numeric-unsat"): 1},
+    # (toll t1 la hub) is read at its value 9, not the hull [1, 9] of (toll t1 la ?)
+    "tolls": {("enter", "positive-miss"): 10, ("enter", "numeric-unsat"): 1,
+              ("leave", "positive-miss"): 1},
 }
 
 

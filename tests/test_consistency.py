@@ -540,8 +540,8 @@ def test_atom_shapes_match_reference():
 def test_constraint_shapes_match_reference():
     # Each shape is one constraint over ?x ?y ?z, under all five comparisons
     # and with its sides either way round, checked against the reference on
-    # random states with and without record mode. s/1, s2/2, s3/3 and c/0
-    # are static unless `touched`, when an effect writes them too; d/1,
+    # random states with and without record mode. s/1, s2/2, s3/3, s4/4
+    # and c/0 are static unless `touched`, when an effect writes them too; d/1,
     # d2/2 and k/0 are always written. Values include +-inf, and any ground
     # term may be undefined, so sides and table entries read empty. A
     # dynamic literal (q ?x ?y) thins the pair rows before the constraint.
@@ -551,6 +551,7 @@ def test_constraint_shapes_match_reference():
     Z = Variable("?z")
     s, s2, s3, c = (FunctionSymbol("s", 1), FunctionSymbol("s2", 2), FunctionSymbol("s3", 3),
                     FunctionSymbol("c", 0))
+    s4 = FunctionSymbol("s4", 4)
     d, d2, k = FunctionSymbol("d", 1), FunctionSymbol("d2", 2), FunctionSymbol("k", 0)
     q = PredicateSymbol("q", 2)
 
@@ -571,18 +572,20 @@ def test_constraint_shapes_match_reference():
         "both variables in a dynamic side, table on the other": (term(d2, X, Y), term(s, Y)),
         "repeated variable, two tables": (term(s, Y), term(s2, Y, Y)),
         "constant argument": (term(d, X), term(s2, Y, B)),
-        "arity three, truncated to DEGREE positions": (term(d, X), term(s3, Y, B, Y)),
+        "arity three, a repeated variable and a constant": (term(d, X), term(s3, Y, B, Y)),
         "arity three over all variables": (term(s3, X, Y, Z), term(k)),
+        "arity four, truncated to DEGREE positions but for the full binding": (
+            term(d, X), term(s4, Y, B, B, Z)),
     }
     written = [term(d, X), term(d2, X, Y), term(k)]
-    static = [term(s, X), term(s2, X, Y), term(s3, X, Y, Z), term(c)]
+    static = [term(s, X), term(s2, X, Y), term(s3, X, Y, Z), term(s4, X, Y, Z, X), term(c)]
     objects = (A, B, C)
     values = (-math.inf, -1.0, 0.0, 1.0, 2.0, math.inf)
     rng = random.Random(43)
     states = []
     for _ in range(5):
         fluents = {}
-        for fn in (s, s2, s3, c, d, d2, k):
+        for fn in (s, s2, s3, s4, c, d, d2, k):
             for args in itertools.product(objects, repeat=fn.arity):
                 if rng.random() < 0.75:
                     fluents[FunctionTerm(fn, args)] = rng.choice(values)
@@ -602,7 +605,7 @@ def test_constraint_shapes_match_reference():
                                       eff_numeric=effects)
                 for atoms, fluents in states:
                     task = _task([schema], objects, atoms, fluents, predicates=[q],
-                                 functions=[s, s2, s3, c, d, d2, k])
+                                 functions=[s, s2, s3, s4, c, d, d2, k])
                     ctx = StateContext(task, task.init)
                     for record in (False, True):
                         got = build_graph(schema, ctx, record=record)
@@ -749,7 +752,7 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     def spy(function, items):
         table = Lookups(build(function, items).table)
         table.name = function.name
-        return assignments.AssignmentSet(table)
+        return assignments.AssignmentSet(table, function.arity)
 
     monkeypatch.setattr(assignments, "build_assignment_set", spy)
     copy = _task(relay.schemas, robots + waypoints, atoms, fluents, relay.predicates,

@@ -88,7 +88,7 @@ def test_discover_and_run_suite(tmp_path):
     found = metrics.discover_suite(suite)
     ids = {t[0] for t in found}
     assert "counters" in ids and "counters:problem-unsat" in ids
-    assert len(found) == 11
+    assert len(found) == 12
 
     configs = [GeneratorConfig("numeric"), GeneratorConfig("propositional")]
     reports = metrics.run_suite(domains_root() / "counters", configs,

@@ -90,6 +90,15 @@ RESIDUALS = {
         PROPOSITIONAL: {"preset": ("(< (dial ?m) 5)",),
                         "fine-tune": ("(>= (dial ?m) 5)", "(<= (dial ?m) 6)")},
     },
+    # the graph reads the arity-3 toll at its exact value where ?t and the
+    # location are bound, and the precondition reads what the effect reads
+    "tolls": {
+        NUMERIC: {},
+        PROPOSITIONAL: {"enter": ("(>= (fuel ?t) (toll ?t ?a hub))",),
+                        "leave": ("(>= (fuel ?t) (toll ?t hub ?b))",)},
+        GROUNDED: {"enter": ("(at ?t ?a)", "(>= (fuel ?t) (toll ?t ?a hub))"),
+                   "leave": ("(at ?t hub)", "(>= (fuel ?t) (toll ?t hub ?b))")},
+    },
 }
 
 
@@ -214,15 +223,15 @@ def test_conflict_check_kept_for_mixed_operators_on_one_function():
                           "(shift b a)", "(shift b b)"]
 
 
-def test_constraint_on_a_ternary_function_kept_for_a_parameter_free_schema():
-    # the range table fixes two of (h k k k)'s positions, so the graph reads
-    # the hull [0, 5] of (h k k ?) and passes both constraints
+def test_constraint_on_a_ternary_function_decided_for_a_parameter_free_schema():
+    # the range table reads (h k k k) at its exact value 0, not the hull
+    # [0, 5] of (h k k ?), so the graph decides both constraints
     residuals, applicable = _case(
         "(:action high :parameters () :precondition (>= (h k k k) 1) :effect (q k))"
         " (:action low :parameters () :precondition (<= (h k k k) 1) :effect (q k))",
         "(= (h k k k) 0) (= (h k k a) 5)",
     )
-    assert residuals == {"high": ("(>= (h k k k) 1)",), "low": ("(<= (h k k k) 1)",)}
+    assert residuals == {}
     assert applicable == ["(low)"]
 
 

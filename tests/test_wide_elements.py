@@ -77,8 +77,8 @@ def _wide_constraint(rng, x, y, z, constant):
     variable the search binds last, is a threshold table or not."""
     lhs, rhs = rng.choice((
         (_term(F1, x), _term(C2, y, z)),
-        # the range tables fix two positions of h3, so the graph reads a hull
-        # of (h3 x y ?) and lets a NaN at the full binding through
+        # the pair rows of x and y read (h3 x y constant) at its exact value,
+        # so a NaN there refutes the pair
         (_term(H3, x, y, constant), _term(C2, y, z)),
         (_term(C2, y, z), _term(F1, x)),
         (BinaryExpr("+", _term(C2, x, y), _term(C1, z)), BinaryExpr("*", _term(F1, x), Constant(2.0))),
@@ -158,9 +158,9 @@ def _fuel_task(constraint) -> Task:
     The fuels are NaN, inf, -inf, undefined and 1; the distances out of l1
     are NaN, inf, -inf and 1, out of l2 undefined, 0, -0 and 2, out of l3
     -1 to 2, and out of l4 undefined. The toll (toll ?t ?a l1) is NaN for
-    some trucks and places; (toll ?t ?a l2) is 0, so the range tables,
-    which fix two of toll's positions, read a hull without the NaN and let
-    it through to the clique search."""
+    some trucks and places, and (toll ?t ?a l2) is 0. The pair rows of ?t
+    and ?a read (toll ?t ?a l1) at its exact value, so a NaN toll reads
+    EMPTY there and refutes the pair before the clique search."""
     truck, at, seen, route = (PredicateSymbol("truck", 1), PredicateSymbol("at", 2),
                               PredicateSymbol("seen", 3), PredicateSymbol("route", 3))
     fuel, dist, toll = (FunctionSymbol("fuel", 1), FunctionSymbol("dist", 2),
@@ -221,6 +221,6 @@ def test_threshold_and_exact_checks_agree_with_constraint_holds():
         paper = sum(1 for _ in iter_cliques(dataclasses.replace(graph, wide=[])))
         assert paper >= len(oracle), shape
         overapproximated += paper > len(oracle)
-    # in two thirds of the shapes the pair projections alone let candidates
-    # through
-    assert overapproximated == 20
+    # in 18 of the 30 shapes the pair projections alone let candidates
+    # through; a NaN toll already refutes its (?t, ?a) pair
+    assert overapproximated == 18
