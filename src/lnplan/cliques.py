@@ -1,18 +1,19 @@
 """Enumeration of one-vertex-per-partition cliques in a partitioned graph.
 
 Depth-first search over partitions ordered by ascending alive count
-(`consistency.search_order`). The candidate set is a bitset intersection of
-the chosen vertices' search rows (`ConsistencyGraph.search_rows`), which
-hold each vertex's edges toward the partitions bound after it, and each
-partition's vertices are drawn from its pool (`ConsistencyGraph.pools`). A
-graph without search rows, static or hand-built, is searched over its
-derived adjacency; a built graph's is never read here. Output is a lazy
-stream; each clique is reported as a vertex-id tuple ordered by partition
-index, and the emission order is deterministic for a fixed graph. The
-search runs in one generator frame over an explicit per-depth stack, so a
-clique costs one resumption of it, whatever k is. A successor generator
-keys the ground actions it has built by these tuples, so a clique it has
-seen in an earlier state costs it one lookup (`successors`).
+(`consistency.search_order`; `build_graph` keeps it in the graph's `order`).
+The candidate set is a bitset intersection of the chosen vertices' search
+rows (`ConsistencyGraph.search_rows`), which hold each vertex's edges toward
+the partitions bound after it, and each partition's vertices are drawn from
+its pool (`ConsistencyGraph.pools`). A graph without search rows, static or
+hand-built, is searched over its derived adjacency; a built graph's is never
+read here. Output is a lazy stream; each clique is reported as a vertex-id
+tuple ordered by partition index, and the emission order is deterministic
+for a fixed graph. The search runs in one generator frame over an explicit
+per-depth stack, so a clique costs one resumption of it, whatever k is. A
+successor generator keys the ground actions it has built by these tuples,
+so a clique it has seen in an earlier state costs it one lookup
+(`successors`).
 
 A graph's elements on three or more variables (`ConsistencyGraph.wide`) are
 decided in the search: each one's check narrows the pool of its last
@@ -36,7 +37,7 @@ def iter_cliques(graph: ConsistencyGraph) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     n = graph.n_objects
-    order = search_order(graph.alive)
+    order = graph.order or search_order(graph.alive)
     partition_masks = [pools[p] << (p * n) for p in order]
     chosen = [0] * k
     full = (1 << (k * n)) - 1

@@ -320,6 +320,9 @@ class ConsistencyGraph:
     wide: tuple[tuple[tuple[int, ...], Callable], ...] = ()
     search_rows: Optional[list[int]] = field(default=None, repr=False, compare=False)
     pools: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    # the partitions in the order the clique search binds them (`search_order`),
+    # set once the alive masks are final; a graph without it is ordered on read
+    order: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pools is None:
@@ -405,8 +408,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 def search_order(alive: list[int]) -> list[int]:
     """The partitions in the order the clique search binds them: ascending
-    alive count, then partition index."""
-    return sorted(range(len(alive)), key=lambda p: (alive[p].bit_count(), p))
+    alive count, then partition index (the sort is stable)."""
+    counts = [mask.bit_count() for mask in alive]
+    return sorted(range(len(alive)), key=counts.__getitem__)
 
 
 _Rule = tuple[str, object]  # (reason, element): the element refutes with the reason
@@ -940,7 +944,10 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
         alive[p] = _survivors(plan.unary[p], {}, plan.alive[p], env, exclusions, ("vertex", p))
     graph.empty = 0 in alive
     graph.search_rows = search_rows = plan.adjacency
-    if graph.empty or k == 1:
+    if graph.empty:
+        return graph
+    graph.order = order = search_order(alive)
+    if k == 1:
         return graph
 
     # An element holding only one of a pair's variables is checked once per
@@ -948,15 +955,13 @@ def build_graph(schema: ActionSchema, ctx: StateContext, *, numeric: bool = True
     # with dynamic rules adds its rows to the plan's static edges: the
     # transpose only when the search binds the pair's second partition first.
     params, pools, parts = schema.params, list(alive), graph.parts
-    order = None
     for p1, p2, half1, half2, dynamic, rows in plan.pairs:
         a1 = _survivors(half1, {}, alive[p1], env)
         a2 = _survivors(half2, {}, alive[p2], env)
         pools[p1] &= a1
         pools[p2] &= a2
         if dynamic is not None:
-            if order is None:  # the first pair with dynamic rules
-                order = search_order(alive)
+            if search_rows is plan.adjacency:  # the first pair with dynamic rules
                 graph.search_rows = search_rows = list(search_rows)
             static_rows, rows, x1, binding = rows, [0] * n, params[p1], {}
             for oi in _bits(a1):

@@ -14,11 +14,17 @@ name, or per symbol name and arguments, held weakly, so that equality and
 hashing are by identity. A probe for a ground atom or fluent looks the
 instance up and builds none: with no instance, no state holds it.
 
-A ground action grounds its effects once, on first use, and keeps them
-(`GroundAction.ground_effects`). Successor generators intern their actions
-per generator (`successors.SuccessorGenerator`), so effects are ground once
-per distinct action, not once per application; only the values of effect
-expressions that read fluents are evaluated per application.
+A state's key is packed: one tuple of its own atoms as a bitset and its own
+fluent values in slot order, numbered by a `Layout` that the states of one
+static part share. A ground action grounds its effects once, on first
+use, and keeps them with their delta on the keys of one layout
+(`GroundAction.ground_effects`, `Delta`): the bits it deletes and adds, and
+per numeric effect the slot it writes. Successor generators intern their
+actions per generator (`successors.SuccessorGenerator`), so that work is
+done once per distinct action, not once per application. The search keys a
+successor from its parent's key and the delta (`successor_key`) and builds
+the state only for a new key (`keyed_successor`); only the values of effect
+expressions that read fluents the states own are evaluated per application.
 
 The predicate name "=" is reserved for built-in object equality: it has the
 implicit extension {(o, o)} in every state and never appears in effect sets.
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 from .intervals import ARITH
 
@@ -428,20 +434,21 @@ class State:
     readers outside the hot path.
     """
 
-    __slots__ = ("own_atoms", "own_fluents", "static", "_key", "_hash")
+    # `_layout` is read on static parts only: a weak reference to their Layout
+    __slots__ = ("own_atoms", "own_fluents", "static", "_key", "_layout")
 
     def __init__(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float],
                  static: Optional[State] = None):
         self.own_atoms = frozenset(atoms)
         self.own_fluents = _normalized(fluents)
         self.static = NO_STATIC_FACTS if static is None else static
-        self._key = self._hash = None
+        self._key = self._layout = None
 
     @property
     def atoms(self) -> frozenset[Atom]:
         """Every true atom, the static ones included."""
         static = self.static
-        if static is None or not static.own_atoms:
+        if not static.own_atoms:
             return self.own_atoms
         return self.own_atoms | static.own_atoms
 
@@ -449,49 +456,111 @@ class State:
     def fluents(self) -> dict[FunctionTerm, float]:
         """Every defined fluent, the static ones included."""
         static = self.static
-        if static is None or not static.own_fluents:
+        if not static.own_fluents:
             return self.own_fluents
         return {**static.own_fluents, **self.own_fluents}
 
-    def key(self):
-        """Value identity: the own atom set, the set of own (term, value)
-        pairs and the static part.
+    def key(self) -> tuple:
+        """Value identity, packed into one tuple: the own atoms as a bitset,
+        the layout of the static part that numbers them, and the own fluent
+        values in slot order (see `Layout`).
 
         Atoms and terms are interned and values are floats with -0.0 stored
         as 0.0, so two states with the same true atoms and fluent values have
         equal keys whatever their construction order, as long as they split
-        them alike. The states of one task share their static part, which
-        then compares by identity. Equality and hashing of states use this
-        key; it is built once per state, and so is the hash.
+        them alike. States whose static parts differ have different layouts
+        and never equal keys. Equality and hashing of states use this key;
+        it is built once per state, by the search from the parent's key
+        (`successor_key`), and here for any other state.
         """
         if self._key is None:
-            self._key = (self.own_atoms, frozenset(self.own_fluents.items()), self.static)
+            self._key = Layout.of(self.static).pack(self.own_atoms, self.own_fluents)
         return self._key
 
     def __eq__(self, other):
         return type(other) is State and other.key() == self.key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return f"State({len(self.atoms)} atoms, {len(self.fluents)} fluents)"
 
 
-def _successor(atoms: frozenset[Atom], fluents: dict[FunctionTerm, float], static: State) -> State:
-    """A state over own contents that are already normalised."""
+class Layout:
+    """The numbering that packs the keys of the states of one static part.
+
+    Each own atom gets a bit and each own fluent term a slot, on first sight,
+    so the numbering grows when effects reach an atom or define a fluent
+    that no state keyed so far holds. A key is (bitset, layout, value of
+    slot 0, value of slot 1, ...): it holds None at the slot of a term the
+    state leaves undefined, which equals no value, and ends at its last
+    defined slot, so a key packed before a slot was added equals one packed
+    after. Static parts with equal contents share one layout (`Layout.of`),
+    so equal states of two parses of a task have equal keys. A layout lives
+    as long as a key or a `Delta` holds it. It numbers atoms and terms by
+    their names, so it keeps no interned instance alive and numbers an
+    instance built again as before.
+    """
+
+    __slots__ = ("bits", "slots", "__weakref__")
+
+    def __init__(self):
+        self.bits: dict[tuple[str, ...], int] = {}  # atom's names -> 1 << its number
+        self.slots: dict[tuple[str, ...], int] = {}  # term's names -> its slot
+
+    @staticmethod
+    def of(static: State) -> Layout:
+        """The layout of the states whose static part is `static`."""
+        layout = static._layout and static._layout()
+        if layout is None:
+            content = (static.own_atoms, frozenset(static.own_fluents.items()))
+            layout = _LAYOUTS.get(content)
+            if layout is None:
+                layout = _LAYOUTS[content] = Layout()
+            static._layout = ref(layout)
+        return layout
+
+    def bit(self, atom: Atom) -> int:
+        names = (atom.predicate.name, *[a.name for a in atom.args])
+        return self.bits.setdefault(names, 1 << len(self.bits))
+
+    def slot(self, term: FunctionTerm) -> int:
+        """The term's position in a key: its slot, after bitset and layout."""
+        names = (term.function.name, *[a.name for a in term.args])
+        return self.slots.setdefault(names, len(self.slots) + 2)
+
+    def pack(self, atoms: Iterable[Atom], fluents: Mapping[FunctionTerm, float]) -> tuple:
+        """The key of a state that owns these atoms and fluents."""
+        mask = 0
+        for atom in atoms:
+            mask |= self.bit(atom)
+        key = [mask, self]
+        for term, value in fluents.items():
+            position = self.slot(term)
+            if position >= len(key):
+                key += [None] * (position + 1 - len(key))
+            key[position] = value
+        return tuple(key)
+
+
+# static contents -> their layout, while a key or a delta holds it
+_LAYOUTS: WeakValueDictionary = WeakValueDictionary()
+
+
+def _successor(atoms: frozenset[Atom], fluents: dict[FunctionTerm, float], static: State,
+               key: tuple) -> State:
+    """A state over own contents that are already normalised, with its key."""
     state = object.__new__(State)
     state.own_atoms, state.own_fluents, state.static = atoms, fluents, static
-    state._key = state._hash = None
+    state._key, state._layout = key, None
     return state
 
 
-# the empty static part of states built by hand; built while its own name is
-# still None, it has no static part itself, which keeps its key finite
+# the empty static part of states built by hand, which is its own static part
 NO_STATIC_FACTS = None
 NO_STATIC_FACTS = State((), {})
+NO_STATIC_FACTS.static = NO_STATIC_FACTS
 
 
 @dataclass
@@ -558,14 +627,39 @@ def static_function_names(task: Task) -> frozenset[str]:
     return frozenset(f.name for f in task.functions if f.name not in written)
 
 
+class Delta(NamedTuple):
+    """A ground action's effects, ground, and what they do to the keys of
+    the states of one layout.
+
+    `parts` are the atoms it deletes and adds and the terms it writes, in
+    the order of the schema's effect templates (`ActionSchema.effects`).
+    Over the layout, a successor's atom bitset is the state's `& keep | add`,
+    and each numeric effect in order has a write (slot, fold, expr, value),
+    the slot as a position in the key: `fold` is the arithmetic that folds
+    the value into the slot (None for :=), and the value is `value` unless
+    `expr` is given, which is then evaluated in the state. An expression
+    with no function term, or whose terms are all static, is evaluated once
+    into `value`. `reach` is one past the highest slot written. Without a
+    layout only `parts` is set.
+    """
+
+    parts: tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[FunctionTerm, ...]]
+    layout: Optional[Layout] = None
+    keep: int = -1
+    add: int = 0
+    writes: tuple[tuple[int, Optional[Callable], Optional[Expr], Optional[float]], ...] = ()
+    reach: int = 0
+
+
 class GroundAction:
     """A schema plus a total binding of its parameters, in parameter order.
 
     What an action derives from its binding is filled on first use and kept:
-    the binding map and its ground effects (`ground_effects`). A successor
-    generator builds each distinct action once and reuses it in every state
-    (see `successors.SuccessorGenerator`), so that work is done once per
-    action, not once per state.
+    the binding map and its ground effects with their delta on the keys of
+    the last layout it was applied in (`Delta`). A successor generator builds
+    each distinct action once and reuses it in every state (see
+    `successors.SuccessorGenerator`), so that work is done once per action,
+    not once per state.
     """
 
     __slots__ = ("schema", "binding", "_map", "_hash", "_effects")
@@ -596,10 +690,36 @@ class GroundAction:
         if self._effects is None:
             effects = self.schema.effects
             values = self.binding + effects.constants if effects.constants else self.binding
-            self._effects = (_ground_parts(effects.deletes, values, Atom),
-                             _ground_parts(effects.adds, values, Atom),
-                             _ground_parts(effects.targets, values, FunctionTerm))
-        return self._effects
+            self._effects = Delta((_ground_parts(effects.deletes, values, Atom),
+                                   _ground_parts(effects.adds, values, Atom),
+                                   _ground_parts(effects.targets, values, FunctionTerm)))
+        return self._effects.parts
+
+    def delta(self, state: State, layout: Layout) -> Delta:
+        """The action's delta on the keys of the layout of `state`, kept
+        until the action is applied in a state of another layout."""
+        delta = self._effects
+        if delta is not None and delta.layout is layout:
+            return delta
+        deletes, adds, targets = parts = self.ground_effects()
+        drop = add = 0
+        for atom in deletes:
+            drop |= layout.bit(atom)
+        for atom in adds:
+            add |= layout.bit(atom)
+        static, binding, writes = state.static, self.binding_map(), []
+        for target, (fold, expr, value) in zip(targets, self.schema.effects.updates):
+            if expr is not None and all(
+                    FunctionTerm.find((t.function.name, _ground_args(t.args, binding)))
+                    in static.own_fluents for t in function_terms(expr)):
+                # static terms have one value in every state of the layout
+                fixed = expr_value(static, expr, binding)
+                if fixed is not None:
+                    expr, value = None, fixed
+            writes.append((layout.slot(target), fold, expr, value))
+        self._effects = delta = Delta(parts, layout, ~drop, add, tuple(writes),
+                                      max((w[0] + 1 for w in writes), default=0))
+        return delta
 
     def binding_map(self) -> dict[Variable, Object]:
         if self._map is None:
@@ -785,8 +905,8 @@ def applicability_failure(state: State, action: GroundAction,
 def apply(state: State, action: GroundAction) -> State:
     """Successor state of an action the caller has found applicable.
 
-    The search applies only actions that the successor filter has checked,
-    so nothing is checked again here.
+    Only actions whose applicability has been checked are applied, so
+    nothing is checked again here.
     """
     return apply_effects(state, action)
 
@@ -796,11 +916,38 @@ def apply_effects(state: State, action: GroundAction) -> State:
 
     All effect expressions are evaluated in the original state. Atoms are
     updated as (atoms - deletes) + adds; the effects on one target fold into
-    it in order. Effects change only what a state of the task owns, so the
-    successor copies the own part and shares the static one. The atoms and
-    terms it writes are the action's ground effects, ground once per action.
+    it in order. The successor is keyed from the state's key and built with
+    that key (`successor_key`, `keyed_successor`).
     """
-    deletes, adds, targets = action.ground_effects()
+    return keyed_successor(state, action, successor_key(state, action))
+
+
+def successor_key(state: State, action: GroundAction) -> tuple:
+    """The key of the action's successor of the state, from the state's key
+    and the action's delta (`GroundAction.delta`), with no state built."""
+    key = list(state._key or state.key())
+    delta = action.delta(state, key[1])
+    key[0] = key[0] & delta.keep | delta.add
+    if len(key) < delta.reach:
+        key += [None] * (delta.reach - len(key))
+    for slot, fold, expr, value in delta.writes:
+        if expr is not None:
+            value = expr_value(state, expr, action.binding_map())
+        if fold is not None:
+            value = fold(key[slot], value)
+        # adding 0.0 stores an int as a float and -0.0 as 0.0
+        key[slot] = value + 0.0
+    return tuple(key)
+
+
+def keyed_successor(state: State, action: GroundAction, key: tuple) -> State:
+    """The successor whose key `successor_key` gave for the state and the
+    action. It copies the own parts that the effects change, with the
+    written values read from the key, and shares the rest and the static
+    part with the state. The atoms and terms it writes are the action's
+    ground effects, ground once per action."""
+    delta = action.delta(state, key[1])
+    deletes, adds, targets = delta.parts
     atoms = state.own_atoms
     if deletes:
         atoms = atoms.difference(deletes)
@@ -809,14 +956,9 @@ def apply_effects(state: State, action: GroundAction) -> State:
     fluents = state.own_fluents
     if targets:
         fluents = dict(fluents)
-        for target, (fold, expr, value) in zip(targets, action.schema.effects.updates):
-            if expr is not None:
-                value = expr_value(state, expr, action.binding_map())
-            if fold is not None:
-                value = fold(fluents[target], value)
-            # adding 0.0 stores an int as a float and -0.0 as 0.0
-            fluents[target] = value + 0.0
-    return _successor(atoms, fluents, state.static)
+        for target, write in zip(targets, delta.writes):
+            fluents[target] = key[write[0]]
+    return _successor(atoms, fluents, state.static, key)
 
 
 def _ground_parts(templates: tuple[PartTemplate, ...], values: tuple, cls) -> tuple:

@@ -4,6 +4,9 @@ Actions cost one, so breadth-first order (FIFO among equal g-values) is
 uniform-cost order and the first plan found is a shortest one. The goal is
 tested at expansion. A state is queued only when first generated, which is
 at its least g; later copies are dropped against a seen set of state keys.
+Each successor's key is derived from its parent's key and the action's
+delta before any state is built (`model.successor_key`), so a duplicate
+costs its key and one probe, and only a new key gets a `State`.
 Resource limits are enforced in-process: a wall-clock deadline, which the
 grounding join checks too, an expansion cap, and a stored-state cap
 standing in for a memory bound.
@@ -22,8 +25,9 @@ from .model import (
     Task,
     applicability_failure,
     apply,
-    apply_effects,
     goal_satisfied,
+    keyed_successor,
+    successor_key,
 )
 from .successors import GeneratorConfig, GroundDeadlineError, GroundLimitError, SuccessorGenerator
 
@@ -31,8 +35,11 @@ SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
 LIMIT = "limit"
 
-# rough per-state bookkeeping cost used to turn a memory bound into a state cap
-_STATE_BYTES_ESTIMATE = 2048
+# bytes per stored state used to turn a memory bound into a state cap: above
+# tracemalloc's peak over a numeric solve divided by its stored states, which
+# reads 555 B on farmland (8 farms, 8 units), 762 B on farmland (6, 5) and
+# 837 B on relay (40 waypoints, node cap 2,000) under CPython 3.11
+_STATE_BYTES_ESTIMATE = 1024
 
 
 @dataclass(frozen=True)
@@ -128,15 +135,14 @@ def solve(task: Task, config: GeneratorConfig = GeneratorConfig(),
         stats.candidates += report.candidates
         stats.applicable += report.applicable
         stats.per_expansion.append((report.candidates, report.applicable))
-        child_g = node.g + 1
+        state, child_g = node.state, node.g + 1
         for action in actions:
-            successor = apply(node.state, action)
-            skey = successor.key()
-            if skey in seen:
+            key = successor_key(state, action)
+            if key in seen:
                 continue
-            seen.add(skey)
+            seen.add(key)
             stats.generated += 1
-            queue.append(_Node(successor, node, action, child_g))
+            queue.append(_Node(keyed_successor(state, action, key), node, action, child_g))
         if state_cap is not None and len(seen) > state_cap:
             return finish(LIMIT, limit_hit="states" if state_cap == limits.states else "memory")
     return finish(UNSOLVABLE)
@@ -175,7 +181,7 @@ def validate(task: Task, plan: list[GroundAction], tolerance: float = 0.0) -> Va
         if failure is not None:
             return ValidationResult(False, failed_index=index,
                                     reason=f"step {index} {action.pddl()}: {failure}")
-        state = apply_effects(state, action)
+        state = apply(state, action)
     if not goal_satisfied(state, task, tolerance):
         return ValidationResult(False, failed_index=len(plan), reason="goal not satisfied")
     return ValidationResult(True, cost=len(plan))

@@ -39,8 +39,10 @@ from lnplan.model import (
     function_terms,
     goal_satisfied,
     is_applicable,
+    keyed_successor,
     literal_holds,
     substitute,
+    successor_key,
 )
 
 P_AT = PredicateSymbol("at", 2)
@@ -467,8 +469,9 @@ def test_full_views_equal_the_unsplit_contents(monkeypatch):
 
 def _check_successor(state, action):
     """apply_effects agrees with the reference successor: equal full contents,
-    an equal key once the reference is split like the state, and every value
-    a float with -0.0 stored as 0.0. Returns the successor."""
+    a key derived from the state's key that equals the key packed for the
+    reference once it is split like the state, and every value a float with
+    -0.0 stored as 0.0. Returns the successor."""
     from taskgen import reference_successor
 
     got, want = apply_effects(state, action), reference_successor(state, action)
@@ -483,17 +486,23 @@ def _check_successor(state, action):
     return got
 
 
-def _walk(task, rng, steps):
-    """Every applicable action of each state along a random walk, checked."""
+def _walk(task, rng, steps, applicable=None):
+    """Every applicable action of each state along a random walk, checked;
+    the states of the walk and all their successors. `applicable` gives a
+    state's actions, by default the brute-force oracle's."""
     from taskgen import brute_applicable
 
-    state = task.init
+    if applicable is None:
+        applicable = lambda state: brute_applicable(task, state)  # noqa: E731
+    state, states = task.init, [task.init]
     for _ in range(steps):
-        actions = brute_applicable(task, state)
+        actions = applicable(state)
         if not actions:
-            return
+            break
         successors = [_check_successor(state, action) for action in actions]
+        states += successors
         state = rng.choice(successors)
+    return states
 
 
 P1, Q2 = PredicateSymbol("p", 1), PredicateSymbol("q", 2)
@@ -620,6 +629,94 @@ def test_keys_equal_across_separate_parses():
                 break
             i = rng.randrange(len(actions[0]))
             states = [_check_successor(state, acts[i]) for state, acts in zip(states, actions)]
+
+
+# --- packed keys, derived from the parent's key and the action's delta ---
+
+
+def _assert_keys_follow_contents(states, label):
+    """Equal keys exactly for equal atoms and fluents."""
+    keys_of: dict = {}
+    for state in states:
+        keys_of.setdefault((state.atoms, frozenset(state.fluents.items())), set()).add(state.key())
+    assert all(len(keys) == 1 for keys in keys_of.values()), label
+    assert len({state.key() for state in states}) == len(keys_of), label
+
+
+def test_derived_keys_equal_packed_keys_and_follow_contents(seed, bundled_tasks):
+    from taskgen import random_task, searching_task
+
+    from lnplan.successors import SuccessorGenerator
+
+    # `_walk` checks each successor's key, derived from its parent's key and
+    # the action's delta, against the key packed afresh for the reference
+    # successor built by hand over the same static part
+    rng = random.Random(seed)
+    for i in range(16):
+        for task in (random_task(rng, exact=bool(i % 2), task_id=i),
+                     searching_task(rng, task_id=i)):
+            _assert_keys_follow_contents(_walk(task, rng, 4), task.problem_name)
+    for name, task in bundled_tasks.items():
+        generator = SuccessorGenerator(task)
+        states = _walk(task, rng, 6, lambda state: generator.applicable(state)[0])
+        _assert_keys_follow_contents(states, name)
+
+
+def test_keys_of_signed_zeros_ints_and_floats():
+    task = _effects_task()
+    init = task.init
+    # (scale-up (f) -1) on f = 0 writes -0.0, which keys as 0.0
+    assert successor_key(init, GroundAction(task.schema("negate"), ())) == init.key()
+    # the reset schema's 2 * -0.0 leaves g(c) = 0.0 as it was
+    assert successor_key(init, GroundAction(task.schema("reset"), (C,))) == init.key()
+    fluents = init.own_fluents
+    as_ints = {t: int(v) for t, v in fluents.items()}
+    negative_zeros = {t: -0.0 if v == 0 else v for t, v in fluents.items()}
+    for hand in (State(init.own_atoms, as_ints, init.static),
+                 State(init.own_atoms, negative_zeros, init.static)):
+        assert hand.key() == init.key() and hash(hand) == hash(init) and hand == init
+    assert State((), {term(F0): -0.0}).key() == State((), {term(F0): 0}).key()
+    assert State((), {term(F0): 1}).key() == State((), {term(F0): 1.0}).key()
+    assert State((), {term(F0): 0.0}).key() != State((), {term(F0): 1e-300}).key()
+    # NaN is as unequal to itself in a key as elsewhere: two states holding
+    # distinct NaN objects differ, as they did before keys were packed
+    nan = State((), {term(F0): float("nan")})
+    assert nan == nan and nan != State((), {term(F0): float("nan")})
+
+
+def test_keys_grow_a_slot_for_a_fluent_defined_on_the_way():
+    import uuid
+
+    tag = uuid.uuid4().hex  # names no layout has numbered yet
+    level, count = FunctionSymbol(f"level-{tag}", 0), FunctionSymbol(f"count-{tag}", 1)
+    u, v = Object(f"u-{tag}"), Object(f"v-{tag}")
+    define = ActionSchema("define", (X,), eff_numeric=(
+        NumericEffect(term(count, X), ASSIGN, BinaryExpr("+", term(level), Constant(1))),))
+    task = Task("grow", "grow", (), (level, count), (define,), (u, v),
+                State((), {term(level): 2.0}))
+    init = task.init
+    # level is static, so (+ (level) 1) is evaluated once per action
+    assert not init.own_fluents and term(level) in init.static.own_fluents
+    before = init.key()
+    at_u = successor_key(init, GroundAction(define, (u,)))
+    assert len(at_u) == len(before) + 1 and at_u[-1] == 3.0
+    only_u = keyed_successor(init, GroundAction(define, (u,)), at_u)
+    at_v = successor_key(init, GroundAction(define, (v,)))
+    both = successor_key(only_u, GroundAction(define, (v,)))
+    # count(u) undefined sits in the middle of count(v)'s key as None
+    assert at_v[-2] is None and at_v[-1] == 3.0 and both[-2:] == (3.0, 3.0)
+    assert len({before, at_u, at_v, both}) == 4
+    # a state packed after the slots grew ends at its last defined slot, so
+    # the same contents key alike before and after
+    assert State((), dict(init.own_fluents), init.static).key() == before
+    for key, fluents in ((at_u, {term(count, u): 3.0}), (at_v, {term(count, v): 3.0}),
+                         (both, {term(count, v): 3, term(count, u): 3})):
+        hand = State((), fluents, init.static)
+        assert hand.key() == key and hash(hand) == hash(key)
+    # undefined stays distinct from every value the slot can hold
+    for value in (0.0, -0.0, 3.0):
+        hand = State((), {term(count, u): value}, init.static)
+        assert hand.key() != before and (hand.key() == at_u) == (value == 3.0)
 
 
 # --- interned objects, variables, atoms and function terms ---

@@ -184,6 +184,37 @@ def test_memory_cap_reported_as_memory():
     assert result.status == LIMIT and result.limit_hit == "memory"
 
 
+def test_memory_limit_does_not_under_count_stored_states():
+    # tracemalloc's peak over a numeric breadth-first solve, divided by the
+    # states the search stores, stays within the bytes per state that
+    # Limits.memory_mb assumes, so a memory limit never admits more states
+    # than it pays for
+    import gc
+    import sys
+    import tracemalloc
+
+    from lnplan import pddl, search
+
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import families
+
+    for family, nodes in ((families.farmland(1, 6, 5), None),
+                          (families.relay(1, waypoints=40, node_cap=2000), 2000)):
+        task = pddl.parse_task(family.domain, family.problem)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = solve(task, GeneratorConfig(strategy=NUMERIC), Limits(nodes=nodes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = result.stats.generated + 1
+        assert stored > 200
+        assert peak / stored <= search._STATE_BYTES_ESTIMATE, (family.problem[:40], peak / stored)
+
+
 def test_validate_flags_broken_plans(bundled_tasks):
     task = bundled_tasks["tokens"]
     result = solve(task, GeneratorConfig())
