@@ -73,16 +73,12 @@ neither the row's variable nor a bound one once per plan, a static side
 that holds the row's variable once per task and binding of the bound
 variables it holds, on the objects its range tables hold there (a `_Table`
 of `TaskStatics`), any other side without the row's variable once per row,
-and the rest once per object. A bare function term is read at a key fixed
-when the rule is compiled (`_key`: `_lookup_key`'s positions, with the
-row's variable and the bound ones standing for their objects). Without the
-row's variable that is one lookup per row; a dynamic one with it is a
-`_Leaf`, which `_now` resolves to the state's table and bound objects once
-per row, so that each object costs one dict lookup. Composite sides go
-through `relaxed_eval`. When one side is a table and the other is fixed for
-the row, the constraint costs one threshold mask per row, read by bisection
-from the table's values sorted once per task and binding; otherwise the
-sides are compared per object the earlier rows leave.
+and the rest once per object. Every read of a function's value goes through
+one reader, `relaxed_eval`, which looks the term up at `_lookup_key`. When
+one side is a table and the other is fixed for the row, the constraint
+costs one threshold mask per row, read by bisection from the table's values
+sorted once per task and binding; otherwise the sides are compared per
+object the earlier rows leave.
 
 With `record=True` every excluded vertex and pair is listed with the first
 rule that refutes it, in the order positive-miss, negative-hit,
@@ -430,52 +426,26 @@ def _refuted(rules: list[_Rule], index: AtomIndex, ranges: AssignmentCache) -> O
 
 class _PerCall(NamedTuple):
     """A constraint side that does not hold the row's variable and reads a
-    dynamic function or the bound variable: evaluated once per row, a bare
-    function term by one lookup at its compiled `key` (`_key`), any other
-    expression by `relaxed_eval`."""
+    dynamic function or the bound variable: `relaxed_eval` evaluates it once
+    per row."""
 
     expr: Expr
-    key: Optional[tuple] = None
-
-
-class _Leaf(NamedTuple):
-    """A constraint side that is a dynamic function term whose compiled key
-    (`_key`) fixes the row's variable at one position, split around that
-    entry. `_now` resolves it for a row."""
-
-    term: FunctionTerm
-    head: tuple  # the key's (position, constant or bound variable) entries before
-    pos: int  # the row variable's position
-    tail: tuple  # and after it
-
-
-class _Read(NamedTuple):
-    """A `_Leaf` for one row: the state's table lookup and the key entries
-    around the row variable's, bound. An object's interval is
-    get(head + ((pos, object),) + tail, EMPTY)."""
-
-    get: Callable
-    head: tuple
-    pos: int
-    tail: tuple
 
 
 class _Rules(NamedTuple):
     """A rule list compiled for the rows of one variable (see `_survivors`).
 
-    A constraint side is an `Interval` when it is static and holds neither
-    the row's variable nor a bound one (evaluated once per plan), a
-    `_PerCall` when it holds no row variable otherwise, the task's `_Table`
-    when it is static and holds the row's variable, a `_Leaf` when it is a
-    dynamic function term whose key fixes the row's variable at one
-    position (read per object at that key), and the expression itself when
-    `relaxed_eval` must evaluate it per object. `thresholds` lists the
+    A constraint side is one of four kinds: an `Interval` when it is static
+    and holds neither the row's variable nor a bound one (evaluated once per
+    plan), a `_PerCall` when it holds no row variable otherwise, the task's
+    `_Table` when it is static and holds the row's variable, and the
+    expression itself, which `relaxed_eval` evaluates per object, when it is
+    dynamic and holds the row's variable. `thresholds` lists the
     constraints whose one side is a `_Table` and the other evaluated once
     per row, as (row side, comparison, table), the row side on the left;
     the table's `_conditions` masks decide them. `numeric` lists the other
     constraints as (lhs, cmp, rhs), and `per_call` says whether one of them
-    has a `_PerCall`, `_Table` or `_Leaf` side, which `_now` resolves per
-    row."""
+    has a `_PerCall` or `_Table` side, which `_now` resolves per row."""
 
     var: Variable
     atoms: list[tuple]  # (reason, predicate name, fixed, targets), see AtomIndex.project
@@ -493,11 +463,10 @@ def _compile(rules: list[_Rule], env: tuple, var: Variable,
     `bound` fixed by the binding; None when there are none. An atom's
     constants and bound variables are its fixed positions and `var` its
     targets. A constraint side is evaluated here, on the plan's `env`, as
-    far as its variables allow; a static side with `var` is the task's
-    `_Table`, keyed by the bound variables it holds. A bare function term is
-    read at its compiled key (`_key`): without `var` a `_PerCall` holds it,
-    and a dynamic one with `var` is a `_Leaf` where the key fixes `var`
-    once."""
+    far as its variables allow: a side without `var` is a `_PerCall`, read
+    once per row, unless it is static and holds no bound variable either; a
+    static side with `var` is the task's `_Table`, keyed by the bound
+    variables it holds; a dynamic side with `var` stays an expression."""
     if not rules:
         return None
     _, ranges, statics = env
@@ -505,13 +474,12 @@ def _compile(rules: list[_Rule], env: tuple, var: Variable,
     def side(expr: Expr):
         held = free_variables(expr)
         static = all(t.function.name in statics.functions for t in function_terms(expr))
-        bare = type(expr) is FunctionTerm
         if var not in held:
             return (relaxed_eval(expr, _NO_BINDING, ranges) if static and held.isdisjoint(bound)
-                    else _PerCall(expr, _key(expr, var, bound) if bare else None))
+                    else _PerCall(expr))
         if static:
             return statics.table(expr, var, tuple(v for v in bound if v in held))
-        return _leaf(expr, var, bound) if bare else expr
+        return expr
 
     atoms, thresholds, numeric = [], [], []
     for reason, element in rules:
@@ -531,28 +499,9 @@ def _compile(rules: list[_Rule], env: tuple, var: Variable,
                       if type(arg) is Object or arg in bound)
         targets = tuple(i for i, arg in enumerate(args) if arg == var)
         atoms.append((reason, element.predicate.name, fixed, targets))
-    per_call = any(type(s) in (_PerCall, _Table, _Leaf) for lhs, _, rhs in numeric
+    per_call = any(type(s) in (_PerCall, _Table) for lhs, _, rhs in numeric
                    for s in (lhs, rhs))
     return _Rules(var, atoms, thresholds, numeric, per_call)
-
-
-def _key(term: FunctionTerm, var: Variable, bound: tuple[Variable, ...]) -> tuple:
-    """The key `relaxed_eval` reads the term's range table at in the rows of
-    `var` with the variables of `bound` fixed, with those variables standing
-    for their objects."""
-    return _lookup_key(term.args, {v: v for v in (var, *bound)})
-
-
-def _leaf(term: FunctionTerm, var: Variable, bound: tuple[Variable, ...]):
-    """The term's `_Leaf` for rows of `var`; the term itself, which
-    `relaxed_eval` reads per object, when its key fixes `var` at no
-    position or at several."""
-    key = _key(term, var, bound)
-    at = [j for j, (_, arg) in enumerate(key) if arg == var]
-    if len(at) != 1:
-        return term
-    (j,) = at
-    return _Leaf(term, key[:j], key[j][0], key[j + 1:])
 
 
 class _Table:
@@ -598,8 +547,10 @@ class _Table:
         table holds at `var` under the key. Given as (the indexes in `keys`
         of the keys that term's lookup fixes, their objects -> object mask);
         None when no term's lookup fixes `var`."""
+        # the variables stand for their objects in the keys the terms read
+        held = {v: v for v in (self.var, *self.keys)}
         for term in function_terms(self.expr):
-            key = _key(term, self.var, self.keys)
+            key = _lookup_key(term.args, held)
             kept, args = [i for i, _ in key], [arg for _, arg in key]
             if self.var in args:
                 break
@@ -1027,8 +978,8 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
     full by the variable, drops them. A threshold constraint then costs one
     evaluation of its row side and a bisect per condition, and the other
     constraints are compared on each object left, with the variable bound
-    in place and their `_PerCall`, `_Table` and `_Leaf` sides resolved once
-    (`_now`); a `_Leaf` then costs one lookup per object. Each excluded
+    in place and their `_PerCall` and `_Table` sides resolved once (`_now`);
+    an expression side then costs one `relaxed_eval` per object. Each excluded
     object is listed in `exclusions`, if given, as `tag + (oi, reason)`, in
     ascending oi and with the first rule in check order that excludes it.
     `env` is (atom index, range tables, `TaskStatics`)."""
@@ -1062,14 +1013,12 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
                       for lhs, cmp, rhs in checks]
         var, objects = rules.var, statics.objects
         for oi in _bits(mask):
-            obj = binding[var] = objects[oi]
+            binding[var] = objects[oi]
             for lhs, cmp, rhs in checks:
                 left = (lhs if type(lhs) is Interval else lhs[oi] if type(lhs) is list
-                        else lhs.get(lhs.head + ((lhs.pos, obj),) + lhs.tail, EMPTY)
-                        if type(lhs) is _Read else relaxed_eval(lhs, binding, ranges))
+                        else relaxed_eval(lhs, binding, ranges))
                 right = (rhs if type(rhs) is Interval else rhs[oi] if type(rhs) is list
-                         else rhs.get(rhs.head + ((rhs.pos, obj),) + rhs.tail, EMPTY)
-                         if type(rhs) is _Read else relaxed_eval(rhs, binding, ranges))
+                         else relaxed_eval(rhs, binding, ranges))
                 if not compare(left, cmp, right):
                     mask ^= 1 << oi
                     if exclusions is not None:
@@ -1082,25 +1031,11 @@ def _survivors(rules: Optional[_Rules], binding: dict[Variable, Object], mask: i
 
 def _now(side, binding: Mapping[Variable, Object], ranges: AssignmentCache):
     """The side for one row: a `_PerCall` evaluated, a `_Table`'s intervals
-    at the row's binding, and a `_Leaf`'s `_Read`, its table's lookup with
-    the bound variables of its key fixed. A compiled key is read with its
-    bound variables replaced by their objects."""
+    at the row's binding, and an `Interval` or expression as it is."""
     kind = type(side)
-    if kind is _Leaf:
-        return _Read(ranges.get(side.term.function).table.get, _bind(side.head, binding),
-                     side.pos, _bind(side.tail, binding))
     if kind is _PerCall:
-        if side.key is None:
-            return relaxed_eval(side.expr, binding, ranges)
-        return ranges.get(side.expr.function).table.get(_bind(side.key, binding), EMPTY)
+        return relaxed_eval(side.expr, binding, ranges)
     return side.values(binding) if kind is _Table else side
-
-
-def _bind(entries: tuple, binding: Mapping[Variable, Object]) -> tuple:
-    """Key entries with their bound variables replaced by their objects."""
-    if not entries:
-        return entries
-    return tuple([(i, arg if type(arg) is Object else binding[arg]) for i, arg in entries])
 
 
 def _wide(variables: frozenset) -> bool:

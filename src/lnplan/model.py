@@ -329,12 +329,6 @@ class ActionSchema:
         def template(symbol, args) -> PartTemplate:
             return PartTemplate(symbol, _picker([slots[a] for a in args]))
 
-        updates = []
-        for eff in self.eff_numeric:
-            value = None
-            if next(function_terms(eff.expr), None) is None:
-                value = expr_value(NO_STATIC_FACTS, eff.expr)
-            updates.append((_UPDATES.get(eff.op), eff.expr if value is None else None, value))
         return Effects(
             constants,
             tuple(template(lit.atom.predicate, lit.atom.args)
@@ -342,7 +336,7 @@ class ActionSchema:
             tuple(template(lit.atom.predicate, lit.atom.args)
                   for lit in self.eff_literals if lit.positive),
             tuple(template(eff.target.function, eff.target.args) for eff in self.eff_numeric),
-            tuple(updates),
+            tuple((_UPDATES.get(eff.op), eff.expr) for eff in self.eff_numeric),
         )
 
 
@@ -366,17 +360,17 @@ class Effects(NamedTuple):
 
     Each template picks its ground arguments from the action's binding with
     the schema's effect constants appended. Each numeric effect, in the
-    order of `targets`, has an update (fold, expr, value): `fold` is the
-    arithmetic that folds the value into the target (None for :=), and an
-    expression with no function term is evaluated once into `value`, with
-    `expr` None.
+    order of `targets`, has an update (fold, expr): `fold` is the arithmetic
+    that folds the expression's value into the target (None for :=).
+    `GroundAction.delta` evaluates once per action every expression whose
+    terms are all static, constant ones among them.
     """
 
     constants: tuple[Object, ...]
     deletes: tuple[PartTemplate, ...]
     adds: tuple[PartTemplate, ...]
     targets: tuple[PartTemplate, ...]
-    updates: tuple[tuple[Optional[Callable], Optional[Expr], Optional[float]], ...]
+    updates: tuple[tuple[Optional[Callable], Expr], ...]
 
 
 class EffectCheck(NamedTuple):
@@ -708,10 +702,10 @@ class GroundAction:
         for atom in adds:
             add |= layout.bit(atom)
         static, binding, writes = state.static, self.binding_map(), []
-        for target, (fold, expr, value) in zip(targets, self.schema.effects.updates):
-            if expr is not None and all(
-                    FunctionTerm.find((t.function.name, _ground_args(t.args, binding)))
-                    in static.own_fluents for t in function_terms(expr)):
+        for target, (fold, expr) in zip(targets, self.schema.effects.updates):
+            value = None
+            if all(FunctionTerm.find((t.function.name, _ground_args(t.args, binding)))
+                   in static.own_fluents for t in function_terms(expr)):
                 # static terms have one value in every state of the layout
                 fixed = expr_value(static, expr, binding)
                 if fixed is not None:

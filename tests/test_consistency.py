@@ -733,9 +733,9 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     # On a copy of the task, whose plans are not built yet: the energy rule
     # is checked whole only with nothing bound, once per graph. Its
     # (step-cost) side is read once per plan, and (energy ?r) once per robot.
-    # Every read of a function's value, by `relaxed_eval` or at a compiled
-    # key, is a lookup in its range table, so the spy wraps the tables as
-    # they are built and lists their lookups.
+    # Every read of a function's value is a lookup in its range table by
+    # `relaxed_eval`, so the spy wraps the tables as they are built and
+    # lists their lookups.
     unsat, reads = [], []
     relaxed_unsat = consistency.relaxed_unsat
     monkeypatch.setattr(consistency, "relaxed_unsat",
@@ -766,72 +766,6 @@ def test_static_plans_of_a_wide_relay_make_no_match_query_per_object(monkeypatch
     build_graph(move, ctx)
     assert reads == ground + per_robot
     assert unsat == [{}, {}]
-
-
-def test_compiled_reads_agree_with_relaxed_eval(monkeypatch):
-    # A bare function term is read at the key compiled for its rows: once
-    # per row when it lacks the row's variable (a `_PerCall` with a key),
-    # once per object when it holds it (a `_Leaf`). Every such read is the
-    # interval relaxed_eval gives at the same binding, in vertex masks, pair
-    # rows and clique-search checks (0, 1 and 2 or more variables bound),
-    # under the numeric and record plans.
-    from collections import Counter
-
-    from lnplan import consistency
-    from lnplan.consistency import _Leaf, _PerCall, _bits, _now
-    from lnplan.intervals import EMPTY
-    from lnplan.model import NumericEffect
-
-    seen = Counter()
-    survivors = consistency._survivors
-
-    def spy(rules, binding, mask, env, *rest):
-        if rules is not None:
-            ranges, objects = env[1], env[2].objects
-            depth = min(len(set(binding) - {rules.var}), 2)
-            sides = [s for lhs, _, rhs in rules.numeric for s in (lhs, rhs)]
-            sides += [row for row, _, _ in rules.thresholds]
-            for side in sides:
-                if type(side) is _PerCall and side.key is not None:
-                    want = relaxed_eval(side.expr, binding, ranges)
-                    assert _now(side, binding, ranges) == want, (side, binding)
-                    seen["per-row", depth] += 1
-                elif type(side) is _Leaf:
-                    read = _now(side, binding, ranges)
-                    for oi in _bits(mask):
-                        obj = objects[oi]
-                        got = read.get(read.head + ((read.pos, obj),) + read.tail, EMPTY)
-                        want = relaxed_eval(side.term, {**binding, rules.var: obj}, ranges)
-                        assert got == want, (side, binding, obj)
-                        seen["per-object", depth] += 1
-        return survivors(rules, binding, mask, env, *rest)
-
-    monkeypatch.setattr(consistency, "_survivors", spy)
-    rng = random.Random(31)
-    tasks = [random_task(rng, exact=i % 2 == 0, task_id=i) for i in range(100)]
-    # (>= (d ?z) (d2 ?x ?y)) with d and d2 written: the static (p ?x) and
-    # (p ?y) leave one object each, so the search binds ?z last, where the
-    # check reads (d ?z) per object and (d2 ?x ?y) once, both bound
-    Z = Variable("?z")
-    p, d, d2 = PredicateSymbol("p", 1), FunctionSymbol("d", 1), FunctionSymbol("d2", 2)
-    schema = ActionSchema(
-        "s", (X, Y, Z), pre_literals=(Literal(Atom(p, (X,))), Literal(Atom(p, (Y,)))),
-        pre_constraints=(NumericConstraint(FunctionTerm(d, (Z,)), ">=",
-                                           FunctionTerm(d2, (X, Y))),),
-        eff_numeric=(NumericEffect(FunctionTerm(d, (X,)), "+=", Constant(1.0)),
-                     NumericEffect(FunctionTerm(d2, (X, Y)), "+=", Constant(1.0))))
-    fluents = {FunctionTerm(d, (obj,)): value for obj, value in zip((A, B, C), (0.0, 2.0, 5.0))}
-    fluents[FunctionTerm(d2, (A, A))] = 1.0
-    tasks.append(_task([schema], (A, B, C), [Atom(p, (A,))], fluents, predicates=[p],
-                       functions=[d, d2]))
-    for task in tasks:
-        for state, _ in walk_states(task, rng, extra=2):
-            ctx = StateContext(task, state)
-            for schema in task.schemas:
-                for record in (False, True):
-                    list(iter_cliques(build_graph(schema, ctx, record=record)))
-    assert all(seen["per-object", depth] > 0 for depth in range(3)), seen
-    assert all(seen["per-row", depth] > 0 for depth in range(3)), seen
 
 
 # --- the clique search reads the search rows, not the full graph ---

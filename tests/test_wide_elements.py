@@ -152,6 +152,42 @@ def test_numeric_candidates_are_the_applicable_actions_on_wide_random_tasks():
     assert overapproximated > 20
 
 
+def test_numeric_candidates_are_the_applicable_actions_with_two_variables_bound():
+    # (>= (d ?z) (d2 ?x ?y)) with d and d2 written: the static (p ?x) and
+    # (p ?y) leave one object each, so the search binds ?z last, where the
+    # check reads (d ?z) once per object and (d2 ?x ?y) once per row, both
+    # bound in full. Each step raises (d ?x) and (d2 ?x ?y), so the walk
+    # reaches states whose check drops ?z objects, and finally all of them.
+    # (d2 b c), which no binding of the static (p ?x) reads, widens d2's
+    # hull, so a read that left ?x or ?y unbound would keep ?z = a.
+    a, b, c = Object("a"), Object("b"), Object("c")
+    x, y, z = Variable("?x"), Variable("?y"), Variable("?z")
+    p, d, d2 = PredicateSymbol("p", 1), FunctionSymbol("d", 1), FunctionSymbol("d2", 2)
+    schema = ActionSchema(
+        "s", (x, y, z), pre_literals=(_lit(p, x), _lit(p, y)),
+        pre_constraints=(NumericConstraint(_term(d, z), ">=", _term(d2, x, y)),),
+        eff_numeric=(NumericEffect(_term(d, x), "+=", Constant(1.0)),
+                     NumericEffect(_term(d2, x, y), "+=", Constant(1.0))))
+    fluents = {_term(d, obj): value for obj, value in zip((a, b, c), (0.0, 2.0, 5.0))}
+    fluents[_term(d2, a, a)], fluents[_term(d2, b, c)] = 1.0, -10.0
+    task = Task("reads-domain", "reads", (p,), (d, d2), (schema,), (a, b, c),
+                State({Atom(p, (a,))}, fluents))
+    numeric = SuccessorGenerator(task, GeneratorConfig(strategy=NUMERIC))
+    # the residual checks no effect, so the candidates must be exact too
+    assert all(check is None or not check.effects for _, check in numeric.checks)
+    sizes = []
+    for state, oracle in walk_states(task, random.Random(33), extra=6):
+        assert _same(numeric.applicable(state)[0], oracle)
+        ctx = numeric.context(state)
+        assert _same(numeric.candidates(schema, state, ctx), oracle)
+        # the record plan reads the same sides per object and per row
+        cliques = [list(iter_cliques(build_graph(schema, ctx, record=record)))
+                   for record in (False, True)]
+        assert cliques[0] == cliques[1]
+        sizes.append(len(oracle))
+    assert sizes == [2, 2, 1, 1, 1, 0]
+
+
 def _fuel_task(constraint) -> Task:
     """Trucks t1-t5 at l1 and l2, one schema drive(?t ?a ?b) with the
     constraint. With ?t the smallest partition, the search binds ?b last.
