@@ -55,6 +55,14 @@ _UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
             SCALE_UP: ARITH["*"], SCALE_DOWN: ARITH["/"]}
 
 
+class _KeyedRef(ref):
+    """A weak reference that carries its table key, which the removal
+    callback of a WeakValueDictionary reads. Unlike weakref.KeyedRef it is
+    built by ref's own constructor, with no Python-level __new__ or __init__."""
+
+    __slots__ = ("key",)
+
+
 class _Interned:
     """A value with one instance per key and class, so that equality and
     hashing are by identity, which Python computes in C. The instances are
@@ -74,14 +82,15 @@ class _Interned:
         return None if ref is None else ref()
 
     @classmethod
-    def _intern(cls, key, *values):
-        """The instance with the key, built from one value per field on a miss."""
-        instance = cls.find(key)
-        if instance is None:
-            instance = object.__new__(cls)
-            for name, value in zip(cls._fields, values):
-                setattr(instance, name, value)
-            cls._instances[key] = instance
+    def _keep(cls, key, instance):
+        """Enters the new instance in the table under the key; returns it."""
+        # straight into the table's dict, past WeakValueDictionary.__setitem__:
+        # its only other step commits removals left pending by an iteration,
+        # and the table's callback removes a key only while its reference is dead
+        table = cls._instances
+        entry = _KeyedRef(instance, table._remove)
+        entry.key = key
+        table.data[key] = entry
         return instance
 
     def __reduce__(self):
@@ -94,7 +103,12 @@ class _Named(_Interned):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
-        return cls._intern(name, name)
+        named = cls.find(name)
+        if named is None:
+            named = object.__new__(cls)
+            named.name = name
+            cls._keep(name, named)
+        return named
 
     def __repr__(self):
         return self.name
@@ -135,7 +149,8 @@ EQUALITY = PredicateSymbol(EQUALITY_NAME, 2)
 class _Application(_Interned):
     """A predicate or function symbol applied to terms, interned by (symbol
     name, arguments). The arity is checked before the lookup, so a key fixes
-    its symbol, and identity is equality of symbol and arguments."""
+    its symbol, and identity is equality of symbol and arguments. Each class
+    sets its own slots in `_build`, which runs only on a miss."""
 
     __slots__ = ()
     _kind: str
@@ -146,7 +161,8 @@ class _Application(_Interned):
             raise ValueError(
                 f"{cls._kind} {symbol.name} expects {symbol.arity} arguments, got {len(args)}"
             )
-        return cls._intern((symbol.name, args), symbol, args)
+        key = symbol.name, args
+        return cls.find(key) or cls._build(key, symbol, args)
 
     def __repr__(self):
         symbol, args = (getattr(self, name) for name in self._fields)
@@ -158,11 +174,25 @@ class Atom(_Application):
     _kind = "atom"
     _instances = WeakValueDictionary()
 
+    @classmethod
+    def _build(cls, key, predicate: PredicateSymbol, args: tuple) -> Atom:
+        atom = object.__new__(cls)
+        atom.predicate = predicate
+        atom.args = args
+        return cls._keep(key, atom)
+
 
 class FunctionTerm(_Application):
     __slots__ = _fields = ("function", "args")
     _kind = "function"
     _instances = WeakValueDictionary()
+
+    @classmethod
+    def _build(cls, key, function: FunctionSymbol, args: tuple) -> FunctionTerm:
+        term = object.__new__(cls)
+        term.function = function
+        term.args = args
+        return cls._keep(key, term)
 
 
 @dataclass(frozen=True)

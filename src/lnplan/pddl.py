@@ -8,24 +8,32 @@ typed objects contribute initial atoms for the type and all its ancestors.
 Object equality (= over two bare names) is mapped to the built-in "="
 predicate. The :metric section is parsed and recorded but ignored by search.
 
-Reading builds no object per token but the token's text. One regular
-expression splits the lowercased text into tokens: parentheses, words (runs
-of anything but whitespace, parentheses and ';') and ';' comments to the end
-of the line, which are dropped. One loop with an explicit stack nests the
+Reading builds no object per token but the token's text. The tokens are
+cut by str methods, which run in C: the text is lowercased, ';' comments to
+the end of the line are dropped, each parenthesis is padded with spaces, a
+tab, \\r or \\n becomes a space, and the text is split at spaces. A token is
+a parenthesis or a word, a run of anything but whitespace of those four
+kinds, parentheses and ';'; other whitespace, such as a form feed or a
+no-break space, is part of a word. One loop with an explicit stack nests the
 tokens into ListNodes, lists of token strings and ListNodes, each of which
 records the index of its '(' among the tokens. A form nested deeper than
 MAX_DEPTH levels is an error. Offsets and spans are built only for an
-error: the text is scanned again for the offset of each token, and the
-line and column of the one at fault are counted from the line ends before
-it. A column counts the characters of the text as written, so a tab, a \\r
-or a character whose lowercase is longer (such as 'İ') is one column.
+error: a regular expression that cuts the same tokens scans the text again
+for the offset of each, and the line and column of the one at fault are
+counted from the line ends before it. A column counts the characters of the
+text as written, so a tab, a \\r or a character whose lowercase is longer
+(such as 'İ') is one column.
 
 Each construct has one routine: the (define (WHAT NAME) ...) header, (name
 ?x - t ...) declarations of predicates and functions, and (name term ...)
 applications of both. A token is addressed by its list and index, which is
-where an error finds its span. A plain ground atom in :init, the bulk of a
-large problem, is read in one step; any other entry goes through these
-routines.
+where an error finds its span. The entries of :init, the bulk of a large
+problem, are read in one step each when they are ground atoms or fluent
+values (= (f o ...) n): the names are looked up, the atom or term is taken
+from the interned ones and built only if it is new. Any other entry, and
+one that fails a check (an unknown name, a wrong arity, a value that is no
+numeral, overflows or repeats), goes through the routines above, which
+report its error.
 
 A type must be declared in :types before a declaration, parameter or
 object uses it. A :types entry that would make a type its own ancestor, a
@@ -84,8 +92,10 @@ MAX_DEPTH = 256
 
 _NUMBER_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
-# a token in the group, or a comment, which has none
+# a token in the group, or a comment, which has none; `tokenize` cuts the
+# same tokens with str methods, and this places them for an error's span
 _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
+_COMMENT_RE = re.compile(r";[^\n]*")
 
 _EFFECT_HEADS = {
     "increase": INCREASE,
@@ -124,8 +134,13 @@ def tokenize(text: str) -> list[str]:
     # the whole text lowers to each token's own lowercase: no character lowers
     # into a delimiter, and no delimiter lets a context-dependent lowercase
     # (final sigma) see past it
-    tokens = _TOKEN_RE.findall(text.lower())
-    return list(filter(None, tokens)) if ";" in text else tokens
+    text = text.lower()
+    if ";" in text:
+        text = _COMMENT_RE.sub("", text)
+    # only these four characters part words, not every whitespace split() knows
+    text = (text.replace("(", " ( ").replace(")", " ) ")
+            .replace("\t", " ").replace("\r", " ").replace("\n", " "))
+    return list(filter(None, text.split(" ")))
 
 
 def token_offsets(text: str) -> list[int]:
@@ -653,8 +668,9 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
 
     # typed objects contribute their type-closure atoms
     for obj, type_name in object_types.items():
+        args = (obj,)
         for t in domain.type_closure(type_name):
-            init_atoms.add(Atom(scope.predicates[t], (obj,)))
+            init_atoms.add(Atom.find((t, args)) or Atom(scope.predicates[t], args))
 
     if ":goal" in sections:
         goal_section = sections[":goal"]
@@ -687,22 +703,36 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
 
 def _parse_init(section: ListNode, scope: _Scope, atoms: set, fluents: dict) -> None:
     """Adds the atoms and fluent values of the (:init ...) section."""
-    predicates, objects = scope.predicates, scope.objects
+    predicates, functions, objects = scope.predicates, scope.functions, scope.objects
+    find_atom, find_term = Atom.find, FunctionTerm.find
     for i in range(1, len(section)):
         entry = section[i]
-        # a ground atom in one step; on any miss (a name not found, an arity
-        # that does not match, '=', a form among the names) the routines below
-        # read the entry, and report its error if it has one
-        if isinstance(entry, ListNode) and entry:
-            sym = predicates.get(entry[0])
-            if sym is not None and sym.arity == len(entry) - 1:
-                args = tuple(map(objects.get, entry[1:]))
-                if None not in args:
-                    atoms.add(Atom(sym, args))
-                    continue
         if not isinstance(entry, ListNode) or not entry:
             raise ParseError(section.at(i), "expected an init entry")
-        head = _require_token(entry[0], "init entry head")
+        # a ground atom or fluent value in one step; on any miss (a name not
+        # found, an arity that does not match, a form among the names, a value
+        # that is no numeral, overflows or repeats) the routines below read
+        # the entry, and report its error if it has one
+        head = entry[0]
+        sym = predicates.get(head)
+        if sym is not None and sym.arity == len(entry) - 1:
+            args = tuple(map(objects.get, entry[1:]))
+            if None not in args:
+                atoms.add(find_atom((head, args)) or Atom(sym, args))
+                continue
+        elif head == EQUALITY_NAME and len(entry) == 3:
+            node, value = entry[1], entry[2]
+            sym = functions.get(node[0]) if isinstance(node, ListNode) and node else None
+            if (sym is not None and sym.arity == len(node) - 1
+                    and isinstance(value, str) and _is_number(value)):
+                args = tuple(map(objects.get, node[1:]))
+                number = float(value)
+                if None not in args and not math.isinf(number):
+                    term = find_term((sym.name, args)) or FunctionTerm(sym, args)
+                    if term not in fluents:
+                        fluents[term] = number
+                        continue
+        head = _require_token(head, "init entry head")
         if head == EQUALITY_NAME and len(entry) == 3 and isinstance(entry[1], ListNode):
             term = _parse_function_term(entry[1], scope)
             if not _is_number(_require_token(entry[2], "fluent value")):

@@ -2,6 +2,8 @@ import gc
 
 import parse_fixture
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnplan.model import (
     Atom,
@@ -15,6 +17,7 @@ from lnplan.model import (
 )
 from lnplan.pddl import (
     MAX_DEPTH,
+    _TOKEN_RE,
     ParseError,
     SourceSpan,
     parse_domain,
@@ -484,17 +487,35 @@ def test_error_position_after_tabs_crlf_and_comments(lead, col):
 
 
 def test_tokenize_texts_and_spans():
-    # lower-cased texts; a comment runs to the line end, a \r is one column
-    text = "(Define ;; (not a token)\r\n  (P ?X)); tail\r\n\t42 -1.5e3\n"
+    # lower-cased texts; a comment runs to the line end, a \r is one column;
+    # only a space, \t, \r and \n part words, not every whitespace character
+    text = "(Define ;; (not a token)\r\n  (P ?X)); tail\r\n\t42 -1.5e3 \xa0A\x0bB\x85\x1c\n"
     tokens, offsets = tokenize(text), token_offsets(text)
     assert len(tokens) == len(offsets)
     got = [(token, str(SourceSpan.at("t.pddl", text, offset))) for token, offset in zip(tokens, offsets)]
     assert got == [("(", "t.pddl:1:1"), ("define", "t.pddl:1:2"),
                    ("(", "t.pddl:2:3"), ("p", "t.pddl:2:4"), ("?x", "t.pddl:2:6"),
                    (")", "t.pddl:2:8"), (")", "t.pddl:2:9"),
-                   ("42", "t.pddl:3:2"), ("-1.5e3", "t.pddl:3:5")]
+                   ("42", "t.pddl:3:2"), ("-1.5e3", "t.pddl:3:5"),
+                   ("\xa0a\x0bb\x85\x1c", "t.pddl:3:12")]
     span = SourceSpan.at("t.pddl", text, offsets[1])
     assert (span.file, span.line, span.col) == ("t.pddl", 1, 2)
+
+
+# the delimiters, the whitespace that str.split() knows but a PDDL word may
+# hold, characters whose lowercase is longer or depends on its neighbours,
+# and the characters of variables and numerals
+_TOKEN_ALPHABET = "();\t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 İΣ?-.1e"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=40))
+def test_tokenize_cuts_the_tokens_of_the_token_expression(text):
+    tokens = tokenize(text)
+    assert tokens == [m[1] for m in _TOKEN_RE.finditer(text.lower()) if m.lastindex]
+    # each token is its own text's lowercase, as written at its offset
+    assert tokens == [m[1].lower() for m in _TOKEN_RE.finditer(text) if m.lastindex]
+    assert len(token_offsets(text)) == len(tokens)
 
 
 def test_column_counts_characters_as_written():
@@ -681,6 +702,23 @@ PARSE_ERRORS = [
     pytest.param("problem", _problem("(:init @a)"), "expected an init entry", id="bare-init-entry"),
     pytest.param("problem", _problem("(:objects a) (:init (@= a a))"),
                  "built-in equality cannot be asserted in :init", id="equality-init"),
+    # fluent entries, which :init reads in one step unless one of these is wrong
+    pytest.param("problem", _problem("(:objects a) (:init (= (f a) 1) (@= (f a) 1))"),
+                 "duplicate initial value for (f a)", id="init-duplicate-value"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (f a) @nan))"),
+                 "initial fluent values must be numeric constants", id="init-nan-value"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (f a) @(g)))"), "expected fluent value",
+                 id="init-term-value"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (@h a) 1))"), "unknown function h",
+                 id="init-unknown-function"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (@f a a) 1))"),
+                 "function f expects 1 arguments, got 2", id="init-function-arity"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (f @b) 1))"), "unknown object b",
+                 id="init-unknown-object"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (f @?x) 1))"),
+                 "variable ?x not allowed here; element must be ground", id="init-variable-argument"),
+    pytest.param("problem", _problem("(:objects a) (:init (= (f @(a)) 1))"), "expected term",
+                 id="init-form-argument"),
     pytest.param("problem", _problem("@(:goal (q) (q))"), "goal takes a single condition", id="goal-arity"),
     pytest.param("problem", _problem("@(:metric minimize)"), "metric takes a direction and an expression",
                  id="metric-arity"),
