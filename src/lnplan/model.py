@@ -70,7 +70,9 @@ class _Interned:
     copying rebuild through the constructor, which returns the instance."""
 
     __slots__ = ("__weakref__",)
-    _fields: tuple[str, ...]  # the constructor's arguments, one slot each
+    # the constructor's arguments, one slot each; a subclass's `_build`, which
+    # builds the instance on a miss, sets exactly these slots
+    _fields: tuple[str, ...]
     _instances: WeakValueDictionary  # key -> instance, one table per class
 
     @classmethod
@@ -103,12 +105,13 @@ class _Named(_Interned):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
-        named = cls.find(name)
-        if named is None:
-            named = object.__new__(cls)
-            named.name = name
-            cls._keep(name, named)
-        return named
+        return cls.find(name) or cls._build(name)
+
+    @classmethod
+    def _build(cls, name: str):
+        named = object.__new__(cls)
+        named.name = name
+        return cls._keep(name, named)
 
     def __repr__(self):
         return self.name
@@ -149,8 +152,7 @@ EQUALITY = PredicateSymbol(EQUALITY_NAME, 2)
 class _Application(_Interned):
     """A predicate or function symbol applied to terms, interned by (symbol
     name, arguments). The arity is checked before the lookup, so a key fixes
-    its symbol, and identity is equality of symbol and arguments. Each class
-    sets its own slots in `_build`, which runs only on a miss."""
+    its symbol, and identity is equality of symbol and arguments."""
 
     __slots__ = ()
     _kind: str

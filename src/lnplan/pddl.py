@@ -668,9 +668,8 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
 
     # typed objects contribute their type-closure atoms
     for obj, type_name in object_types.items():
-        args = (obj,)
         for t in domain.type_closure(type_name):
-            init_atoms.add(Atom.find((t, args)) or Atom(scope.predicates[t], args))
+            init_atoms.add(Atom(scope.predicates[t], (obj,)))
 
     if ":goal" in sections:
         goal_section = sections[":goal"]
@@ -704,6 +703,9 @@ def parse_problem(text: str, domain: Domain, filename: str = "<problem>") -> Tas
 def _parse_init(section: ListNode, scope: _Scope, atoms: set, fluents: dict) -> None:
     """Adds the atoms and fluent values of the (:init ...) section."""
     predicates, functions, objects = scope.predicates, scope.functions, scope.objects
+    # looked up by their interning key, (name, arguments), once the arity is
+    # checked: a hit skips the constructor's call, and every entry hits while
+    # another parse of the same problem is alive
     find_atom, find_term = Atom.find, FunctionTerm.find
     for i in range(1, len(section)):
         entry = section[i]
