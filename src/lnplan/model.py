@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from weakref import WeakValueDictionary, ref
 
@@ -350,60 +349,6 @@ class ActionSchema:
                   for eff in self.eff_numeric),
         )
 
-    @cached_property
-    def effects(self) -> Effects:
-        """The schema's effects as templates over a binding, as `apply_effects` uses them."""
-        parts = [lit.atom for lit in self.eff_literals] + [eff.target for eff in self.eff_numeric]
-        constants = tuple(dict.fromkeys(
-            a for part in parts for a in part.args if type(a) is Object))
-        slots = {term: i for i, term in enumerate(self.params + constants)}
-
-        def template(symbol, args) -> PartTemplate:
-            return PartTemplate(symbol, _picker([slots[a] for a in args]))
-
-        return Effects(
-            constants,
-            tuple(template(lit.atom.predicate, lit.atom.args)
-                  for lit in self.eff_literals if not lit.positive),
-            tuple(template(lit.atom.predicate, lit.atom.args)
-                  for lit in self.eff_literals if lit.positive),
-            tuple(template(eff.target.function, eff.target.args) for eff in self.eff_numeric),
-            tuple((_UPDATES.get(eff.op), eff.expr) for eff in self.eff_numeric),
-        )
-
-
-def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
-    """A function in C from a tuple to the tuple of its items at the positions."""
-    first = positions[0] if positions else 0
-    if positions == list(range(first, first + len(positions))):
-        return itemgetter(slice(first, first + len(positions)))
-    return itemgetter(*positions)
-
-
-class PartTemplate(NamedTuple):
-    """An atom or function term of an effect, over a binding by position."""
-
-    symbol: Union[PredicateSymbol, FunctionSymbol]
-    args: Callable[[tuple], tuple]  # binding + constants -> ground arguments
-
-
-class Effects(NamedTuple):
-    """A schema's effects compiled for `apply_effects`.
-
-    Each template picks its ground arguments from the action's binding with
-    the schema's effect constants appended. Each numeric effect, in the
-    order of `targets`, has an update (fold, expr): `fold` is the arithmetic
-    that folds the expression's value into the target (None for :=).
-    `GroundAction.delta` evaluates once per action every expression whose
-    terms are all static, constant ones among them.
-    """
-
-    constants: tuple[Object, ...]
-    deletes: tuple[PartTemplate, ...]
-    adds: tuple[PartTemplate, ...]
-    targets: tuple[PartTemplate, ...]
-    updates: tuple[tuple[Optional[Callable], Expr], ...]
-
 
 class EffectCheck(NamedTuple):
     """The conditions `_failure` checks for one numeric effect, one flag each."""
@@ -658,7 +603,7 @@ class Delta(NamedTuple):
     the states of one layout.
 
     `parts` are the atoms it deletes and adds and the terms it writes, in
-    the order of the schema's effect templates (`ActionSchema.effects`).
+    the order of the schema's `eff_literals` and `eff_numeric`.
     Over the layout, a successor's atom bitset is the state's `& keep | add`,
     and each numeric effect in order has a write (slot, fold, expr, value),
     the slot as a position in the key: `fold` is the arithmetic that folds
@@ -699,26 +644,18 @@ class GroundAction:
         self._map = self._effects = None
         self._hash = hash((schema.name, binding))
 
-    @classmethod
-    def bound(cls, schema: ActionSchema, binding: tuple[Object, ...]) -> GroundAction:
-        """The action, unchecked: `binding` is a tuple with one object per
-        parameter, as a successor generator's bindings are."""
-        action = object.__new__(cls)
-        action.schema, action.binding = schema, binding
-        action._map = action._effects = None
-        action._hash = hash((schema.name, binding))
-        return action
-
     def ground_effects(self) -> tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[FunctionTerm, ...]]:
         """The atoms the action deletes and adds and the terms it writes, in
-        the order of the schema's effect templates (`ActionSchema.effects`):
-        the interned instances, built only on a miss."""
+        the order of the schema's `eff_literals` and `eff_numeric`: the
+        interned instances, built only on a miss."""
         if self._effects is None:
-            effects = self.schema.effects
-            values = self.binding + effects.constants if effects.constants else self.binding
-            self._effects = Delta((_ground_parts(effects.deletes, values, Atom),
-                                   _ground_parts(effects.adds, values, Atom),
-                                   _ground_parts(effects.targets, values, FunctionTerm)))
+            schema, binding = self.schema, self.binding_map()
+            deletes, adds = [], []
+            for lit in schema.eff_literals:
+                (adds if lit.positive else deletes).append(
+                    Atom(lit.atom.predicate, _ground_args(lit.atom.args, binding)))
+            self._effects = Delta((tuple(deletes), tuple(adds), tuple(
+                [ground_function_term(eff.target, binding) for eff in schema.eff_numeric])))
         return self._effects.parts
 
     def delta(self, state: State, layout: Layout) -> Delta:
@@ -734,15 +671,13 @@ class GroundAction:
         for atom in adds:
             add |= layout.bit(atom)
         static, binding, writes = state.static, self.binding_map(), []
-        for target, (fold, expr) in zip(targets, self.schema.effects.updates):
-            value = None
-            if all(FunctionTerm.find((t.function.name, _ground_args(t.args, binding)))
-                   in static.own_fluents for t in function_terms(expr)):
-                # static terms have one value in every state of the layout
-                fixed = expr_value(static, expr, binding)
-                if fixed is not None:
-                    expr, value = None, fixed
-            writes.append((layout.slot(target), fold, expr, value))
+        for target, eff in zip(targets, self.schema.eff_numeric):
+            # static terms have one value in every state of the layout; an
+            # expression that reads a term the states own has none in the
+            # static part and is evaluated per application
+            value = expr_value(static, eff.expr, binding)
+            writes.append((layout.slot(target), _UPDATES.get(eff.op),
+                           eff.expr if value is None else None, value))
         self._effects = delta = Delta(parts, layout, ~drop, add, tuple(writes),
                                       max((w[0] + 1 for w in writes), default=0))
         return delta
@@ -985,16 +920,6 @@ def keyed_successor(state: State, action: GroundAction, key: tuple) -> State:
         for target, write in zip(targets, delta.writes):
             fluents[target] = key[write[0]]
     return _successor(atoms, fluents, state.static, key)
-
-
-def _ground_parts(templates: tuple[PartTemplate, ...], values: tuple, cls) -> tuple:
-    """The ground atom or term of each template: the interned instance,
-    looked up first, so that grounding builds one only on a miss."""
-    find, out = cls.find, []
-    for symbol, args in templates:
-        args = args(values)
-        out.append(find((symbol.name, args)) or cls(symbol, args))
-    return tuple(out)
 
 
 def goal_satisfied(state: State, task: Task, tolerance: float = 0.0) -> bool:

@@ -173,7 +173,7 @@ def validate(task: Task, plan: list[GroundAction], tolerance: float = 0.0) -> Va
     literal truth, the effect conditions and state evolution remain exact.
     The default is exact.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:  # also rejects nan
         raise ValueError("tolerance must be non-negative")
     state = task.init
     for index, action in enumerate(plan):

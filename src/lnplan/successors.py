@@ -15,8 +15,7 @@ Each ground action is built once per generator: `grounded` builds its store
 once, and the other strategies intern the actions they build, per schema by
 the binding's key, so that a binding streamed in an earlier state costs one
 lookup, and the action's binding map and ground effects are reused with it
-(see `SuccessorGenerator`). Every path builds its actions through the one
-unchecked constructor, `GroundAction.bound`.
+(see `SuccessorGenerator`).
 
 The filter checks only what a strategy leaves undecided. Per schema and
 strategy, `residual_check` compiles the applicability conditions that one of
@@ -86,7 +85,7 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.ground_cap <= 0:
+        if not self.ground_cap > 0:  # also rejects nan
             raise ValueError("ground_cap must be positive")
 
 
@@ -151,7 +150,7 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
             kept.append(tuple(v - p * n for p, v in enumerate(clique)))
         kept.sort()
         by_schema[schema.name] = tuple(
-            GroundAction.bound(schema, tuple([objects[oi] for oi in combo])) for combo in kept)
+            GroundAction(schema, tuple([objects[oi] for oi in combo])) for combo in kept)
     return GroundStore(by_schema, sum(map(len, by_schema.values())))
 
 
@@ -284,7 +283,8 @@ class SuccessorGenerator:
     generator. Per schema, a table maps the key of each binding they have
     streamed, a clique's vertex-id tuple or, under exhaustive, the object
     tuple, to its action, which every later state reuses along with what the
-    action derives from its binding (`GroundAction.ground_effects`). A table
+    action derives from its binding: its binding map, ground effects and
+    delta (`GroundAction.ground_effects`, `GroundAction.delta`). A table
     holds at most one action per distinct binding streamed, at most as many
     as the candidates, and lives as long as the generator.
     """
@@ -354,5 +354,5 @@ class SuccessorGenerator:
 
 def _built(table: dict, key: tuple, schema: ActionSchema, binding: tuple) -> GroundAction:
     """The action of a binding a generator has not streamed yet, kept in its table."""
-    table[key] = action = GroundAction.bound(schema, binding)
+    table[key] = action = GroundAction(schema, binding)
     return action

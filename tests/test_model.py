@@ -464,7 +464,7 @@ def test_full_views_equal_the_unsplit_contents(monkeypatch):
             split, whole = apply(split, action), apply(whole, action)
 
 
-# --- successors from effect templates, over interned objects and terms ---
+# --- successors from ground effects, over interned objects and terms ---
 
 
 def _check_successor(state, action):
@@ -575,14 +575,18 @@ def test_an_action_grounds_its_effects_once():
     consts = task.schema("consts")
     with pytest.raises(ValueError, match="arity mismatch"):
         GroundAction(consts, (A, B))
-    action = GroundAction.bound(consts, (B,))
+    action = GroundAction(consts, (B,))
     assert action == GroundAction(consts, [B]) and hash(action) == hash(GroundAction(consts, [B]))
     parts = action.ground_effects()
     assert parts == ((Atom(P1, (B,)),), (Atom(Q2, (B, A)),), (term(G1, C), term(H1, B)))
     assert action.ground_effects() is parts
-    # (assign (h ?x) (g a)) reads g(a) in the state it is applied in, each time
+    # (assign (h ?x) (g a)) reads g(a) in the state it is applied in, each
+    # time: g is written by effects, so its delta keeps the expression, while
+    # the constant of (increase (g c) 1) is fixed once
     init = task.init
     once = apply_effects(init, action)
+    writes = action.delta(init, init.key()[1]).writes
+    assert [(expr, value) for _, _, expr, value in writes] == [(None, 1.0), (term(G1, A), None)]
     bumped = apply_effects(once, GroundAction(task.schema("repeat"), (A, B)))
     assert apply_effects(once, action).fluents[term(H1, B)] == 0.0
     assert apply_effects(bumped, action).fluents[term(H1, B)] == 1.0
@@ -698,9 +702,13 @@ def test_keys_grow_a_slot_for_a_fluent_defined_on_the_way():
     # level is static, so (+ (level) 1) is evaluated once per action
     assert not init.own_fluents and term(level) in init.static.own_fluents
     before = init.key()
-    at_u = successor_key(init, GroundAction(define, (u,)))
+    define_u = GroundAction(define, (u,))
+    at_u = successor_key(init, define_u)
     assert len(at_u) == len(before) + 1 and at_u[-1] == 3.0
-    only_u = keyed_successor(init, GroundAction(define, (u,)), at_u)
+    # its delta holds the value and no expression
+    writes = define_u.delta(init, before[1]).writes
+    assert [(expr, value) for _, _, expr, value in writes] == [(None, 3.0)]
+    only_u = keyed_successor(init, define_u, at_u)
     at_v = successor_key(init, GroundAction(define, (v,)))
     both = successor_key(only_u, GroundAction(define, (v,)))
     # count(u) undefined sits in the middle of count(v)'s key as None

@@ -139,6 +139,10 @@ def test_limits_reported():
     for bad in ({"nodes": -1}, {"time_s": float("nan")}, {"states": -1}, {"memory_mb": -0.5}):
         with pytest.raises(ValueError, match="must be non-negative"):
             Limits(**bad)
+    # the validator's tolerance likewise, where NaN would compare as 0
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            validate(task, [], tolerance=bad)
 
 
 def test_grounding_stops_at_a_passed_deadline(monkeypatch):

@@ -153,6 +153,10 @@ def test_ground_cap_enforced():
         ground_all(task, cap=99)
     store = ground_all(task, cap=10_000)
     assert store.total == 100  # 1 * 10 * 10 statically surviving
+    # a NaN cap would never be exceeded, so it is rejected like 0
+    for bad in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="ground_cap must be positive"):
+            GeneratorConfig(ground_cap=bad)
 
 
 def test_ground_cap_counts_join_candidates():
