@@ -57,7 +57,9 @@ without dynamic elements costs nothing per state. A graph's edges come
 from its parts, each pair's masks and rows; the full adjacency, the paper's
 graph, is derived from them only when read (`ConsistencyGraph`), and
 `_connect` writes every edge. `static_graph` takes a schema's parts from
-its plan alone, with no state, for the grounded store to join.
+its plan alone, with no state: the static half of the paper's graph, whose
+cliques are the bindings the grounded store holds. The store is built
+without it, by a hash join over the static atoms (`successors.ground_all`).
 
 Rules are `(reason, element)` lists in check order (positive atoms,
 negative atoms, constraints). Elements with no variable bound are decided by
@@ -833,6 +835,15 @@ class TaskStatics:
         state's index shares its buckets."""
         return AtomIndex(self.static.own_atoms)
 
+    @cached_property
+    def relations(self) -> dict[str, list[tuple[Object, ...]]]:
+        """Predicate name -> the argument tuples of its static atoms, grouped
+        in one pass; the grounded store joins them (`successors.ground_all`)."""
+        relations: defaultdict[str, list] = defaultdict(list)
+        for atom in self.static.own_atoms:
+            relations[atom.predicate.name].append(atom.args)
+        return dict(relations)
+
     def plan(self, schema: ActionSchema, numeric: bool, record: bool) -> _Plan:
         key = (id(schema), numeric, record)  # the plan keeps the schema alive
         plan = self._plans.get(key)
@@ -853,8 +864,9 @@ class TaskStatics:
         that have a static partner in every other parameter's pool, from the
         plan's arc-consistent alive masks; an object without one is in no
         clique, so no applicable action binds it. Every pool is empty when a
-        static element without variables fails. The one place a parameter's
-        pool is worked out."""
+        static element without variables fails. The one place the graph
+        strategies and the residual checks work a parameter's pool out; the
+        grounding join narrows its own from the static literals alone."""
         plan = self.plan(schema, numeric, record=False)
         if plan.failure is not None:
             return [()] * len(schema.params)
@@ -934,7 +946,8 @@ def static_graph(schema: ActionSchema, statics: TaskStatics) -> ConsistencyGraph
     pair projections of wider positive ones and carries the checks of every
     wider one, so its cliques are the bindings whose static literals hold.
     Its parts are the propositional plan's alive masks and static rows, with
-    no state, and it has no search rows; `ground_all` joins its cliques.
+    no state, and it has no search rows. Its cliques are the bindings of
+    `successors.ground_all`, which joins the static atoms without it.
     """
     k, objects = len(schema.params), statics.objects
     plan = statics.plan(schema, numeric=False, record=False)

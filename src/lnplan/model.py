@@ -55,11 +55,25 @@ _UPDATES = {INCREASE: ARITH["+"], DECREASE: ARITH["-"],
 
 
 class _KeyedRef(ref):
-    """A weak reference that carries its table key, which the removal
-    callback of a WeakValueDictionary reads. Unlike weakref.KeyedRef it is
-    built by ref's own constructor, with no Python-level __new__ or __init__."""
+    """A weak reference that carries its table key, which the table's removal
+    callback reads. Unlike weakref.KeyedRef it is built by ref's own
+    constructor, with no Python-level __new__ or __init__."""
 
     __slots__ = ("key",)
+
+
+def _intern_table() -> tuple[dict, Callable[[_KeyedRef], None]]:
+    """A table of key -> `_KeyedRef` to an instance, and the removal callback
+    of its references. The callback deletes a dead reference's key only
+    while the key still maps to that reference: a key entered again after
+    its instance died maps to the new one."""
+    table: dict = {}
+
+    def remove(entry: _KeyedRef) -> None:
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+    return table, remove
 
 
 class _Interned:
@@ -72,26 +86,23 @@ class _Interned:
     # the constructor's arguments, one slot each; a subclass's `_build`, which
     # builds the instance on a miss, sets exactly these slots
     _fields: tuple[str, ...]
-    _instances: WeakValueDictionary  # key -> instance, one table per class
+    # one table per class, key -> weak reference, with its removal callback
+    # (`_intern_table`)
+    _instances: dict
+    _remove: Callable[[_KeyedRef], None]
 
     @classmethod
     def find(cls, key):
         """The instance with the key, or None; builds nothing."""
-        # the table's own dict of weak references: a miss costs neither a
-        # Python method call nor a KeyError, as one through `get` would
-        ref = cls._instances.data.get(key)
+        ref = cls._instances.get(key)
         return None if ref is None else ref()
 
     @classmethod
     def _keep(cls, key, instance):
         """Enters the new instance in the table under the key; returns it."""
-        # straight into the table's dict, past WeakValueDictionary.__setitem__:
-        # its only other step commits removals left pending by an iteration,
-        # and the table's callback removes a key only while its reference is dead
-        table = cls._instances
-        entry = _KeyedRef(instance, table._remove)
+        entry = _KeyedRef(instance, cls._remove)
         entry.key = key
-        table.data[key] = entry
+        cls._instances[key] = entry
         return instance
 
     def __reduce__(self):
@@ -120,14 +131,14 @@ class Variable(_Named):
     """A schema variable; the name keeps its '?' prefix for printing."""
 
     __slots__ = ()
-    _instances = WeakValueDictionary()
+    _instances, _remove = _intern_table()
 
 
 class Object(_Named):
     """A constant from the task's object universe."""
 
     __slots__ = ()
-    _instances = WeakValueDictionary()
+    _instances, _remove = _intern_table()
 
 
 Term = Union[Variable, Object]
@@ -173,7 +184,7 @@ class _Application(_Interned):
 class Atom(_Application):
     __slots__ = _fields = ("predicate", "args")
     _kind = "atom"
-    _instances = WeakValueDictionary()
+    _instances, _remove = _intern_table()
 
     @classmethod
     def _build(cls, key, predicate: PredicateSymbol, args: tuple) -> Atom:
@@ -186,7 +197,7 @@ class Atom(_Application):
 class FunctionTerm(_Application):
     __slots__ = _fields = ("function", "args")
     _kind = "function"
-    _instances = WeakValueDictionary()
+    _instances, _remove = _intern_table()
 
     @classmethod
     def _build(cls, key, function: FunctionSymbol, args: tuple) -> FunctionTerm:

@@ -5,8 +5,8 @@ Strategies:
                  for every schema, parameter-free ones included
   propositional  the same graph without them
   exhaustive     every binding over the parameters' static pools
-  grounded       a join-grounded store, built once from the cliques of each
-                 schema's static graph, scanned per state
+  grounded       a store built once by a hash join over the static atoms,
+                 scanned per state
 
 Every strategy streams candidate ground actions that are then passed through
 an exact filter, so all four agree on the final set; they differ only in how
@@ -40,14 +40,17 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .cliques import iter_cliques
-from .consistency import StateContext, TaskStatics, build_graph, static_graph, task_statics
+from .consistency import StateContext, TaskStatics, build_graph, task_statics
 from .model import (
     ASSIGN,
+    EQUALITY_NAME,
     SCALE_DOWN,
     ActionSchema,
+    Atom,
     Check,
     Constant,
     EffectCheck,
@@ -60,8 +63,10 @@ from .model import (
     Object,
     State,
     Task,
+    Variable,
     effects_compatible,
     expr_value,
+    free_variables,
     function_terms,
     is_applicable,
 )
@@ -73,7 +78,7 @@ GROUNDED = "grounded"
 STRATEGIES = (NUMERIC, PROPOSITIONAL, EXHAUSTIVE, GROUNDED)
 
 DEFAULT_GROUND_CAP = 1_000_000
-# the grounding join reads the clock once per this many streamed cliques
+# the grounding join reads the clock once per this many rows it builds
 _DEADLINE_STRIDE = 4096
 
 
@@ -122,36 +127,177 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
     """Every binding whose static precondition literals hold, per schema in
     object-index order.
 
-    The bindings are joined, not enumerated: they are the cliques of the
-    schema's static graph (`consistency.static_graph`), which decides every
-    static literal, those of three or more variables in the clique search.
+    The bindings are joined, not enumerated: a hash join over the task's
+    static atoms, grouped by predicate (`TaskStatics.relations`), in the
+    steps of `_join_plan`. The bindings it keeps are the cliques of the
+    schema's static graph (`consistency.static_graph`), which no grounding
+    builds.
 
-    Raises GroundLimitError once the join has streamed more than `cap`
-    cliques over all schemas; that blowup is exactly what the lifted
-    strategies avoid. The store holds what the join streams, so it needs no
+    Raises GroundLimitError once the joins have streamed more than `cap`
+    bindings over all schemas; that blowup is exactly what the lifted
+    strategies avoid. The store holds what the joins stream, so it needs no
     cap of its own. Raises GroundDeadlineError when `time.perf_counter()`
-    has reached the deadline at the first clique or at one of every
-    `_DEADLINE_STRIDE` after it.
+    has reached the deadline before a schema's join or at one of the
+    readings the joins take every `_DEADLINE_STRIDE` rows they build, at
+    any step.
     """
     statics = task_statics(task)
     objects = statics.objects
-    n = len(objects)
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
-    streamed = 0
+    streamed = built = 0
+    mark = _DEADLINE_STRIDE
     for schema in task.schemas:
-        kept: list[tuple[int, ...]] = []
-        for clique in iter_cliques(static_graph(schema, statics)):
-            if (deadline is not None and streamed % _DEADLINE_STRIDE == 0
-                    and time.perf_counter() >= deadline):
-                raise GroundDeadlineError
-            streamed += 1
-            if streamed > cap:
-                raise GroundLimitError(cap, schema.name)
-            kept.append(tuple(v - p * n for p, v in enumerate(clique)))
-        kept.sort()
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise GroundDeadlineError
+        plan = _join_plan(schema, statics)
+        rows: list[tuple[int, ...]] = []
+        if plan is not None:
+            order, steps = plan
+            rows = [()]
+            for step in steps:
+                key, table, tests = step
+                out: list[tuple[int, ...]] = []
+                for row in rows:
+                    exts = table if key is None else table.get(key(row))
+                    if not exts:
+                        continue
+                    new = [row + ext for ext in exts]
+                    for get, members, positive in tests:
+                        new = [r for r in new if (get(r) in members) is positive]
+                    out += new
+                    built += len(exts)
+                    if built >= mark:
+                        mark = built + _DEADLINE_STRIDE
+                        if deadline is not None and time.perf_counter() >= deadline:
+                            raise GroundDeadlineError
+                    if step is steps[-1] and streamed + len(out) > cap:
+                        raise GroundLimitError(cap, schema.name)
+                rows = out
+            if len(order) > 1 and order != schema.params:
+                rows = list(map(itemgetter(*map(order.index, schema.params)), rows))
+        streamed += len(rows)
+        if streamed > cap:
+            raise GroundLimitError(cap, schema.name)
+        rows.sort()
         by_schema[schema.name] = tuple(
-            GroundAction(schema, tuple([objects[oi] for oi in combo])) for combo in kept)
+            GroundAction(schema, tuple([objects[oi] for oi in combo])) for combo in rows)
     return GroundStore(by_schema, sum(map(len, by_schema.values())))
+
+
+def _join_plan(schema: ActionSchema, statics: TaskStatics
+               ) -> Optional[tuple[tuple[Variable, ...], list[tuple]]]:
+    """The steps of the schema's static join, with the variables in the
+    order they bind them; None when a static literal rules every binding
+    out.
+
+    A row is a tuple of object indexes, one per variable bound so far. Each
+    step extends every row by (key, table, tests): table[key(row)], or the
+    whole table when key is None, lists the tuples that extend the row, and
+    each test (getter, members, positive) keeps a row only when whether
+    getter(row) is in members is positive. The static literals take part
+    as follows:
+    - one without variables holds or rules every binding out;
+    - one on a single variable, a type literal among them, narrows that
+      variable's pool;
+    - the positive ones on more variables, equality among them, are joined
+      one at a time: first the smallest relation, then always the smallest
+      one that shares a bound variable, or the smallest left when none
+      does, each hashed on its shared variables;
+    - a parameter that none of them holds ranges over its pool, after them;
+    - every literal on more variables is a membership test once all its
+      variables are bound: the negative ones, and the positive ones that
+      are bound before their turn to be joined, which close a cycle.
+    """
+    n = len(statics.objects)
+    pools: dict[Variable, Optional[set[int]]] = dict.fromkeys(schema.params)
+    literals = [lit for lit in schema.pre_literals if lit.atom.predicate.name in statics.predicates]
+    for lit in literals:
+        if len(free_variables(lit)) > 1:
+            continue
+        variables, matches = _matches(lit.atom, statics, pools)
+        if not variables:
+            if bool(matches) != lit.positive:
+                return None
+            continue
+        found = {oi for oi, in matches}
+        pool = pools[variables[0]]
+        pools[variables[0]] = found if lit.positive else (
+            set(range(n)) if pool is None else pool) - found
+    if any(pool is not None and not pool for pool in pools.values()):
+        return None
+    # (variables, matches, positive) per literal on more variables, until
+    # a step binds it or all its variables
+    pending = [(*_matches(lit.atom, statics, pools), lit.positive)
+               for lit in literals if len(free_variables(lit)) > 1]
+    if any(positive and not matches for _, matches, positive in pending):
+        return None
+    free = [var for var in schema.params
+            if not any(positive and var in variables for variables, _, positive in pending)]
+
+    order: list[Variable] = []
+    steps = []
+    while True:
+        joins = [lit for lit in pending if lit[2]]
+        if joins:
+            linked = [join for join in joins if any(var in order for var in join[0])]
+            join = min(linked or joins, key=lambda join: len(join[1]))
+            pending = [lit for lit in pending if lit is not join]
+            variables, matches, _ = join
+            shared = [i for i, var in enumerate(variables) if var in order]
+            new = [i for i in range(len(variables)) if i not in shared]
+            if shared:
+                key, table = itemgetter(*[order.index(variables[i]) for i in shared]), {}
+                on = itemgetter(*shared)
+                ext = itemgetter(*new) if len(new) > 1 else (lambda m, j=new[0]: (m[j],))
+                for match in matches:
+                    table.setdefault(on(match), []).append(ext(match))
+            else:
+                key, table = None, matches
+            order += [variables[i] for i in new]
+        elif free:
+            var = free.pop(0)
+            pool = pools[var]
+            key, table = None, [(oi,) for oi in (range(n) if pool is None else sorted(pool))]
+            order.append(var)
+        else:
+            return tuple(order), steps
+        ready = [all(var in order for var in lit[0]) for lit in pending]
+        steps.append((key, table, [(itemgetter(*map(order.index, variables)), set(matches), positive)
+                                   for (variables, matches, positive), bound in zip(pending, ready)
+                                   if bound]))
+        pending = [lit for lit, bound in zip(pending, ready) if not bound]
+
+
+def _matches(atom: Atom, statics: TaskStatics, pools: dict[Variable, Optional[set[int]]]
+             ) -> tuple[tuple[Variable, ...], list[tuple[int, ...]]]:
+    """The atom's variables in order of first occurrence, and per static atom
+    it matches the object indexes they take there, kept where each lies in
+    its variable's pool (None: every object). An atom matches when it holds
+    the constants and a repeated variable's object at each of its positions;
+    equality's atoms are the pairs (o, o) over the task's objects."""
+    args = atom.args
+    name = atom.predicate.name
+    relation = ([(obj, obj) for obj in statics.objects] if name == EQUALITY_NAME
+                else statics.relations.get(name, []))
+    first: dict[Variable, int] = {}
+    for i, arg in enumerate(args):
+        if type(arg) is Variable:
+            first.setdefault(arg, i)
+    consts = [(i, arg) for i, arg in enumerate(args) if type(arg) is Object]
+    repeats = [(i, first[arg]) for i, arg in enumerate(args)
+               if type(arg) is Variable and first[arg] != i]
+    if consts or repeats:
+        relation = [t for t in relation if all(t[i] is obj for i, obj in consts)
+                    and all(t[i] is t[j] for i, j in repeats)]
+    get, positions = statics.index_of.get, tuple(first.values())
+    if positions == tuple(range(len(args))):
+        rows = [tuple(map(get, t)) for t in relation]
+    else:
+        rows = [tuple([get(t[i]) for i in positions]) for t in relation]
+    pooled = [(j, pools[var]) for j, var in enumerate(first) if pools[var] is not None]
+    # an object outside the task's has no index, and no variable binds it
+    return tuple(first), [row for row in rows if None not in row
+                          and all(row[j] in pool for j, pool in pooled)]
 
 
 def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str]
@@ -257,11 +403,14 @@ def _always_defined_terms(schema: ActionSchema, statics: Optional[TaskStatics], 
         return read.__contains__
     fluents = statics.init.fluents
     counts = Counter(term.function.name for term in fluents)
-    pool = dict(zip(schema.params, statics.pools(schema, numeric)))
+    pool = None  # the parameters' pools, built for the first term the reads leave
 
     def defined(term: FunctionTerm) -> bool:
+        nonlocal pool
         if term in read:
             return True
+        if pool is None:
+            pool = dict(zip(schema.params, statics.pools(schema, numeric)))
         # positions are filled independently, which asks for more tuples than
         # a repeated variable needs and so stays sound
         pools = [(arg,) if type(arg) is Object else pool[arg] for arg in term.args]

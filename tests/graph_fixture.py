@@ -8,7 +8,8 @@ Each entry maps to the sha256 of one dump:
     of the task's initial state (every schema's record graph, as the
     command prints them) under `numeric` and `propositional`;
   - 'static <task> <schema>': `static_graph(schema, statics).dump()`, the
-    graph `ground_all` joins.
+    static half of the paper's graph, whose cliques are the bindings that
+    `ground_all`'s hash join keeps.
 The tasks are the bundled problems and the relay, delivery and farmland
 workload tasks of `perfbench/spec.py` at seed 101. The work-count fixture
 pins only graph sizes; this pins every vertex, edge and exclusion.

@@ -783,6 +783,28 @@ def test_probes_build_no_atom_or_term():
     assert (len(Atom._instances), len(FunctionTerm._instances)) == before
 
 
+def test_a_dropped_instance_leaves_its_table():
+    # the table holds weak references: an instance that nothing else holds
+    # leaves it at once, and a key built again after that maps to the new
+    # instance, which the old reference's removal leaves in place
+    import uuid
+
+    name = f"o{uuid.uuid4().hex}"
+    obj = Object(name)
+    entry = Object._instances[name]
+    assert entry() is obj and Object.find(name) is obj
+    del obj
+    assert name not in Object._instances and Object.find(name) is None
+    again = Object(name)
+    Object._remove(entry)  # a late removal of the dead reference
+    assert Object._instances[name]() is again and Object.find(name) is again
+    atom = Atom(P_AT, (again, again))
+    key = ("at", (again, again))
+    assert Atom.find(key) is atom
+    del atom
+    assert key not in Atom._instances
+
+
 def test_intern_tables_shrink_when_tasks_are_dropped():
     import gc
     import uuid

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,9 +147,9 @@ def test_limits_reported():
 
 
 def test_grounding_stops_at_a_passed_deadline(monkeypatch):
-    # the grounding join of the dense 60-waypoint relay streams 10,266
-    # cliques; a deadline of 0 s has passed at its first clock reading, which
-    # comes at the first clique
+    # the grounding join of the dense 60-waypoint relay builds 10,266 rows;
+    # a deadline of 0 s has passed at its first clock reading, which comes
+    # before the first schema's join
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import families
 
@@ -156,19 +157,18 @@ def test_grounding_stops_at_a_passed_deadline(monkeypatch):
 
     family = families.relay(1, waypoints=60, links=58)
     task = pddl.parse_task(family.domain, family.problem)
-    streamed = []
-    real = successors.iter_cliques
+    readings = []
+    clock = successors.time.perf_counter
 
-    def counted(graph):
-        for clique in real(graph):
-            streamed.append(clique)
-            yield clique
+    def read():
+        readings.append(clock())
+        return readings[-1]
 
-    monkeypatch.setattr(successors, "iter_cliques", counted)
+    monkeypatch.setattr(successors, "time", SimpleNamespace(perf_counter=read))
     result = solve(task, GeneratorConfig(strategy="grounded"), Limits(time_s=0.0))
     assert result.status == LIMIT and result.limit_hit == "time"
     assert result.stats.expansions == 0
-    assert len(streamed) == 1
+    assert len(readings) == 1
 
 
 def test_infinite_limits_set_no_cap():

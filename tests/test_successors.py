@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from taskgen import brute_applicable, product_store, random_task, searching_task, walk_states
 
+from lnplan.cliques import iter_cliques
+from lnplan.consistency import static_graph, task_statics
 from lnplan.model import (
     EQUALITY,
     ActionSchema,
@@ -34,6 +37,7 @@ from lnplan.successors import (
     PROPOSITIONAL,
     STRATEGIES,
     GeneratorConfig,
+    GroundDeadlineError,
     GroundLimitError,
     SuccessorGenerator,
     ground_all,
@@ -175,6 +179,27 @@ def test_ground_cap_counts_join_candidates():
         ground_all(task, cap=31)
 
 
+def test_grounding_reads_the_clock_every_stride_of_rows(monkeypatch):
+    # two free parameters over 100 objects: the join builds 100 rows, then
+    # 100 per row; the clock is read before the join and once the rows
+    # built reach a stride, where the deadline has passed
+    from lnplan import successors
+
+    objects = tuple(Object(f"o{i}") for i in range(100))
+    task = Task("d", "t", (), (), (ActionSchema("pair", (X, Variable("?y"))),), objects,
+                State([], {}))
+    readings = []
+
+    def read():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 2.0
+
+    monkeypatch.setattr(successors, "time", SimpleNamespace(perf_counter=read))
+    with pytest.raises(GroundDeadlineError):
+        ground_all(task, deadline=1.0)
+    assert len(readings) == 2 and successors._DEADLINE_STRIDE < 100 * 100
+
+
 def _assert_store_matches_product(task):
     store, want = ground_all(task), product_store(task)
     assert {name: list(actions) for name, actions in store.by_schema.items()} == want, \
@@ -193,7 +218,7 @@ def test_ground_store_matches_product_loop(bundled_tasks):
 def test_ground_store_matches_product_loop_on_static_shapes():
     kind, dyn = PredicateSymbol("kind", 1), PredicateSymbol("dyn", 1)
     r, t = PredicateSymbol("r", 2), PredicateSymbol("t", 3)
-    a, b, c = Variable("?a"), Variable("?b"), Variable("?c")
+    a, b, c, d = Variable("?a"), Variable("?b"), Variable("?c"), Variable("?d")
     objects = tuple(Object(f"o{i}") for i in range(5))
     o1, o2 = objects[1], objects[2]
 
@@ -212,6 +237,10 @@ def test_ground_store_matches_product_loop_on_static_shapes():
                      eff_literals=(lit(dyn, c, positive=False),)),
         ActionSchema("free", (), pre_literals=(lit(r, o1, o1, positive=False), lit(dyn, o1))),
         ActionSchema("false", (a,), pre_literals=(lit(kind, a), lit(r, o2, o2))),
+        # a cycle: the join binds it with two literals, the third closes it
+        ActionSchema("cyclic", (a, b, c), pre_literals=(lit(r, a, b), lit(r, b, c), lit(r, c, a))),
+        # no variable shared: the join takes the second literal unlinked
+        ActionSchema("disjoint", (a, b, c, d), pre_literals=(lit(r, a, b), lit(t, c, d, c))),
     )
     for seed in range(10):
         rng = random.Random(seed)
@@ -225,6 +254,36 @@ def test_ground_store_matches_product_loop_on_static_shapes():
         store = ground_all(task)
         assert store.for_schema("free") and not store.for_schema("false")
         assert 0 < len(store.for_schema("ternary")) < 5 ** 3
+        assert 0 < len(store.for_schema("cyclic")) < 5 ** 3
+
+
+def test_ground_store_is_the_static_graphs_cliques(bundled_tasks):
+    # the static graph is the static half of the paper's graph; its cliques
+    # are exactly the bindings that the grounding join keeps
+    rng = random.Random(707)
+    tasks = list(bundled_tasks.values()) + [
+        random_task(rng, exact=rng.random() < 0.3, task_id=i) for i in range(40)]
+    for task in tasks:
+        statics, store, n = task_statics(task), ground_all(task), len(task.objects)
+        for schema in task.schemas:
+            cliques = sorted(tuple(v - p * n for p, v in enumerate(clique))
+                             for clique in iter_cliques(static_graph(schema, statics)))
+            stored = [tuple(map(statics.index_of.__getitem__, action.binding))
+                      for action in store.for_schema(schema.name)]
+            assert stored == cliques, (task.problem_name, schema.name)
+
+
+def test_grounded_generator_builds_no_consistency_plan():
+    # relay's preconditions read every term its effects use, so the
+    # residual check never asks for the parameters' pools, and grounding
+    # joins the static atoms without the plans or their atom index
+    from conftest import load_bundled
+
+    relay = load_bundled("relay")
+    generator = SuccessorGenerator(relay, GeneratorConfig(strategy=GROUNDED))
+    assert generator.applicable(relay.init)[0]
+    statics = task_statics(relay)
+    assert statics._plans == {} and "index" not in vars(statics)
 
 
 def test_grounded_strategy_reproduces_exhaustive_applicable_sets():
