@@ -12,7 +12,10 @@ count as not holding rather than raising.
 Objects, variables, atoms and function terms are interned: one instance per
 name, or per symbol name and arguments, held weakly, so that equality and
 hashing are by identity. A probe for a ground atom or fluent looks the
-instance up and builds none: with no instance, no state holds it.
+instance up and builds none: with no instance, no state holds it. A ground
+action builds the atoms of its precondition literals once, on its first
+applicability check, and keeps them interned, so the filter tests them
+against each state by identity (`GroundAction.ground_preconditions`).
 
 A state's key is packed: one tuple of its own atoms as a bitset and its own
 fluent values in slot order, numbered by a `Layout` that the states of one
@@ -358,6 +361,7 @@ class ActionSchema:
             self.pre_constraints,
             tuple(EffectCheck(eff, True, eff.op == SCALE_DOWN, eff.op != ASSIGN, True)
                   for eff in self.eff_numeric),
+            tuple(range(len(self.pre_literals))),
         )
 
 
@@ -377,12 +381,19 @@ class Check:
 
     `ActionSchema.conditions` is the full set. A successor generator passes a
     smaller one, which leaves out what its candidates are known to satisfy.
-    An empty check is false.
+    `positions` holds each literal's position in the schema's `pre_literals`,
+    where an action's `ground_preconditions` holds its ground atom. An empty
+    check is false.
     """
 
     literals: tuple[Literal, ...] = ()
     constraints: tuple[NumericConstraint, ...] = ()
     effects: tuple[EffectCheck, ...] = ()
+    positions: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if len(self.positions) != len(self.literals):
+            raise ValueError("a check needs one position per literal")
 
     def __bool__(self) -> bool:
         return bool(self.literals or self.constraints or self.effects)
@@ -637,14 +648,16 @@ class GroundAction:
     """A schema plus a total binding of its parameters, in parameter order.
 
     What an action derives from its binding is filled on first use and kept:
-    the binding map and its ground effects with their delta on the keys of
-    the last layout it was applied in (`Delta`). A successor generator builds
+    the binding map, the ground atoms of its precondition literals
+    (`ground_preconditions`), which the applicability filter tests against
+    each state, and its ground effects with their delta on the keys of the
+    last layout it was applied in (`Delta`). A successor generator builds
     each distinct action once and reuses it in every state (see
     `successors.SuccessorGenerator`), so that work is done once per action,
     not once per state.
     """
 
-    __slots__ = ("schema", "binding", "_map", "_hash", "_effects")
+    __slots__ = ("schema", "binding", "_map", "_hash", "_effects", "_pre")
 
     def __init__(self, schema: ActionSchema, binding: Iterable[Object]):
         binding = tuple(binding)
@@ -652,8 +665,30 @@ class GroundAction:
             raise ValueError(f"action {schema.name}: binding arity mismatch")
         self.schema = schema
         self.binding = binding
-        self._map = self._effects = None
+        self._map = self._effects = self._pre = None
         self._hash = hash((schema.name, binding))
+
+    def ground_preconditions(self) -> tuple[Union[Atom, bool], ...]:
+        """Per literal of the schema's `pre_literals`, in order, its ground
+        atom, or for an equality literal whether its atom holds.
+
+        The atoms are built through the interning constructor, so the action
+        keeps them interned. A lookup that found no instance could not be
+        kept: an effect may build that atom in a later state, which then
+        holds it. The binding map is built for the grounding and not kept,
+        since most actions that the filter checks fail a literal and never
+        read it again.
+        """
+        if self._pre is None:
+            schema = self.schema
+            binding, pre = self._map or dict(zip(schema.params, self.binding)), []
+            for lit in schema.pre_literals:
+                atom = lit.atom
+                args = _ground_args(atom.args, binding)
+                pre.append(args[0] is args[1] if atom.predicate.name == EQUALITY_NAME
+                           else Atom(atom.predicate, args))
+            self._pre = tuple(pre)
+        return self._pre
 
     def ground_effects(self) -> tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[FunctionTerm, ...]]:
         """The atoms the action deletes and adds and the terms it writes, in
@@ -812,7 +847,9 @@ def _failure(state: State, action: GroundAction, tolerance: float,
     expression definedness (including the target for updating operators and
     a nonzero divisor for /=), and per-target effect compatibility. `check`
     selects which of them to walk, all of them by default. The tolerance
-    loosens precondition comparisons only. A failure is a (reason, element)
+    loosens precondition comparisons only. A literal is tested by the ground
+    atom the action keeps for it (`GroundAction.ground_preconditions`), built
+    on the action's first check. A failure is a (reason, element)
     pair: the words that precede the element in applicability_failure's
     text, and the failing element. No text is built here, because the
     successor filter sees a failure for most candidates under some
@@ -820,10 +857,16 @@ def _failure(state: State, action: GroundAction, tolerance: float,
     """
     if check is None:
         check = action.schema.conditions
+    if check.literals:
+        pre = action._pre or action.ground_preconditions()
+        own, static = state.own_atoms, state.static.own_atoms
+        for lit, i in zip(check.literals, check.positions):
+            atom = pre[i]
+            # an equality literal's entry is whether its atom holds
+            if (atom is True or atom is not False and (atom in own or atom in static)
+                    ) != lit.positive:
+                return "precondition literal does not hold:", lit
     binding = action.binding_map()
-    for lit in check.literals:
-        if not literal_holds(state, lit, binding):
-            return "precondition literal does not hold:", lit
     for con in check.constraints:
         if not constraint_holds(state, con, binding, tolerance):
             return "precondition constraint does not hold:", con

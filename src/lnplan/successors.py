@@ -6,7 +6,8 @@ Strategies:
   propositional  the same graph without them
   exhaustive     every binding over the parameters' static pools
   grounded       a store built once by a hash join over the static atoms,
-                 scanned per state
+                 with the constraints on static functions decided per
+                 binding, scanned per state
 
 Every strategy streams candidate ground actions that are then passed through
 an exact filter, so all four agree on the final set; they differ only in how
@@ -14,8 +15,10 @@ many candidates they touch, which the CandidateReport records per expansion.
 Each ground action is built once per generator: `grounded` builds its store
 once, and the other strategies intern the actions they build, per schema by
 the binding's key, so that a binding streamed in an earlier state costs one
-lookup, and the action's binding map and ground effects are reused with it
-(see `SuccessorGenerator`).
+lookup. What an action grounds on first use is reused with it in every
+later state: its binding map, the ground atoms of its precondition
+literals, which the filter tests against each state, and its ground effects
+(see `GroundAction` and `SuccessorGenerator`).
 
 The filter checks only what a strategy leaves undecided. Per schema and
 strategy, `residual_check` compiles the applicability conditions that one of
@@ -64,6 +67,7 @@ from .model import (
     State,
     Task,
     Variable,
+    constraint_holds,
     effects_compatible,
     expr_value,
     free_variables,
@@ -133,16 +137,22 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
     schema's static graph (`consistency.static_graph`), which no grounding
     builds.
 
+    A precondition constraint that reads static functions only
+    (`TaskStatics.functions`) has one truth value per binding in every
+    state: it is evaluated once per joined row, in the task's static part,
+    and a row where it fails is dropped.
+
     Raises GroundLimitError once the joins have streamed more than `cap`
     bindings over all schemas; that blowup is exactly what the lifted
-    strategies avoid. The store holds what the joins stream, so it needs no
-    cap of its own. Raises GroundDeadlineError when `time.perf_counter()`
-    has reached the deadline before a schema's join or at one of the
-    readings the joins take every `_DEADLINE_STRIDE` rows they build, at
-    any step.
+    strategies avoid. The store holds at most what the joins stream, so it
+    needs no cap of its own. Raises GroundDeadlineError when
+    `time.perf_counter()` has reached the deadline at one of its readings:
+    before a schema's join, every `_DEADLINE_STRIDE` rows the joins build,
+    at any step, before a schema's rows are sorted, and every
+    `_DEADLINE_STRIDE` actions built from them.
     """
     statics = task_statics(task)
-    objects = statics.objects
+    objects, static = statics.objects, statics.static
     by_schema: dict[str, tuple[GroundAction, ...]] = {}
     streamed = built = 0
     mark = _DEADLINE_STRIDE
@@ -178,10 +188,38 @@ def ground_all(task: Task, cap: int = DEFAULT_GROUND_CAP,
         streamed += len(rows)
         if streamed > cap:
             raise GroundLimitError(cap, schema.name)
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise GroundDeadlineError
         rows.sort()
-        by_schema[schema.name] = tuple(
-            GroundAction(schema, tuple([objects[oi] for oi in combo])) for combo in rows)
+        decided = static_constraints(schema, statics.functions)
+        actions: list[GroundAction] = []
+        for start in range(0, len(rows), _DEADLINE_STRIDE):
+            if start and deadline is not None and time.perf_counter() >= deadline:
+                raise GroundDeadlineError
+            bindings = [tuple([objects[oi] for oi in combo])
+                        for combo in rows[start:start + _DEADLINE_STRIDE]]
+            if decided:
+                bindings = [binding for binding in bindings
+                            if _constraints_hold(static, decided, schema.params, binding)]
+            actions += [GroundAction(schema, binding) for binding in bindings]
+        by_schema[schema.name] = tuple(actions)
     return GroundStore(by_schema, sum(map(len, by_schema.values())))
+
+
+def _constraints_hold(state: State, constraints: Sequence[NumericConstraint],
+                      params: tuple[Variable, ...], binding: tuple[Object, ...]) -> bool:
+    """Do the constraints hold in the state under the parameters' binding?"""
+    sub = dict(zip(params, binding))
+    return all(constraint_holds(state, con, sub) for con in constraints)
+
+
+def static_constraints(schema: ActionSchema, functions: frozenset[str]
+                       ) -> tuple[NumericConstraint, ...]:
+    """The schema's precondition constraints that read only the functions
+    named in `functions`, the static ones: each has one truth value per
+    binding in every state of the task."""
+    return tuple(con for con in schema.pre_constraints
+                 if all(term.function.name in functions for term in function_terms(con)))
 
 
 def _join_plan(schema: ActionSchema, statics: TaskStatics
@@ -300,25 +338,30 @@ def _matches(atom: Atom, statics: TaskStatics, pools: dict[Variable, Optional[se
                           and all(row[j] in pool for j, pool in pooled)]
 
 
-def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str]
+def undecided_preconditions(schema: ActionSchema, strategy: str, static: frozenset[str],
+                            functions: frozenset[str]
                             ) -> tuple[tuple[Literal, ...], tuple[NumericConstraint, ...]]:
     """The precondition literals and constraints that a candidate of the
-    strategy can still fail; `static` names the static predicates.
+    strategy can still fail; `static` names the static predicates and
+    `functions` the static functions.
 
     - numeric: none. The graph decides every element on at most two
       variables, reading each function term at its exact value where the
       element's variables are bound, and the clique search the rest.
     - propositional: every constraint.
-    - grounded: the literals on dynamic predicates plus every constraint;
-      `ground_all` keeps only bindings whose static literals hold.
+    - grounded: the literals on dynamic predicates plus the constraints
+      that read a dynamic function; `ground_all` keeps only bindings whose
+      static literals and static constraints hold.
     - exhaustive: every element.
     """
     literals, constraints = schema.pre_literals, schema.pre_constraints
+    if strategy == GROUNDED:
+        decided = static_constraints(schema, functions)
+        return (tuple(lit for lit in literals if lit.atom.predicate.name not in static),
+                tuple(con for con in constraints if con not in decided))
     return {
         NUMERIC: ((), ()),
         PROPOSITIONAL: ((), constraints),
-        GROUNDED: (tuple(lit for lit in literals if lit.atom.predicate.name not in static),
-                   constraints),
         EXHAUSTIVE: (literals, constraints),
     }[strategy]
 
@@ -367,13 +410,16 @@ def residual_check(schema: ActionSchema, strategy: str,
     """What the exact filter must still check of the strategy's candidates
     for the schema (see `undecided_preconditions` and `fallible_effects`).
 
-    Without `statics` (a domain with no problem) every predicate counts as
-    dynamic, and only the terms that a precondition constraint reads count
-    as defined.
+    Without `statics` (a domain with no problem) every predicate and
+    function counts as dynamic, and only the terms that a precondition
+    constraint reads count as defined.
     """
-    static = statics.predicates if statics is not None else frozenset()
-    return Check(*undecided_preconditions(schema, strategy, static),
-                 fallible_effects(schema, statics, numeric=strategy == NUMERIC))
+    static, functions = ((statics.predicates, statics.functions) if statics is not None
+                         else (frozenset(), frozenset()))
+    literals, constraints = undecided_preconditions(schema, strategy, static, functions)
+    return Check(literals, constraints,
+                 fallible_effects(schema, statics, numeric=strategy == NUMERIC),
+                 tuple(map(schema.pre_literals.index, literals)))
 
 
 def _nonzero_constant(expr: Expr) -> bool:
@@ -432,8 +478,9 @@ class SuccessorGenerator:
     generator. Per schema, a table maps the key of each binding they have
     streamed, a clique's vertex-id tuple or, under exhaustive, the object
     tuple, to its action, which every later state reuses along with what the
-    action derives from its binding: its binding map, ground effects and
-    delta (`GroundAction.ground_effects`, `GroundAction.delta`). A table
+    action derives from its binding: its binding map, ground precondition
+    atoms, ground effects and delta (`GroundAction.ground_preconditions`,
+    `GroundAction.ground_effects`, `GroundAction.delta`). A table
     holds at most one action per distinct binding streamed, at most as many
     as the candidates, and lives as long as the generator.
     """

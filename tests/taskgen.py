@@ -53,10 +53,13 @@ from lnplan.model import (
     Task,
     Variable,
     apply,
+    constraint_holds,
     expr_value,
+    function_terms,
     goal_satisfied,
     is_applicable,
     literal_holds,
+    static_function_names,
     static_predicate_names,
     substitute,
 )
@@ -75,16 +78,21 @@ def all_bindings(schema: ActionSchema, objects: Iterable[Object]) -> Iterator[Gr
 
 def product_store(task: Task) -> dict[str, list[GroundAction]]:
     """Per schema, every binding whose static precondition literals (type
-    literals among them) hold in the initial state, in product order: the
-    grounded store by enumeration."""
+    literals among them) and constraints on static functions only hold in
+    the initial state, in product order: the grounded store by
+    enumeration."""
     static = static_predicate_names(task) | {EQUALITY_NAME}
+    functions = static_function_names(task)
     out = {}
     for schema in task.schemas:
         static_pre = [lit for lit in schema.pre_literals if lit.atom.predicate.name in static]
+        static_cons = [con for con in schema.pre_constraints
+                       if all(term.function.name in functions for term in function_terms(con))]
         kept = out[schema.name] = []
         for action in all_bindings(schema, task.objects):
             binding = action.binding_map()
-            if all(literal_holds(task.init, lit, binding) for lit in static_pre):
+            if all(literal_holds(task.init, lit, binding) for lit in static_pre) and all(
+                    constraint_holds(task.init, con, binding) for con in static_cons):
                 kept.append(action)
     return out
 

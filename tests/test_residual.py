@@ -4,9 +4,16 @@ import dataclasses
 import random
 
 from conftest import BUNDLED, load_bundled
-from taskgen import random_task, walk_states
+from taskgen import all_bindings, random_task, walk_states
 
-from lnplan.model import applicability_failure, apply, is_applicable
+from lnplan.model import (
+    EQUALITY_NAME,
+    _failure,
+    applicability_failure,
+    apply,
+    is_applicable,
+    literal_holds,
+)
 from lnplan.pddl import parse_task
 from lnplan.successors import (
     EXHAUSTIVE,
@@ -281,3 +288,45 @@ def test_residual_filter_matches_the_full_filter_on_random_walks():
                 effect_failures += sum(_fails_an_effect(state, a) for a in candidates)
     # the static arguments dropped some effect checks, and the kept ones fail
     assert dropped > 0 and effect_failures > 0
+
+
+def _literal_walk(state, action, check):
+    """The first failure of the check when each literal is grounded again
+    over the action's binding and looked up (`literal_holds`), then the rest
+    of the check as `_failure` walks it."""
+    binding = action.binding_map()
+    for lit in check.literals:
+        if not literal_holds(state, lit, binding):
+            return "precondition literal does not hold:", lit
+    return _failure(state, action, 0.0, dataclasses.replace(check, literals=(), positions=()))
+
+
+def test_kept_precondition_atoms_give_the_verdicts_of_a_literal_walk():
+    # each action is checked in the initial state before the walk builds any
+    # other state, so some of the atoms it keeps from that check are built
+    # there, and then in every state of the walk
+    rng = random.Random(909)
+    literal_failures = passes = equalities = 0
+    for i in range(40):
+        task = random_task(rng, exact=i % 2 == 0, task_id=i)
+        residuals = [dict(SuccessorGenerator(task, GeneratorConfig(strategy=s)).checks)
+                     for s in STRATEGIES]
+        actions = [action for schema in task.schemas
+                   for action in all_bindings(schema, task.objects)]
+        equalities += any(lit.atom.predicate.name == EQUALITY_NAME
+                          for schema in task.schemas for lit in schema.pre_literals)
+
+        def compare(state):
+            nonlocal passes, literal_failures
+            for action in actions:
+                schema = action.schema
+                for check in [schema.conditions] + [r[schema] for r in residuals if r[schema]]:
+                    got = _failure(state, action, 0.0, check)
+                    assert got == _literal_walk(state, action, check), (task.problem_name, action)
+                    passes += got is None
+                    literal_failures += got is not None and got[0].startswith("precondition literal")
+
+        compare(task.init)
+        for state, _ in walk_states(task, rng, extra=3)[1:]:
+            compare(state)
+    assert literal_failures > 0 and passes > 0 and equalities > 0

@@ -10,6 +10,7 @@ from taskgen import brute_applicable, product_store, random_task, searching_task
 from lnplan.cliques import iter_cliques
 from lnplan.consistency import static_graph, task_statics
 from lnplan.model import (
+    DECREASE,
     EQUALITY,
     ActionSchema,
     Atom,
@@ -19,6 +20,7 @@ from lnplan.model import (
     GroundAction,
     Literal,
     NumericConstraint,
+    NumericEffect,
     Object,
     PredicateSymbol,
     State,
@@ -26,6 +28,8 @@ from lnplan.model import (
     Variable,
     apply,
     apply_effects,
+    constraint_holds,
+    is_applicable,
     static_predicate_names,
 )
 from lnplan.pddl import parse_task
@@ -41,6 +45,8 @@ from lnplan.successors import (
     GroundLimitError,
     SuccessorGenerator,
     ground_all,
+    residual_check,
+    static_constraints,
 )
 
 A, B = Object("a"), Object("b")
@@ -200,6 +206,98 @@ def test_grounding_reads_the_clock_every_stride_of_rows(monkeypatch):
     assert len(readings) == 2 and successors._DEADLINE_STRIDE < 100 * 100
 
 
+def test_grounding_reads_the_clock_while_it_builds_the_actions(monkeypatch):
+    # one free parameter over 25 objects at a stride of 10: the clock is read
+    # before the join, once in it (25 rows built), before the sort and after
+    # every 10 actions built
+    from lnplan import successors
+
+    objects = tuple(Object(f"o{i}") for i in range(25))
+    task = Task("d", "t", (), (), (ActionSchema("one", (X,)),), objects, State([], {}))
+    monkeypatch.setattr(successors, "_DEADLINE_STRIDE", 10)
+    built = []
+    monkeypatch.setattr(successors, "GroundAction",
+                        lambda schema, binding: built.append(binding) or GroundAction(schema, binding))
+    readings = []
+    monkeypatch.setattr(successors, "time", SimpleNamespace(
+        perf_counter=lambda: readings.append(None) or len(readings)))
+    assert ground_all(task, deadline=math.inf).total == 25
+    assert len(readings) == 5 and len(built) == 25
+    # the deadline passes at the sort's reading, then at each stride's
+    for passed, actions in ((3, 0), (4, 10), (5, 20)):
+        readings.clear()
+        built.clear()
+        with pytest.raises(GroundDeadlineError):
+            ground_all(task, deadline=passed)
+        assert len(readings) == passed and len(built) == actions
+
+
+def test_grounding_decides_the_constraints_on_static_functions():
+    # no effect writes cost or cap, so (<= (cost ?a ?b) (cap)) and (> (cap) 0)
+    # hold or fail per binding in every state: grounding keeps the rows where
+    # they hold, and the grounded filter checks only (>= (fuel) (cost ?a ?b))
+    link, at = PredicateSymbol("link", 2), PredicateSymbol("at", 1)
+    cost, cap, fuel = FunctionSymbol("cost", 2), FunctionSymbol("cap", 0), FunctionSymbol("fuel", 0)
+    a, b = Variable("?a"), Variable("?b")
+    static = (NumericConstraint(FunctionTerm(cost, (a, b)), "<=", FunctionTerm(cap, ())),
+              NumericConstraint(FunctionTerm(cap, ()), ">", Constant(0.0)))
+    dynamic = NumericConstraint(FunctionTerm(fuel, ()), ">=", FunctionTerm(cost, (a, b)))
+    move = ActionSchema(
+        "move", (a, b), pre_literals=(Literal(Atom(link, (a, b))), Literal(Atom(at, (a,)))),
+        pre_constraints=(static[0], dynamic, static[1]),
+        eff_literals=(Literal(Atom(at, (a,)), False), Literal(Atom(at, (b,)))),
+        eff_numeric=(NumericEffect(FunctionTerm(fuel, ()), DECREASE, FunctionTerm(cost, (a, b))),))
+    objects = tuple(Object(f"w{i}") for i in range(5))
+    rng = random.Random(808)
+    for seed in range(8):
+        links = [(u, v) for u in objects for v in objects if u is not v and rng.random() < 0.6]
+        # a cost left undefined fails the constraint that reads it
+        costs = {FunctionTerm(cost, pair): float(rng.randint(0, 3))
+                 for pair in links if rng.random() < 0.9}
+        fluents = {**costs, FunctionTerm(cap, ()): 2.0, FunctionTerm(fuel, ()): 6.0}
+        task = Task("d", f"static-constraints-{seed}", (link, at), (cost, cap, fuel), (move,),
+                    objects, State([Atom(link, pair) for pair in links] + [Atom(at, (objects[0],))],
+                                   fluents))
+        statics = task_statics(task)
+        assert static_constraints(move, statics.functions) == static
+        assert residual_check(move, GROUNDED, statics).constraints == (dynamic,)
+        _assert_store_matches_product(task)
+        assert len(ground_all(task).for_schema("move")) < len(links)
+        generator = SuccessorGenerator(task, GeneratorConfig(strategy=GROUNDED))
+        for state, oracle in walk_states(task, rng, extra=4):
+            assert set(generator.applicable(state)[0]) == set(oracle), task.problem_name
+    # a static constraint with no variables that fails leaves no action
+    fluents[FunctionTerm(cap, ())] = 0.0
+    task = Task("d", "no-cap", (link, at), (cost, cap, fuel), (move,), objects,
+                State([Atom(link, pair) for pair in links] + [Atom(at, (objects[0],))], fluents))
+    assert ground_all(task).total == 0 and brute_applicable(task, task.init) == []
+
+
+def test_the_filter_finds_a_precondition_atom_that_an_effect_builds_later():
+    # no (trap-q trap-a) exists when use(trap-a) is first checked; its check
+    # builds the atom and keeps it, and the effect of make(trap-a) that adds
+    # the atom later builds that instance again, so use(trap-a) passes there
+    q = PredicateSymbol("trap-q", 1)
+    obj = Object("trap-a")
+    make = ActionSchema("make", (X,), eff_literals=(Literal(Atom(q, (X,))),))
+    use = ActionSchema("use", (X,), pre_literals=(Literal(Atom(q, (X,))),),
+                       eff_literals=(Literal(Atom(q, (X,)), False),))
+    task = Task("d", "trap", (q,), (), (make, use), (obj,), State([], {}))
+    assert Atom.find(("trap-q", (obj,))) is None
+    generator = SuccessorGenerator(task, GeneratorConfig(strategy=GROUNDED))
+    # grounding builds no precondition atom; the first check does
+    assert all(action._pre is None for action in generator.store.for_schema("use"))
+    assert Atom.find(("trap-q", (obj,))) is None
+    applicable, _ = generator.applicable(task.init)
+    assert [action.pddl() for action in applicable] == ["(make trap-a)"]
+    (used,) = generator.store.for_schema("use")
+    assert used.ground_preconditions() == (Atom.find(("trap-q", (obj,))),)
+    state = apply(task.init, applicable[0])
+    assert [action.pddl() for action in generator.applicable(state)[0]] == [
+        "(make trap-a)", "(use trap-a)"]
+    assert is_applicable(state, used) and not is_applicable(task.init, used)
+
+
 def _assert_store_matches_product(task):
     store, want = ground_all(task), product_store(task)
     assert {name: list(actions) for name, actions in store.by_schema.items()} == want, \
@@ -259,18 +357,28 @@ def test_ground_store_matches_product_loop_on_static_shapes():
 
 def test_ground_store_is_the_static_graphs_cliques(bundled_tasks):
     # the static graph is the static half of the paper's graph; its cliques
-    # are exactly the bindings that the grounding join keeps
+    # are exactly the bindings that the grounding join keeps, and the store
+    # keeps those where the constraints on static functions hold
     rng = random.Random(707)
     tasks = list(bundled_tasks.values()) + [
         random_task(rng, exact=rng.random() < 0.3, task_id=i) for i in range(40)]
+    dropped = 0
     for task in tasks:
         statics, store, n = task_statics(task), ground_all(task), len(task.objects)
         for schema in task.schemas:
+            decided = static_constraints(schema, statics.functions)
             cliques = sorted(tuple(v - p * n for p, v in enumerate(clique))
                              for clique in iter_cliques(static_graph(schema, statics)))
+            kept = [combo for combo in cliques
+                    if all(constraint_holds(task.init, con,
+                                            {var: task.objects[oi] for var, oi in
+                                             zip(schema.params, combo)})
+                           for con in decided)]
+            dropped += len(cliques) - len(kept)
             stored = [tuple(map(statics.index_of.__getitem__, action.binding))
                       for action in store.for_schema(schema.name)]
-            assert stored == cliques, (task.problem_name, schema.name)
+            assert stored == kept, (task.problem_name, schema.name)
+    assert dropped > 0
 
 
 def test_grounded_generator_builds_no_consistency_plan():
